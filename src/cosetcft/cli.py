@@ -56,6 +56,7 @@ from .torus import torus_classes, torus_exp, torus_kw_residual, torus_ring
 from .weights import AlgebraSpec, Weight, color, conformal_weight, integrable_weights
 
 OUT_DIR_ENV = "COSETCFT_OUT_DIR"
+CSV_COMMANDS = ("weights", "branch")  # the only results _to_csv can render
 
 
 @dataclass(frozen=True)
@@ -271,6 +272,8 @@ def cmd_branch(args, config: Config) -> tuple[dict, list[VerificationReport]]:
             "sector": {"upstairs": list(pq), "downstairs": l},
         }
     else:
+        if args.coset is None:
+            raise ValueError("branch needs --coset n,m1,m2 or --maverick")
         n, m1, m2 = (int(x) for x in args.coset.split(","))
         spec = CosetSpec(n, m1, m2)
         parts = args.sector.split(";")
@@ -615,12 +618,10 @@ def _to_csv(document: dict) -> str:
             lines.append(
                 f"{lab},{row['color']},{row['conformal_weight']},{row['quantum_dimension']}"
             )
-    elif "coefficients" in result:
+    else:
         lines.append("grade,coefficient")
         for g, c in enumerate(result["coefficients"]):
             lines.append(f"{g},{c}")
-    else:
-        raise ValueError("csv output is supported for weights and branch only")
     return "\n".join(lines) + "\n"
 
 
@@ -723,6 +724,8 @@ def main(argv=None) -> int:
             config = replace(config, output_format=args.format)
     except (OSError, ValueError) as err:
         parser.error(str(err))  # exits 2
+    if config.output_format == "csv" and args.command not in CSV_COMMANDS:
+        parser.error("csv output is supported for weights and branch only")
     try:
         result, reports = args.run(args, config)
     except NotFaithful as err:

@@ -224,41 +224,34 @@ def coset_ring(spec: CosetSpec) -> CosetRing:
     """Orbit ring with constants summed over the cyclic group:
     C_[A][B]^[C] = sum_t N[i,j -> sigma^t(k)] * N[alpha,beta -> sigma^t(delta)].
 
+    Computed as an index gather: with idx_f the factor-f basis index of each
+    orbit representative and D_f the dense factor tensor, every power t
+    contributes the product over the three factors of
+    D_f[np.ix_(idx_f, idx_f, sigma_t,f[idx_f])].  The table is read off the
+    summed tensor's nonzeros in C order, so keys arrive sorted by (a, b)
+    and each payload by c.
+
     Refuses with NotFaithful when any sector has a nontrivial stabilizer.
     """
     orbits, faithful, fixed = identification_orbits(spec)
     if not faithful:
         raise NotFaithful(fixed)
-    r1, r2, rh = factor_rings(spec)
-    perms = [
-        (r1.sigma_permutation(t), r2.sigma_permutation(t), rh.sigma_permutation(t))
-        for t in range(spec.n)
-    ]
+    reps = [o.representative for o in orbits]
+    gathers = []
+    for ring, part in zip(factor_rings(spec), ("num1", "num2", "den")):
+        idx = np.array([ring.index(getattr(r, part)) for r in reps])
+        perms = [np.array(ring.sigma_permutation(t)) for t in range(spec.n)]
+        gathers.append((ring.dense(), idx, perms))
+    total = np.zeros((len(reps),) * 3, dtype=np.int64)
+    for t in range(spec.n):
+        term = np.ones_like(total)
+        for dense, idx, perms in gathers:
+            term *= dense[np.ix_(idx, idx, perms[t][idx])]
+        total += term
     table: dict[tuple[int, int], dict[int, int]] = {}
-    reps = [
-        (
-            r1.index(o.representative.num1),
-            r2.index(o.representative.num2),
-            rh.index(o.representative.den),
-        )
-        for o in orbits
-    ]
-    for a, (i1, i2, al) in enumerate(reps):
-        for b, (j1, j2, be) in enumerate(reps):
-            pay1 = r1.table.get((i1, j1), {})
-            pay2 = r2.table.get((i2, j2), {})
-            payh = rh.table.get((al, be), {})
-            row: dict[int, int] = {}
-            for c, (k1, k2, de) in enumerate(reps):
-                total = 0
-                for p1, p2, ph in perms:
-                    total += (
-                        pay1.get(p1[k1], 0) * pay2.get(p2[k2], 0) * payh.get(ph[de], 0)
-                    )
-                if total:
-                    row[c] = total
-            if row:
-                table[(a, b)] = row
+    nonzero = np.nonzero(total)
+    for a, b, c, v in zip(*(x.tolist() for x in nonzero), total[nonzero].tolist()):
+        table.setdefault((a, b), {})[c] = v
     return CosetRing(spec, tuple(orbits), table)
 
 

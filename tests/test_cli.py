@@ -1,8 +1,14 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from cosetcft import cli
 from cosetcft.cli import Config, main
+
+# exit codes and stdout digests recorded for the benchmark's operations
+BENCH_SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
 
 
 def run(capsys, *argv):
@@ -134,6 +140,20 @@ class TestCosetRingCommand:
         assert doc["result"]["error"] == "NotFaithful"
         assert "((1),(1);(2))" in doc["result"]["fixed_points"]
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            op
+            for op in json.loads(BENCH_SPEC.read_text())["workloads"]["rings"]["ops"]
+            if op["cmd"].startswith("coset-ring")
+        ],
+        ids=lambda op: op["cmd"],
+    )
+    def test_recorded_digest(self, capsys, op):
+        code, out = run(capsys, *op["cmd"].split())
+        assert code == op["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == op["sha256"]
+
 
 class TestBranchCommand:
     def test_ising_vacuum(self, capsys):
@@ -175,6 +195,10 @@ class TestBranchCommand:
         assert lines[0] == "grade,coefficient"
         assert lines[1] == "0,0"
         assert lines[2] == "1,1"
+
+    def test_sector_without_coset_is_usage_error(self, capsys):
+        code, out = run(capsys, "branch", "--sector", "0;0;0")
+        assert code == 2 and out == ""
 
 
 class TestVerifyCommand:
@@ -258,3 +282,31 @@ class TestOutputRouting:
         )
         assert code == 0
         json.loads(out)  # format flag wins
+
+
+class TestUnsupportedCsv:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coset-ring", "3", "3", "2"),
+            ("coset-ring", "2", "2", "2"),
+            ("smatrix", "--algebra", "su2", "--level", "1"),
+            ("fuse", "su2", "2", "1", "1"),
+            ("verify", "ising"),
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("command body ran")
+
+        for name in ("cmd_coset_ring", "cmd_smatrix", "cmd_fuse", "cmd_verify"):
+            monkeypatch.setattr(cli, name, no_work)
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == 2 and out == ""
+
+    def test_csv_from_config_file(self, capsys, tmp_path):
+        conf = tmp_path / "c.conf"
+        conf.write_text("output_format=csv\n")
+        code, out = run(capsys, "verify", "ising", "--config", str(conf))
+        assert code == 2 and out == ""

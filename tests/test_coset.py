@@ -32,6 +32,33 @@ def sector(spec, a, b, c):
     return CosetSector(mk(s1, a), mk(s2, b), mk(sh, c))
 
 
+def defining_table(spec, representatives):
+    """C_ab^c = sum_t N1 N2 Nh over the cyclic powers, one entry at a time,
+    for orbits given by one member sector each; zero entries are left out."""
+    r1, r2, rh = factor_rings(spec)
+    perms = [
+        (r1.sigma_permutation(t), r2.sigma_permutation(t), rh.sigma_permutation(t))
+        for t in range(spec.n)
+    ]
+    reps = [
+        (r1.index(s.num1), r2.index(s.num2), rh.index(s.den))
+        for s in representatives
+    ]
+    table = {}
+    for a, (i1, i2, al) in enumerate(reps):
+        for b, (j1, j2, be) in enumerate(reps):
+            for c, (k1, k2, de) in enumerate(reps):
+                total = sum(
+                    r1.coeff(i1, j1, p1[k1])
+                    * r2.coeff(i2, j2, p2[k2])
+                    * rh.coeff(al, be, ph[de])
+                    for p1, p2, ph in perms
+                )
+                if total:
+                    table.setdefault((a, b), {})[c] = total
+    return table
+
+
 class TestExpSet:
     def test_ising_six_triples(self):
         got = [
@@ -171,36 +198,25 @@ class TestCosetRing:
             v > 0 for payload in ring.table.values() for v in payload.values()
         )
 
+    @pytest.mark.parametrize(
+        "spec",
+        [ISING, CosetSpec(3, 1, 1), CosetSpec(3, 2, 1), CosetSpec(4, 2, 1)],
+        ids=str,
+    )
+    def test_matches_defining_sum(self, spec):
+        ring = coset_ring(spec)
+        expected = defining_table(spec, [o.representative for o in ring.basis])
+        # same keys, values and insertion order, down to each payload
+        assert [(k, list(v.items())) for k, v in ring.table.items()] == [
+            (k, list(v.items())) for k, v in expected.items()
+        ]
+
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_representative_independence(self, spec):
         # recompute the constants from cyclically rotated representatives
         ring = coset_ring(spec)
-        r1, r2, rh = factor_rings(spec)
-        perms = [
-            (
-                r1.sigma_permutation(t),
-                r2.sigma_permutation(t),
-                rh.sigma_permutation(t),
-            )
-            for t in range(spec.n)
-        ]
         rotated = [sector_sigma(o.representative, 1) for o in ring.basis]
-        reps = [
-            (r1.index(s.num1), r2.index(s.num2), rh.index(s.den)) for s in rotated
-        ]
-        for a, (i1, i2, al) in enumerate(reps):
-            for b, (j1, j2, be) in enumerate(reps):
-                pay1 = r1.table.get((i1, j1), {})
-                pay2 = r2.table.get((i2, j2), {})
-                payh = rh.table.get((al, be), {})
-                for c, (k1, k2, de) in enumerate(reps):
-                    total = sum(
-                        pay1.get(p1[k1], 0)
-                        * pay2.get(p2[k2], 0)
-                        * payh.get(ph[de], 0)
-                        for p1, p2, ph in perms
-                    )
-                    assert total == ring.coeff(a, b, c)
+        assert defining_table(spec, rotated) == ring.table
 
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_unit_row_is_delta(self, spec):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcft import (
     AlgebraSpec,
@@ -112,6 +114,104 @@ class TestRingAxioms:
             verlinde_tensor(corrupt)
         assert err.value.residual > 1e-6
         assert len(err.value.indices) == 3
+
+
+def ising_tensor():
+    """su(2)_2 fusion: basis 1, sigma, psi."""
+    ring = verlinde_tensor(s_matrix(AlgebraSpec.su(2, 2)))
+    return ring.dense(), ring.conjugate_permutation()
+
+
+def group_algebra(elements, multiply):
+    """Structure constants N_gh^k = delta(k, gh); elements[0] is the unit."""
+    index = {g: a for a, g in enumerate(elements)}
+    m = len(elements)
+    tensor = np.zeros((m, m, m), dtype=np.int64)
+    conj = [0] * m
+    for a, g in enumerate(elements):
+        for b, h in enumerate(elements):
+            c = index[multiply(g, h)]
+            tensor[a, b, c] = 1
+            if c == 0:
+                conj[a] = b
+    return tensor, conj
+
+
+def brute_force_associative(tensor):
+    lhs = np.einsum("ijm,mkl->ijkl", tensor, tensor)  # (b_i b_j) b_k
+    rhs = np.einsum("jkm,iml->ijkl", tensor, tensor)  # b_i (b_j b_k)
+    return np.array_equal(lhs, rhs)
+
+
+@st.composite
+def commutative_tensors(draw):
+    m = draw(st.integers(1, 4))
+    entries = draw(
+        st.lists(st.integers(0, 2), min_size=m * m * m, max_size=m * m * m)
+    )
+    tensor = np.array(entries, dtype=np.int64).reshape(m, m, m)
+    upper = np.triu(np.ones((m, m), dtype=bool))[:, :, None]
+    return np.where(upper, tensor, tensor.transpose(1, 0, 2))
+
+
+class TestAxiomFailureMessages:
+    def test_negative_entry(self):
+        tensor, conj = ising_tensor()
+        tensor[1, 1, 2] = -1  # diagonal pair: stays commutative
+        assert ring_axiom_failures(tensor, conj)[0] == "negative structure constant"
+
+    def test_unit_row(self):
+        tensor, conj = ising_tensor()
+        tensor[0, 2, 2] = tensor[2, 0, 2] = 2
+        assert "unit row is not the identity permutation" in ring_axiom_failures(
+            tensor, conj
+        )
+
+    def test_commutativity(self):
+        tensor, conj = ising_tensor()
+        tensor[1, 2, 1] = 2
+        assert ring_axiom_failures(tensor, conj) == ["commutativity fails"]
+
+    def test_conjugation(self):
+        tensor, _ = ising_tensor()
+        assert ring_axiom_failures(tensor, [0, 2, 1]) == [
+            "conjugation axiom N_ij^0 = delta(j, conj i) fails"
+        ]
+
+    def test_commutative_but_not_associative(self):
+        # basis 1, x, y with x*x = y*y = 1 and x*y = y*x = x:
+        # (x*x)*y = y but x*(x*y) = 1
+        tensor = np.zeros((3, 3, 3), dtype=np.int64)
+        for j in range(3):
+            tensor[0, j, j] = tensor[j, 0, j] = 1
+        tensor[1, 1, 0] = tensor[2, 2, 0] = 1
+        tensor[1, 2, 1] = tensor[2, 1, 1] = 1
+        assert not brute_force_associative(tensor)
+        assert ring_axiom_failures(tensor, [0, 1, 2]) == [
+            "associativity fails for left factor index 1"
+        ]
+
+    def test_s3_group_algebra_is_only_noncommutative(self):
+        # associative but not commutative: the associativity step is skipped
+        perms = list(itertools.permutations(range(3)))
+        compose = lambda g, h: tuple(g[h[x]] for x in range(3))
+        tensor, conj = group_algebra(perms, compose)
+        assert brute_force_associative(tensor)
+        assert ring_axiom_failures(tensor, conj) == ["commutativity fails"]
+
+    def test_exactness_guard(self):
+        tensor, conj = ising_tensor()
+        tensor[1, 1, 2] = 2**27  # row sum times max entry exceeds 2^53
+        assert ring_axiom_failures(tensor, conj) == [
+            "structure constants too large for an exact associativity check"
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(commutative_tensors())
+    def test_associativity_verdict_matches_brute_force(self, tensor):
+        failures = ring_axiom_failures(tensor, list(range(len(tensor))))
+        flagged = any(f.startswith("associativity fails") for f in failures)
+        assert flagged == (not brute_force_associative(tensor))
 
 
 class TestProducts:
