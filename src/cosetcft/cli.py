@@ -115,7 +115,7 @@ class VerificationReport:
     passed: bool
     worst_residual: float = 0.0
     counterexamples: list = field(default_factory=list)
-    runtime: float = 0.0
+    runtime: float | None = None  # seconds, set where the check is timed
 
     def as_dict(self) -> dict:
         # runtime stays out of the JSON document: identical inputs must
@@ -589,14 +589,14 @@ def cmd_verify(args, config: Config) -> tuple[dict, list[VerificationReport]]:
 
 # --- output -------------------------------------------------------------------
 
-def _emit(document: dict, config: Config, args) -> None:
+def _emit(document: dict, runtimes: list, config: Config, args) -> None:
     fmt = args.format or config.output_format
     if fmt == "json":
         text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         text = _to_csv(document)
     else:
-        text = _to_table(document)
+        text = _to_table(document, runtimes)
     out_path = args.out
     if out_path:
         base = os.environ.get(OUT_DIR_ENV)
@@ -625,7 +625,7 @@ def _to_csv(document: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _to_table(document: dict) -> str:
+def _to_table(document: dict, runtimes: list) -> str:
     result = document.get("result", {})
     lines = []
     if "weights" in result:
@@ -651,9 +651,11 @@ def _to_table(document: dict) -> str:
             lines.append(f"{key}: {payload}")
     else:
         lines.append(json.dumps(result, sort_keys=True))
-    for rep in document.get("reports", []):
+    for rep, runtime in zip(document["reports"], runtimes):
         status = "pass" if rep["passed"] else "FAIL"
         line = f"[{status}] {rep['check']} residual={rep['worst_residual']}"
+        if runtime is not None:
+            line += f" runtime={runtime:.3f}s"
         if rep.get("counterexamples"):
             line += f" counterexamples={rep['counterexamples']}"
         lines.append(line)
@@ -728,19 +730,14 @@ def main(argv=None) -> int:
         parser.error("csv output is supported for weights and branch only")
     try:
         result, reports = args.run(args, config)
+        code = 0 if all(r.passed for r in reports) else 1
     except NotFaithful as err:
-        document = {
-            "command": args.command,
-            "config": config.as_dict(),
-            "result": {
-                "error": "NotFaithful",
-                "message": str(err),
-                "fixed_points": [str(s) for s, _ in err.fixed_points],
-            },
-            "reports": [],
+        result = {
+            "error": "NotFaithful",
+            "message": str(err),
+            "fixed_points": [str(s) for s, _ in err.fixed_points],
         }
-        _emit(document, config, args)
-        return 1
+        reports, code = [], 1
     except (ValueError, KeyError, InconclusiveCutoff) as err:
         parser.error(str(err))
     document = {
@@ -749,8 +746,11 @@ def main(argv=None) -> int:
         "result": result,
         "reports": [r.as_dict() for r in reports],
     }
-    _emit(document, config, args)
-    return 0 if all(r.passed for r in reports) else 1
+    try:
+        _emit(document, [r.runtime for r in reports], config, args)
+    except OSError as err:
+        parser.error(f"cannot write output: {err}")
+    return code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from .modular import SMatrix, quantum_dimension, s_matrix
 from .weights import AlgebraSpec, Weight, conjugate_weight, sigma_apply
 
 INTEGRALITY_TOL = 1e-6
+KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
 
 
 class IntegralityViolation(ArithmeticError):
@@ -172,18 +173,36 @@ def ring_axiom_failures(tensor: np.ndarray, conj_perm, unit: int = 0) -> list[st
 
     Returns human-readable failure descriptions; empty means all axioms hold.
 
-    Associativity is tested only on a commutative ring, through a symmetric
-    criterion.  Write f(i,j,k) = ((b_i b_j) b_k).  Commutativity makes f
-    symmetric in (i,j); the ring is associative exactly when f is also
-    symmetric in (j,k), since the two swaps generate S3 and a fully symmetric
-    f gives (b_i b_j) b_k = f(j,k,i) = (b_j b_k) b_i = b_i (b_j b_k).  So row
-    i passes when lhs_i[j,k,l] = sum_m N_ij^m N_mk^l, one float64 GEMM of
-    the m x m slice against the m x m^2 flattened tensor, equals its own
-    (j,k) transpose; memory stays O(m^3).  When commutativity fails the
-    associativity step is skipped, since the criterion assumes it.
+    Associativity is tested only on a commutative ring.  Write the fusion
+    matrices (N_k)_xy = N_kx^y.  Commutativity gives ((b_i b_j) b_k)_l =
+    (N_i N_k)_jl and (b_i (b_j b_k))_l = (N_k N_i)_jl, so the ring is
+    associative exactly when every pair of fusion matrices commutes.  When
+    commutativity fails the associativity step is skipped.
 
-    The GEMM is exact only while every partial sum stays below 2^53.  Every
-    entry of ((ij)k) is at most max_ij sum_m |N_ij^m| * max |N|; when that
+    A pass is certified in O(m^4) by one integer combination A = sum_i c_i N_i
+    with fixed coefficients: if A commutes with every N_k and is
+    nonderogatory, every N_k lies in the commutant of A, which is Q[A], so
+    all N_k commute.  The certificate is exact on three counts:
+
+    * A, A N_k and N_k A are float64 products whose partial sums are bounded
+      by max c * max_x sum_ij |N_xi^j| * max_ij sum_l |N_ij^l|; the
+      certificate declines unless that bound is below 2^53, where float64
+      arithmetic on integers is exact.
+    * A is nonderogatory when the Krylov matrix with rows e_0, e_0 A, ...,
+      e_0 A^(m-1) has full rank (for a unital ring, the coordinates of the
+      powers of sum_i c_i b_i).  The rank is taken modulo a prime p, and a
+      determinant that is nonzero mod p is nonzero over the integers.
+    * Residues are below p < 2^25, so each int64 product is below 2^50 and a
+      sum of m of them stays below 2^50 * m, far from overflow.
+
+    The certificate can only confirm a pass.  When it declines, a per-row
+    scan decides and names the failing row: row i passes when lhs_i[j,k,l] =
+    sum_m N_ij^m N_mk^l, one float64 GEMM of the m x m slice against the
+    m x m^2 flattened tensor, equals its own (j,k) transpose.  Commutativity
+    makes ((b_i b_j) b_k) symmetric in (i,j); symmetry in (j,k) as well gives
+    full S3 symmetry, which is associativity.  The scan costs m^5 flops and
+    O(m^3) memory.  Both paths need every partial sum of ((ij)k) below 2^53:
+    every entry is at most max_ij sum_m |N_ij^m| * max |N|, and when that
     bound reaches 2^53 the check reports a failure instead of contracting.
     """
     out = []
@@ -204,17 +223,69 @@ def ring_axiom_failures(tensor: np.ndarray, conj_perm, unit: int = 0) -> list[st
     if not commutative:
         return out
     magnitude = np.abs(tensor)
-    if int(magnitude.sum(axis=2).max()) * int(magnitude.max()) >= 2**53:
+    row_sums = magnitude.sum(axis=2)
+    if int(row_sums.max()) * int(magnitude.max()) >= 2**53:
         out.append("structure constants too large for an exact associativity check")
         return out
     t = tensor.astype(np.float64)
+    if _fusion_matrices_commute(t, row_sums):
+        return out
+    i = _first_nonassociative_row(t)
+    if i is not None:
+        out.append(f"associativity fails for left factor index {i}")
+    return out
+
+
+def _fusion_matrices_commute(t: np.ndarray, row_sums: np.ndarray) -> bool:
+    """True when the commuting-matrix certificate proves that all fusion
+    matrices of the commutative tensor ``t`` commute; False means undecided."""
+    m = t.shape[0]
+    # a linear sequence such as 1..m makes A derogatory on symmetric rings
+    coeffs = np.arange(1, m + 1) ** 3 % 65521 + 1
+    # Python ints: m row sums, each below 2^53, can pass 2^63 in int64
+    slice_total = int(row_sums.sum(axis=1, dtype=object).max())
+    if int(coeffs.max()) * slice_total * int(row_sums.max()) >= 2**53:
+        return False
+    a = (coeffs.astype(np.float64) @ t.reshape(m, m * m)).reshape(m, m)
+    if not np.array_equal(np.matmul(a, t), np.matmul(t, a)):
+        return False
+    p = KRYLOV_PRIME
+    a_mod = a.astype(np.int64) % p
+    krylov = np.empty((m, m), dtype=np.int64)
+    v = np.zeros(m, dtype=np.int64)
+    v[0] = 1
+    for j in range(m):
+        krylov[j] = v
+        v = v @ a_mod % p
+    return _full_rank_mod(krylov, p)
+
+
+def _full_rank_mod(mat: np.ndarray, p: int) -> bool:
+    """Gaussian elimination over GF(p) on a square matrix of residues."""
+    mat = mat.copy()
+    m = len(mat)
+    for col in range(m):
+        nonzero = np.flatnonzero(mat[col:, col])
+        if nonzero.size == 0:
+            return False
+        pivot = col + int(nonzero[0])
+        mat[[col, pivot]] = mat[[pivot, col]]
+        factors = mat[col + 1 :, col] * pow(int(mat[col, col]), -1, p) % p
+        mat[col + 1 :, col:] = (
+            mat[col + 1 :, col:] - factors[:, None] * mat[col, col:]
+        ) % p
+    return True
+
+
+def _first_nonassociative_row(t: np.ndarray) -> int | None:
+    """First row i whose ((b_i b_j) b_k) is not symmetric in (j,k), or None."""
+    m = t.shape[0]
     flat = t.reshape(m, m * m)
     for i in range(m):
         lhs = (t[i] @ flat).reshape(m, m, m)  # sum_m N_ij^m N_mk^l
         if not np.array_equal(lhs, lhs.transpose(1, 0, 2)):
-            out.append(f"associativity fails for left factor index {i}")
-            break
-    return out
+            return i
+    return None
 
 
 def dimension_homomorphism_residual(ring: FusionRing) -> float:

@@ -8,10 +8,12 @@ automorphism and the Weyl-group bookkeeping are more natural.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+
+# size budget for one weight basis, checked before enumerating it
+WEIGHT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -100,14 +102,27 @@ class WeightDelta:
 
 def integrable_weights(spec: AlgebraSpec) -> list[Weight]:
     """All integrable weights of a single su(N) factor at level k, in
-    lexicographic label order.  The count is C(k+N-1, N-1)."""
+    lexicographic label order.  The count is C(k+N-1, N-1); a count above
+    WEIGHT_BUDGET is refused before any enumeration."""
     n, k = spec.single()
-    out = []
-    for lab in itertools.product(range(k + 1), repeat=n - 1):
-        if sum(lab) <= k:
-            out.append(Weight(spec, (lab,)))
-    assert len(out) == comb(k + n - 1, n - 1)
-    return out
+    count = comb(k + n - 1, n - 1)
+    if count > WEIGHT_BUDGET:
+        raise ValueError(
+            f"su({n}) at level {k} has {count} integrable weights, "
+            f"over the budget of {WEIGHT_BUDGET}"
+        )
+    return [Weight(spec, (lab,)) for lab in _bounded_labels(n - 1, k)]
+
+
+def _bounded_labels(length: int, bound: int):
+    """Nonnegative tuples of the given length with sum <= bound, in
+    lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(bound + 1):
+        for rest in _bounded_labels(length - 1, bound - first):
+            yield (first,) + rest
 
 
 def color(w: Weight) -> int:

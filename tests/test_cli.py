@@ -1,10 +1,11 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from cosetcft import cli
+from cosetcft import cli, weights
 from cosetcft.cli import Config, main
 
 # exit codes and stdout digests recorded for the benchmark's operations
@@ -71,6 +72,14 @@ class TestWeightsCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "labels,color,conformal_weight,quantum_dimension"
         assert len(lines) == 3
+
+    def test_oversized_level_is_usage_error(self, capsys, monkeypatch):
+        def refuse(length, bound):
+            raise AssertionError("enumeration started before the budget check")
+
+        monkeypatch.setattr(weights, "_bounded_labels", refuse)
+        code, out = run(capsys, "weights", "--algebra", "su10", "--level", "50")
+        assert code == 2 and out == ""
 
     def test_bad_algebra_is_usage_error(self, capsys):
         code, _ = run(capsys, "weights", "--algebra", "so3", "--level", "1")
@@ -144,8 +153,9 @@ class TestCosetRingCommand:
         "op",
         [
             op
-            for op in json.loads(BENCH_SPEC.read_text())["workloads"]["rings"]["ops"]
-            if op["cmd"].startswith("coset-ring")
+            for workload in json.loads(BENCH_SPEC.read_text())["workloads"].values()
+            for op in workload["ops"]
+            if op["cmd"].startswith(("coset-ring", "verify"))
         ],
         ids=lambda op: op["cmd"],
     )
@@ -217,6 +227,20 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "ising")
         assert code == 0
 
+    def test_table_shows_runtime(self, capsys):
+        code, out = run(capsys, "verify", "ising", "--format", "table")
+        assert code == 0
+        assert re.fullmatch(
+            r"\[pass\] ising-coset-ring residual=\S+ runtime=\d+\.\d{3}s",
+            out.strip().splitlines()[-1],
+        )
+
+    def test_json_has_no_runtime(self, capsys):
+        code, out = run(capsys, "verify", "ising")
+        assert code == 0
+        assert "runtime" not in out
+        assert all("runtime" not in rep for rep in json.loads(out)["reports"])
+
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _ = run(capsys, "verify", "everything")
         assert code == 2
@@ -252,6 +276,15 @@ class TestOutputRouting:
         assert code == 0 and out == ""
         doc = json.loads(target.read_text())
         assert doc["command"] == "weights"
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "weights.json"
+        code, out = run(
+            capsys, "weights", "--algebra", "su2", "--level", "1",
+            "--out", str(target),
+        )
+        assert code == 2 and out == ""
+        assert not target.parent.exists()
 
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("COSETCFT_OUT_DIR", str(tmp_path))

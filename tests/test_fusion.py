@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cosetcft import (
     AlgebraSpec,
+    CosetSpec,
     IntegralityViolation,
     SMatrix,
     Weight,
@@ -20,6 +21,11 @@ from cosetcft import (
     simple_current_check,
     verlinde_tensor,
 )
+from cosetcft import fusion
+from cosetcft.cli import DESK_SPECS
+from cosetcft.coset import coset_ring
+from cosetcft.maverick import build_maverick_ring
+from cosetcft.torus import torus_ring
 
 DESK = [(n, k) for n in (2, 3, 4) for k in range(1, 7)]
 
@@ -212,6 +218,109 @@ class TestAxiomFailureMessages:
         failures = ring_axiom_failures(tensor, list(range(len(tensor))))
         flagged = any(f.startswith("associativity fails") for f in failures)
         assert flagged == (not brute_force_associative(tensor))
+
+
+@st.composite
+def permuted_verlinde_rings(draw):
+    """A small Verlinde ring relabelled by a permutation that fixes 0."""
+    n, k = draw(st.sampled_from([(2, 3), (2, 6), (3, 2), (3, 4), (4, 2), (5, 1)]))
+    ring = verlinde_tensor(s_matrix(AlgebraSpec.su(n, k)))
+    m = len(ring.basis)
+    perm = [0] + draw(st.permutations(range(1, m)))
+    inverse = np.argsort(perm)
+    conj = ring.conjugate_permutation()
+    tensor = ring.dense()[np.ix_(perm, perm, perm)]
+    return tensor, [int(inverse[conj[p]]) for p in perm]
+
+
+def spy_on_scan(monkeypatch):
+    """Record the tensors handed to the per-row associativity scan."""
+    calls = []
+    scan = fusion._first_nonassociative_row
+
+    def spy(t):
+        calls.append(t)
+        return scan(t)
+
+    monkeypatch.setattr(fusion, "_first_nonassociative_row", spy)
+    return calls
+
+
+def forbid_scan(monkeypatch):
+    def no_scan(t):
+        raise AssertionError(f"row scan ran at m={len(t)}")
+
+    monkeypatch.setattr(fusion, "_first_nonassociative_row", no_scan)
+
+
+# the coset rings the benchmark's coset-ring ops build, plus the torus and
+# Maverick rings that `verify all` checks
+BENCHMARK_RINGS = {
+    "coset-3,3,2": lambda: coset_ring(CosetSpec(3, 3, 2)),
+    "coset-4,2,1": lambda: coset_ring(CosetSpec(4, 2, 1)),
+    "coset-2,5,3": lambda: coset_ring(CosetSpec(2, 5, 3)),
+    "coset-2,1,1": lambda: coset_ring(CosetSpec(2, 1, 1)),
+    "coset-3,2,1": lambda: coset_ring(CosetSpec(3, 2, 1)),
+    "torus-2,2": lambda: torus_ring(2, 2),
+    "maverick": build_maverick_ring,
+}
+
+
+class TestCommutingCertificate:
+    @settings(max_examples=50, deadline=None)
+    @given(permuted_verlinde_rings())
+    def test_relabelled_verlinde_rings_pass(self, case):
+        tensor, conj = case
+        assert ring_axiom_failures(tensor, conj) == []
+
+    @pytest.mark.parametrize("n,k", DESK_SPECS)
+    def test_decides_desk_rings_without_scan(self, monkeypatch, n, k):
+        forbid_scan(monkeypatch)
+        ring = verlinde_tensor(s_matrix(AlgebraSpec.su(n, k)))
+        assert ring_axiom_failures(ring.dense(), ring.conjugate_permutation()) == []
+
+    @pytest.mark.parametrize("name", BENCHMARK_RINGS)
+    def test_decides_benchmark_rings_without_scan(self, monkeypatch, name):
+        forbid_scan(monkeypatch)
+        ring = BENCHMARK_RINGS[name]()
+        assert ring_axiom_failures(ring.dense(), ring.conjugate_permutation()) == []
+
+    def test_derogatory_ring_falls_back_to_scan(self, monkeypatch):
+        # Z[x,y]/(x^2, y^2, xy) on basis 1, x, y: commutative and associative,
+        # but every A = a + b x + c y has (A - a)^2 = 0, so A is derogatory
+        calls = spy_on_scan(monkeypatch)
+        tensor = np.zeros((3, 3, 3), dtype=np.int64)
+        for j in range(3):
+            tensor[0, j, j] = tensor[j, 0, j] = 1
+        assert brute_force_associative(tensor)
+        assert ring_axiom_failures(tensor, [0, 1, 2]) == [
+            "conjugation axiom N_ij^0 = delta(j, conj i) fails"
+        ]
+        assert len(calls) == 1
+
+    def test_float_guard_falls_back_to_scan(self, monkeypatch):
+        # Z[x]/(x^2 - 2^25 x) is associative; the scan's bound 2^50 is exact,
+        # but A = 2 + 9x times N_x reaches 9 * 2^50 > 2^53
+        calls = spy_on_scan(monkeypatch)
+        tensor = np.zeros((2, 2, 2), dtype=np.int64)
+        tensor[0, 0, 0] = tensor[0, 1, 1] = tensor[1, 0, 1] = 1
+        tensor[1, 1, 1] = 2**25
+        assert ring_axiom_failures(tensor, [0, 1]) == [
+            "conjugation axiom N_ij^0 = delta(j, conj i) fails"
+        ]
+        assert len(calls) == 1
+
+    def test_rank_mod_p(self):
+        p = fusion.KRYLOV_PRIME
+        full = np.array([[0, 1, 0], [1, 0, 0], [0, 0, p - 1]])  # needs a swap
+        assert fusion._full_rank_mod(full, p)
+        assert not fusion._full_rank_mod(np.array([[1, 2], [2, 4]]), p)
+        assert not fusion._full_rank_mod(np.array([[0, 0], [0, 1]]), p)
+
+    def test_krylov_modulus_is_a_prime_below_2_25(self):
+        p = fusion.KRYLOV_PRIME
+        assert p < 2**25
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 class TestProducts:

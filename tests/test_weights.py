@@ -14,6 +14,7 @@ from cosetcft import (
     integrable_weights,
     sigma_apply,
 )
+from cosetcft import weights
 
 DESK = [(n, k) for n in (2, 3, 4) for k in range(1, 7)]
 
@@ -66,6 +67,26 @@ class TestEnumeration:
         assert len(integrable_weights(AlgebraSpec.su(n, k))) == comb(
             k + n - 1, n - 1
         )
+
+
+class TestSizeBudget:
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(length, bound):
+            raise AssertionError("enumeration started before the budget check")
+
+        monkeypatch.setattr(weights, "_bounded_labels", refuse)
+
+    def test_oversized_basis_refused_before_enumeration(self, no_enumeration):
+        # C(59, 9), about 1.3e10 weights
+        with pytest.raises(ValueError, match="budget"):
+            integrable_weights(AlgebraSpec.su(10, 50))
+
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(weights, "_bounded_labels", lambda length, bound: iter(()))
+        assert integrable_weights(AlgebraSpec.su(2, weights.WEIGHT_BUDGET - 1)) == []
+        with pytest.raises(ValueError):
+            integrable_weights(AlgebraSpec.su(2, weights.WEIGHT_BUDGET))
 
 
 class TestColorAndRootLattice:
