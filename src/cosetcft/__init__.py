@@ -26,6 +26,7 @@ from .fusion import (
     IntegralityViolation,
     SimpleCurrentReport,
     fuse,
+    fuse_pair,
     fusion_ring,
     product_ring,
     ring_axiom_failures,

@@ -46,7 +46,7 @@ from .coset import (
 )
 from .fusion import (
     dimension_homomorphism_residual,
-    fuse,
+    fuse_pair,
     ring_axiom_failures,
     simple_current_check,
     verlinde_tensor,
@@ -201,8 +201,7 @@ def cmd_fuse(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     spec = AlgebraSpec.su(n, args.level)
     wi = _parse_labels(args.i, n, spec)
     wj = _parse_labels(args.j, n, spec)
-    ring = verlinde_tensor(s_matrix(spec), config.tolerance_integrality)
-    channels = fuse(ring, wi, wj)
+    channels = fuse_pair(s_matrix(spec), wi, wj, config.tolerance_integrality)
     return {
         "algebra": f"su{n}",
         "level": args.level,

@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import FusionRing, verlinde_tensor
-from .modular import asymptotic_dimension, quantum_dimension, s_matrix
+from .fusion import FusionRing, dense_tensor, verlinde_tensor
+from .modular import (
+    asymptotic_dimension,
+    quantum_dimension,
+    require_dense_budget,
+    s_matrix,
+)
 from .weights import (
     AlgebraSpec,
     Weight,
@@ -191,12 +196,7 @@ class CosetRing:
         return self.table.get((a, b), {}).get(c, 0)
 
     def dense(self) -> np.ndarray:
-        m = len(self.basis)
-        t = np.zeros((m, m, m), dtype=np.int64)
-        for (a, b), payload in self.table.items():
-            for c, v in payload.items():
-                t[a, b, c] = v
-        return t
+        return dense_tensor(self.table, len(self.basis))
 
     def conjugate_permutation(self) -> list[int]:
         out = []
@@ -224,12 +224,13 @@ def coset_ring(spec: CosetSpec) -> CosetRing:
     """Orbit ring with constants summed over the cyclic group:
     C_[A][B]^[C] = sum_t N[i,j -> sigma^t(k)] * N[alpha,beta -> sigma^t(delta)].
 
-    Computed as an index gather: with idx_f the factor-f basis index of each
-    orbit representative and D_f the dense factor tensor, every power t
-    contributes the product over the three factors of
-    D_f[np.ix_(idx_f, idx_f, sigma_t,f[idx_f])].  The table is read off the
-    summed tensor's nonzeros in C order, so keys arrive sorted by (a, b)
-    and each payload by c.
+    Computed as an index gather, one first index a at a time: with idx_f
+    the factor-f basis index of each orbit representative and D_f the dense
+    factor tensor, the slab C_[a]..^.. sums over the powers t the product
+    over the three factors of D_f[idx_f[a]][np.ix_(idx_f, sigma_t,f[idx_f])].
+    Each slab's nonzeros are read in C order, so keys arrive sorted by
+    (a, b) and each payload by c.  Only m x m slabs are held; the m^3
+    constants themselves are held to DENSE_BUDGET.
 
     Refuses with NotFaithful when any sector has a nontrivial stabilizer.
     """
@@ -237,21 +238,27 @@ def coset_ring(spec: CosetSpec) -> CosetRing:
     if not faithful:
         raise NotFaithful(fixed)
     reps = [o.representative for o in orbits]
-    gathers = []
+    m = len(reps)
+    require_dense_budget(m**3, f"a coset ring of {m} orbits")
+    factors = []
     for ring, part in zip(factor_rings(spec), ("num1", "num2", "den")):
         idx = np.array([ring.index(getattr(r, part)) for r in reps])
-        perms = [np.array(ring.sigma_permutation(t)) for t in range(spec.n)]
-        gathers.append((ring.dense(), idx, perms))
-    total = np.zeros((len(reps),) * 3, dtype=np.int64)
-    for t in range(spec.n):
-        term = np.ones_like(total)
-        for dense, idx, perms in gathers:
-            term *= dense[np.ix_(idx, idx, perms[t][idx])]
-        total += term
+        gathers = [
+            np.ix_(idx, np.array(ring.sigma_permutation(t))[idx])
+            for t in range(spec.n)
+        ]
+        factors.append((ring.dense(), idx, gathers))
     table: dict[tuple[int, int], dict[int, int]] = {}
-    nonzero = np.nonzero(total)
-    for a, b, c, v in zip(*(x.tolist() for x in nonzero), total[nonzero].tolist()):
-        table.setdefault((a, b), {})[c] = v
+    for a in range(m):
+        slab = np.zeros((m, m), dtype=np.int64)
+        for t in range(spec.n):
+            term = np.ones_like(slab)
+            for dense, idx, gathers in factors:
+                term *= dense[idx[a]][gathers[t]]
+            slab += term
+        nonzero = np.nonzero(slab)
+        for b, c, v in zip(*(x.tolist() for x in nonzero), slab[nonzero].tolist()):
+            table.setdefault((a, b), {})[c] = v
     return CosetRing(spec, tuple(orbits), table)
 
 

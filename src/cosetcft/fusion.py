@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modular import SMatrix, quantum_dimension, s_matrix
+from .modular import SMatrix, quantum_dimension, require_dense_budget, s_matrix
 from .weights import AlgebraSpec, Weight, conjugate_weight, sigma_apply
 
 INTEGRALITY_TOL = 1e-6
@@ -54,12 +54,7 @@ class FusionRing:
         return self.table.get((i, j), {}).get(k, 0)
 
     def dense(self) -> np.ndarray:
-        n = len(self.basis)
-        t = np.zeros((n, n, n), dtype=np.int64)
-        for (i, j), payload in self.table.items():
-            for k, c in payload.items():
-                t[i, j, k] = c
-        return t
+        return dense_tensor(self.table, len(self.basis))
 
     def conjugate_permutation(self) -> list[int]:
         return [self.index(conjugate_weight(w)) for w in self.basis]
@@ -75,27 +70,58 @@ class FusionRing:
         return out
 
 
-def verlinde_tensor(s: SMatrix, tol: float = INTEGRALITY_TOL) -> FusionRing:
-    """Fusion ring with N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m."""
-    mat = s.entries
-    weights = mat.conj() / mat[0][None, :]
-    raw = np.einsum("im,jm,km->ijk", mat, mat, weights, optimize=True)
-    if np.abs(raw.imag).max() > tol:
-        idx = np.unravel_index(np.abs(raw.imag).argmax(), raw.shape)
-        raise IntegralityViolation(float(np.abs(raw.imag).max()), *map(int, idx))
+def dense_tensor(table: dict[tuple[int, int], dict[int, int]], m: int) -> np.ndarray:
+    """The m x m x m int64 array of a sparse structure-constant table."""
+    require_dense_budget(m**3, f"a ring of {m} basis elements")
+    t = np.zeros((m, m, m), dtype=np.int64)
+    payloads = list(table.values())
+    ij = np.array(list(table), dtype=np.int64).reshape(-1, 2)
+    ij = np.repeat(ij, [len(p) for p in payloads], axis=0)
+    k = np.fromiter(itertools.chain.from_iterable(payloads), np.int64, len(ij))
+    values = itertools.chain.from_iterable(p.values() for p in payloads)
+    t[ij[:, 0], ij[:, 1], k] = np.fromiter(values, np.int64, len(ij))
+    return t
+
+
+def _round_verlinde(
+    raw: np.ndarray, tol: float, prefix: tuple[int, ...] = ()
+) -> tuple[np.ndarray, float]:
+    """Round Verlinde sums to nonnegative int64 under the integrality guards.
+
+    Returns the integers and the worst pre-rounding distance.  A failure
+    raises IntegralityViolation naming prefix + the position in ``raw``.
+    """
+
+    def violation(value, flat_index) -> IntegralityViolation:
+        at = np.unravel_index(flat_index, raw.shape)
+        return IntegralityViolation(float(value), *prefix, *map(int, at))
+
+    worst_imag = np.abs(raw.imag).max()
+    if worst_imag > tol:
+        raise violation(worst_imag, np.abs(raw.imag).argmax())
     rounded = np.rint(raw.real)
     resid = np.abs(raw.real - rounded)
     if resid.max() > tol:
-        idx = np.unravel_index(resid.argmax(), resid.shape)
-        raise IntegralityViolation(float(resid.max()), *map(int, idx))
-    tensor = rounded.astype(np.int64)
-    if tensor.min() < 0:
-        idx = np.unravel_index(tensor.argmin(), tensor.shape)
-        raise IntegralityViolation(float(tensor.min()), *map(int, idx))
+        raise violation(resid.max(), resid.argmax())
+    ints = rounded.astype(np.int64)
+    if ints.min() < 0:
+        raise violation(ints.min(), ints.argmin())
+    return ints, float(max(resid.max(), worst_imag))
+
+
+def verlinde_tensor(s: SMatrix, tol: float = INTEGRALITY_TOL) -> FusionRing:
+    """Fusion ring with N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m.
+
+    The sum is one dense complex m x m x m array, held to DENSE_BUDGET."""
+    mat = s.entries
+    m = len(mat)
+    require_dense_budget(m**3, f"the Verlinde tensor of {m} weights")
+    weights = mat.conj() / mat[0][None, :]
+    raw = np.einsum("im,jm,km->ijk", mat, mat, weights, optimize=True)
+    tensor, worst = _round_verlinde(raw, tol)
     table: dict[tuple[int, int], dict[int, int]] = {}
     for i, j, k in zip(*np.nonzero(tensor)):
         table.setdefault((int(i), int(j)), {})[int(k)] = int(tensor[i, j, k])
-    worst = float(max(resid.max(), np.abs(raw.imag).max()))
     return FusionRing(s.spec, s.basis, table, worst)
 
 
@@ -109,6 +135,21 @@ def fuse(ring: FusionRing, i: Weight, j: Weight) -> list[tuple[Weight, int]]:
     """Nonzero fusion channels of i x j with multiplicities."""
     payload = ring.table.get((ring.index(i), ring.index(j)), {})
     return [(ring.basis[k], c) for k, c in sorted(payload.items())]
+
+
+def fuse_pair(
+    s: SMatrix, i: Weight, j: Weight, tol: float = INTEGRALITY_TOL
+) -> list[tuple[Weight, int]]:
+    """Nonzero fusion channels of i x j, as ``fuse`` lists them, straight
+    from the Verlinde sum: the row N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m
+    over every k is one length-m vector against the m x m matrix, so no ring
+    is built.  The row passes the same integrality guards as
+    ``verlinde_tensor``."""
+    a, b = s.index(i), s.index(j)
+    mat = s.entries
+    raw = mat.conj() @ (mat[a] * mat[b] / mat[0])
+    row, _ = _round_verlinde(raw, tol, (a, b))
+    return [(s.basis[k], int(row[k])) for k in np.flatnonzero(row)]
 
 
 def product_ring(rings: list[FusionRing]) -> FusionRing:
@@ -184,10 +225,10 @@ def ring_axiom_failures(tensor: np.ndarray, conj_perm, unit: int = 0) -> list[st
     nonderogatory, every N_k lies in the commutant of A, which is Q[A], so
     all N_k commute.  The certificate is exact on three counts:
 
-    * A, A N_k and N_k A are float64 products whose partial sums are bounded
-      by max c * max_x sum_ij |N_xi^j| * max_ij sum_l |N_ij^l|; the
-      certificate declines unless that bound is below 2^53, where float64
-      arithmetic on integers is exact.
+    * A is summed in int64; A N_k and N_k A are float64 products, one k at a
+      time, whose partial sums are bounded by max c * max_x sum_ij |N_xi^j| *
+      max_ij sum_l |N_ij^l|; the certificate declines unless that bound is
+      below 2^53, where float64 arithmetic on integers is exact.
     * A is nonderogatory when the Krylov matrix with rows e_0, e_0 A, ...,
       e_0 A^(m-1) has full rank (for a unital ring, the coordinates of the
       powers of sum_i c_i b_i).  The rank is taken modulo a prime p, and a
@@ -204,10 +245,14 @@ def ring_axiom_failures(tensor: np.ndarray, conj_perm, unit: int = 0) -> list[st
     O(m^3) memory.  Both paths need every partial sum of ((ij)k) below 2^53:
     every entry is at most max_ij sum_m |N_ij^m| * max |N|, and when that
     bound reaches 2^53 the check reports a failure instead of contracting.
+
+    Besides the input, only the scan makes m x m x m arrays; the certificate
+    works on m x m slices.
     """
     out = []
     m = tensor.shape[0]
-    if tensor.min() < 0:
+    negative = tensor.min() < 0
+    if negative:
         out.append("negative structure constant")
     expected_unit = np.eye(m, dtype=np.int64)
     if not np.array_equal(tensor[unit], expected_unit):
@@ -222,35 +267,38 @@ def ring_axiom_failures(tensor: np.ndarray, conj_perm, unit: int = 0) -> list[st
         out.append("conjugation axiom N_ij^0 = delta(j, conj i) fails")
     if not commutative:
         return out
-    magnitude = np.abs(tensor)
+    magnitude = np.abs(tensor) if negative else tensor
     row_sums = magnitude.sum(axis=2)
     if int(row_sums.max()) * int(magnitude.max()) >= 2**53:
         out.append("structure constants too large for an exact associativity check")
         return out
-    t = tensor.astype(np.float64)
-    if _fusion_matrices_commute(t, row_sums):
+    del magnitude
+    if _fusion_matrices_commute(tensor, row_sums):
         return out
-    i = _first_nonassociative_row(t)
+    i = _first_nonassociative_row(tensor)
     if i is not None:
         out.append(f"associativity fails for left factor index {i}")
     return out
 
 
-def _fusion_matrices_commute(t: np.ndarray, row_sums: np.ndarray) -> bool:
+def _fusion_matrices_commute(tensor: np.ndarray, row_sums: np.ndarray) -> bool:
     """True when the commuting-matrix certificate proves that all fusion
-    matrices of the commutative tensor ``t`` commute; False means undecided."""
-    m = t.shape[0]
+    matrices of the commutative tensor commute; False means undecided."""
+    m = tensor.shape[0]
     # a linear sequence such as 1..m makes A derogatory on symmetric rings
     coeffs = np.arange(1, m + 1) ** 3 % 65521 + 1
     # Python ints: m row sums, each below 2^53, can pass 2^63 in int64
     slice_total = int(row_sums.sum(axis=1, dtype=object).max())
     if int(coeffs.max()) * slice_total * int(row_sums.max()) >= 2**53:
         return False
-    a = (coeffs.astype(np.float64) @ t.reshape(m, m * m)).reshape(m, m)
-    if not np.array_equal(np.matmul(a, t), np.matmul(t, a)):
-        return False
+    a = (coeffs @ tensor.reshape(m, m * m)).reshape(m, m)
+    a_float = a.astype(np.float64)
+    for fusion_matrix in tensor:
+        n_k = fusion_matrix.astype(np.float64)
+        if not np.array_equal(a_float @ n_k, n_k @ a_float):
+            return False
     p = KRYLOV_PRIME
-    a_mod = a.astype(np.int64) % p
+    a_mod = a % p
     krylov = np.empty((m, m), dtype=np.int64)
     v = np.zeros(m, dtype=np.int64)
     v[0] = 1
@@ -277,9 +325,10 @@ def _full_rank_mod(mat: np.ndarray, p: int) -> bool:
     return True
 
 
-def _first_nonassociative_row(t: np.ndarray) -> int | None:
+def _first_nonassociative_row(tensor: np.ndarray) -> int | None:
     """First row i whose ((b_i b_j) b_k) is not symmetric in (j,k), or None."""
-    m = t.shape[0]
+    m = tensor.shape[0]
+    t = tensor.astype(np.float64)
     flat = t.reshape(m, m * m)
     for i in range(m):
         lhs = (t[i] @ flat).reshape(m, m, m)  # sum_m N_ij^m N_mk^l

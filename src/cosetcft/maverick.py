@@ -23,6 +23,7 @@ from .characters import (
     peel_branching,
     restrict_character,
 )
+from .fusion import dense_tensor
 from .weights import AlgebraSpec, Weight, conformal_weight
 
 GOLDEN = (math.sqrt(5) + 1) / 2
@@ -55,12 +56,7 @@ class MaverickRing:
         return self.table.get((self.index(a), self.index(b)), {}).get(self.index(c), 0)
 
     def dense(self) -> np.ndarray:
-        m = len(self.names)
-        t = np.zeros((m, m, m), dtype=np.int64)
-        for (i, j), payload in self.table.items():
-            for k, v in payload.items():
-                t[i, j, k] = v
-        return t
+        return dense_tensor(self.table, len(self.names))
 
     def conjugate_permutation(self) -> list[int]:
         pairing = {"1": "1", "x": "x", "y": "ybar", "ybar": "y", "z": "zbar", "zbar": "z"}

@@ -24,6 +24,18 @@ from .weights import (
 UNITARY_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
 VACUUM_ROW_TOL = 1e-12
+# elements of the largest dense array built (256 MiB as complex128)
+DENSE_BUDGET = 2**24
+
+
+def require_dense_budget(elements: int, what: str) -> None:
+    """Refuse, before allocating, a dense array of more than DENSE_BUDGET
+    elements."""
+    if elements > DENSE_BUDGET:
+        raise ValueError(
+            f"{what} needs a dense array of {elements} elements, "
+            f"over the budget of {DENSE_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -50,10 +62,14 @@ class SMatrix:
 
 @lru_cache(maxsize=None)
 def s_matrix(spec: AlgebraSpec) -> SMatrix:
-    """Kac-Peterson S-matrix of a single su(N) factor at level k."""
+    """Kac-Peterson S-matrix of a single su(N) factor at level k.
+
+    The Weyl characters come from an (m, m, N, N) array of phases, which is
+    held to DENSE_BUDGET before it is built."""
     n, k = spec.single()
     h = k + n
     basis = tuple(integrable_weights(spec))
+    require_dense_budget(len(basis) ** 2 * n * n, f"the S-matrix of su({n})_{k}")
     tvecs = np.array([shifted_v(w.labels[0]) for w in basis])  # (m, n) ints
 
     # vacuum row: prod over positive roots of 2 sin(pi (t_a - t_b) / h)

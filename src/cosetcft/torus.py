@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import FusionRing, verlinde_tensor
+from .fusion import FusionRing, dense_tensor, verlinde_tensor
 from .modular import asymptotic_dimension, quantum_dimension, s_matrix
 from .weights import AlgebraSpec, Weight, color, conjugate_weight, integrable_weights
 
@@ -135,12 +135,7 @@ class TorusRing:
         return self.table.get((a, b), {}).get(c, 0)
 
     def dense(self) -> np.ndarray:
-        k = len(self.basis)
-        t = np.zeros((k, k, k), dtype=np.int64)
-        for (a, b), payload in self.table.items():
-            for c, v in payload.items():
-                t[a, b, c] = v
-        return t
+        return dense_tensor(self.table, len(self.basis))
 
     def conjugate_permutation(self) -> list[int]:
         return [

@@ -3,9 +3,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cosetcft import cli, weights
+from cosetcft import cli, fusion, weights
 from cosetcft.cli import Config, main
 
 # exit codes and stdout digests recorded for the benchmark's operations
@@ -125,6 +126,39 @@ class TestFuseCommand:
     def test_wrong_label_arity(self, capsys):
         code, _ = run(capsys, "fuse", "su3", "2", "1", "1,0")
         assert code == 2
+
+    def test_label_outside_basis(self, capsys):
+        code, out = run(capsys, "fuse", "su3", "2", "3,0", "0,1")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            op
+            for workload in json.loads(BENCH_SPEC.read_text())["workloads"].values()
+            for op in workload["ops"]
+            if op["cmd"].startswith("fuse")
+        ],
+        ids=lambda op: op["cmd"],
+    )
+    def test_recorded_digest_without_the_ring(self, capsys, monkeypatch, op):
+        def no_ring(*args, **kwargs):
+            raise AssertionError("fuse built the whole Verlinde tensor")
+
+        monkeypatch.setattr(fusion, "verlinde_tensor", no_ring)
+        monkeypatch.setattr(cli, "verlinde_tensor", no_ring)
+        code, out = run(capsys, *op["cmd"].split())
+        assert code == op["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == op["sha256"]
+
+    def test_oversized_level_is_usage_error(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        monkeypatch.setattr(np, "exp", refuse)
+        code, out = run(capsys, "fuse", "su4", "30", "1,0,0", "0,0,1")  # m = 5456
+        assert code == 2 and out == ""
 
 
 class TestCosetRingCommand:

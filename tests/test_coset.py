@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cosetcft import (
     sector_sigma,
     vacuum_orbit_membership,
 )
+from cosetcft import coset
 from cosetcft.coset import factor_rings
 
 ISING = CosetSpec(2, 1, 1)
@@ -210,6 +212,25 @@ class TestCosetRing:
         assert [(k, list(v.items())) for k, v in ring.table.items()] == [
             (k, list(v.items())) for k, v in expected.items()
         ]
+
+    def test_memory_stays_below_two_dense_tensors(self):
+        # slab by slab, no m x m x m temporary is built
+        tracemalloc.start()
+        try:
+            ring = coset_ring(CosetSpec(3, 3, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = len(ring.basis)
+        assert peak < 2 * 8 * m**3
+
+    def test_oversized_ring_refused_before_the_gather(self, monkeypatch):
+        def no_gather(spec):
+            raise AssertionError("factor rings built before the budget check")
+
+        monkeypatch.setattr(coset, "factor_rings", no_gather)
+        with pytest.raises(ValueError, match="budget"):
+            coset_ring(CosetSpec(3, 4, 3))  # 600 orbits
 
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_representative_independence(self, spec):

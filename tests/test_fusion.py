@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cosetcft import (
     SMatrix,
     Weight,
     fuse,
+    fuse_pair,
     fusion_ring,
     product_ring,
     quantum_dimension,
@@ -21,7 +23,7 @@ from cosetcft import (
     simple_current_check,
     verlinde_tensor,
 )
-from cosetcft import fusion
+from cosetcft import fusion, modular
 from cosetcft.cli import DESK_SPECS
 from cosetcft.coset import coset_ring
 from cosetcft.maverick import build_maverick_ring
@@ -321,6 +323,116 @@ class TestCommutingCertificate:
         p = fusion.KRYLOV_PRIME
         assert p < 2**25
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+class TestFusePair:
+    @pytest.mark.parametrize("n,k", DESK_SPECS)
+    def test_every_pair_matches_the_ring(self, n, k):
+        sm = s_matrix(AlgebraSpec.su(n, k))
+        ring = verlinde_tensor(sm)
+        for i, j in itertools.product(sm.basis, repeat=2):
+            assert fuse_pair(sm, i, j) == fuse(ring, i, j)
+
+    def test_su4_level8_pair(self):
+        spec = AlgebraSpec.su(4, 8)
+        sm = s_matrix(spec)
+        i, j = Weight(spec, ((1, 0, 0),)), Weight(spec, ((0, 0, 1),))
+        assert fuse_pair(sm, i, j) == fuse(verlinde_tensor(sm), i, j)
+
+    def test_tight_tolerance_names_the_pair(self):
+        spec = AlgebraSpec.su(3, 2)
+        sm = s_matrix(spec)
+        i, j = Weight(spec, ((1, 0),)), Weight(spec, ((0, 1),))
+        with pytest.raises(IntegralityViolation) as err:
+            fuse_pair(sm, i, j, tol=1e-300)
+        a, b, k = err.value.indices
+        assert (a, b) == (sm.index(i), sm.index(j))
+        assert 0 <= k < len(sm.basis)
+
+    def test_guard_fires_on_corrupt_s(self):
+        sm = s_matrix(AlgebraSpec.su(2, 3))
+        corrupt = SMatrix(sm.spec, sm.basis, sm.entries + 0.01)
+        with pytest.raises(IntegralityViolation) as err:
+            fuse_pair(corrupt, sm.basis[1], sm.basis[2])
+        assert err.value.residual > 1e-6
+        assert err.value.indices[:2] == (1, 2)
+
+
+def forbid(monkeypatch, *names):
+    """Make numpy allocators raise, so a missing budget check fails fast."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+
+    for name in names:
+        monkeypatch.setattr(np, name, refuse)
+
+
+class TestDenseBudget:
+    def test_boundary(self):
+        modular.require_dense_budget(modular.DENSE_BUDGET, "an array")
+        with pytest.raises(ValueError, match="budget"):
+            modular.require_dense_budget(modular.DENSE_BUDGET + 1, "an array")
+
+    def test_s_matrix_phases_refused(self, monkeypatch):
+        forbid(monkeypatch, "einsum", "exp")
+        with pytest.raises(ValueError, match="budget"):
+            s_matrix(AlgebraSpec.su(4, 30))  # m = 5456
+
+    def test_verlinde_tensor_refused(self, monkeypatch):
+        sm = s_matrix(AlgebraSpec.su(2, 256))  # m = 257, m^3 just over 2^24
+        forbid(monkeypatch, "einsum")
+        with pytest.raises(ValueError, match="budget"):
+            verlinde_tensor(sm)
+
+    def test_dense_refused(self, monkeypatch):
+        forbid(monkeypatch, "zeros")
+        with pytest.raises(ValueError, match="budget"):
+            fusion.dense_tensor({}, 257)
+
+
+def loop_dense(table, m):
+    """Reference: the dense tensor filled one table entry at a time."""
+    t = np.zeros((m, m, m), dtype=np.int64)
+    for (i, j), payload in table.items():
+        for k, c in payload.items():
+            t[i, j, k] = c
+    return t
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: verlinde_tensor(s_matrix(AlgebraSpec.su(3, 4))),
+        lambda: fusion_ring(AlgebraSpec(((2, 2), (2, 1)))),
+        lambda: coset_ring(CosetSpec(3, 2, 1)),
+        lambda: torus_ring(2, 2),
+        build_maverick_ring,
+    ],
+    ids=["verlinde", "product", "coset", "torus", "maverick"],
+)
+def test_dense_matches_entrywise_fill(build):
+    ring = build()
+    m = len(ring.dense())
+    assert np.array_equal(ring.dense(), loop_dense(ring.table, m))
+
+
+def test_dense_of_empty_table():
+    assert not fusion.dense_tensor({}, 3).any()
+
+
+def test_axiom_check_memory():
+    # beyond its input, the certificate holds only m x m slices
+    ring = coset_ring(CosetSpec(3, 3, 2))
+    tensor, conj = ring.dense(), ring.conjugate_permutation()
+    m = len(tensor)
+    tracemalloc.start()
+    try:
+        assert ring_axiom_failures(tensor, conj) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m**3
 
 
 class TestProducts:

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cosetcft import (
     AlgebraSpec,
@@ -87,6 +89,27 @@ class TestSizeBudget:
         assert integrable_weights(AlgebraSpec.su(2, weights.WEIGHT_BUDGET - 1)) == []
         with pytest.raises(ValueError):
             integrable_weights(AlgebraSpec.su(2, weights.WEIGHT_BUDGET))
+
+
+class TestCyclicAutomorphism:
+    @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 9))
+    def test_order_and_conjugation(self, n, k, t):
+        spec = AlgebraSpec.su(n, k)
+        basis = integrable_weights(spec)
+        # order exactly N: sigma^N fixes every weight, no smaller power
+        # fixes the vacuum
+        assert all(sigma_apply(n, x) == x for x in basis)
+        assert all(sigma_apply(s, spec.vacuum()) != spec.vacuum() for s in range(1, n))
+        # conjugation inverts sigma, so the two commute only for N = 2
+        for x in basis:
+            assert conjugate_weight(sigma_apply(t, x)) == sigma_apply(
+                -t, conjugate_weight(x)
+            )
+        commute = all(
+            conjugate_weight(sigma_apply(1, x)) == sigma_apply(1, conjugate_weight(x))
+            for x in basis
+        )
+        assert commute == (n == 2)
 
 
 class TestColorAndRootLattice:
