@@ -22,9 +22,11 @@ from .modular import (
     s_matrix,
 )
 from .fusion import (
+    BasedRing,
     FusionRing,
     IntegralityViolation,
     SimpleCurrentReport,
+    dimension_homomorphism_residual,
     fuse,
     fuse_pair,
     fusion_ring,
@@ -34,7 +36,6 @@ from .fusion import (
     verlinde_tensor,
 )
 from .coset import (
-    CosetRing,
     CosetSector,
     CosetSpec,
     NotFaithful,
@@ -52,7 +53,6 @@ from .coset import (
 )
 from .torus import (
     TorusClass,
-    TorusRing,
     TorusSector,
     torus_class,
     torus_classes,
@@ -81,7 +81,6 @@ from .characters import (
 from .maverick import (
     InconsistentRelations,
     MaverickBranchingReport,
-    MaverickRing,
     build_maverick_ring,
     maverick_branching,
     maverick_branching_check,

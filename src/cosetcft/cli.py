@@ -36,7 +36,6 @@ from .coset import (
     NotFaithful,
     class_dimension_sums,
     coset_ring,
-    coset_statistical_dimension,
     dgh,
     exp_set,
     formula_31_residual,
@@ -45,6 +44,7 @@ from .coset import (
     vacuum_orbit_membership,
 )
 from .fusion import (
+    IntegralityViolation,
     dimension_homomorphism_residual,
     fuse_pair,
     ring_axiom_failures,
@@ -222,7 +222,7 @@ def cmd_coset_ring(args, config: Config) -> tuple[dict, list[VerificationReport]
                 o.representative.num1, o.representative.num2, o.representative.den
             )],
             "size": o.size,
-            "dimension": _fmt(coset_statistical_dimension(spec, o.representative)),
+            "dimension": _fmt(ring.dims[o]),
         }
         for o in ring.basis
     ]
@@ -234,13 +234,7 @@ def cmd_coset_ring(args, config: Config) -> tuple[dict, list[VerificationReport]
     reports = [
         VerificationReport("coset-ring-axioms", not failures, 0.0, failures)
     ]
-    dims = [coset_statistical_dimension(spec, o.representative) for o in ring.basis]
-    worst = 0.0
-    m = len(ring.basis)
-    for a in range(m):
-        for b in range(m):
-            total = sum(v * dims[c] for c, v in ring.table.get((a, b), {}).items())
-            worst = max(worst, abs(total - dims[a] * dims[b]))
+    worst = dimension_homomorphism_residual(ring)
     reports.append(
         VerificationReport(
             "coset-dimension-homomorphism",
@@ -410,8 +404,7 @@ def check_ising(config: Config) -> VerificationReport:
     }
     if ring.table != expected:
         bad.append(f"ring table {ring.table}")
-    sig = ring.basis[2].representative
-    resid = abs(coset_statistical_dimension(spec, sig) - math.sqrt(2))
+    resid = abs(ring.dims[ring.basis[2]] - math.sqrt(2))
     if resid > 1e-9:
         bad.append(f"sigma dimension residual {resid}")
     return VerificationReport("ising-coset-ring", not bad, resid, bad)
@@ -446,12 +439,7 @@ def check_parafermion(config: Config) -> VerificationReport:
     ring = torus_ring(2, 2)
     failures = ring_axiom_failures(ring.dense(), ring.conjugate_permutation())
     bad.extend(failures)
-    worst = torus_kw_residual(2, 2)
-    dims = [ring.sector_dimension(s) for s in ring.basis]
-    for a in range(len(dims)):
-        for b in range(len(dims)):
-            total = sum(v * dims[c] for c, v in ring.table.get((a, b), {}).items())
-            worst = max(worst, abs(total - dims[a] * dims[b]))
+    worst = max(torus_kw_residual(2, 2), dimension_homomorphism_residual(ring))
     if worst > config.tolerance_integrality:
         bad.append(f"dimension residual {worst}")
     return VerificationReport("parafermion-torus-ring", not bad, worst, bad)
@@ -735,6 +723,13 @@ def main(argv=None) -> int:
             "error": "NotFaithful",
             "message": str(err),
             "fixed_points": [str(s) for s, _ in err.fixed_points],
+        }
+        reports, code = [], 1
+    except IntegralityViolation as err:
+        result = {
+            "error": "IntegralityViolation",
+            "message": str(err),
+            "indices": list(err.indices),
         }
         reports, code = [], 1
     except (ValueError, KeyError, InconclusiveCutoff) as err:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import FusionRing, dense_tensor, verlinde_tensor
+from .fusion import BasedRing, FusionRing, verlinde_tensor
 from .modular import (
     asymptotic_dimension,
     quantum_dimension,
@@ -171,46 +172,6 @@ def identification_orbits(
     return orbits, not fixed, fixed
 
 
-@dataclass
-class CosetRing:
-    """Sector ring over identification orbits with integer constants."""
-
-    spec: CosetSpec
-    basis: tuple[SectorOrbit, ...]
-    table: dict[tuple[int, int], dict[int, int]]
-    _index: dict[CosetSector, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._index = {}
-        for a, orb in enumerate(self.basis):
-            for s in orb.members:
-                self._index[s] = a
-
-    def index_of_sector(self, s: CosetSector) -> int:
-        try:
-            return self._index[s]
-        except KeyError:
-            raise KeyError(f"sector {s} not in any basis orbit") from None
-
-    def coeff(self, a: int, b: int, c: int) -> int:
-        return self.table.get((a, b), {}).get(c, 0)
-
-    def dense(self) -> np.ndarray:
-        return dense_tensor(self.table, len(self.basis))
-
-    def conjugate_permutation(self) -> list[int]:
-        out = []
-        for orb in self.basis:
-            r = orb.representative
-            conj = CosetSector(
-                conjugate_weight(r.num1),
-                conjugate_weight(r.num2),
-                conjugate_weight(r.den),
-            )
-            out.append(self.index_of_sector(conj))
-        return out
-
-
 def factor_rings(spec: CosetSpec) -> tuple[FusionRing, FusionRing, FusionRing]:
     s1, s2, sh = spec.factor_specs()
     return (
@@ -220,7 +181,7 @@ def factor_rings(spec: CosetSpec) -> tuple[FusionRing, FusionRing, FusionRing]:
     )
 
 
-def coset_ring(spec: CosetSpec) -> CosetRing:
+def coset_ring(spec: CosetSpec) -> BasedRing:
     """Orbit ring with constants summed over the cyclic group:
     C_[A][B]^[C] = sum_t N[i,j -> sigma^t(k)] * N[alpha,beta -> sigma^t(delta)].
 
@@ -230,16 +191,27 @@ def coset_ring(spec: CosetSpec) -> CosetRing:
     over the three factors of D_f[idx_f[a]][np.ix_(idx_f, sigma_t,f[idx_f])].
     Each slab's nonzeros are read in C order, so keys arrive sorted by
     (a, b) and each payload by c.  Only m x m slabs are held; the m^3
-    constants themselves are held to DENSE_BUDGET.
+    constants themselves are held to DENSE_BUDGET before any sector is
+    enumerated: the sectors are counted from the colors of the factor
+    weights, and every orbit has at most n members.
 
-    Refuses with NotFaithful when any sector has a nontrivial stabilizer.
+    The basis is the orbits, each with the statistical dimension of its
+    representative.  Refuses with NotFaithful when any sector has a
+    nontrivial stabilizer.
     """
+    n1, n2, nh = (
+        Counter(map(color, integrable_weights(f))) for f in spec.factor_specs()
+    )
+    count = sum(
+        n1[c1] * n2[c2] * nh[(c1 + c2) % spec.n] for c1 in n1 for c2 in n2
+    )
+    least = -(-count // spec.n)
+    require_dense_budget(least**3, f"a coset ring of at least {least} orbits")
     orbits, faithful, fixed = identification_orbits(spec)
     if not faithful:
         raise NotFaithful(fixed)
     reps = [o.representative for o in orbits]
     m = len(reps)
-    require_dense_budget(m**3, f"a coset ring of {m} orbits")
     factors = []
     for ring, part in zip(factor_rings(spec), ("num1", "num2", "den")):
         idx = np.array([ring.index(getattr(r, part)) for r in reps])
@@ -259,7 +231,13 @@ def coset_ring(spec: CosetSpec) -> CosetRing:
         nonzero = np.nonzero(slab)
         for b, c, v in zip(*(x.tolist() for x in nonzero), slab[nonzero].tolist()):
             table.setdefault((a, b), {})[c] = v
-    return CosetRing(spec, tuple(orbits), table)
+    orbit_of = {s: a for a, orb in enumerate(orbits) for s in orb.members}
+    conj = tuple(
+        orbit_of[CosetSector(*map(conjugate_weight, (r.num1, r.num2, r.den)))]
+        for r in reps
+    )
+    dims = {o: coset_statistical_dimension(spec, o.representative) for o in orbits}
+    return BasedRing(tuple(orbits), table, conj, dims)
 
 
 def coset_statistical_dimension(spec: CosetSpec, s: CosetSector) -> float:

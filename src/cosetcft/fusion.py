@@ -31,24 +31,30 @@ class IntegralityViolation(ArithmeticError):
         )
 
 
-@dataclass
-class FusionRing:
-    """Based ring over an ordered weight basis with integer coefficients."""
+@dataclass(frozen=True)
+class BasedRing:
+    """Based ring over an ordered basis with integer structure constants.
 
-    spec: AlgebraSpec
-    basis: tuple[Weight, ...]
+    ``table`` maps (i, j) to a {k: N_ij^k} payload of the nonzero constants;
+    ``conj`` lists the basis index of each element's conjugate, and ``dims``
+    maps each basis element to its dimension.  Each constructor fills
+    ``conj`` and ``dims`` by its own rule.
+    """
+
+    basis: tuple
     table: dict[tuple[int, int], dict[int, int]]
-    integrality_residual: float = 0.0  # worst pre-rounding distance seen
-    _index: dict[Weight, int] = field(init=False, repr=False)
+    conj: tuple[int, ...]
+    dims: dict
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._index = {w: i for i, w in enumerate(self.basis)}
+        object.__setattr__(self, "_index", {b: i for i, b in enumerate(self.basis)})
 
-    def index(self, w: Weight) -> int:
+    def index(self, b) -> int:
         try:
-            return self._index[w]
+            return self._index[b]
         except KeyError:
-            raise KeyError(f"weight {w} not in fusion basis") from None
+            raise KeyError(f"{b} not in the ring basis") from None
 
     def coeff(self, i: int, j: int, k: int) -> int:
         return self.table.get((i, j), {}).get(k, 0)
@@ -57,7 +63,15 @@ class FusionRing:
         return dense_tensor(self.table, len(self.basis))
 
     def conjugate_permutation(self) -> list[int]:
-        return [self.index(conjugate_weight(w)) for w in self.basis]
+        return list(self.conj)
+
+
+@dataclass(frozen=True)
+class FusionRing(BasedRing):
+    """Verlinde ring over an ordered basis of (product) su(N) weights."""
+
+    spec: AlgebraSpec
+    integrality_residual: float = 0.0  # worst pre-rounding distance seen
 
     def sigma_permutation(self, power: int) -> list[int]:
         """Basis permutation of the cyclic automorphism acting factorwise."""
@@ -122,7 +136,9 @@ def verlinde_tensor(s: SMatrix, tol: float = INTEGRALITY_TOL) -> FusionRing:
     table: dict[tuple[int, int], dict[int, int]] = {}
     for i, j, k in zip(*np.nonzero(tensor)):
         table.setdefault((int(i), int(j)), {})[int(k)] = int(tensor[i, j, k])
-    return FusionRing(s.spec, s.basis, table, worst)
+    conj = tuple(s.index(conjugate_weight(w)) for w in s.basis)
+    dims = {w: quantum_dimension(s, w) for w in s.basis}
+    return FusionRing(s.basis, table, conj, dims, s.spec, worst)
 
 
 def fusion_ring(spec: AlgebraSpec) -> FusionRing:
@@ -178,8 +194,13 @@ def _product_pair(r1: FusionRing, r2: FusionRing) -> FusionRing:
                 for k2, c2 in pay2.items()
             }
             table[(i1 * n2 + i2, j1 * n2 + j2)] = combined
+    conj = tuple(c1 * n2 + c2 for c1, c2 in itertools.product(r1.conj, r2.conj))
+    dims = {
+        w: r1.dims[w1] * r2.dims[w2]
+        for w, (w1, w2) in zip(basis, itertools.product(r1.basis, r2.basis))
+    }
     worst = max(r1.integrality_residual, r2.integrality_residual)
-    return FusionRing(spec, basis, table, worst)
+    return FusionRing(basis, table, conj, dims, spec, worst)
 
 
 @dataclass
@@ -337,18 +358,14 @@ def _first_nonassociative_row(tensor: np.ndarray) -> int | None:
     return None
 
 
-def dimension_homomorphism_residual(ring: FusionRing) -> float:
-    """Worst |sum_k N_ij^k d_k - d_i d_j| over the ring, using factorwise
-    quantum dimensions."""
-    dims = np.ones(len(ring.basis))
-    for idx, w in enumerate(ring.basis):
-        for f in range(len(ring.spec.factors)):
-            sub = w.factor(f)
-            dims[idx] *= quantum_dimension(s_matrix(sub.spec), sub)
+def dimension_homomorphism_residual(ring: BasedRing) -> float:
+    """Worst |sum_k N_ij^k d_k - d_i d_j| over all basis pairs (i, j), with
+    the dimensions d the ring carries."""
+    d = [ring.dims[b] for b in ring.basis]
     worst = 0.0
-    m = len(ring.basis)
+    m = len(d)
     for i in range(m):
         for j in range(m):
-            total = sum(c * dims[k] for k, c in ring.table.get((i, j), {}).items())
-            worst = max(worst, abs(total - dims[i] * dims[j]))
+            total = sum(c * d[k] for k, c in ring.table.get((i, j), {}).items())
+            worst = max(worst, abs(total - d[i] * d[j]))
     return worst

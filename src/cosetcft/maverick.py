@@ -15,15 +15,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .characters import (
     BranchingFunction,
     graded_character,
     peel_branching,
     restrict_character,
 )
-from .fusion import dense_tensor
+from .fusion import BasedRing, dimension_homomorphism_residual
 from .weights import AlgebraSpec, Weight, conformal_weight
 
 GOLDEN = (math.sqrt(5) + 1) / 2
@@ -37,34 +35,11 @@ SU2_LEVEL8 = AlgebraSpec.su(2, 8)
 
 BASIS_NAMES = ("1", "x", "y", "ybar", "z", "zbar")
 _WORDS = {"1": (0, 0), "x": (1, 0), "y": (1, 1), "ybar": (1, 2), "z": (0, 1), "zbar": (0, 2)}
+_CONJUGATE = {"1": "1", "x": "x", "y": "ybar", "ybar": "y", "z": "zbar", "zbar": "z"}
 
 
 class InconsistentRelations(ArithmeticError):
     """The relation set failed to close into a consistent 6-element ring."""
-
-
-@dataclass(frozen=True)
-class MaverickRing:
-    names: tuple[str, ...]
-    table: dict[tuple[int, int], dict[int, int]]
-    dims: dict[str, float]
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
-    def coeff(self, a: str, b: str, c: str) -> int:
-        return self.table.get((self.index(a), self.index(b)), {}).get(self.index(c), 0)
-
-    def dense(self) -> np.ndarray:
-        return dense_tensor(self.table, len(self.names))
-
-    def conjugate_permutation(self) -> list[int]:
-        pairing = {"1": "1", "x": "x", "y": "ybar", "ybar": "y", "z": "zbar", "zbar": "z"}
-        return [self.index(pairing[n]) for n in self.names]
-
-    @property
-    def global_dimension(self) -> float:
-        return sum(d * d for d in self.dims.values())
 
 
 def _reduce(word: tuple[int, int]) -> dict[tuple[int, int], int]:
@@ -81,7 +56,7 @@ def _reduce(word: tuple[int, int]) -> dict[tuple[int, int], int]:
     return done
 
 
-def build_maverick_ring() -> MaverickRing:
+def build_maverick_ring() -> BasedRing:
     """Close the generator relations into structure constants and verify
     every independently quoted property of the result."""
     # close the span of words in the generators x and z under multiplication
@@ -111,13 +86,14 @@ def build_maverick_ring() -> MaverickRing:
                 word_to_idx[w]: c for w, c in prod.items()
             }
 
+    conj = tuple(idx[_CONJUGATE[name]] for name in BASIS_NAMES)
     dims = dict(zip(BASIS_NAMES, (1.0, GOLDEN, GOLDEN, GOLDEN, 1.0, 1.0)))
-    ring = MaverickRing(BASIS_NAMES, table, dims)
+    ring = BasedRing(BASIS_NAMES, table, conj, dims)
     _verify(ring)
     return ring
 
 
-def _verify(ring: MaverickRing) -> None:
+def _verify(ring: BasedRing) -> None:
     expect = {
         ("x", "x"): {"1": 1, "x": 1},
         ("y", "ybar"): {"1": 1, "x": 1},  # quoted independently of y = x z
@@ -126,7 +102,7 @@ def _verify(ring: MaverickRing) -> None:
     }
     for (a, b), want in expect.items():
         got = {
-            ring.names[k]: c
+            ring.basis[k]: c
             for k, c in ring.table[(ring.index(a), ring.index(b))].items()
         }
         if got != want:
@@ -137,21 +113,15 @@ def _verify(ring: MaverickRing) -> None:
         raise InconsistentRelations("z*z is not zbar")
     # conjugation pairing via the unit channel
     conj = ring.conjugate_permutation()
-    m = len(ring.names)
+    m = len(ring.basis)
     for i in range(m):
         for j in range(m):
             unit_coeff = ring.table[(i, j)].get(0, 0)
             if unit_coeff != (1 if conj[i] == j else 0):
                 raise InconsistentRelations("unit channel disagrees with conjugation")
-    # dimension homomorphism
-    d = [ring.dims[n] for n in ring.names]
-    for i in range(m):
-        for j in range(m):
-            total = sum(c * d[k] for k, c in ring.table[(i, j)].items())
-            if abs(total - d[i] * d[j]) > 1e-6:
-                raise InconsistentRelations(
-                    f"dimensions fail on {ring.names[i]}*{ring.names[j]}"
-                )
+    residual = dimension_homomorphism_residual(ring)
+    if residual > 1e-6:
+        raise InconsistentRelations(f"dimensions fail by {residual:.3e}")
 
 
 def maverick_dims() -> dict[str, float]:

@@ -9,11 +9,9 @@ statistical dimension 1, so sector dimensions come entirely from the weight.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .fusion import FusionRing, dense_tensor, verlinde_tensor
+from .fusion import BasedRing, verlinde_tensor
 from .modular import asymptotic_dimension, quantum_dimension, s_matrix
 from .weights import AlgebraSpec, Weight, color, conjugate_weight, integrable_weights
 
@@ -112,45 +110,13 @@ def torus_exp(l: int, m: int) -> list[TorusSector]:
     return out
 
 
-@dataclass
-class TorusRing:
-    """Sector ring: su(l)_m fusion on weights, addition on classes."""
+def torus_ring(l: int, m: int) -> BasedRing:
+    """(w,[n]) x (w',[n']) = sum over fusion channels of (w'', [n + n']).
 
-    l: int
-    m: int
-    basis: tuple[TorusSector, ...]
-    table: dict[tuple[int, int], dict[int, int]]
-    _index: dict[TorusSector, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._index = {s: i for i, s in enumerate(self.basis)}
-
-    def index(self, s: TorusSector) -> int:
-        try:
-            return self._index[s]
-        except KeyError:
-            raise KeyError(f"sector {s} not in torus basis") from None
-
-    def coeff(self, a: int, b: int, c: int) -> int:
-        return self.table.get((a, b), {}).get(c, 0)
-
-    def dense(self) -> np.ndarray:
-        return dense_tensor(self.table, len(self.basis))
-
-    def conjugate_permutation(self) -> list[int]:
-        return [
-            self.index(TorusSector(conjugate_weight(s.weight), class_neg(s.cls)))
-            for s in self.basis
-        ]
-
-    def sector_dimension(self, s: TorusSector) -> float:
-        return quantum_dimension(s_matrix(s.weight.spec), s.weight)
-
-
-def torus_ring(l: int, m: int) -> TorusRing:
-    """(w,[n]) x (w',[n']) = sum over fusion channels of (w'', [n + n'])."""
+    A sector's dimension is its weight's: every charge class has dimension 1.
+    """
     sectors = torus_exp(l, m)
-    ring: FusionRing = verlinde_tensor(s_matrix(AlgebraSpec.su(l, m)))
+    ring = verlinde_tensor(s_matrix(AlgebraSpec.su(l, m)))
     index = {s: i for i, s in enumerate(sectors)}
     table: dict[tuple[int, int], dict[int, int]] = {}
     for a, sa in enumerate(sectors):
@@ -168,7 +134,12 @@ def torus_ring(l: int, m: int) -> TorusRing:
                 row[index[target]] = c
             if row:
                 table[(a, b)] = row
-    return TorusRing(l, m, tuple(sectors), table)
+    conj = tuple(
+        index[TorusSector(conjugate_weight(s.weight), class_neg(s.cls))]
+        for s in sectors
+    )
+    dims = {s: ring.dims[s.weight] for s in sectors}
+    return BasedRing(tuple(sectors), table, conj, dims)
 
 
 def torus_kw_residual(l: int, m: int) -> float:

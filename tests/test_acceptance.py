@@ -185,7 +185,7 @@ def test_criterion_09_parafermion_torus():
     assert ring_axiom_failures(ring.dense(), ring.conjugate_permutation()) == []
     sm = s_matrix(AlgebraSpec.su(2, 2))
     for s in ring.basis:
-        assert ring.sector_dimension(s) == quantum_dimension(sm, s.weight)
+        assert ring.dims[s] == quantum_dimension(sm, s.weight)
     for l in (2, 3):
         for m in range(1, 5):
             assert len(torus_classes(l, m)) == l * m ** (l - 1)

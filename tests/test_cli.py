@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cosetcft import cli, fusion, weights
+import cosetcft
+from cosetcft import cli, coset, fusion, weights
 from cosetcft.cli import Config, main
 
 # exit codes and stdout digests recorded for the benchmark's operations
@@ -183,6 +187,16 @@ class TestCosetRingCommand:
         assert doc["result"]["error"] == "NotFaithful"
         assert "((1),(1);(2))" in doc["result"]["fixed_points"]
 
+    def test_oversized_ring_is_usage_error_before_enumeration(
+        self, capsys, monkeypatch
+    ):
+        def no_sectors(spec):
+            raise AssertionError("sectors enumerated before the budget check")
+
+        monkeypatch.setattr(coset, "exp_set", no_sectors)
+        code, out = run(capsys, "coset-ring", "3", "8", "8")
+        assert code == 2 and out == ""
+
     @pytest.mark.parametrize(
         "op",
         [
@@ -197,6 +211,33 @@ class TestCosetRingCommand:
         code, out = run(capsys, *op["cmd"].split())
         assert code == op["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == op["sha256"]
+
+
+class TestIntegralityViolation:
+    @pytest.mark.parametrize(
+        "argv",
+        [["fuse", "su4", "3", "1,0,0", "0,0,1"], ["verify", "fusion"]],
+        ids=" ".join,
+    )
+    def test_error_document_without_traceback(self, tmp_path, argv):
+        # some float Verlinde sum misses its integer by more than 1e-300
+        conf = tmp_path / "conf"
+        conf.write_text("tolerance_integrality = 1e-300\n")
+        src = str(Path(cosetcft.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosetcft.cli", *argv, "--config", str(conf)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert result["error"] == "IntegralityViolation"
+        assert "off an integer" in result["message"]
+        assert len(result["indices"]) == 3
 
 
 class TestBranchCommand:

@@ -232,6 +232,35 @@ class TestCosetRing:
         with pytest.raises(ValueError, match="budget"):
             coset_ring(CosetSpec(3, 4, 3))  # 600 orbits
 
+    def test_oversized_ring_refused_before_enumeration(self, monkeypatch):
+        def no_sectors(spec):
+            raise AssertionError("sectors enumerated before the budget check")
+
+        monkeypatch.setattr(coset, "exp_set", no_sectors)
+        with pytest.raises(ValueError, match="budget"):
+            coset_ring(CosetSpec(3, 8, 8))  # 103,275 sectors
+
+    @pytest.mark.parametrize(
+        "spec",
+        DESK_COSETS
+        + [CosetSpec(3, 3, 2), CosetSpec(4, 2, 1)]
+        + [CosetSpec(2, 2, 2), CosetSpec(2, 2, 4), CosetSpec(3, 3, 3)],  # fixed points
+        ids=str,
+    )
+    def test_budget_bound_counts_every_sector(self, spec, monkeypatch):
+        # ceil(sectors / n) orbits at least, and exactly when none is fixed
+        asked = []
+        monkeypatch.setattr(coset, "require_dense_budget", lambda n, _: asked.append(n))
+        orbits, faithful, _ = identification_orbits(spec)
+        if faithful:
+            coset_ring(spec)
+        else:
+            with pytest.raises(NotFaithful):
+                coset_ring(spec)
+        least = -(-len(exp_set(spec)) // spec.n)
+        assert asked == [least**3]
+        assert least == len(orbits) or not faithful
+
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_representative_independence(self, spec):
         # recompute the constants from cyclically rotated representatives

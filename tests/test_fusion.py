@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -13,9 +14,12 @@ from cosetcft import (
     IntegralityViolation,
     SMatrix,
     Weight,
+    conjugate_weight,
+    dimension_homomorphism_residual,
     fuse,
     fuse_pair,
     fusion_ring,
+    product_quantum_dimension,
     product_ring,
     quantum_dimension,
     ring_axiom_failures,
@@ -417,6 +421,26 @@ def test_dense_matches_entrywise_fill(build):
     assert np.array_equal(ring.dense(), loop_dense(ring.table, m))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: verlinde_tensor(s_matrix(AlgebraSpec.su(3, 2))),
+        lambda: fusion_ring(AlgebraSpec(((2, 2), (3, 1)))),
+        lambda: coset_ring(CosetSpec(3, 2, 1)),
+        lambda: torus_ring(2, 2),
+        build_maverick_ring,
+    ],
+    ids=["verlinde", "product", "coset", "torus", "maverick"],
+)
+def test_dimension_residual_of_every_ring_kind(build):
+    ring = build()
+    assert dimension_homomorphism_residual(ring) < 1e-9
+    # one wrong dimension off the unit breaks the homomorphism
+    b = ring.basis[1]
+    broken = dataclasses.replace(ring, dims={**ring.dims, b: ring.dims[b] + 0.5})
+    assert dimension_homomorphism_residual(broken) > 1e-6
+
+
 def test_dense_of_empty_table():
     assert not fusion.dense_tensor({}, 3).any()
 
@@ -445,6 +469,15 @@ class TestProducts:
         ring = fusion_ring(spec)
         x = Weight(spec, ((1,), (1,)))
         assert fuse(ring, x, x) == [(spec.vacuum(), 1)]
+
+    def test_dims_and_conjugation_factorwise(self):
+        spec = AlgebraSpec(((2, 2), (3, 1), (2, 1)))
+        ring = fusion_ring(spec)
+        for w in ring.basis:
+            assert ring.dims[w] == product_quantum_dimension(spec, w)
+        assert ring.conjugate_permutation() == [
+            ring.index(conjugate_weight(w)) for w in ring.basis
+        ]
 
     def test_basis_size_multiplies(self):
         ring = fusion_ring(AlgebraSpec(((2, 2), (2, 1))))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from cosetcft import (
     maverick_dims,
     ring_axiom_failures,
 )
-from cosetcft.maverick import GOLDEN, InconsistentRelations, MaverickRing, _verify
+from cosetcft.maverick import InconsistentRelations, _verify
 
 
 @pytest.fixture(scope="module")
@@ -18,21 +19,25 @@ def ring():
     return build_maverick_ring()
 
 
+def coeff(ring, a, b, c):
+    return ring.coeff(*map(ring.index, (a, b, c)))
+
+
 class TestRingStructure:
     def test_basis(self, ring):
-        assert ring.names == ("1", "x", "y", "ybar", "z", "zbar")
+        assert ring.basis == ("1", "x", "y", "ybar", "z", "zbar")
 
     def test_quoted_relations(self, ring):
-        assert ring.coeff("x", "x", "1") == 1 and ring.coeff("x", "x", "x") == 1
-        assert ring.coeff("y", "ybar", "1") == 1 and ring.coeff("y", "ybar", "x") == 1
-        assert ring.coeff("x", "z", "y") == 1
-        assert ring.coeff("z", "z", "zbar") == 1  # z^3 = 1 with zbar = z^2
+        assert coeff(ring, "x", "x", "1") == 1 and coeff(ring, "x", "x", "x") == 1
+        assert coeff(ring, "y", "ybar", "1") == 1 and coeff(ring, "y", "ybar", "x") == 1
+        assert coeff(ring, "x", "z", "y") == 1
+        assert coeff(ring, "z", "z", "zbar") == 1  # z^3 = 1 with zbar = z^2
 
     def test_derived_products(self, ring):
-        assert ring.coeff("z", "zbar", "1") == 1
-        assert ring.coeff("x", "y", "z") == 1 and ring.coeff("x", "y", "y") == 1
-        assert ring.coeff("y", "y", "zbar") == 1 and ring.coeff("y", "y", "ybar") == 1
-        assert ring.coeff("y", "zbar", "x") == 1
+        assert coeff(ring, "z", "zbar", "1") == 1
+        assert coeff(ring, "x", "y", "z") == 1 and coeff(ring, "x", "y", "y") == 1
+        assert coeff(ring, "y", "y", "zbar") == 1 and coeff(ring, "y", "y", "ybar") == 1
+        assert coeff(ring, "y", "zbar", "x") == 1
 
     def test_axioms(self, ring):
         assert ring_axiom_failures(ring.dense(), ring.conjugate_permutation()) == []
@@ -43,12 +48,9 @@ class TestRingStructure:
         eigen = max(np.linalg.eigvals(matrix).real)
         assert eigen == pytest.approx((math.sqrt(5) + 1) / 2, abs=1e-9)
 
-    def test_global_dimension_reported(self, ring):
-        assert ring.global_dimension == pytest.approx(3 + 3 * GOLDEN**2, abs=1e-9)
-
     def test_inconsistency_guard(self, ring):
         broken_dims = dict(ring.dims, x=2.0)
-        broken = MaverickRing(ring.names, ring.table, broken_dims)
+        broken = dataclasses.replace(ring, dims=broken_dims)
         with pytest.raises(InconsistentRelations):
             _verify(broken)
 
@@ -56,7 +58,7 @@ class TestRingStructure:
         table = {k: dict(v) for k, v in ring.table.items()}
         table[(ring.index("z"), ring.index("z"))] = {ring.index("z"): 1}
         with pytest.raises(InconsistentRelations):
-            _verify(MaverickRing(ring.names, table, dict(ring.dims)))
+            _verify(dataclasses.replace(ring, table=table))
 
 
 class TestDims:

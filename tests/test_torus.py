@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cosetcft import (
     AlgebraSpec,
@@ -49,6 +51,32 @@ class TestClasses:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             torus_class(3, 2, (1,))
+
+
+@st.composite
+def class_tuples(draw, size):
+    """(l, m) with l, m <= 4 and ``size`` classes from random charge vectors."""
+    l, m = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    charges = st.lists(st.integers(-50, 50), min_size=l - 1, max_size=l - 1)
+    return l, m, [torus_class(l, m, draw(charges)) for _ in range(size)]
+
+
+class TestClassGroupProperties:
+    @given(class_tuples(1))
+    def test_canonical_form_is_idempotent(self, case):
+        l, m, (c,) = case
+        assert torus_class(l, m, c.rep) == c
+
+    @given(class_tuples(3))
+    def test_addition_commutes_and_associates(self, case):
+        _, _, (a, b, c) = case
+        assert class_add(a, b) == class_add(b, a)
+        assert class_add(class_add(a, b), c) == class_add(a, class_add(b, c))
+
+    @given(class_tuples(1))
+    def test_negation_is_the_additive_inverse(self, case):
+        l, m, (a,) = case
+        assert class_add(a, class_neg(a)) == torus_class(l, m, (0,) * (l - 1))
 
 
 class TestSectors:
@@ -129,7 +157,7 @@ class TestRing:
     @pytest.mark.parametrize("l,m", [(2, 2), (2, 3), (3, 2)])
     def test_dimension_homomorphism_with_unit_charges(self, l, m):
         ring = torus_ring(l, m)
-        dims = [ring.sector_dimension(s) for s in ring.basis]
+        dims = [ring.dims[s] for s in ring.basis]
         for (a, b), payload in ring.table.items():
             total = sum(v * dims[c] for c, v in payload.items())
             assert total == pytest.approx(dims[a] * dims[b], abs=1e-6)
@@ -153,4 +181,4 @@ class TestRing:
         ring = torus_ring(2, 2)
         sm = s_matrix(AlgebraSpec.su(2, 2))
         for s in ring.basis:
-            assert ring.sector_dimension(s) == quantum_dimension(sm, s.weight)
+            assert ring.dims[s] == quantum_dimension(sm, s.weight)
