@@ -23,19 +23,30 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coset import CosetSpec, CosetSector
+
+# weyl_dimension is re-exported: perfbench/trace_runner.py traces it here
 from .weights import (
     AlgebraSpec,
+    Labels,
     Weight,
+    add_alternant,
+    add_labels,
+    all_roots,
     conformal_weight,
+    dominant_rep,
+    finite_weight_multiplicities,
     inner_product,
     integrable_weights,
-    labels_from_v,
+    norm2_shifted,
+    positive_roots,
     root_coordinates,
     shifted_v,
+    sub_labels,
     v_vector,
+    weyl_dimension,
+    weyl_orbit,
 )
 
-Labels = tuple[int, ...]
 Poly = dict[Labels, int]
 
 
@@ -48,179 +59,7 @@ class NegativeResidual(ArithmeticError):
     combination of integrable characters (bug or wrong projection)."""
 
 
-# --- small su(N) combinatorial helpers ------------------------------------
-
-@lru_cache(maxsize=None)
-def _perms_with_sign(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        out.append((perm, -1 if inversions % 2 else 1))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _cartan_rows(n: int) -> tuple[Labels, ...]:
-    rows = []
-    for i in range(n - 1):
-        row = [0] * (n - 1)
-        row[i] = 2
-        if i > 0:
-            row[i - 1] = -1
-        if i < n - 2:
-            row[i + 1] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _all_roots(n: int) -> tuple[Labels, ...]:
-    """Label vectors of every root of su(n), positive and negative."""
-    roots = []
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            v = [0] * n
-            v[a], v[b] = 1, -1
-            roots.append(labels_from_v(tuple(v)))
-    return tuple(roots)
-
-
-@lru_cache(maxsize=None)
-def _positive_roots(n: int) -> tuple[Labels, ...]:
-    roots = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = [0] * n
-            v[a], v[b] = 1, -1
-            roots.append(labels_from_v(tuple(v)))
-    return tuple(roots)
-
-
-def _dominant_rep(labels: Labels) -> Labels:
-    v = sorted(v_vector(labels), reverse=True)
-    return labels_from_v(tuple(v))
-
-
-def _norm2_shifted(labels: Labels, n: int) -> Fraction:
-    shifted = tuple(x + 1 for x in labels)
-    return inner_product(shifted, shifted, n)
-
-
-def _add(a: Labels, b: Labels) -> Labels:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _sub(a: Labels, b: Labels) -> Labels:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _orbit(labels: Labels) -> set[Labels]:
-    v = v_vector(labels)
-    return {
-        labels_from_v(tuple(v[p] for p in perm))
-        for perm, _ in _perms_with_sign(len(v))
-    }
-
-
-# --- finite irreducible characters -----------------------------------------
-
-@lru_cache(maxsize=None)
-def finite_weight_multiplicities(n: int, lam: Labels) -> dict[Labels, int]:
-    """Full weight system of the finite su(n) irrep with highest weight lam,
-    by the Freudenthal recursion over dominant weights."""
-    cartan = _cartan_rows(n)
-    # dominant support: lam - sum(c_i alpha_i) with c in a box and labels >= 0
-    cmax = root_coordinates(_add(lam, tuple(reversed(lam))), n)
-    assert all(c.denominator == 1 for c in cmax)
-    dominants = []
-    for c in itertools.product(*(range(int(x) + 1) for x in cmax)):
-        mu = lam
-        for ci, row in zip(c, cartan):
-            if ci:
-                mu = tuple(m - ci * r for m, r in zip(mu, row))
-        if all(x >= 0 for x in mu):
-            diff = root_coordinates(_sub(lam, mu), n)
-            if all(d.denominator == 1 and d >= 0 for d in diff):
-                dominants.append(mu)
-    dominants = sorted(set(dominants), key=lambda m: -_norm2_shifted(m, n))
-    support = set(dominants)
-    top_norm = _norm2_shifted(lam, n)
-    mult: dict[Labels, int] = {}
-    for mu in dominants:
-        if mu == lam:
-            mult[mu] = 1
-            continue
-        den = top_norm - _norm2_shifted(mu, n)
-        num = Fraction(0)
-        for alpha in _positive_roots(n):
-            j = 1
-            while True:
-                x = _add(mu, tuple(j * a for a in alpha))
-                dom = _dominant_rep(x)
-                if dom not in support:
-                    break
-                m = mult.get(dom, 0)
-                if m:
-                    num += m * inner_product(x, alpha, n)
-                j += 1
-        value = 2 * num / den
-        assert value.denominator == 1 and value >= 0
-        mult[mu] = int(value)
-    table: dict[Labels, int] = {}
-    for mu, m in mult.items():
-        if m:
-            for w in _orbit(mu):
-                table[w] = m
-    return table
-
-
-def weyl_dimension(n: int, lam: Labels) -> int:
-    """Weyl dimension formula, exact."""
-    rho = tuple(1 for _ in lam)
-    dim = Fraction(1)
-    for alpha in _positive_roots(n):
-        dim *= inner_product(_add(lam, rho), alpha, n) / inner_product(
-            rho, alpha, n
-        )
-    assert dim.denominator == 1
-    return int(dim)
-
-
 # --- graded characters ------------------------------------------------------
-
-@dataclass(frozen=True)
-class GradedCharacter:
-    """Weight multiplicities of an integrable module, per grade up to cutoff."""
-
-    spec: AlgebraSpec
-    top: Weight
-    cutoff: int
-    slices: tuple[Poly, ...]
-
-    @property
-    def table(self) -> dict[tuple[Labels, int], int]:
-        return {
-            (w, g): m
-            for g, sl in enumerate(self.slices)
-            for w, m in sl.items()
-        }
-
-    def weight_mult(self, labels: Labels, grade: int) -> int:
-        if grade > self.cutoff:
-            raise ValueError(f"grade {grade} beyond cutoff {self.cutoff}")
-        return self.slices[grade].get(tuple(labels), 0)
-
-    def dimension_at(self, grade: int) -> int:
-        return sum(self.slices[grade].values())
-
-    def weight_table(self) -> "WeightTable":
-        n, _ = self.spec.single()
-        return WeightTable(n, self.cutoff, self.slices)
-
 
 @dataclass(frozen=True)
 class WeightTable:
@@ -233,6 +72,19 @@ class WeightTable:
 
     def dimension_at(self, grade: int) -> int:
         return sum(self.slices[grade].values())
+
+
+@dataclass(frozen=True)
+class GradedCharacter(WeightTable):
+    """Weight multiplicities of an integrable module, per grade up to cutoff."""
+
+    spec: AlgebraSpec
+    top: Weight
+
+    def weight_mult(self, labels: Labels, grade: int) -> int:
+        if grade > self.cutoff:
+            raise ValueError(f"grade {grade} beyond cutoff {self.cutoff}")
+        return self.slices[grade].get(tuple(labels), 0)
 
 
 MAX_CUTOFF = 40
@@ -253,12 +105,11 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharact
     lam = w.labels[0]
     h = k + n
     t = shifted_v(lam)
-    perms = _perms_with_sign(n)
 
     # alternating numerator, rho-shifted: terms at grade
     # (lam+rho, beta) + h*(beta,beta)/2 for beta in the root lattice
     series: list[Poly] = [dict() for _ in range(cutoff + 1)]
-    top_norm = float(_norm2_shifted(lam, n))
+    top_norm = float(norm2_shifted(lam, n))
     reach = (top_norm**0.5 + (top_norm + 2 * h * cutoff) ** 0.5) / h
     lam_min = 2 - 2 * math.cos(math.pi / n)  # smallest Cartan eigenvalue
     cbound = int(reach / lam_min**0.5) + 2
@@ -274,16 +125,11 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharact
         if not 0 <= grade <= cutoff:
             continue
         u = tuple(ta + h * vba for ta, vba in zip(t, vb))
-        for perm, sign in perms:
-            mono = labels_from_v(tuple(u[p] for p in perm))
-            sl = series[grade]
-            sl[mono] = sl.get(mono, 0) + sign
-            if sl[mono] == 0:
-                del sl[mono]
+        add_alternant(series[grade], u, 1)
 
     # divide in place by each factor (1 - q^j e^{-gamma}) with j >= 1:
     # gamma runs over all roots, and over 0 with multiplicity n-1
-    gammas = list(_all_roots(n)) + [tuple([0] * (n - 1))] * (n - 1)
+    gammas = list(all_roots(n)) + [tuple([0] * (n - 1))] * (n - 1)
     for j in range(1, cutoff + 1):
         for gamma in gammas:
             for g in range(j, cutoff + 1):
@@ -292,7 +138,7 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharact
                     continue
                 dst = series[g]
                 for mono, coeff in src.items():
-                    key = _sub(mono, gamma)
+                    key = sub_labels(mono, gamma)
                     dst[key] = dst.get(key, 0) + coeff
                     if dst[key] == 0:
                         del dst[key]
@@ -316,18 +162,14 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharact
                     f"negative character multiplicity at grade {g}"
                 )
             mu = tuple(x - 1 for x in best)
-            for perm, sign in perms:
-                mono = labels_from_v(tuple(vbest[p] for p in perm))
-                remaining[mono] = remaining.get(mono, 0) - coeff * sign
-                if remaining[mono] == 0:
-                    del remaining[mono]
+            add_alternant(remaining, vbest, -coeff)
             for wlab, m in finite_weight_multiplicities(n, mu).items():
                 out[wlab] = out.get(wlab, 0) + coeff * m
         slices.append(out)
 
     if slices[0] != finite_weight_multiplicities(n, lam):
         raise ArithmeticError("grade-0 slice disagrees with the finite irrep")
-    return GradedCharacter(spec, w, cutoff, tuple(slices))
+    return GradedCharacter(n, cutoff, tuple(slices), spec, w)
 
 
 @lru_cache(maxsize=None)
@@ -336,19 +178,19 @@ def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCh
     n, k = spec.single()
     lam = w.labels[0]
     h = k + n
-    top_norm = _norm2_shifted(lam, n)
+    top_norm = norm2_shifted(lam, n)
     max_norm = top_norm + 2 * h * cutoff
     label_bound = int((4 * float(max_norm)) ** 0.5) + 2
-    all_roots = _all_roots(n)
-    pos_roots = _positive_roots(n)
+    roots = all_roots(n)
+    pos_roots = positive_roots(n)
 
     # dominant candidates with the right root-lattice congruence
     candidates = []
     for lab in itertools.product(range(label_bound + 1), repeat=n - 1):
-        diff = root_coordinates(_sub(lam, lab), n)
+        diff = root_coordinates(sub_labels(lam, lab), n)
         if any(d.denominator != 1 for d in diff):
             continue
-        nrm = _norm2_shifted(lab, n)
+        nrm = norm2_shifted(lab, n)
         if nrm <= max_norm:
             candidates.append((lab, nrm))
     candidates.sort(key=lambda p: -p[1])
@@ -358,7 +200,7 @@ def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCh
     def lookup(labels: Labels, grade: int) -> int:
         if grade < 0:
             return 0
-        return dom_mult.get((_dominant_rep(labels), grade), 0)
+        return dom_mult.get((dominant_rep(labels), grade), 0)
 
     for g in range(cutoff + 1):
         bound = top_norm + 2 * h * g
@@ -376,17 +218,17 @@ def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCh
             for alpha in pos_roots:
                 j = 1
                 while True:
-                    x = _add(mu, tuple(j * a for a in alpha))
-                    if _norm2_shifted(x, n) > bound:
+                    x = add_labels(mu, tuple(j * a for a in alpha))
+                    if norm2_shifted(x, n) > bound:
                         break
                     m = lookup(x, g)
                     if m:
                         num += m * inner_product(x, alpha, n)
                     j += 1
             for mpart in range(1, g + 1):
-                for alpha in all_roots:
+                for alpha in roots:
                     for j in range(1, g // mpart + 1):
-                        x = _add(mu, tuple(j * a for a in alpha))
+                        x = add_labels(mu, tuple(j * a for a in alpha))
                         m = lookup(x, g - j * mpart)
                         if m:
                             num += m * (inner_product(x, alpha, n) + k * mpart)
@@ -402,55 +244,63 @@ def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCh
 
     slices: list[Poly] = [dict() for _ in range(cutoff + 1)]
     for (mu, g), m in dom_mult.items():
-        for lab in _orbit(mu):
+        for lab in weyl_orbit(mu):
             slices[g][lab] = m
-    return GradedCharacter(spec, w, cutoff, tuple(slices))
+    return GradedCharacter(n, cutoff, tuple(slices), spec, w)
 
 
 # --- products, restriction, peeling ----------------------------------------
 
-def tensor_characters(a, b) -> WeightTable:
+def tensor_characters(a: WeightTable, b: WeightTable) -> WeightTable:
     """Convolve two graded tables in weight and grade (same rank)."""
-    ta = a.weight_table() if isinstance(a, GradedCharacter) else a
-    tb = b.weight_table() if isinstance(b, GradedCharacter) else b
-    if ta.rank_param != tb.rank_param:
+    if a.rank_param != b.rank_param:
         raise ValueError("rank mismatch in tensor product")
-    cutoff = min(ta.cutoff, tb.cutoff)
+    cutoff = min(a.cutoff, b.cutoff)
     slices: list[Poly] = [dict() for _ in range(cutoff + 1)]
     for g1 in range(cutoff + 1):
-        s1 = ta.slices[g1]
+        s1 = a.slices[g1]
         if not s1:
             continue
         for g2 in range(cutoff + 1 - g1):
-            s2 = tb.slices[g2]
+            s2 = b.slices[g2]
             if not s2:
                 continue
             dst = slices[g1 + g2]
             for w1, m1 in s1.items():
                 for w2, m2 in s2.items():
-                    key = _add(w1, w2)
+                    key = add_labels(w1, w2)
                     dst[key] = dst.get(key, 0) + m1 * m2
-    return WeightTable(ta.rank_param, cutoff, tuple(slices))
+    return WeightTable(a.rank_param, cutoff, tuple(slices))
 
 
-def restrict_character(table, projection) -> WeightTable:
+def restrict_character(table: WeightTable, projection) -> WeightTable:
     """Push a table forward along a linear weight map, grade by grade.
 
     ``projection`` is a matrix given as rows over source label coordinates;
     the number of rows fixes the target rank.
     """
-    src = table.weight_table() if isinstance(table, GradedCharacter) else table
     rows = tuple(tuple(r) for r in projection)
-    if any(len(r) != src.rank_param - 1 for r in rows):
+    if any(len(r) != table.rank_param - 1 for r in rows):
         raise ValueError("projection row length must match source rank")
     slices: list[Poly] = []
-    for sl in src.slices:
+    for sl in table.slices:
         out: Poly = {}
         for wlab, m in sl.items():
             key = tuple(sum(r[j] * wlab[j] for j in range(len(wlab))) for r in rows)
             out[key] = out.get(key, 0) + m
         slices.append(out)
-    return WeightTable(len(rows) + 1, src.cutoff, tuple(slices))
+    return WeightTable(len(rows) + 1, table.cutoff, tuple(slices))
+
+
+def _shifted_madd(dst: list[Poly], src: tuple[Poly, ...], shift: int, coeff: int) -> None:
+    """dst[shift + g] += coeff * src[g] for every grade g that dst holds;
+    entries that cancel are dropped."""
+    for g, sl in enumerate(src[: len(dst) - shift]):
+        out = dst[shift + g]
+        for wlab, m in sl.items():
+            out[wlab] = out.get(wlab, 0) + coeff * m
+            if out[wlab] == 0:
+                del out[wlab]
 
 
 def peel_branching(
@@ -481,7 +331,7 @@ def peel_branching(
             ]
             if not positives:
                 break
-            positives.sort(key=lambda p: -_norm2_shifted(p[0], n))
+            positives.sort(key=lambda p: -norm2_shifted(p[0], n))
             lab, m = positives[0]
             if sum(lab) > k:
                 raise NegativeResidual(
@@ -490,12 +340,7 @@ def peel_branching(
             wt = Weight(target, (lab,))
             coeffs[wt][g] += m
             char = graded_character(target, wt, depth)
-            for dg, sl in enumerate(char.slices[: depth - g + 1]):
-                dst = residual[g + dg]
-                for wlab, mm in sl.items():
-                    dst[wlab] = dst.get(wlab, 0) - m * mm
-                    if dst[wlab] == 0:
-                        del dst[wlab]
+            _shifted_madd(residual, char.slices, g, -m)
         if residual[g]:
             raise NegativeResidual(
                 f"nonzero residual left at grade {g}: {sorted(residual[g].items())[:4]}"
@@ -545,9 +390,6 @@ class BranchingFunction:
             )
         return self.coeffs[self.n_min]
 
-    def with_offset(self, offset: Fraction) -> "BranchingFunction":
-        return BranchingFunction(self.sector, offset, self.coeffs)
-
 
 def reconstitute(
     branchings: dict[Weight, BranchingFunction], target: AlgebraSpec, cutoff: int
@@ -563,12 +405,7 @@ def reconstitute(
                 continue
             if char is None:
                 char = graded_character(target, wt, cutoff)
-            for dg in range(cutoff + 1 - g):
-                for wlab, m in char.slices[dg].items():
-                    dst = slices[g + dg]
-                    dst[wlab] = dst.get(wlab, 0) + c * m
-                    if dst[wlab] == 0:
-                        del dst[wlab]
+            _shifted_madd(slices, char.slices, g, c)
     return WeightTable(n, cutoff, tuple(slices))
 
 

@@ -23,6 +23,7 @@ from .modular import (
     s_matrix,
 )
 from .weights import (
+    WEIGHT_BUDGET,
     AlgebraSpec,
     Weight,
     color,
@@ -113,12 +114,30 @@ class NotFaithful(ValueError):
         )
 
 
-def exp_set(spec: CosetSpec) -> list[CosetSector]:
-    """All weight triples passing the selection rule, in label order.
+def in_exp(spec: CosetSpec, s: CosetSector) -> bool:
+    """The selection rule: num1 + num2 - den lies in the root lattice, i.e.
+    color(num1) + color(num2) = color(den) mod n."""
+    return (color(s.num1) + color(s.num2) - color(s.den)) % spec.n == 0
 
-    The rule is root-lattice membership of num1 + num2 - den, i.e. the
-    congruence color(num1) + color(num2) = color(den) mod n.
-    """
+
+def sector_count(spec: CosetSpec) -> int:
+    """Number of sectors passing the selection rule, counted from the colors
+    of the factor weights without building any sector."""
+    n1, n2, nh = (
+        Counter(map(color, integrable_weights(f))) for f in spec.factor_specs()
+    )
+    return sum(
+        n1[c1] * n2[c2] * nh[(c1 + c2) % spec.n] for c1 in n1 for c2 in n2
+    )
+
+
+def exp_set(spec: CosetSpec) -> list[CosetSector]:
+    """All weight triples passing the selection rule (see ``in_exp``), in
+    label order.  A count above WEIGHT_BUDGET is refused before any sector
+    is built."""
+    count = sector_count(spec)
+    if count > WEIGHT_BUDGET:
+        raise ValueError(f"{spec} has {count} sectors, over the budget of {WEIGHT_BUDGET}")
     s1, s2, sh = spec.factor_specs()
     out = []
     for w1, w2 in itertools.product(integrable_weights(s1), integrable_weights(s2)):
@@ -192,20 +211,14 @@ def coset_ring(spec: CosetSpec) -> BasedRing:
     Each slab's nonzeros are read in C order, so keys arrive sorted by
     (a, b) and each payload by c.  Only m x m slabs are held; the m^3
     constants themselves are held to DENSE_BUDGET before any sector is
-    enumerated: the sectors are counted from the colors of the factor
-    weights, and every orbit has at most n members.
+    enumerated: every orbit of the ``sector_count`` sectors has at most n
+    members.
 
     The basis is the orbits, each with the statistical dimension of its
     representative.  Refuses with NotFaithful when any sector has a
     nontrivial stabilizer.
     """
-    n1, n2, nh = (
-        Counter(map(color, integrable_weights(f))) for f in spec.factor_specs()
-    )
-    count = sum(
-        n1[c1] * n2[c2] * nh[(c1 + c2) % spec.n] for c1 in n1 for c2 in n2
-    )
-    least = -(-count // spec.n)
+    least = -(-sector_count(spec) // spec.n)
     require_dense_budget(least**3, f"a coset ring of at least {least} orbits")
     orbits, faithful, fixed = identification_orbits(spec)
     if not faithful:
@@ -315,5 +328,5 @@ def vacuum_orbit_membership(spec: CosetSpec, s: CosetSector) -> bool:
 
 
 def _require_in_exp(spec: CosetSpec, s: CosetSector) -> None:
-    if (color(s.num1) + color(s.num2) - color(s.den)) % spec.n != 0:
+    if not in_exp(spec, s):
         raise ValueError(f"sector {s} fails the selection rule")

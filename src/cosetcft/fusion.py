@@ -62,8 +62,10 @@ class BasedRing:
     def dense(self) -> np.ndarray:
         return dense_tensor(self.table, len(self.basis))
 
-    def conjugate_permutation(self) -> list[int]:
-        return list(self.conj)
+    def axiom_failures(self) -> list[str]:
+        """Based-ring axiom failures of this ring's constants, as
+        ``ring_axiom_failures`` describes them; empty when all hold."""
+        return ring_axiom_failures(self.dense(), self.conj)
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     """Verify the translation rule: fusing conj(i) with i' hits the
     sigma-image of the vacuum exactly when i' is the sigma-image of i."""
     n, _ = ring.spec.single()
-    conj = ring.conjugate_permutation()
+    conj = ring.conj
     failures = []
     checked = 0
     m = len(ring.basis)

@@ -112,7 +112,7 @@ def _verify(ring: BasedRing) -> None:
     if zz != {ring.index("zbar"): 1}:
         raise InconsistentRelations("z*z is not zbar")
     # conjugation pairing via the unit channel
-    conj = ring.conjugate_permutation()
+    conj = ring.conj
     m = len(ring.basis)
     for i in range(m):
         for j in range(m):

@@ -55,10 +55,6 @@ class SMatrix:
     def __post_init__(self):
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.basis)})
 
-    @property
-    def vacuum_row(self) -> np.ndarray:
-        return self.entries[0].real
-
 
 @lru_cache(maxsize=None)
 def s_matrix(spec: AlgebraSpec) -> SMatrix:
@@ -95,8 +91,7 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
     chars = dets / dets[vac][None, :] * trace_fix
     entries = s0[None, :] * chars
 
-    m = len(basis)
-    if np.abs(entries @ entries.conj().T - np.eye(m)).max() > UNITARY_TOL:
+    if unitarity_residual(entries) > UNITARY_TOL:
         raise ArithmeticError(f"S-matrix for su({n})_{k} failed unitarity")
     if np.abs(entries - entries.T).max() > SYMMETRY_TOL:
         raise ArithmeticError(f"S-matrix for su({n})_{k} failed symmetry")
@@ -104,6 +99,11 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
     if np.abs(row0.imag).max() > VACUUM_ROW_TOL or (row0.real < VACUUM_ROW_TOL).any():
         raise ArithmeticError(f"S-matrix for su({n})_{k} vacuum row not positive")
     return SMatrix(spec, basis, entries)
+
+
+def unitarity_residual(entries: np.ndarray) -> float:
+    """Largest entry of |S S^dagger - 1| for a square complex matrix S."""
+    return float(np.abs(entries @ entries.conj().T - np.eye(len(entries))).max())
 
 
 def asymptotic_dimension(s: SMatrix, w: Weight) -> float:

@@ -1,4 +1,5 @@
-"""Integrable weights of affine su(N) at a fixed level.
+"""Integrable weights of affine su(N) at a fixed level, and the finite su(N)
+invariant form, Weyl group, roots, weight systems and Weyl dimensions.
 
 Weights are handled in unshifted Dynkin labels ``Lambda_i >= 0`` with
 ``sum(Lambda_i) <= k``.  The rho-shifted coordinates ``lambda_i = Lambda_i + 1``
@@ -8,8 +9,10 @@ automorphism and the Weyl-group bookkeeping are more natural.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 # size budget for one weight basis, checked before enumerating it
@@ -169,6 +172,9 @@ def conformal_weight(w: Weight) -> Fraction:
 # The quadratic form is normalized so long roots have squared length 2; the
 # Gram matrix of the fundamental weights is F_ij = min(i,j) - i*j/N.
 
+Labels = tuple[int, ...]
+
+
 def gram_matrix(n: int) -> list[list[Fraction]]:
     return [
         [Fraction(min(i, j)) - Fraction(i * j, n) for j in range(1, n)]
@@ -217,3 +223,132 @@ def root_coordinates(entries, n: int) -> tuple[Fraction, ...]:
     return tuple(
         sum(gram[i][j] * entries[j] for j in range(n - 1)) for i in range(n - 1)
     )
+
+
+def add_labels(a: Labels, b: Labels) -> Labels:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def sub_labels(a: Labels, b: Labels) -> Labels:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def norm2_shifted(labels: Labels, n: int) -> Fraction:
+    """Squared length of labels + rho."""
+    shifted = tuple(x + 1 for x in labels)
+    return inner_product(shifted, shifted, n)
+
+
+# --- finite su(N) Weyl group, roots and irreducible characters -----------
+#
+# The Weyl group S_N permutes the v-coordinates of a weight.
+
+@lru_cache(maxsize=None)
+def perms_with_sign(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation of range(n) with its sign."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
+        )
+        out.append((perm, -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def root(n: int, a: int, b: int) -> Labels:
+    """Label vector of the su(n) root e_a - e_b."""
+    return labels_from_v(tuple(int(j == a) - int(j == b) for j in range(n)))
+
+
+@lru_cache(maxsize=None)
+def positive_roots(n: int) -> tuple[Labels, ...]:
+    """Label vectors of the positive roots e_a - e_b (a < b) of su(n)."""
+    return tuple(root(n, a, b) for a in range(n) for b in range(a + 1, n))
+
+
+@lru_cache(maxsize=None)
+def all_roots(n: int) -> tuple[Labels, ...]:
+    """Label vectors of every root of su(n): the positive roots, then their
+    negatives."""
+    positive = positive_roots(n)
+    return positive + tuple(tuple(-x for x in alpha) for alpha in positive)
+
+
+def dominant_rep(labels: Labels) -> Labels:
+    """The dominant weight in the Weyl orbit of labels."""
+    return labels_from_v(tuple(sorted(v_vector(labels), reverse=True)))
+
+
+def weyl_orbit(labels: Labels) -> set[Labels]:
+    """Every weight in the Weyl orbit of labels."""
+    return {labels_from_v(v) for v in itertools.permutations(v_vector(labels))}
+
+
+def add_alternant(poly: dict[Labels, int], v, coeff: int) -> None:
+    """Add coeff times the alternant sum_w sign(w) e^(w v) to poly in place,
+    with v in v-coordinates; entries that cancel are dropped."""
+    for perm, sign in perms_with_sign(len(v)):
+        mono = labels_from_v(tuple(v[p] for p in perm))
+        poly[mono] = poly.get(mono, 0) + coeff * sign
+        if poly[mono] == 0:
+            del poly[mono]
+
+
+@lru_cache(maxsize=None)
+def finite_weight_multiplicities(n: int, lam: Labels) -> dict[Labels, int]:
+    """Full weight system of the finite su(n) irrep with highest weight lam,
+    by the Freudenthal recursion over dominant weights."""
+    simple = [root(n, i, i + 1) for i in range(n - 1)]
+    # dominant support: lam - sum(c_i alpha_i) with c in a box and labels >= 0
+    cmax = root_coordinates(add_labels(lam, tuple(reversed(lam))), n)
+    assert all(c.denominator == 1 for c in cmax)
+    dominants = []
+    for c in itertools.product(*(range(int(x) + 1) for x in cmax)):
+        mu = lam
+        for ci, row in zip(c, simple):
+            if ci:
+                mu = tuple(m - ci * r for m, r in zip(mu, row))
+        if all(x >= 0 for x in mu):
+            dominants.append(mu)
+    dominants = sorted(set(dominants), key=lambda m: -norm2_shifted(m, n))
+    support = set(dominants)
+    top_norm = norm2_shifted(lam, n)
+    mult: dict[Labels, int] = {}
+    for mu in dominants:
+        if mu == lam:
+            mult[mu] = 1
+            continue
+        den = top_norm - norm2_shifted(mu, n)
+        num = Fraction(0)
+        for alpha in positive_roots(n):
+            j = 1
+            while True:
+                x = add_labels(mu, tuple(j * a for a in alpha))
+                dom = dominant_rep(x)
+                if dom not in support:
+                    break
+                m = mult.get(dom, 0)
+                if m:
+                    num += m * inner_product(x, alpha, n)
+                j += 1
+        value = 2 * num / den
+        assert value.denominator == 1 and value >= 0
+        mult[mu] = int(value)
+    table: dict[Labels, int] = {}
+    for mu, m in mult.items():
+        if m:
+            for w in weyl_orbit(mu):
+                table[w] = m
+    return table
+
+
+def weyl_dimension(n: int, lam: Labels) -> int:
+    """Weyl dimension formula, exact."""
+    rho = tuple(1 for _ in lam)
+    dim = Fraction(1)
+    for alpha in positive_roots(n):
+        dim *= inner_product(add_labels(lam, rho), alpha, n) / inner_product(
+            rho, alpha, n
+        )
+    assert dim.denominator == 1
+    return int(dim)

@@ -32,7 +32,6 @@ from cosetcft import (
     maverick_branching_check,
     quantum_dimension,
     reconstitute,
-    ring_axiom_failures,
     s_matrix,
     sector_branching,
     simple_current_check,
@@ -61,7 +60,7 @@ def test_criterion_01_verlinde_integrality_and_axioms():
         ring = verlinde_tensor(s_matrix(AlgebraSpec.su(n, k)))
         worst = max(worst, ring.integrality_residual)
         assert ring.integrality_residual < 1e-6, f"su({n})_{k}"
-        failures = ring_axiom_failures(ring.dense(), ring.conjugate_permutation())
+        failures = ring.axiom_failures()
         assert failures == [], f"su({n})_{k}: {failures}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"took {elapsed:.1f}s"
@@ -182,7 +181,7 @@ def test_criterion_09_parafermion_torus():
     sectors = torus_exp(2, 2)
     assert len(sectors) == 6
     ring = torus_ring(2, 2)
-    assert ring_axiom_failures(ring.dense(), ring.conjugate_permutation()) == []
+    assert ring.axiom_failures() == []
     sm = s_matrix(AlgebraSpec.su(2, 2))
     for s in ring.basis:
         assert ring.dims[s] == quantum_dimension(sm, s.weight)

@@ -190,7 +190,7 @@ class TestPeeling:
         spec = su2(2)
         for x in integrable_weights(spec):
             g = graded_character(spec, x, 5)
-            out = peel_branching(g.weight_table(), spec)
+            out = peel_branching(g, spec)
             for y, bf in out.items():
                 want = tuple(
                     1 if (y == x and grade == 0) else 0 for grade in range(6)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cosetcft
-from cosetcft import cli, coset, fusion, weights
+from cosetcft import cli, coset, fusion, verify, weights
 from cosetcft.cli import Config, main
 
 # exit codes and stdout digests recorded for the benchmark's operations
@@ -55,6 +55,21 @@ class TestConfig:
         path.write_text("beta=1\n")
         with pytest.raises(ValueError):
             Config.from_file(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", ["tolerance_unitary", "tolerance_integrality", "beta_floor"]
+    )
+    def test_non_finite_value_is_usage_error(self, capfd, tmp_path, key, value):
+        conf = tmp_path / "conf"
+        conf.write_text(f"{key} = {value}\n")
+        try:
+            code = main(["verify", "fusion", "--config", str(conf)])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capfd.readouterr()
+        assert code == 2 and out == ""
+        assert key in err and "Traceback" not in err
 
 
 class TestWeightsCommand:
@@ -150,7 +165,7 @@ class TestFuseCommand:
             raise AssertionError("fuse built the whole Verlinde tensor")
 
         monkeypatch.setattr(fusion, "verlinde_tensor", no_ring)
-        monkeypatch.setattr(cli, "verlinde_tensor", no_ring)
+        monkeypatch.setattr(verify, "verlinde_tensor", no_ring)
         code, out = run(capsys, *op["cmd"].split())
         assert code == op["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == op["sha256"]
@@ -203,7 +218,6 @@ class TestCosetRingCommand:
             op
             for workload in json.loads(BENCH_SPEC.read_text())["workloads"].values()
             for op in workload["ops"]
-            if op["cmd"].startswith(("coset-ring", "verify"))
         ],
         ids=lambda op: op["cmd"],
     )
@@ -216,7 +230,11 @@ class TestCosetRingCommand:
 class TestIntegralityViolation:
     @pytest.mark.parametrize(
         "argv",
-        [["fuse", "su4", "3", "1,0,0", "0,0,1"], ["verify", "fusion"]],
+        [
+            ["fuse", "su4", "3", "1,0,0", "0,0,1"],
+            ["verify", "fusion"],
+            ["verify", "simple-current"],
+        ],
         ids=" ".join,
     )
     def test_error_document_without_traceback(self, tmp_path, argv):
@@ -293,6 +311,23 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["result"]["passed"] is True
         assert doc["reports"][0]["check"] == "kac-wakimoto-identity"
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_kw_degenerate_n_is_usage_error(self, capsys, n):
+        code, out = run(capsys, "verify", "kw", "--n", n)
+        assert code == 2 and out == ""
+
+    def test_n_with_other_suite_is_usage_error(self, capsys):
+        code, out = run(capsys, "verify", "fusion", "--n", "3")
+        assert code == 2 and out == ""
+
+    def test_oversized_kw_refused_before_any_sector(self, capsys, monkeypatch):
+        def no_sector(*args):
+            raise AssertionError("a sector was built before the budget check")
+
+        monkeypatch.setattr(coset, "CosetSector", no_sector)
+        code, out = run(capsys, "verify", "kw", "--n", "3", "--m1", "10", "--m2", "10")
+        assert code == 2 and out == ""
 
     def test_maverick_suite(self, capsys):
         code, out = run(capsys, "verify", "maverick")

@@ -28,7 +28,7 @@ from cosetcft import (
     verlinde_tensor,
 )
 from cosetcft import fusion, modular
-from cosetcft.cli import DESK_SPECS
+from cosetcft.verify import DESK_SPECS
 from cosetcft.coset import coset_ring
 from cosetcft.maverick import build_maverick_ring
 from cosetcft.torus import torus_ring
@@ -96,7 +96,7 @@ class TestRingAxioms:
     def test_axioms_and_integrality(self, n, k):
         ring = verlinde_tensor(s_matrix(AlgebraSpec.su(n, k)))
         assert ring.integrality_residual < 1e-6
-        assert ring_axiom_failures(ring.dense(), ring.conjugate_permutation()) == []
+        assert ring.axiom_failures() == []
 
     @pytest.mark.parametrize("n,k", DESK)
     def test_cyclic_covariance(self, n, k):
@@ -131,7 +131,7 @@ class TestRingAxioms:
 def ising_tensor():
     """su(2)_2 fusion: basis 1, sigma, psi."""
     ring = verlinde_tensor(s_matrix(AlgebraSpec.su(2, 2)))
-    return ring.dense(), ring.conjugate_permutation()
+    return ring.dense(), ring.conj
 
 
 def group_algebra(elements, multiply):
@@ -234,7 +234,7 @@ def permuted_verlinde_rings(draw):
     m = len(ring.basis)
     perm = [0] + draw(st.permutations(range(1, m)))
     inverse = np.argsort(perm)
-    conj = ring.conjugate_permutation()
+    conj = ring.conj
     tensor = ring.dense()[np.ix_(perm, perm, perm)]
     return tensor, [int(inverse[conj[p]]) for p in perm]
 
@@ -283,13 +283,13 @@ class TestCommutingCertificate:
     def test_decides_desk_rings_without_scan(self, monkeypatch, n, k):
         forbid_scan(monkeypatch)
         ring = verlinde_tensor(s_matrix(AlgebraSpec.su(n, k)))
-        assert ring_axiom_failures(ring.dense(), ring.conjugate_permutation()) == []
+        assert ring.axiom_failures() == []
 
     @pytest.mark.parametrize("name", BENCHMARK_RINGS)
     def test_decides_benchmark_rings_without_scan(self, monkeypatch, name):
         forbid_scan(monkeypatch)
         ring = BENCHMARK_RINGS[name]()
-        assert ring_axiom_failures(ring.dense(), ring.conjugate_permutation()) == []
+        assert ring.axiom_failures() == []
 
     def test_derogatory_ring_falls_back_to_scan(self, monkeypatch):
         # Z[x,y]/(x^2, y^2, xy) on basis 1, x, y: commutative and associative,
@@ -448,7 +448,7 @@ def test_dense_of_empty_table():
 def test_axiom_check_memory():
     # beyond its input, the certificate holds only m x m slices
     ring = coset_ring(CosetSpec(3, 3, 2))
-    tensor, conj = ring.dense(), ring.conjugate_permutation()
+    tensor, conj = ring.dense(), ring.conj
     m = len(tensor)
     tracemalloc.start()
     try:
@@ -475,7 +475,7 @@ class TestProducts:
         ring = fusion_ring(spec)
         for w in ring.basis:
             assert ring.dims[w] == product_quantum_dimension(spec, w)
-        assert ring.conjugate_permutation() == [
+        assert list(ring.conj) == [
             ring.index(conjugate_weight(w)) for w in ring.basis
         ]
 
@@ -493,7 +493,7 @@ class TestProducts:
     )
     def test_product_axioms(self, factors):
         ring = fusion_ring(AlgebraSpec(tuple(factors)))
-        assert ring_axiom_failures(ring.dense(), ring.conjugate_permutation()) == []
+        assert ring.axiom_failures() == []
 
     def test_product_coefficients_factorize(self):
         r1 = verlinde_tensor(s_matrix(AlgebraSpec.su(2, 2)))
