@@ -6,11 +6,9 @@ identities tying them together."""
 from .weights import (
     AlgebraSpec,
     Weight,
-    WeightDelta,
     color,
     conformal_weight,
     conjugate_weight,
-    in_root_lattice,
     integrable_weights,
     sigma_apply,
 )

@@ -95,14 +95,14 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharact
     """Production engine: alternating sum over the extended Weyl group,
     divided by the grade-positive denominator factors, then resolved into
     finite characters grade by grade."""
-    n, k = spec.single()
+    n, k = spec.n, spec.k
     if w.spec != spec:
         raise ValueError("weight bound to a different spec")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     if cutoff > MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} beyond configured bound {MAX_CUTOFF}")
-    lam = w.labels[0]
+    lam = w.labels
     h = k + n
     t = shifted_v(lam)
 
@@ -175,8 +175,8 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharact
 @lru_cache(maxsize=None)
 def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharacter:
     """Oracle engine: Freudenthal recursion on the extended algebra."""
-    n, k = spec.single()
-    lam = w.labels[0]
+    n, k = spec.n, spec.k
+    lam = w.labels
     h = k + n
     top_norm = norm2_shifted(lam, n)
     max_norm = top_norm + 2 * h * cutoff
@@ -315,7 +315,7 @@ def peel_branching(
     grade.  Returns one coefficient sequence per integrable target weight,
     including identically zero ones.
     """
-    n, k = target.single()
+    n, k = target.n, target.k
     if table.rank_param != n:
         raise ValueError("table rank does not match target algebra")
     depth = table.cutoff if cutoff is None else min(cutoff, table.cutoff)
@@ -337,7 +337,7 @@ def peel_branching(
                 raise NegativeResidual(
                     f"dominant residual {lab} at grade {g} exceeds level {k}"
                 )
-            wt = Weight(target, (lab,))
+            wt = Weight(target, lab)
             coeffs[wt][g] += m
             char = graded_character(target, wt, depth)
             _shifted_madd(residual, char.slices, g, -m)
@@ -396,7 +396,7 @@ def reconstitute(
 ) -> WeightTable:
     """Sum of branching coefficients times target characters; inverse of
     peel_branching up to the cutoff."""
-    n, _ = target.single()
+    n = target.n
     slices: list[Poly] = [dict() for _ in range(cutoff + 1)]
     for wt, bf in branchings.items():
         char = None

@@ -49,11 +49,11 @@ def _parse_labels(text: str, n: int, spec: AlgebraSpec) -> Weight:
     labels = tuple(int(x) for x in text.split(","))
     if len(labels) != n - 1:
         raise ValueError(f"expected {n - 1} labels, got {text!r}")
-    return Weight(spec, (labels,))
+    return Weight(spec, labels)
 
 
 def _weight_str(w: Weight) -> list:
-    return [list(lab) for lab in w.labels]
+    return [list(w.labels)]
 
 
 # --- commands ---------------------------------------------------------------
@@ -66,7 +66,7 @@ def cmd_weights(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     for w in integrable_weights(spec):
         rows.append(
             {
-                "labels": list(w.labels[0]),
+                "labels": list(w.labels),
                 "color": color(w),
                 "conformal_weight": str(conformal_weight(w)),
                 "quantum_dimension": format_real(quantum_dimension(sm, w)),
@@ -187,7 +187,11 @@ def cmd_verify(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     if args.n is not None:
         if args.suite != "kw":
             raise ValueError("--n selects a coset for the kw suite only")
-        reports = [timed(check_kw, config, [(args.n, args.m1, args.m2)])]
+        m1 = 1 if args.m1 is None else args.m1
+        m2 = 1 if args.m2 is None else args.m2
+        reports = [timed(check_kw, config, [(args.n, m1, m2)])]
+    elif args.m1 is not None or args.m2 is not None:
+        raise ValueError("--m1 and --m2 select a coset only together with --n")
     else:
         names = list(SUITES) if args.suite == "all" else [args.suite]
         reports = [timed(SUITES[name], config, args.desk_scale) for name in names]
@@ -322,8 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("verify", "run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--n", type=int)
-    p.add_argument("--m1", type=int, default=1)
-    p.add_argument("--m2", type=int, default=1)
+    p.add_argument("--m1", type=int, help="first level with --n (default 1)")
+    p.add_argument("--m2", type=int, help="second level with --n (default 1)")
     p.add_argument("--desk-scale", action="store_true")
     p.set_defaults(run=cmd_verify)
 

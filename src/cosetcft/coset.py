@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import BasedRing, FusionRing, verlinde_tensor
+from .fusion import BasedRing, FusionRing, fusion_ring
 from .modular import (
     asymptotic_dimension,
+    product_quantum_dimension,
     quantum_dimension,
     require_dense_budget,
     s_matrix,
@@ -193,11 +194,7 @@ def identification_orbits(
 
 def factor_rings(spec: CosetSpec) -> tuple[FusionRing, FusionRing, FusionRing]:
     s1, s2, sh = spec.factor_specs()
-    return (
-        verlinde_tensor(s_matrix(s1)),
-        verlinde_tensor(s_matrix(s2)),
-        verlinde_tensor(s_matrix(sh)),
-    )
+    return fusion_ring(s1), fusion_ring(s2), fusion_ring(sh)
 
 
 def coset_ring(spec: CosetSpec) -> BasedRing:
@@ -225,20 +222,20 @@ def coset_ring(spec: CosetSpec) -> BasedRing:
         raise NotFaithful(fixed)
     reps = [o.representative for o in orbits]
     m = len(reps)
-    factors = []
+    gathered = []
     for ring, part in zip(factor_rings(spec), ("num1", "num2", "den")):
         idx = np.array([ring.index(getattr(r, part)) for r in reps])
         gathers = [
             np.ix_(idx, np.array(ring.sigma_permutation(t))[idx])
             for t in range(spec.n)
         ]
-        factors.append((ring.dense(), idx, gathers))
+        gathered.append((ring.dense(), idx, gathers))
     table: dict[tuple[int, int], dict[int, int]] = {}
     for a in range(m):
         slab = np.zeros((m, m), dtype=np.int64)
         for t in range(spec.n):
             term = np.ones_like(slab)
-            for dense, idx, gathers in factors:
+            for dense, idx, gathers in gathered:
                 term *= dense[idx[a]][gathers[t]]
             slab += term
         nonzero = np.nonzero(slab)
@@ -256,12 +253,7 @@ def coset_ring(spec: CosetSpec) -> BasedRing:
 def coset_statistical_dimension(spec: CosetSpec, s: CosetSector) -> float:
     """Product of the three constituent quantum dimensions."""
     _require_in_exp(spec, s)
-    s1, s2, sh = spec.factor_specs()
-    return (
-        quantum_dimension(s_matrix(s1), s.num1)
-        * quantum_dimension(s_matrix(s2), s.num2)
-        * quantum_dimension(s_matrix(sh), s.den)
-    )
+    return product_quantum_dimension((s.num1, s.num2, s.den))
 
 
 def kw_identity_check(spec: CosetSpec, s: CosetSector) -> float:

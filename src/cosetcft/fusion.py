@@ -1,4 +1,4 @@
-"""Fusion rings from the Verlinde formula, and products of such rings.
+"""Fusion rings from the Verlinde formula, and products of based rings.
 
 The structure-constant tensor is stored sparsely, keyed by the index pair
 (i, j) with a {k: multiplicity} payload; construction fails hard if any
@@ -9,6 +9,7 @@ wrong integer would corrupt every coset ring built on top.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,20 +71,14 @@ class BasedRing:
 
 @dataclass(frozen=True)
 class FusionRing(BasedRing):
-    """Verlinde ring over an ordered basis of (product) su(N) weights."""
+    """Verlinde ring over the integrable weights of su(N) at level k."""
 
     spec: AlgebraSpec
     integrality_residual: float = 0.0  # worst pre-rounding distance seen
 
     def sigma_permutation(self, power: int) -> list[int]:
-        """Basis permutation of the cyclic automorphism acting factorwise."""
-        out = []
-        for w in self.basis:
-            parts = [sigma_apply(power, w.factor(i)) for i in range(len(w.labels))]
-            out.append(
-                self.index(Weight(self.spec, tuple(p.labels[0] for p in parts)))
-            )
-        return out
+        """Basis permutation of the cyclic automorphism."""
+        return [self.index(sigma_apply(power, w)) for w in self.basis]
 
 
 def dense_tensor(table: dict[tuple[int, int], dict[int, int]], m: int) -> np.ndarray:
@@ -143,14 +138,14 @@ def verlinde_tensor(s: SMatrix, tol: float = INTEGRALITY_TOL) -> FusionRing:
     return FusionRing(s.basis, table, conj, dims, s.spec, worst)
 
 
-def fusion_ring(spec: AlgebraSpec) -> FusionRing:
-    """Fusion ring of a spec, taking factorwise Verlinde tensors."""
-    rings = [verlinde_tensor(s_matrix(AlgebraSpec((f,)))) for f in spec.factors]
-    return product_ring(rings)
+def fusion_ring(spec: AlgebraSpec, tol: float = INTEGRALITY_TOL) -> FusionRing:
+    """Verlinde fusion ring of su(N) at level k."""
+    return verlinde_tensor(s_matrix(spec), tol)
 
 
-def fuse(ring: FusionRing, i: Weight, j: Weight) -> list[tuple[Weight, int]]:
-    """Nonzero fusion channels of i x j with multiplicities."""
+def fuse(ring: BasedRing, i, j) -> list[tuple]:
+    """Nonzero fusion channels of the basis elements i x j with
+    multiplicities."""
     payload = ring.table.get((ring.index(i), ring.index(j)), {})
     return [(ring.basis[k], c) for k, c in sorted(payload.items())]
 
@@ -170,39 +165,32 @@ def fuse_pair(
     return [(s.basis[k], int(row[k])) for k in np.flatnonzero(row)]
 
 
-def product_ring(rings: list[FusionRing]) -> FusionRing:
-    """Cartesian-product ring: bases multiply, coefficients factorwise."""
+def product_ring(rings: list[BasedRing]) -> BasedRing:
+    """Cartesian-product ring: the basis is the tuples of factor basis
+    elements, the first factor varying slowest; constants, conjugates and
+    dimensions multiply factorwise.  A single ring is returned as is."""
     if not rings:
         raise ValueError("need at least one ring")
-    out = rings[0]
-    for other in rings[1:]:
-        out = _product_pair(out, other)
-    return out
-
-
-def _product_pair(r1: FusionRing, r2: FusionRing) -> FusionRing:
-    spec = AlgebraSpec(r1.spec.factors + r2.spec.factors)
-    n2 = len(r2.basis)
-    basis = tuple(
-        Weight(spec, w1.labels + w2.labels)
-        for w1, w2 in itertools.product(r1.basis, r2.basis)
-    )
-    table: dict[tuple[int, int], dict[int, int]] = {}
-    for (i1, j1), pay1 in r1.table.items():
-        for (i2, j2), pay2 in r2.table.items():
-            combined = {
+    if len(rings) == 1:
+        return rings[0]
+    table, conj = rings[0].table, rings[0].conj
+    for ring in rings[1:]:
+        n2 = len(ring.basis)
+        table = {
+            (i1 * n2 + i2, j1 * n2 + j2): {
                 k1 * n2 + k2: c1 * c2
                 for k1, c1 in pay1.items()
                 for k2, c2 in pay2.items()
             }
-            table[(i1 * n2 + i2, j1 * n2 + j2)] = combined
-    conj = tuple(c1 * n2 + c2 for c1, c2 in itertools.product(r1.conj, r2.conj))
+            for (i1, j1), pay1 in table.items()
+            for (i2, j2), pay2 in ring.table.items()
+        }
+        conj = tuple(c1 * n2 + c2 for c1, c2 in itertools.product(conj, ring.conj))
+    basis = tuple(itertools.product(*(ring.basis for ring in rings)))
     dims = {
-        w: r1.dims[w1] * r2.dims[w2]
-        for w, (w1, w2) in zip(basis, itertools.product(r1.basis, r2.basis))
+        b: math.prod(ring.dims[x] for ring, x in zip(rings, b)) for b in basis
     }
-    worst = max(r1.integrality_residual, r2.integrality_residual)
-    return FusionRing(basis, table, conj, dims, spec, worst)
+    return BasedRing(basis, table, conj, dims)
 
 
 @dataclass
@@ -215,7 +203,7 @@ class SimpleCurrentReport:
 def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     """Verify the translation rule: fusing conj(i) with i' hits the
     sigma-image of the vacuum exactly when i' is the sigma-image of i."""
-    n, _ = ring.spec.single()
+    n = ring.spec.n
     conj = ring.conj
     failures = []
     checked = 0
@@ -232,8 +220,11 @@ def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     return SimpleCurrentReport(not failures, checked, failures)
 
 
-def ring_axiom_failures(tensor: np.ndarray, conj_perm, unit: int = 0) -> list[str]:
-    """Exhaustive based-ring axiom check on a dense coefficient tensor.
+def ring_axiom_failures(tensor: np.ndarray, conj_perm) -> list[str]:
+    """Exhaustive based-ring axiom check on a dense coefficient tensor whose
+    unit is basis element 0, as every ring constructor here orders it: the
+    vacuum weight, the vacuum orbit, the vacuum torus sector, the Maverick
+    "1", and the tuple of factor units in a product.
 
     Returns human-readable failure descriptions; empty means all axioms hold.
 
@@ -278,7 +269,7 @@ def ring_axiom_failures(tensor: np.ndarray, conj_perm, unit: int = 0) -> list[st
     if negative:
         out.append("negative structure constant")
     expected_unit = np.eye(m, dtype=np.int64)
-    if not np.array_equal(tensor[unit], expected_unit):
+    if not np.array_equal(tensor[0], expected_unit):
         out.append("unit row is not the identity permutation")
     commutative = np.array_equal(tensor, tensor.transpose(1, 0, 2))
     if not commutative:
@@ -286,7 +277,7 @@ def ring_axiom_failures(tensor: np.ndarray, conj_perm, unit: int = 0) -> list[st
     conj_matrix = np.zeros((m, m), dtype=np.int64)
     for i, ic in enumerate(conj_perm):
         conj_matrix[i, ic] = 1
-    if not np.array_equal(tensor[:, :, unit], conj_matrix):
+    if not np.array_equal(tensor[:, :, 0], conj_matrix):
         out.append("conjugation axiom N_ij^0 = delta(j, conj i) fails")
     if not commutative:
         return out
@@ -341,9 +332,9 @@ def _full_rank_mod(mat: np.ndarray, p: int) -> bool:
             return False
         pivot = col + int(nonzero[0])
         mat[[col, pivot]] = mat[[pivot, col]]
-        factors = mat[col + 1 :, col] * pow(int(mat[col, col]), -1, p) % p
+        multipliers = mat[col + 1 :, col] * pow(int(mat[col, col]), -1, p) % p
         mat[col + 1 :, col:] = (
-            mat[col + 1 :, col:] - factors[:, None] * mat[col, col:]
+            mat[col + 1 :, col:] - multipliers[:, None] * mat[col, col:]
         ) % p
     return True
 

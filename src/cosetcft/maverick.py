@@ -129,11 +129,11 @@ def maverick_dims() -> dict[str, float]:
 
 
 def _su3_weight(pq: tuple[int, int]) -> Weight:
-    return Weight(SU3_LEVEL2, (tuple(pq),))
+    return Weight(SU3_LEVEL2, tuple(pq))
 
 
 def _su2_weight(l: int) -> Weight:
-    return Weight(SU2_LEVEL8, ((l,),))
+    return Weight(SU2_LEVEL8, (l,))
 
 
 def maverick_branching(pq: tuple[int, int], cutoff: int) -> dict[int, BranchingFunction]:
@@ -145,7 +145,7 @@ def maverick_branching(pq: tuple[int, int], cutoff: int) -> dict[int, BranchingF
     h_up = conformal_weight(_su3_weight(pq))
     out = {}
     for wt, bf in peeled.items():
-        l = wt.labels[0][0]
+        (l,) = wt.labels
         out[l] = BranchingFunction(
             f"({pq[0]}{pq[1]},{l})", h_up - conformal_weight(wt), bf.coeffs
         )

@@ -9,6 +9,7 @@ row, which pins the normalization completely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,7 +41,7 @@ def require_dense_budget(elements: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class SMatrix:
-    """Modular S-matrix over the integrable weights of one su(N) factor."""
+    """Modular S-matrix over the integrable weights of su(N) at level k."""
 
     spec: AlgebraSpec
     basis: tuple[Weight, ...]
@@ -58,15 +59,15 @@ class SMatrix:
 
 @lru_cache(maxsize=None)
 def s_matrix(spec: AlgebraSpec) -> SMatrix:
-    """Kac-Peterson S-matrix of a single su(N) factor at level k.
+    """Kac-Peterson S-matrix of su(N) at level k.
 
     The Weyl characters come from an (m, m, N, N) array of phases, which is
     held to DENSE_BUDGET before it is built."""
-    n, k = spec.single()
+    n, k = spec.n, spec.k
     h = k + n
     basis = tuple(integrable_weights(spec))
     require_dense_budget(len(basis) ** 2 * n * n, f"the S-matrix of su({n})_{k}")
-    tvecs = np.array([shifted_v(w.labels[0]) for w in basis])  # (m, n) ints
+    tvecs = np.array([shifted_v(w.labels) for w in basis])  # (m, n) ints
 
     # vacuum row: prod over positive roots of 2 sin(pi (t_a - t_b) / h)
     norm = (n * h ** (n - 1)) ** -0.5
@@ -116,12 +117,7 @@ def quantum_dimension(s: SMatrix, w: Weight) -> float:
     return float((s.entries[0, s.index(w)] / s.entries[0, 0]).real)
 
 
-def product_quantum_dimension(spec: AlgebraSpec, w: Weight) -> float:
-    """Product of per-factor quantum dimensions of a (multi-factor) weight."""
-    if w.spec != spec:
-        raise ValueError("weight is bound to a different spec")
-    d = 1.0
-    for i in range(len(spec.factors)):
-        sub = w.factor(i)
-        d *= quantum_dimension(s_matrix(sub.spec), sub)
-    return d
+def product_quantum_dimension(weights) -> float:
+    """Product, from left to right, of the quantum dimensions of a sequence
+    of weights, each in its own spec."""
+    return math.prod(quantum_dimension(s_matrix(w.spec), w) for w in weights)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fusion import BasedRing, verlinde_tensor
+from .fusion import BasedRing, fusion_ring
 from .modular import asymptotic_dimension, quantum_dimension, s_matrix
 from .weights import AlgebraSpec, Weight, color, conjugate_weight, integrable_weights
 
@@ -81,7 +81,7 @@ class TorusSector:
     cls: TorusClass
 
     def __post_init__(self):
-        n, k = self.weight.spec.single()
+        n, k = self.weight.spec.n, self.weight.spec.k
         if (n, k) != (self.cls.l, self.cls.m):
             raise ValueError("weight and class belong to different cosets")
         if (sum(self.cls.rep) - color(self.weight)) % n != 0:
@@ -116,7 +116,7 @@ def torus_ring(l: int, m: int) -> BasedRing:
     A sector's dimension is its weight's: every charge class has dimension 1.
     """
     sectors = torus_exp(l, m)
-    ring = verlinde_tensor(s_matrix(AlgebraSpec.su(l, m)))
+    ring = fusion_ring(AlgebraSpec.su(l, m))
     index = {s: i for i, s in enumerate(sectors)}
     table: dict[tuple[int, int], dict[int, int]] = {}
     for a, sa in enumerate(sectors):

@@ -36,9 +36,9 @@ from .coset import (
 from .fusion import (
     BasedRing,
     dimension_homomorphism_residual,
+    fusion_ring,
     ring_axiom_failures,
     simple_current_check,
-    verlinde_tensor,
 )
 from .modular import SMatrix, s_matrix, unitarity_residual
 from .torus import torus_classes, torus_exp, torus_kw_residual, torus_ring
@@ -174,8 +174,7 @@ def check_fusion(config: Config, specs) -> VerificationReport:
     worst = 0.0
     bad = []
     for n, k in specs:
-        spec = AlgebraSpec.su(n, k)
-        ring = verlinde_tensor(s_matrix(spec), config.tolerance_integrality)
+        ring = fusion_ring(AlgebraSpec.su(n, k), config.tolerance_integrality)
         worst = max(worst, ring.integrality_residual)
         # one dense tensor serves both the axioms and the covariance check
         tensor = ring.dense()
@@ -197,8 +196,7 @@ def check_fusion(config: Config, specs) -> VerificationReport:
 def check_simple_current(config: Config, specs) -> VerificationReport:
     bad = []
     for n, k in specs:
-        spec = AlgebraSpec.su(n, k)
-        ring = verlinde_tensor(s_matrix(spec), config.tolerance_integrality)
+        ring = fusion_ring(AlgebraSpec.su(n, k), config.tolerance_integrality)
         report = simple_current_check(ring)
         if not report.passed:
             bad.append(f"su({n})_{k}: {report.failures[:3]}")
@@ -349,9 +347,7 @@ def check_kw_numeric(config: Config) -> VerificationReport:
     spec = CosetSpec(2, 1, 1)
     cutoff = max(10, config.grade_cutoff)
     s1, s2, sh = spec.factor_specs()
-    sig = CosetSector(
-        s1.vacuum(), Weight(s2, ((1,),)), Weight(sh, ((1,),))
-    )
+    sig = CosetSector(s1.vacuum(), Weight(s2, (1,)), Weight(sh, (1,)))
     num = sector_branching(spec, sig, cutoff)
     den = sector_branching(spec, spec.vacuum_sector(), cutoff)
     target = math.sqrt(2)

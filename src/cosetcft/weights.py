@@ -21,100 +21,61 @@ WEIGHT_BUDGET = 100_000
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """An ordered product of su(N) factors, each at its own level.
+    """su(N) at level k, with N >= 2 and k >= 1.
 
-    ``factors`` is a tuple of ``(N, k)`` pairs with N >= 2 and k >= 1.
     The shifted level h = k + N is always derived, never stored.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    n: int
+    k: int
 
     def __post_init__(self):
-        if not self.factors:
-            raise ValueError("spec needs at least one su(N) factor")
-        for n, k in self.factors:
-            if n < 2:
-                raise ValueError(f"rank parameter N must be >= 2, got {n}")
-            if k < 1:
-                raise ValueError(f"level must be >= 1, got {k}")
+        if self.n < 2:
+            raise ValueError(f"rank parameter N must be >= 2, got {self.n}")
+        if self.k < 1:
+            raise ValueError(f"level must be >= 1, got {self.k}")
 
     @classmethod
     def su(cls, n: int, k: int) -> "AlgebraSpec":
-        """Single su(n) factor at level k."""
-        return cls(((n, k),))
-
-    @property
-    def is_single(self) -> bool:
-        return len(self.factors) == 1
-
-    def single(self) -> tuple[int, int]:
-        """The (N, k) of a one-factor spec; rejects products."""
-        if not self.is_single:
-            raise ValueError("operation needs a single su(N) factor")
-        return self.factors[0]
+        """su(n) at level k."""
+        return cls(n, k)
 
     def vacuum(self) -> "Weight":
-        return Weight(self, tuple(tuple([0] * (n - 1)) for n, _ in self.factors))
+        return Weight(self, (0,) * (self.n - 1))
 
 
 @dataclass(frozen=True)
 class Weight:
-    """An integrable highest weight, one Dynkin label vector per factor."""
+    """An integrable highest weight, given by its Dynkin labels."""
 
     spec: AlgebraSpec
-    labels: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.labels) != len(self.spec.factors):
-            raise ValueError("one label vector per factor required")
-        for (n, k), lab in zip(self.spec.factors, self.labels):
-            if len(lab) != n - 1:
-                raise ValueError(f"su({n}) labels must have length {n - 1}")
-            if any(x < 0 for x in lab):
-                raise ValueError(f"labels must be nonnegative, got {lab}")
-            if sum(lab) > k:
-                raise ValueError(f"label sum {sum(lab)} exceeds level {k}")
-
-    @property
-    def single_labels(self) -> tuple[int, ...]:
-        self.spec.single()
-        return self.labels[0]
-
-    def factor(self, i: int) -> "Weight":
-        """Project a product weight onto its i-th factor."""
-        return Weight(AlgebraSpec((self.spec.factors[i],)), (self.labels[i],))
-
-    def __sub__(self, other: "Weight") -> "WeightDelta":
-        # levels may differ: the difference lives in the bare weight lattice
-        if self.spec.single()[0] != other.spec.single()[0]:
-            raise ValueError("weights live in different weight lattices")
-        return WeightDelta(tuple(a - b for a, b in zip(self.labels[0], other.labels[0])))
+        n, k = self.spec.n, self.spec.k
+        if len(self.labels) != n - 1:
+            raise ValueError(f"su({n}) labels must have length {n - 1}")
+        if any(x < 0 for x in self.labels):
+            raise ValueError(f"labels must be nonnegative, got {self.labels}")
+        if sum(self.labels) > k:
+            raise ValueError(f"label sum {sum(self.labels)} exceeds level {k}")
 
     def __str__(self):
-        if self.spec.is_single:
-            return "(" + ",".join(map(str, self.labels[0])) + ")"
-        return "x".join("(" + ",".join(map(str, lab)) + ")" for lab in self.labels)
-
-
-@dataclass(frozen=True)
-class WeightDelta:
-    """A formal difference of weights, living in the weight lattice."""
-
-    entries: tuple[int, ...]
+        return "(" + ",".join(map(str, self.labels)) + ")"
 
 
 def integrable_weights(spec: AlgebraSpec) -> list[Weight]:
-    """All integrable weights of a single su(N) factor at level k, in
-    lexicographic label order.  The count is C(k+N-1, N-1); a count above
+    """All integrable weights of su(N) at level k, in lexicographic label
+    order.  The count is C(k+N-1, N-1); a count above
     WEIGHT_BUDGET is refused before any enumeration."""
-    n, k = spec.single()
+    n, k = spec.n, spec.k
     count = comb(k + n - 1, n - 1)
     if count > WEIGHT_BUDGET:
         raise ValueError(
             f"su({n}) at level {k} has {count} integrable weights, "
             f"over the budget of {WEIGHT_BUDGET}"
         )
-    return [Weight(spec, (lab,)) for lab in _bounded_labels(n - 1, k)]
+    return [Weight(spec, lab) for lab in _bounded_labels(n - 1, k)]
 
 
 def _bounded_labels(length: int, bound: int):
@@ -129,16 +90,8 @@ def _bounded_labels(length: int, bound: int):
 
 
 def color(w: Weight) -> int:
-    """Congruence class sum(i * Lambda_i) mod N of a single-factor weight."""
-    n, _ = w.spec.single()
-    return sum(i * x for i, x in enumerate(w.labels[0], start=1)) % n
-
-
-def in_root_lattice(d: WeightDelta, n: int) -> bool:
-    """True iff the lattice vector lies in the su(n) root lattice."""
-    if len(d.entries) != n - 1:
-        raise ValueError(f"delta has length {len(d.entries)}, expected {n - 1}")
-    return sum(i * x for i, x in enumerate(d.entries, start=1)) % n == 0
+    """Congruence class sum(i * Lambda_i) mod N of a weight."""
+    return sum(i * x for i, x in enumerate(w.labels, start=1)) % w.spec.n
 
 
 def sigma_apply(power: int, w: Weight) -> Weight:
@@ -147,51 +100,38 @@ def sigma_apply(power: int, w: Weight) -> Weight:
     In unshifted labels one step maps (L_1,...,L_{N-1}) to
     (k - sum(L), L_1,...,L_{N-2}); for N = 2 this is L -> k - L.
     """
-    n, k = w.spec.single()
-    lab = w.labels[0]
+    n, k = w.spec.n, w.spec.k
+    lab = w.labels
     for _ in range(power % n):
         lab = (k - sum(lab),) + lab[:-1]
-    return Weight(w.spec, (lab,))
+    return Weight(w.spec, lab)
 
 
 def conjugate_weight(w: Weight) -> Weight:
-    """Charge conjugation of su(N): reverse the label vector (per factor)."""
-    return Weight(w.spec, tuple(tuple(reversed(lab)) for lab in w.labels))
+    """Charge conjugation of su(N): reverse the label vector."""
+    return Weight(w.spec, w.labels[::-1])
 
 
 def conformal_weight(w: Weight) -> Fraction:
     """Sugawara conformal weight (L, L + 2*rho) / (2*(k+N)), exact."""
-    n, k = w.spec.single()
-    lab = w.labels[0]
-    rho2 = tuple(x + 2 for x in lab)  # L + 2*rho in labels
-    return inner_product(lab, rho2, n) / (2 * (k + n))
+    n, k = w.spec.n, w.spec.k
+    rho2 = tuple(x + 2 for x in w.labels)  # L + 2*rho in labels
+    return inner_product(w.labels, rho2, n) / (2 * (k + n))
 
 
 # --- su(N) weight-space geometry -----------------------------------------
 #
-# The quadratic form is normalized so long roots have squared length 2; the
-# Gram matrix of the fundamental weights is F_ij = min(i,j) - i*j/N.
+# The quadratic form is normalized so long roots have squared length 2.  A
+# weight with v-coordinates v (see ``v_vector``) is sum_j v_j e_j projected
+# off the all-ones vector, so (a, b) = sum_j v_j w_j - sum(v) sum(w) / N.
 
 Labels = tuple[int, ...]
 
 
-def gram_matrix(n: int) -> list[list[Fraction]]:
-    return [
-        [Fraction(min(i, j)) - Fraction(i * j, n) for j in range(1, n)]
-        for i in range(1, n)
-    ]
-
-
 def inner_product(a, b, n: int) -> Fraction:
     """Exact invariant form of two weights given by Dynkin labels."""
-    total = Fraction(0)
-    for i, ai in enumerate(a, start=1):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b, start=1):
-            if bj:
-                total += ai * bj * (Fraction(min(i, j)) - Fraction(i * j, n))
-    return total
+    va, vb = v_vector(a), v_vector(b)
+    return Fraction(n * sum(x * y for x, y in zip(va, vb)) - sum(va) * sum(vb), n)
 
 
 def v_vector(lab) -> tuple[int, ...]:
@@ -218,10 +158,13 @@ def shifted_v(lab) -> tuple[int, ...]:
 
 
 def root_coordinates(entries, n: int) -> tuple[Fraction, ...]:
-    """Coefficients of a weight-lattice vector on the simple roots."""
-    gram = gram_matrix(n)
+    """Coefficients of a weight-lattice vector on the simple roots: the
+    partial sums of its v-coordinates minus i * sum(v) / n."""
+    v = v_vector(entries)
+    total = sum(v)
+    partial = itertools.accumulate(v[:-1])
     return tuple(
-        sum(gram[i][j] * entries[j] for j in range(n - 1)) for i in range(n - 1)
+        Fraction(n * p - i * total, n) for i, p in enumerate(partial, start=1)
     )
 
 

@@ -116,7 +116,7 @@ def test_criterion_06_fixed_point_refusal():
         coset_ring(CosetSpec(2, 2, 2))
     sectors = [s for s, _ in err.value.fixed_points]
     labels = {
-        (s.num1.labels[0][0], s.num2.labels[0][0], s.den.labels[0][0])
+        (s.num1.labels[0], s.num2.labels[0], s.den.labels[0])
         for s in sectors
     }
     assert (1, 1, 2) in labels
@@ -196,7 +196,7 @@ def test_criterion_10_kw_trace_ratio():
     cutoff = 12
     s1, s2, sh = spec.factor_specs()
     sigma = CosetSector(
-        s1.vacuum(), Weight(s2, ((1,),)), Weight(sh, ((1,),))
+        s1.vacuum(), Weight(s2, (1,)), Weight(sh, (1,))
     )
     num = sector_branching(spec, sigma, cutoff)
     den = sector_branching(spec, spec.vacuum_sector(), cutoff)

@@ -43,7 +43,7 @@ def su2(k):
 
 
 def w2(k, l):
-    return Weight(su2(k), ((l,),))
+    return Weight(su2(k), (l,))
 
 
 class TestFiniteCharacters:
@@ -114,8 +114,8 @@ class TestGradedCharacterEngine:
         spec = AlgebraSpec.su(3, 2)
         for x in integrable_weights(spec):
             g = graded_character(spec, x, 2)
-            assert g.slices[0] == finite_weight_multiplicities(3, x.labels[0])
-            assert g.dimension_at(0) == weyl_dimension(3, x.labels[0])
+            assert g.slices[0] == finite_weight_multiplicities(3, x.labels)
+            assert g.dimension_at(0) == weyl_dimension(3, x.labels)
 
     def test_slices_are_weyl_invariant(self):
         g = graded_character(AlgebraSpec.su(3, 1), AlgebraSpec.su(3, 1).vacuum(), 4)
@@ -124,7 +124,7 @@ class TestGradedCharacterEngine:
                 assert sl.get((b, a), 0) == m  # conjugation flip
 
     def test_multiplicities_nonnegative(self):
-        g = graded_character(AlgebraSpec.su(3, 2), Weight(AlgebraSpec.su(3, 2), ((1, 1),)), 4)
+        g = graded_character(AlgebraSpec.su(3, 2), Weight(AlgebraSpec.su(3, 2), (1, 1)), 4)
         assert all(m > 0 for sl in g.slices for m in sl.values())
 
     def test_cutoff_validation(self):
@@ -175,7 +175,7 @@ class TestTensorAndRestrict:
     def test_index4_triplet(self):
         # defining rep of su(3) restricts to the spin-1 triplet
         spec = AlgebraSpec.su(3, 2)
-        g = graded_character(spec, Weight(spec, ((1, 0),)), 0)
+        g = graded_character(spec, Weight(spec, (1, 0)), 0)
         out = restrict_character(g, ((2, 2),))
         assert out.slices[0] == {(2,): 1, (0,): 1, (-2,): 1}
 
@@ -274,13 +274,13 @@ class TestEnergiesAndRatios:
 
     def test_epsilon_energy(self):
         s1, s2, sh = ISING.factor_specs()
-        eps = CosetSector(s1.vacuum(), s2.vacuum(), Weight(sh, ((2,),)))
+        eps = CosetSector(s1.vacuum(), s2.vacuum(), Weight(sh, (2,)))
         bf = sector_branching(ISING, eps, 4)
         assert coset_energy_offset(bf) == Fraction(1, 2)
 
     def test_zero_branching_is_inconclusive(self):
         s1, s2, sh = ISING.factor_specs()
-        outside = CosetSector(s1.vacuum(), s2.vacuum(), Weight(sh, ((1,),)))
+        outside = CosetSector(s1.vacuum(), s2.vacuum(), Weight(sh, (1,)))
         bf = sector_branching(ISING, outside, 4)
         with pytest.raises(InconclusiveCutoff):
             bf.energy()
@@ -305,7 +305,7 @@ class TestEnergiesAndRatios:
 
     def test_ising_sigma_ratio_converges(self):
         s1, s2, sh = ISING.factor_specs()
-        sig = CosetSector(s1.vacuum(), Weight(s2, ((1,),)), Weight(sh, ((1,),)))
+        sig = CosetSector(s1.vacuum(), Weight(s2, (1,)), Weight(sh, (1,)))
         num = sector_branching(ISING, sig, 12)
         den = sector_branching(ISING, ISING.vacuum_sector(), 12)
         target = math.sqrt(2)

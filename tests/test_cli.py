@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cosetcft
-from cosetcft import cli, coset, fusion, verify, weights
+from cosetcft import cli, coset, fusion, weights
 from cosetcft.cli import Config, main
 
 # exit codes and stdout digests recorded for the benchmark's operations
@@ -164,8 +164,8 @@ class TestFuseCommand:
         def no_ring(*args, **kwargs):
             raise AssertionError("fuse built the whole Verlinde tensor")
 
+        # fusion_ring looks verlinde_tensor up in `fusion` at call time
         monkeypatch.setattr(fusion, "verlinde_tensor", no_ring)
-        monkeypatch.setattr(verify, "verlinde_tensor", no_ring)
         code, out = run(capsys, *op["cmd"].split())
         assert code == op["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == op["sha256"]
@@ -320,6 +320,18 @@ class TestVerifyCommand:
     def test_n_with_other_suite_is_usage_error(self, capsys):
         code, out = run(capsys, "verify", "fusion", "--n", "3")
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["kw", "--m1", "9"], ["ising", "--m1", "5", "--m2", "7"]]
+    )
+    def test_levels_without_n_are_usage_error(self, capsys, argv):
+        code, out = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+
+    def test_absent_level_defaults_to_one(self, capsys):
+        code, out = run(capsys, "verify", "kw", "--n", "2")
+        assert code == 0
+        assert out == run(capsys, "verify", "kw", "--n", "2", "--m1", "1", "--m2", "1")[1]
 
     def test_oversized_kw_refused_before_any_sector(self, capsys, monkeypatch):
         def no_sector(*args):

@@ -30,7 +30,7 @@ DESK_COSETS = [ISING, TRICRITICAL, CosetSpec(3, 1, 1), CosetSpec(3, 2, 1)]
 
 def sector(spec, a, b, c):
     s1, s2, sh = spec.factor_specs()
-    mk = lambda s, lab: Weight(s, (tuple(lab),))
+    mk = lambda s, lab: Weight(s, tuple(lab))
     return CosetSector(mk(s1, a), mk(s2, b), mk(sh, c))
 
 
@@ -64,7 +64,7 @@ def defining_table(spec, representatives):
 class TestExpSet:
     def test_ising_six_triples(self):
         got = [
-            (s.num1.labels[0][0], s.num2.labels[0][0], s.den.labels[0][0])
+            (s.num1.labels[0], s.num2.labels[0], s.den.labels[0])
             for s in exp_set(ISING)
         ]
         assert got == [
@@ -105,24 +105,23 @@ class TestExpSet:
 
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_membership_is_root_lattice_rule(self, spec):
-        from cosetcft import WeightDelta, in_root_lattice
         import itertools
         from cosetcft import integrable_weights
+        from cosetcft.weights import root_coordinates
 
         s1, s2, sh = spec.factor_specs()
         members = set(exp_set(spec))
         for w1, w2, wh in itertools.product(
             integrable_weights(s1), integrable_weights(s2), integrable_weights(sh)
         ):
-            delta = WeightDelta(
-                tuple(
-                    a + b - c
-                    for a, b, c in zip(w1.labels[0], w2.labels[0], wh.labels[0])
-                )
+            delta = tuple(
+                a + b - c for a, b, c in zip(w1.labels, w2.labels, wh.labels)
             )
-            assert in_root_lattice(delta, spec.n) == (
-                CosetSector(w1, w2, wh) in members
+            # independent oracle: integer coordinates on the simple roots
+            in_root_lattice = all(
+                c.denominator == 1 for c in root_coordinates(delta, spec.n)
             )
+            assert in_root_lattice == (CosetSector(w1, w2, wh) in members)
 
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_cyclic_action_preserves_exp(self, spec):
@@ -156,7 +155,7 @@ class TestOrbits:
         assert faithful and not fixed
         got = {
             frozenset(
-                (m.num1.labels[0][0], m.num2.labels[0][0], m.den.labels[0][0])
+                (m.num1.labels[0], m.num2.labels[0], m.den.labels[0])
                 for m in o.members
             )
             for o in orbits

@@ -66,19 +66,19 @@ class TestAgainstOracles:
     def test_su2_level2_middle_square(self):
         spec = AlgebraSpec.su(2, 2)
         ring = verlinde_tensor(s_matrix(spec))
-        w = lambda l: Weight(spec, ((l,),))
+        w = lambda l: Weight(spec, (l,))
         assert fuse(ring, w(1), w(1)) == [(w(0), 1), (w(2), 1)]
 
     def test_su2_level8_spin1_square(self):
         spec = AlgebraSpec.su(2, 8)
         ring = verlinde_tensor(s_matrix(spec))
-        w = lambda l: Weight(spec, ((l,),))
+        w = lambda l: Weight(spec, (l,))
         assert fuse(ring, w(2), w(2)) == [(w(0), 1), (w(2), 1), (w(4), 1)]
 
     def test_su3_level2_fundamental_square(self):
         spec = AlgebraSpec.su(3, 2)
         ring = verlinde_tensor(s_matrix(spec))
-        w = lambda a, b: Weight(spec, ((a, b),))
+        w = lambda a, b: Weight(spec, (a, b))
         assert fuse(ring, w(1, 0), w(1, 0)) == [(w(0, 1), 1), (w(2, 0), 1)]
         # the adjoint channel of 3 x 3bar survives at level 2
         assert fuse(ring, w(1, 0), w(0, 1)) == [(w(0, 0), 1), (w(1, 1), 1)]
@@ -340,13 +340,13 @@ class TestFusePair:
     def test_su4_level8_pair(self):
         spec = AlgebraSpec.su(4, 8)
         sm = s_matrix(spec)
-        i, j = Weight(spec, ((1, 0, 0),)), Weight(spec, ((0, 0, 1),))
+        i, j = Weight(spec, (1, 0, 0)), Weight(spec, (0, 0, 1))
         assert fuse_pair(sm, i, j) == fuse(verlinde_tensor(sm), i, j)
 
     def test_tight_tolerance_names_the_pair(self):
         spec = AlgebraSpec.su(3, 2)
         sm = s_matrix(spec)
-        i, j = Weight(spec, ((1, 0),)), Weight(spec, ((0, 1),))
+        i, j = Weight(spec, (1, 0)), Weight(spec, (0, 1))
         with pytest.raises(IntegralityViolation) as err:
             fuse_pair(sm, i, j, tol=1e-300)
         a, b, k = err.value.indices
@@ -408,7 +408,7 @@ def loop_dense(table, m):
     "build",
     [
         lambda: verlinde_tensor(s_matrix(AlgebraSpec.su(3, 4))),
-        lambda: fusion_ring(AlgebraSpec(((2, 2), (2, 1)))),
+        lambda: product_of((2, 2), (2, 1)),
         lambda: coset_ring(CosetSpec(3, 2, 1)),
         lambda: torus_ring(2, 2),
         build_maverick_ring,
@@ -425,7 +425,7 @@ def test_dense_matches_entrywise_fill(build):
     "build",
     [
         lambda: verlinde_tensor(s_matrix(AlgebraSpec.su(3, 2))),
-        lambda: fusion_ring(AlgebraSpec(((2, 2), (3, 1)))),
+        lambda: product_of((2, 2), (3, 1)),
         lambda: coset_ring(CosetSpec(3, 2, 1)),
         lambda: torus_ring(2, 2),
         build_maverick_ring,
@@ -459,28 +459,32 @@ def test_axiom_check_memory():
     assert peak < 8 * m**3
 
 
+def product_of(*pairs):
+    """Product ring of the Verlinde rings of su(n)_k for each (n, k)."""
+    return product_ring([fusion_ring(AlgebraSpec.su(n, k)) for n, k in pairs])
+
+
 class TestProducts:
     def test_single_factor_unchanged(self):
         ring = verlinde_tensor(s_matrix(AlgebraSpec.su(2, 2)))
         assert product_ring([ring]) is ring
 
     def test_level1_pair_conjugation(self):
-        spec = AlgebraSpec(((2, 1), (2, 1)))
-        ring = fusion_ring(spec)
-        x = Weight(spec, ((1,), (1,)))
-        assert fuse(ring, x, x) == [(spec.vacuum(), 1)]
+        spec = AlgebraSpec.su(2, 1)
+        ring = product_of((2, 1), (2, 1))
+        x = Weight(spec, (1,))
+        assert fuse(ring, (x, x), (x, x)) == [((spec.vacuum(), spec.vacuum()), 1)]
 
     def test_dims_and_conjugation_factorwise(self):
-        spec = AlgebraSpec(((2, 2), (3, 1), (2, 1)))
-        ring = fusion_ring(spec)
-        for w in ring.basis:
-            assert ring.dims[w] == product_quantum_dimension(spec, w)
+        ring = product_of((2, 2), (3, 1), (2, 1))
+        for b in ring.basis:
+            assert ring.dims[b] == product_quantum_dimension(b)
         assert list(ring.conj) == [
-            ring.index(conjugate_weight(w)) for w in ring.basis
+            ring.index(tuple(map(conjugate_weight, b))) for b in ring.basis
         ]
 
     def test_basis_size_multiplies(self):
-        ring = fusion_ring(AlgebraSpec(((2, 2), (2, 1))))
+        ring = product_of((2, 2), (2, 1))
         assert len(ring.basis) == 6
 
     @pytest.mark.parametrize(
@@ -492,7 +496,7 @@ class TestProducts:
         ],
     )
     def test_product_axioms(self, factors):
-        ring = fusion_ring(AlgebraSpec(tuple(factors)))
+        ring = product_of(*factors)
         assert ring.axiom_failures() == []
 
     def test_product_coefficients_factorize(self):
@@ -507,6 +511,54 @@ class TestProducts:
                             i1 * 2 + i2, j1 * 2 + j2, k1 * 2 + k2
                         ) == r1.coeff(i1, j1, k1) * r2.coeff(i2, j2, k2)
 
+
+# every (N, k) whose Verlinde ring has at most 60 weights, C(k+N-1, N-1)
+SMALL_SPECS = [
+    (n, k)
+    for n in range(2, 9)
+    for k in range(1, 60)
+    if math.comb(k + n - 1, n - 1) <= 60
+]
+
+
+def weight_count(nk):
+    n, k = nk
+    return math.comb(k + n - 1, n - 1)
+
+
+def small_specs(most=60):
+    """Entries of SMALL_SPECS with at most ``most`` weights; the rank is drawn
+    first, so that su(2) does not dominate."""
+    fits = [nk for nk in SMALL_SPECS if weight_count(nk) <= most]
+    ranks = sorted({n for n, _ in fits})
+    return st.sampled_from(ranks).flatmap(
+        lambda n: st.sampled_from([nk for nk in fits if nk[0] == n])
+    )
+
+
+@st.composite
+def small_spec_pairs(draw):
+    """Two small specs whose product ring has at most 60 elements."""
+    first = draw(small_specs(30))
+    return first, draw(small_specs(60 // weight_count(first)))
+
+
+class TestRingProperties:
+    @settings(deadline=None)
+    @given(small_specs())
+    def test_verlinde_ring_axioms_and_dimensions(self, nk):
+        ring = fusion_ring(AlgebraSpec.su(*nk))
+        assert ring.axiom_failures() == []
+        assert dimension_homomorphism_residual(ring) < 1e-9
+
+    @settings(deadline=None)
+    @given(small_spec_pairs())
+    def test_product_ring_axioms_and_dimensions(self, pair):
+        ring = product_of(*pair)
+        assert ring.axiom_failures() == []
+        assert dimension_homomorphism_residual(ring) < 1e-9
+        for b in ring.basis:
+            assert ring.dims[b] == product_quantum_dimension(b)
 
 class TestSimpleCurrents:
     @pytest.mark.parametrize("n,k", DESK)

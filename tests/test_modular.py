@@ -71,7 +71,7 @@ class TestDimensions:
     def test_su2_level2_middle(self):
         spec = AlgebraSpec.su(2, 2)
         sm = s_matrix(spec)
-        mid = Weight(spec, ((1,),))
+        mid = Weight(spec, (1,))
         assert asymptotic_dimension(sm, mid) == pytest.approx(
             1 / math.sqrt(2), abs=1e-12
         )
@@ -84,7 +84,7 @@ class TestDimensions:
     def test_su2_level8_label2(self):
         # sin(3 pi / 10) / sin(pi / 10) = golden ratio + 1
         spec = AlgebraSpec.su(2, 8)
-        got = quantum_dimension(s_matrix(spec), Weight(spec, ((2,),)))
+        got = quantum_dimension(s_matrix(spec), Weight(spec, (2,)))
         golden = (math.sqrt(5) + 1) / 2
         assert got == pytest.approx(golden + 1, abs=1e-9)
         assert got == pytest.approx(
@@ -93,7 +93,7 @@ class TestDimensions:
 
     def test_unknown_weight_rejected(self):
         sm = s_matrix(AlgebraSpec.su(2, 2))
-        other = Weight(AlgebraSpec.su(2, 3), ((1,),))
+        other = Weight(AlgebraSpec.su(2, 3), (1,))
         with pytest.raises(KeyError):
             quantum_dimension(sm, other)
 
@@ -120,24 +120,13 @@ class TestDimensions:
 
 class TestProductDimensions:
     def test_all_vacuum(self):
-        spec = AlgebraSpec(((2, 1), (2, 1)))
-        assert product_quantum_dimension(spec, spec.vacuum()) == pytest.approx(1.0)
+        vac = AlgebraSpec.su(2, 1).vacuum()
+        assert product_quantum_dimension((vac, vac)) == pytest.approx(1.0)
 
     def test_level1_pair(self):
-        spec = AlgebraSpec(((2, 1), (2, 1)))
-        x = Weight(spec, ((1,), (1,)))
-        assert product_quantum_dimension(spec, x) == pytest.approx(1.0, abs=1e-12)
+        x = Weight(AlgebraSpec.su(2, 1), (1,))
+        assert product_quantum_dimension((x, x)) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_levels(self):
-        spec = AlgebraSpec(((2, 2), (2, 1)))
-        x = Weight(spec, ((1,), (1,)))
-        assert product_quantum_dimension(spec, x) == pytest.approx(
-            math.sqrt(2), abs=1e-9
-        )
-
-    def test_factor_mismatch(self):
-        spec = AlgebraSpec(((2, 2), (2, 1)))
-        other = AlgebraSpec(((2, 2), (2, 2)))
-        x = Weight(other, ((1,), (1,)))
-        with pytest.raises(ValueError):
-            product_quantum_dimension(spec, x)
+        x = (Weight(AlgebraSpec.su(2, 2), (1,)), Weight(AlgebraSpec.su(2, 1), (1,)))
+        assert product_quantum_dimension(x) == pytest.approx(math.sqrt(2), abs=1e-9)

@@ -81,7 +81,7 @@ class TestClassGroupProperties:
 class TestSectors:
     def test_l2_m2_six_sectors(self):
         sectors = torus_exp(2, 2)
-        got = [(s.weight.labels[0][0], s.cls.rep[0]) for s in sectors]
+        got = [(s.weight.labels[0], s.cls.rep[0]) for s in sectors]
         assert got == [(0, 0), (0, 2), (1, 1), (1, 3), (2, 0), (2, 2)]
 
     def test_l2_m1_two_sectors(self):
@@ -90,17 +90,17 @@ class TestSectors:
     def test_vacuum_sector_present(self):
         sectors = torus_exp(3, 2)
         vac = sectors[0]
-        assert vac.weight.labels[0] == (0, 0) and vac.cls.rep == (0, 0)
+        assert vac.weight.labels == (0, 0) and vac.cls.rep == (0, 0)
 
     def test_charge_sum_invariant_enforced(self):
         spec = AlgebraSpec.su(2, 2)
         with pytest.raises(ValueError):
-            TorusSector(Weight(spec, ((1,),)), torus_class(2, 2, (0,)))
+            TorusSector(Weight(spec, (1,)), torus_class(2, 2, (0,)))
 
     def test_mixed_coset_rejected(self):
         spec = AlgebraSpec.su(2, 3)
         with pytest.raises(ValueError):
-            TorusSector(Weight(spec, ((0,),)), torus_class(2, 2, (0,)))
+            TorusSector(Weight(spec, (0,)), torus_class(2, 2, (0,)))
 
 
 class TestRing:
