@@ -3,11 +3,10 @@ branching-function machinery built on them.
 
 Two independent engines compute weight multiplicities per grade:
 
-* the production engine expands the alternating numerator sum over the
-  extended Weyl group (finite group times lattice translations with grade
-  shift at most the cutoff), divides the series in place by the positive
-  grade factors of the denominator product, and resolves each grade slice
-  into finite characters;
+* the production engine multiplies the Weyl-Kac numerator's translation
+  terms (grade shift at most the cutoff) by the denominator series P, which
+  ``denominator_series`` computes once per (N, cutoff), and straightens
+  each product term (Racah-Speiser) into a signed finite character;
 * a Freudenthal recursion on the extended algebra serves as the oracle.
 
 Both produce exact integer multiplicities; the test suite requires them to
@@ -29,7 +28,6 @@ from .weights import (
     AlgebraSpec,
     Labels,
     Weight,
-    add_alternant,
     add_labels,
     all_roots,
     conformal_weight,
@@ -41,6 +39,7 @@ from .weights import (
     positive_roots,
     root_coordinates,
     shifted_v,
+    straighten,
     sub_labels,
     v_vector,
     weyl_dimension,
@@ -91,10 +90,32 @@ MAX_CUTOFF = 40
 
 
 @lru_cache(maxsize=None)
+def denominator_series(n: int, cutoff: int) -> tuple[tuple[tuple[Labels, int], ...], ...]:
+    """Grades 0..cutoff of P = prod_{j>=1} (1 - q^j)^-(n-1) prod_alpha
+    (1 - q^j e^alpha)^-1 over the roots alpha of su(n), as (v-coordinates,
+    multiplicity) pairs per grade.  P is Weyl-invariant and shared by every
+    level and module; a smaller cutoff gives a prefix of the series."""
+    zero = (0,) * n
+    steps = [v_vector(alpha) for alpha in all_roots(n)] + [zero] * (n - 1)
+    series: list[dict[Labels, int]] = [dict() for _ in range(cutoff + 1)]
+    series[0][zero] = 1
+    # divide in place by each factor (1 - q^j e^step), grade by grade
+    for j in range(1, cutoff + 1):
+        for step in steps:
+            for g in range(j, cutoff + 1):
+                dst = series[g]
+                for v, mult in series[g - j].items():
+                    key = tuple(a + b for a, b in zip(v, step))
+                    dst[key] = dst.get(key, 0) + mult
+    return tuple(tuple(sl.items()) for sl in series)
+
+
+@lru_cache(maxsize=None)
 def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharacter:
-    """Production engine: alternating sum over the extended Weyl group,
-    divided by the grade-positive denominator factors, then resolved into
-    finite characters grade by grade."""
+    """Production engine: the Weyl-Kac numerator is a sum of finite
+    alternants A(u); as P is Weyl-invariant, A(u) P = sum_nu P(nu) A(u + nu),
+    and ``straighten`` makes each A(u + nu) zero or a signed finite
+    character.  The per-grade irrep coefficients expand into weight slices."""
     n, k = spec.n, spec.k
     if w.spec != spec:
         raise ValueError("weight bound to a different spec")
@@ -106,9 +127,9 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharact
     h = k + n
     t = shifted_v(lam)
 
-    # alternating numerator, rho-shifted: terms at grade
-    # (lam+rho, beta) + h*(beta,beta)/2 for beta in the root lattice
-    series: list[Poly] = [dict() for _ in range(cutoff + 1)]
+    # rho-shifted numerator terms u = t + h*beta, beta in the root lattice,
+    # at grade (lam+rho, beta) + h*(beta,beta)/2
+    terms: list[tuple[int, Labels]] = []
     top_norm = float(norm2_shifted(lam, n))
     reach = (top_norm**0.5 + (top_norm + 2 * h * cutoff) ** 0.5) / h
     lam_min = 2 - 2 * math.cos(math.pi / n)  # smallest Cartan eigenvalue
@@ -122,49 +143,32 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharact
         vb[n - 1] = -prev
         grade = sum(ta * vba for ta, vba in zip(t, vb))
         grade += h * sum(x * x for x in vb) // 2
-        if not 0 <= grade <= cutoff:
-            continue
-        u = tuple(ta + h * vba for ta, vba in zip(t, vb))
-        add_alternant(series[grade], u, 1)
+        if 0 <= grade <= cutoff:
+            terms.append((grade, tuple(ta + h * vba for ta, vba in zip(t, vb))))
 
-    # divide in place by each factor (1 - q^j e^{-gamma}) with j >= 1:
-    # gamma runs over all roots, and over 0 with multiplicity n-1
-    gammas = list(all_roots(n)) + [tuple([0] * (n - 1))] * (n - 1)
-    for j in range(1, cutoff + 1):
-        for gamma in gammas:
-            for g in range(j, cutoff + 1):
-                src = series[g - j]
-                if not src:
-                    continue
-                dst = series[g]
-                for mono, coeff in src.items():
-                    key = sub_labels(mono, gamma)
-                    dst[key] = dst.get(key, 0) + coeff
-                    if dst[key] == 0:
-                        del dst[key]
+    # finite-irrep coefficients per grade: A(u) P_d lands at grade g' + d
+    denominator = denominator_series(n, cutoff)
+    irreps: list[dict[Labels, int]] = [dict() for _ in range(cutoff + 1)]
+    for grade, u in terms:
+        for g, sl in enumerate(denominator[: cutoff + 1 - grade], start=grade):
+            dst = irreps[g]
+            for nu, mult in sl:
+                hit = straighten(tuple(a + b for a, b in zip(u, nu)))
+                if hit is not None:
+                    sign, mu = hit
+                    dst[mu] = dst.get(mu, 0) + sign * mult
 
-    # resolve each slice (still rho-shifted, equal to slice * finite Weyl
-    # denominator) into finite characters by repeated top-term extraction
+    # highest weights first (descending v), which fixes each slice's key order
     slices: list[Poly] = []
-    for g in range(cutoff + 1):
-        remaining = dict(series[g])
+    for g, coeffs in enumerate(irreps):
         out: Poly = {}
-        while remaining:
-            best = max(remaining, key=lambda mono: v_vector(mono))
-            coeff = remaining[best]
-            vbest = v_vector(best)
-            if any(vbest[a] <= vbest[a + 1] for a in range(n - 1)):
-                raise ArithmeticError(
-                    f"non-dominant leading term {best} in grade {g}"
-                )
+        for mu in sorted(coeffs, key=v_vector, reverse=True):
+            coeff = coeffs[mu]
             if coeff < 0:
-                raise ArithmeticError(
-                    f"negative character multiplicity at grade {g}"
-                )
-            mu = tuple(x - 1 for x in best)
-            add_alternant(remaining, vbest, -coeff)
-            for wlab, m in finite_weight_multiplicities(n, mu).items():
-                out[wlab] = out.get(wlab, 0) + coeff * m
+                raise ArithmeticError(f"negative character multiplicity at grade {g}")
+            if coeff:
+                for wlab, m in finite_weight_multiplicities(n, mu).items():
+                    out[wlab] = out.get(wlab, 0) + coeff * m
         slices.append(out)
 
     if slices[0] != finite_weight_multiplicities(n, lam):

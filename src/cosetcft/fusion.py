@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,8 +139,10 @@ def verlinde_tensor(s: SMatrix, tol: float = INTEGRALITY_TOL) -> FusionRing:
     return FusionRing(s.basis, table, conj, dims, s.spec, worst)
 
 
+@lru_cache(maxsize=None)
 def fusion_ring(spec: AlgebraSpec, tol: float = INTEGRALITY_TOL) -> FusionRing:
-    """Verlinde fusion ring of su(N) at level k."""
+    """Verlinde fusion ring of su(N) at level k, memoized like ``s_matrix``:
+    every caller shares the returned ring, so it must not be mutated."""
     return verlinde_tensor(s_matrix(spec), tol)
 
 

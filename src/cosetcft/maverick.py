@@ -132,10 +132,6 @@ def _su3_weight(pq: tuple[int, int]) -> Weight:
     return Weight(SU3_LEVEL2, tuple(pq))
 
 
-def _su2_weight(l: int) -> Weight:
-    return Weight(SU2_LEVEL8, (l,))
-
-
 def maverick_branching(pq: tuple[int, int], cutoff: int) -> dict[int, BranchingFunction]:
     """Branching of one level-2 su(3) module through the index-4 embedding,
     keyed by the level-8 su(2) label, with exact energy offsets."""

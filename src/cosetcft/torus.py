@@ -29,26 +29,15 @@ class TorusClass:
     rep: tuple[int, ...]
 
 
-def _residual_shifts(l: int, m: int) -> list[tuple[int, ...]]:
-    """The identification subgroup reduced mod l*m: vectors m*v with
-    v in [0,l)^(l-1) and sum(v) divisible by l."""
-    out = []
-    for v in itertools.product(range(l), repeat=l - 1):
-        if sum(v) % l == 0:
-            out.append(tuple(m * x for x in v))
-    return out
-
-
 def torus_class(l: int, m: int, n) -> TorusClass:
-    """Canonicalize an arbitrary integer charge vector."""
+    """Canonicalize an arbitrary integer charge vector: the first l-2
+    entries reduce mod m, each carrying its multiple of m into the last
+    entry (a shift by m*(e_i - e_last)), which is then fixed mod l*m."""
     if len(n) != l - 1:
         raise ValueError(f"charge vector must have length {l - 1}")
-    box = tuple(x % (l * m) for x in n)
-    orbit = [
-        tuple((x + s) % (l * m) for x, s in zip(box, shift))
-        for shift in _residual_shifts(l, m)
-    ]
-    return TorusClass(l, m, min(orbit))
+    head = tuple(x % m for x in n[:-1])
+    carried = sum(x - r for x, r in zip(n[:-1], head))
+    return TorusClass(l, m, head + ((n[-1] + carried) % (l * m),))
 
 
 def class_add(a: TorusClass, b: TorusClass) -> TorusClass:

@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 # size budget for one weight basis, checked before enumerating it
 WEIGHT_BUDGET = 100_000
@@ -66,15 +65,20 @@ class Weight:
 
 def integrable_weights(spec: AlgebraSpec) -> list[Weight]:
     """All integrable weights of su(N) at level k, in lexicographic label
-    order.  The count is C(k+N-1, N-1); a count above
+    order.  The count is C(k+N-1, r) with r = min(k, N-1); a count above
     WEIGHT_BUDGET is refused before any enumeration."""
     n, k = spec.n, spec.k
-    count = comb(k + n - 1, n - 1)
-    if count > WEIGHT_BUDGET:
-        raise ValueError(
-            f"su({n}) at level {k} has {count} integrable weights, "
-            f"over the budget of {WEIGHT_BUDGET}"
-        )
+    # the partial counts C(k+N-1-r+i, i) only grow: refuse at the first one
+    # over the budget, before a binomial of 600,000 digits at N = k = 10^6
+    r = min(k, n - 1)
+    count = 1
+    for i in range(1, r + 1):
+        count = count * (k + n - 1 - r + i) // i
+        if count > WEIGHT_BUDGET:
+            raise ValueError(
+                f"su({n}) at level {k} has more than {WEIGHT_BUDGET} "
+                "integrable weights, over the budget"
+            )
     return [Weight(spec, lab) for lab in _bounded_labels(n - 1, k)]
 
 
@@ -186,18 +190,6 @@ def norm2_shifted(labels: Labels, n: int) -> Fraction:
 #
 # The Weyl group S_N permutes the v-coordinates of a weight.
 
-@lru_cache(maxsize=None)
-def perms_with_sign(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every permutation of range(n) with its sign."""
-    out = []
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        out.append((perm, -1 if inversions % 2 else 1))
-    return tuple(out)
-
-
 def root(n: int, a: int, b: int) -> Labels:
     """Label vector of the su(n) root e_a - e_b."""
     return labels_from_v(tuple(int(j == a) - int(j == b) for j in range(n)))
@@ -227,14 +219,20 @@ def weyl_orbit(labels: Labels) -> set[Labels]:
     return {labels_from_v(v) for v in itertools.permutations(v_vector(labels))}
 
 
-def add_alternant(poly: dict[Labels, int], v, coeff: int) -> None:
-    """Add coeff times the alternant sum_w sign(w) e^(w v) to poly in place,
-    with v in v-coordinates; entries that cancel are dropped."""
-    for perm, sign in perms_with_sign(len(v)):
-        mono = labels_from_v(tuple(v[p] for p in perm))
-        poly[mono] = poly.get(mono, 0) + coeff * sign
-        if poly[mono] == 0:
-            del poly[mono]
+def straighten(v) -> tuple[int, Labels] | None:
+    """Racah-Speiser: the alternant sum_w sign(w) e^(w v) of v-coordinates v
+    is None (zero) when two coordinates coincide, else sign times the
+    alternant of mu + rho, the sorted v, returned as (sign, mu)."""
+    inversions = 0
+    for a in range(len(v)):
+        for b in range(a + 1, len(v)):
+            if v[a] == v[b]:
+                return None
+            if v[a] < v[b]:
+                inversions += 1
+    ordered = sorted(v, reverse=True)
+    mu = tuple(ordered[i] - ordered[i + 1] - 1 for i in range(len(v) - 1))
+    return (-1 if inversions % 2 else 1), mu
 
 
 @lru_cache(maxsize=None)

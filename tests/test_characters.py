@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import math
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcft import (
     AlgebraSpec,
@@ -25,7 +27,12 @@ from cosetcft import (
     vacuum_membership,
     vacuum_orbit_membership,
 )
-from cosetcft.characters import finite_weight_multiplicities, weyl_dimension
+from cosetcft.characters import (
+    denominator_series,
+    finite_weight_multiplicities,
+    weyl_dimension,
+)
+from cosetcft.weights import labels_from_v, weyl_orbit
 
 ISING = CosetSpec(2, 1, 1)
 
@@ -110,6 +117,15 @@ class TestGradedCharacterEngine:
             b = freudenthal_character(spec, x, 5)
             assert a.slices == b.slices
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 4), st.data())
+    def test_random_engines_agree(self, n, k, cutoff, data):
+        spec = AlgebraSpec.su(n, k)
+        x = data.draw(st.sampled_from(integrable_weights(spec)))
+        a = graded_character(spec, x, cutoff)
+        b = freudenthal_character(spec, x, cutoff)
+        assert a.slices == b.slices
+
     def test_grade_zero_is_finite_irrep(self):
         spec = AlgebraSpec.su(3, 2)
         for x in integrable_weights(spec):
@@ -138,6 +154,45 @@ class TestGradedCharacterEngine:
         assert g.weight_mult((2,), 1) == 1
         with pytest.raises(ValueError):
             g.weight_mult((0,), 7)
+
+
+def eta_power_coefficients(power, limit):
+    """q^g coefficients of prod_j (1 - q^j)^-power for g <= limit."""
+    p = [1] + [0] * limit
+    for j in range(1, limit + 1):
+        for _ in range(power):
+            for g in range(j, limit + 1):
+                p[g] += p[g - j]
+    return p
+
+
+class TestDenominatorSeries:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_total_is_eta_power(self, n):
+        # setting e^alpha = 1 leaves prod_j (1 - q^j)^-(N^2 - 1)
+        series = denominator_series(n, 6)
+        want = eta_power_coefficients(n * n - 1, 6)
+        assert [sum(m for _, m in sl) for sl in series] == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_slices_are_weyl_invariant(self, n):
+        for sl in denominator_series(n, 6):
+            table = {labels_from_v(v): m for v, m in sl}
+            assert len(table) == len(sl)
+            for lab, m in table.items():
+                assert all(table.get(x) == m for x in weyl_orbit(lab))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_smaller_cutoff_is_a_prefix(self, n):
+        assert denominator_series(n, 6)[:5] == denominator_series(n, 4)
+
+    def test_computed_once_per_rank_and_cutoff(self):
+        spec = AlgebraSpec.su(3, 4)
+        denominator_series.cache_clear()
+        graded_character.cache_clear()
+        for x in integrable_weights(spec):
+            graded_character(spec, x, 6)
+        assert denominator_series.cache_info().misses == 1
 
 
 class TestTensorAndRestrict:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosetcft
 from cosetcft import cli, coset, fusion, weights
@@ -465,3 +469,107 @@ class TestUnsupportedCsv:
         conf.write_text("output_format=csv\n")
         code, out = run(capsys, "verify", "ising", "--config", str(conf))
         assert code == 2 and out == ""
+
+
+# --- argv grammar -------------------------------------------------------------
+#
+# Mostly well-formed commands at small sizes, with malformed tokens, zero and
+# negative numbers, and oversized sentinels (level 10**6, cutoff 41) that the
+# input budgets refuse at once mixed in.  `branch --coset` stays at N <= 3:
+# its cost has no budget yet.
+
+BAD_NUMBERS = ["-1", "0", "x", "", "1000000"]
+BAD_LABELS = ["-1", "1,,0", "a", "", "0,0,0,0"]
+SUITE_NAMES = ["unitarity", "fusion", "simple-current", "kw", "formula31", "ising",
+               "fixed-point", "parafermion", "maverick", "branching", "kw-numeric",
+               "all", "bogus"]
+
+pick = st.sampled_from
+
+
+def mostly(good, bad):
+    """Four draws in five from ``good``, the rest from ``bad``."""
+    return st.integers(0, 4).flatmap(lambda i: bad if i == 4 else good)
+
+
+def number(*good):
+    return mostly(pick(good), pick(BAD_NUMBERS))
+
+
+def optional(flag, values, absent=1):
+    """[] in ``absent`` draws out of absent + 1, else [flag, value]."""
+    present = values.map(lambda v: [flag, v])
+    return st.integers(0, absent).flatmap(lambda i: present if i == absent else st.just([]))
+
+
+def labels(rank_text):
+    length = int(rank_text) - 1 if rank_text in ("2", "3") else 1
+    good = st.lists(st.integers(0, 1), min_size=length, max_size=length)
+    return mostly(good.map(lambda xs: ",".join(map(str, xs))), pick(BAD_LABELS))
+
+
+ALGEBRA = mostly(pick(["su2", "su3"]), pick(["su1", "su", "sl2", "su1000000"]))
+CUTOFF = mostly(pick(["0", "2", "4"]), pick(["-1", "41", "x"]))
+
+
+@st.composite
+def command_argv(draw):
+    command = draw(pick(["weights", "smatrix", "fuse", "coset-ring", "branch", "verify"]))
+    if command in ("weights", "smatrix"):
+        args = ["--algebra", draw(ALGEBRA), "--level", draw(number("1", "2", "3"))]
+    elif command == "fuse":
+        algebra = draw(ALGEBRA)
+        rank = algebra[2:]
+        args = [algebra, draw(number("1", "2", "3")), draw(labels(rank)), draw(labels(rank))]
+    elif command == "coset-ring":
+        args = [draw(number("2", "3")), draw(number("1", "2")), draw(number("1", "2"))]
+    elif command == "branch" and draw(st.booleans()):
+        pq = draw(labels("3"))
+        downstairs = draw(number("0", "4", "8", "9"))
+        sector = draw(mostly(st.just(f"{pq};{downstairs}"), pick(["1,1", "x;y", "1;2;3"])))
+        args = ["--maverick", "--sector", sector] + draw(optional("--cutoff", CUTOFF))
+    elif command == "branch":
+        rank = draw(mostly(pick(["2", "3"]), pick(["-1", "0", "1", "x", ""])))
+        triple = [rank, draw(number("1", "2")), draw(number("1", "2"))]
+        coset = draw(mostly(st.just(",".join(triple)), st.just(",".join(triple[:2]))))
+        parts = draw(mostly(st.just(3), pick([1, 2, 4])))
+        sector = ";".join(draw(labels(rank)) for _ in range(parts))
+        args = ["--coset", coset, "--sector", sector] + draw(optional("--cutoff", CUTOFF))
+    else:
+        args = [draw(pick(SUITE_NAMES))]
+        args += draw(optional("--n", number("2", "3"), absent=3))
+        args += draw(optional("--m1", number("1", "2"), absent=3))
+        args += draw(optional("--m2", number("1", "2"), absent=3))
+    return [command] + args
+
+
+@st.composite
+def cli_argv(draw, out_dir):
+    if draw(st.integers(0, 9)) == 9:  # token soup
+        return draw(st.lists(pick(["weights", "branch", "--level", "1", "su2", "--format",
+                                   "--out", "--help", "-x", ""]), max_size=4))
+    argv = draw(command_argv())
+    argv += draw(optional("--format", mostly(pick(["json", "table"]), pick(["csv", "yaml"]))))
+    good_out = st.just(str(out_dir / "doc.out"))
+    bad_out = pick([str(out_dir / "missing" / "doc.out"), str(out_dir)])
+    argv += draw(optional("--out", mostly(good_out, bad_out), absent=3))
+    argv += draw(optional("--config", st.just(str(out_dir / "no-such.conf")), absent=9))
+    return argv
+
+
+class TestArgvGrammar:
+    def test_no_traceback_and_documented_exit_codes(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("grammar")
+
+        @settings(max_examples=1000, deadline=None)
+        @given(cli_argv(out_dir))
+        def check(argv):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2), (argv, code)
+
+        check()

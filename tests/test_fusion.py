@@ -28,7 +28,7 @@ from cosetcft import (
     verlinde_tensor,
 )
 from cosetcft import fusion, modular
-from cosetcft.verify import DESK_SPECS
+from cosetcft.verify import DESK_SPECS, SUITES, Config
 from cosetcft.coset import coset_ring
 from cosetcft.maverick import build_maverick_ring
 from cosetcft.torus import torus_ring
@@ -360,6 +360,27 @@ class TestFusePair:
             fuse_pair(corrupt, sm.basis[1], sm.basis[2])
         assert err.value.residual > 1e-6
         assert err.value.indices[:2] == (1, 2)
+
+
+class TestSharedRings:
+    def test_memoized(self):
+        spec = AlgebraSpec.su(3, 2)
+        assert fusion_ring(spec) is fusion_ring(spec)
+
+    def test_desk_suites_build_each_ring_once(self, monkeypatch):
+        calls = []
+        original = fusion.verlinde_tensor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].spec)
+            return original(*args, **kwargs)
+
+        fusion_ring.cache_clear()
+        # fusion_ring looks verlinde_tensor up in `fusion` at call time
+        monkeypatch.setattr(fusion, "verlinde_tensor", counting)
+        for name in ("fusion", "simple-current"):
+            assert SUITES[name](Config(), True).passed
+        assert len(calls) == 18
 
 
 def forbid(monkeypatch, *names):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -181,3 +183,34 @@ class TestRing:
         sm = s_matrix(AlgebraSpec.su(2, 2))
         for s in ring.basis:
             assert ring.dims[s] == quantum_dimension(sm, s.weight)
+
+
+def orbit_minimum(l, m, n):
+    """Reference canonical form by search: the lexicographic minimum of the
+    orbit under the shifts m*v, v in [0, l)^(l-1) with sum(v) divisible by
+    l, after entrywise reduction mod l*m."""
+    box = tuple(x % (l * m) for x in n)
+    return min(
+        tuple((x + m * s) % (l * m) for x, s in zip(box, v))
+        for v in itertools.product(range(l), repeat=l - 1)
+        if sum(v) % l == 0
+    )
+
+
+@st.composite
+def charge_vectors(draw):
+    l, m = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    n = draw(st.lists(st.integers(-60, 60), min_size=l - 1, max_size=l - 1))
+    return l, m, n
+
+
+class TestClosedForm:
+    @given(charge_vectors())
+    def test_matches_orbit_minimum(self, case):
+        l, m, n = case
+        assert torus_class(l, m, n).rep == orbit_minimum(l, m, n)
+
+    @pytest.mark.parametrize("l,m", [(2, 3), (3, 2), (4, 2)])
+    def test_every_box_vector(self, l, m):
+        for n in itertools.product(range(l * m), repeat=l - 1):
+            assert torus_class(l, m, n).rep == orbit_minimum(l, m, n)

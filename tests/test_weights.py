@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb
 
@@ -75,6 +76,25 @@ class TestSizeBudget:
         # C(59, 9), about 1.3e10 weights
         with pytest.raises(ValueError, match="budget"):
             integrable_weights(AlgebraSpec.su(10, 50))
+
+    def test_huge_rank_and_level_refused_at_once(self, no_enumeration):
+        # C(2*10^6 - 1, 10^6 - 1) has about 600,000 digits
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget"):
+            integrable_weights(AlgebraSpec.su(10**6, 10**6))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(2, 99_999), (2, 100_000), (100_000, 1), (100_001, 1), (446, 2), (447, 2), (5, 36), (5, 37)],
+    )
+    def test_budget_matches_binomial(self, monkeypatch, n, k):
+        monkeypatch.setattr(weights, "_bounded_labels", lambda length, bound: iter(()))
+        if comb(k + n - 1, n - 1) > weights.WEIGHT_BUDGET:
+            with pytest.raises(ValueError, match="budget"):
+                integrable_weights(AlgebraSpec.su(n, k))
+        else:
+            assert integrable_weights(AlgebraSpec.su(n, k)) == []
 
     def test_budget_boundary(self, monkeypatch):
         monkeypatch.setattr(weights, "_bounded_labels", lambda length, bound: iter(()))
@@ -185,3 +205,43 @@ class TestConformalWeight:
     def test_su3_fundamental_level1(self):
         # (L, L+2rho) = 4/3 for the defining rep
         assert conformal_weight(w(3, 1, 1, 0)) == Fraction(4, 12)
+
+
+def permutation_sign(perm):
+    inversions = sum(
+        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
+    )
+    return -1 if inversions % 2 else 1
+
+
+@st.composite
+def distinct_v(draw):
+    n = draw(st.integers(2, 6))
+    return draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True))
+
+
+class TestStraighten:
+    def test_dominant_input_is_fixed(self):
+        # v of (2, 1) + rho in su(3) is (5, 2, 0)
+        assert weights.straighten((5, 2, 0)) == (1, (2, 1))
+        assert weights.straighten((0, 2, 5)) == (-1, (2, 1))
+        assert weights.straighten((2, 2, 0)) is None
+
+    @given(distinct_v(), st.data())
+    def test_permuting_multiplies_the_sign(self, v, data):
+        perm = data.draw(st.permutations(range(len(v))))
+        sign, mu = weights.straighten(v)
+        moved = tuple(v[p] for p in perm)
+        assert weights.straighten(moved) == (sign * permutation_sign(perm), mu)
+        assert all(x >= 0 for x in mu)
+        # mu + rho has the sorted coordinates, up to a common shift
+        ordered = sorted(v, reverse=True)
+        assert weights.shifted_v(mu) == tuple(x - ordered[-1] for x in ordered)
+
+    @given(distinct_v(), st.data())
+    def test_repeated_coordinate_vanishes(self, v, data):
+        i, j = data.draw(
+            st.lists(st.integers(0, len(v) - 1), min_size=2, max_size=2, unique=True)
+        )
+        v[j] = v[i]
+        assert weights.straighten(v) is None
