@@ -24,6 +24,7 @@ from .fusion import (
     FusionRing,
     IntegralityViolation,
     SimpleCurrentReport,
+    SparseTensor,
     dimension_homomorphism_residual,
     fuse,
     fuse_pair,

@@ -10,6 +10,7 @@ requested check passed, 1 on a check failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ from .weights import AlgebraSpec, Weight, color, conformal_weight, integrable_we
 
 OUT_DIR_ENV = "COSETCFT_OUT_DIR"
 CSV_COMMANDS = ("weights", "branch")  # the only results _to_csv can render
+JSON_BATCH = 8192  # encoder pieces per write; one write per piece is slow
 
 
 def _parse_algebra(text: str) -> int:
@@ -114,6 +116,10 @@ def cmd_fuse(args, config: Config) -> tuple[dict, list[VerificationReport]]:
 def cmd_coset_ring(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     spec = CosetSpec(args.n, args.m1, args.m2)
     ring = coset_ring(spec)  # raises NotFaithful on fixed points
+    # the reports run first, so their arrays are gone before the document
+    # copies the constants
+    reports = coset_ring_reports(ring, config)
+    names = [str(a) for a in range(len(ring.basis))]  # keys share these strings
     orbits = [
         {
             "representative": [_weight_str(w) for w in (
@@ -125,7 +131,7 @@ def cmd_coset_ring(args, config: Config) -> tuple[dict, list[VerificationReport]
         for o in ring.basis
     ]
     constants = {
-        f"{a}*{b}": {str(c): v for c, v in sorted(payload.items())}
+        f"{names[a]}*{names[b]}": {names[c]: v for c, v in sorted(payload.items())}
         for (a, b), payload in sorted(ring.table.items())
     }
     return {
@@ -133,7 +139,7 @@ def cmd_coset_ring(args, config: Config) -> tuple[dict, list[VerificationReport]
         "orbits": orbits,
         "structure_constants": constants,
         "dgh": format_real(dgh(spec)),
-    }, coset_ring_reports(ring, config)
+    }, reports
 
 
 def cmd_branch(args, config: Config) -> tuple[dict, list[VerificationReport]]:
@@ -209,20 +215,30 @@ def cmd_verify(args, config: Config) -> tuple[dict, list[VerificationReport]]:
 def _emit(document: dict, runtimes: list, config: Config, args) -> None:
     fmt = args.format or config.output_format
     if fmt == "json":
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        texts = _json_batches(document)
     elif fmt == "csv":
-        text = _to_csv(document)
+        texts = [_to_csv(document)]
     else:
-        text = _to_table(document, runtimes)
+        texts = [_to_table(document, runtimes)]
     out_path = args.out
     if out_path:
         base = os.environ.get(OUT_DIR_ENV)
         if base and not os.path.isabs(out_path):
             out_path = os.path.join(base, out_path)
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
+
+
+def _json_batches(document: dict):
+    """The text of ``json.dumps(document, indent=2, sort_keys=True)`` and a
+    newline, streamed from the encoder in batches of JSON_BATCH pieces (tens
+    of KiB), so neither the whole text nor its list of pieces is held."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
+    while batch := "".join(itertools.islice(pieces, JSON_BATCH)):
+        yield batch
+    yield "\n"
 
 
 def _to_csv(document: dict) -> str:

@@ -64,10 +64,13 @@ class BasedRing:
     def dense(self) -> np.ndarray:
         return dense_tensor(self.table, len(self.basis))
 
+    def sparse(self) -> SparseTensor:
+        return SparseTensor.from_table(self.table, len(self.basis))
+
     def axiom_failures(self) -> list[str]:
         """Based-ring axiom failures of this ring's constants, as
         ``ring_axiom_failures`` describes them; empty when all hold."""
-        return ring_axiom_failures(self.dense(), self.conj)
+        return ring_axiom_failures(self.sparse(), self.conj)
 
 
 @dataclass(frozen=True)
@@ -84,15 +87,68 @@ class FusionRing(BasedRing):
 
 def dense_tensor(table: dict[tuple[int, int], dict[int, int]], m: int) -> np.ndarray:
     """The m x m x m int64 array of a sparse structure-constant table."""
-    require_dense_budget(m**3, f"a ring of {m} basis elements")
-    t = np.zeros((m, m, m), dtype=np.int64)
-    payloads = list(table.values())
-    ij = np.array(list(table), dtype=np.int64).reshape(-1, 2)
-    ij = np.repeat(ij, [len(p) for p in payloads], axis=0)
-    k = np.fromiter(itertools.chain.from_iterable(payloads), np.int64, len(ij))
-    values = itertools.chain.from_iterable(p.values() for p in payloads)
-    t[ij[:, 0], ij[:, 1], k] = np.fromiter(values, np.int64, len(ij))
-    return t
+    return SparseTensor.from_table(table, m).dense()
+
+
+@dataclass(frozen=True, eq=False)
+class SparseTensor:
+    """The nonzero entries of an m x m x m integer tensor: int64 arrays
+    ``i``, ``j``, ``k`` of distinct positions and ``v`` of values, in
+    increasing (i, j, k) order.  Each (i, j) pair's payload is therefore one
+    contiguous run, ordered by k."""
+
+    shape: tuple[int, int, int]
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    v: np.ndarray
+
+    @classmethod
+    def from_entries(cls, m: int, i, j, k, v) -> "SparseTensor":
+        """Drop zero values and order the entries; the sort is skipped when
+        the positions already increase, as every ring constructor emits
+        them."""
+        nonzero = v != 0
+        if not nonzero.all():
+            i, j, k, v = i[nonzero], j[nonzero], k[nonzero], v[nonzero]
+        key = (i * m + j) * m + k
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key)
+            i, j, k, v = i[order], j[order], k[order], v[order]
+        return cls((m, m, m), i, j, k, v)
+
+    @classmethod
+    def from_table(
+        cls, table: dict[tuple[int, int], dict[int, int]], m: int
+    ) -> "SparseTensor":
+        payloads = list(table.values())
+        sizes = [len(p) for p in payloads]
+        pairs = itertools.chain.from_iterable(table)
+        pairs = np.fromiter(pairs, np.int64, 2 * len(table))
+        nnz = sum(sizes)
+        k = np.fromiter(itertools.chain.from_iterable(payloads), np.int64, nnz)
+        values = itertools.chain.from_iterable(p.values() for p in payloads)
+        v = np.fromiter(values, np.int64, nnz)
+        return cls.from_entries(
+            m, np.repeat(pairs[0::2], sizes), np.repeat(pairs[1::2], sizes), k, v
+        )
+
+    @classmethod
+    def from_dense(cls, tensor: np.ndarray) -> "SparseTensor":
+        nonzero = np.nonzero(tensor)  # C order: already (i, j, k) order
+        return cls(tensor.shape, *nonzero, tensor[nonzero])
+
+    def dense(self) -> np.ndarray:
+        m = self.shape[0]
+        require_dense_budget(m**3, f"a ring of {m} basis elements")
+        t = np.zeros(self.shape, dtype=np.int64)
+        t[self.i, self.j, self.k] = self.v
+        return t
+
+    def same_entries(self, other: "SparseTensor") -> bool:
+        mine = (self.i, self.j, self.k, self.v)
+        theirs = (other.i, other.j, other.k, other.v)
+        return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
 
 
 def _round_verlinde(
@@ -223,11 +279,12 @@ def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     return SimpleCurrentReport(not failures, checked, failures)
 
 
-def ring_axiom_failures(tensor: np.ndarray, conj_perm) -> list[str]:
-    """Exhaustive based-ring axiom check on a dense coefficient tensor whose
-    unit is basis element 0, as every ring constructor here orders it: the
-    vacuum weight, the vacuum orbit, the vacuum torus sector, the Maverick
-    "1", and the tuple of factor units in a product.
+def ring_axiom_failures(tensor: SparseTensor | np.ndarray, conj_perm) -> list[str]:
+    """Exhaustive based-ring axiom check on the structure constants, a
+    ``SparseTensor`` or a dense array, whose unit is basis element 0, as
+    every ring constructor here orders it: the vacuum weight, the vacuum
+    orbit, the vacuum torus sector, the Maverick "1", and the tuple of factor
+    units in a product.
 
     Returns human-readable failure descriptions; empty means all axioms hold.
 
@@ -242,10 +299,11 @@ def ring_axiom_failures(tensor: np.ndarray, conj_perm) -> list[str]:
     nonderogatory, every N_k lies in the commutant of A, which is Q[A], so
     all N_k commute.  The certificate is exact on three counts:
 
-    * A is summed in int64; A N_k and N_k A are float64 products, one k at a
-      time, whose partial sums are bounded by max c * max_x sum_ij |N_xi^j| *
-      max_ij sum_l |N_ij^l|; the certificate declines unless that bound is
-      below 2^53, where float64 arithmetic on integers is exact.
+    * A is scatter-added in int64; A N_k and N_k A are float64 products, one
+      k at a time, whose partial sums are bounded by max c * max_x
+      sum_ij |N_xi^j| * max_ij sum_l |N_ij^l|; the certificate declines
+      unless that bound is below 2^53, where float64 arithmetic on integers
+      is exact.
     * A is nonderogatory when the Krylov matrix with rows e_0, e_0 A, ...,
       e_0 A^(m-1) has full rank (for a unital ring, the coordinates of the
       powers of sum_i c_i b_i).  The rank is taken modulo a prime p, and a
@@ -263,65 +321,99 @@ def ring_axiom_failures(tensor: np.ndarray, conj_perm) -> list[str]:
     every entry is at most max_ij sum_m |N_ij^m| * max |N|, and when that
     bound reaches 2^53 the check reports a failure instead of contracting.
 
-    Besides the input, only the scan makes m x m x m arrays; the certificate
-    works on m x m slices.
+    The unit, commutativity and conjugation checks compare the nonzero
+    entries as arrays, and the certificate builds one m x m fusion matrix at
+    a time, so memory is O(nnz + m^2).  Only the scan makes an m x m x m
+    array, held to DENSE_BUDGET.
     """
+    if isinstance(tensor, np.ndarray):
+        tensor = SparseTensor.from_dense(tensor)
     out = []
     m = tensor.shape[0]
-    negative = tensor.min() < 0
+    i, j, k, v = tensor.i, tensor.j, tensor.k, tensor.v
+    negative = v.size > 0 and v.min() < 0
     if negative:
         out.append("negative structure constant")
-    expected_unit = np.eye(m, dtype=np.int64)
-    if not np.array_equal(tensor[0], expected_unit):
+    basis = np.arange(m)
+    unit_row = slice(0, np.searchsorted(i, 1))  # the entries with i = 0
+    if not _ones_exactly_at(j[unit_row], k[unit_row], v[unit_row], basis, basis):
         out.append("unit row is not the identity permutation")
-    commutative = np.array_equal(tensor, tensor.transpose(1, 0, 2))
+    # the run of pair p = i * m + j is entries ptr[p] to ptr[p + 1]
+    pair = i * m + j
+    pair_sizes = np.bincount(pair, minlength=m * m)
+    ptr = np.concatenate(([0], np.cumsum(pair_sizes)))
+    pair_sizes = pair_sizes.reshape(m, m)
+    commutative = np.array_equal(pair_sizes, pair_sizes.T)
+    if commutative:
+        # equal run lengths: entry r of run (i, j) must equal entry r of (j, i)
+        mirror = ptr[j * m + i] + (np.arange(v.size) - ptr[pair])
+        commutative = np.array_equal(k[mirror], k) and np.array_equal(v[mirror], v)
     if not commutative:
         out.append("commutativity fails")
-    conj_matrix = np.zeros((m, m), dtype=np.int64)
-    for i, ic in enumerate(conj_perm):
-        conj_matrix[i, ic] = 1
-    if not np.array_equal(tensor[:, :, 0], conj_matrix):
+    to_unit = k == 0
+    conj_rows = np.arange(len(conj_perm))
+    if not _ones_exactly_at(i[to_unit], j[to_unit], v[to_unit], conj_rows, conj_perm):
         out.append("conjugation axiom N_ij^0 = delta(j, conj i) fails")
     if not commutative:
         return out
-    magnitude = np.abs(tensor) if negative else tensor
-    row_sums = magnitude.sum(axis=2)
-    if int(row_sums.max()) * int(magnitude.max()) >= 2**53:
+    magnitude = np.abs(v) if negative else v
+    nonempty = pair_sizes.ravel() > 0
+    row_sums = np.zeros(m * m, dtype=np.int64)
+    if v.size:
+        row_sums[nonempty] = np.add.reduceat(magnitude, ptr[:-1][nonempty])
+    row_sums = row_sums.reshape(m, m)
+    largest = int(magnitude.max()) if v.size else 0
+    if int(row_sums.max()) * largest >= 2**53:
         out.append("structure constants too large for an exact associativity check")
         return out
-    del magnitude
     if _fusion_matrices_commute(tensor, row_sums):
         return out
-    i = _first_nonassociative_row(tensor)
-    if i is not None:
-        out.append(f"associativity fails for left factor index {i}")
+    row = _first_nonassociative_row(tensor)
+    if row is not None:
+        out.append(f"associativity fails for left factor index {row}")
     return out
 
 
-def _fusion_matrices_commute(tensor: np.ndarray, row_sums: np.ndarray) -> bool:
+def _ones_exactly_at(rows, cols, values, want_rows, want_cols) -> bool:
+    """True when the entries at (rows, cols) are exactly ones at (want_rows,
+    want_cols), in the same order."""
+    return (
+        np.array_equal(rows, want_rows)
+        and np.array_equal(cols, want_cols)
+        and bool((values == 1).all())
+    )
+
+
+def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool:
     """True when the commuting-matrix certificate proves that all fusion
     matrices of the commutative tensor commute; False means undecided."""
     m = tensor.shape[0]
+    i, j, k, v = tensor.i, tensor.j, tensor.k, tensor.v
     # a linear sequence such as 1..m makes A derogatory on symmetric rings
     coeffs = np.arange(1, m + 1) ** 3 % 65521 + 1
     # Python ints: m row sums, each below 2^53, can pass 2^63 in int64
     slice_total = int(row_sums.sum(axis=1, dtype=object).max())
     if int(coeffs.max()) * slice_total * int(row_sums.max()) >= 2**53:
         return False
-    a = (coeffs @ tensor.reshape(m, m * m)).reshape(m, m)
+    a = np.zeros(m * m, dtype=np.int64)
+    np.add.at(a, j * m + k, coeffs[i] * v)
+    a = a.reshape(m, m)
     a_float = a.astype(np.float64)
-    for fusion_matrix in tensor:
-        n_k = fusion_matrix.astype(np.float64)
+    row_starts = np.searchsorted(i, np.arange(m + 1))
+    n_k = np.zeros((m, m))
+    for start, stop in zip(row_starts[:-1], row_starts[1:]):
+        n_k[:] = 0
+        n_k[j[start:stop], k[start:stop]] = v[start:stop]
         if not np.array_equal(a_float @ n_k, n_k @ a_float):
             return False
     p = KRYLOV_PRIME
     a_mod = a % p
     krylov = np.empty((m, m), dtype=np.int64)
-    v = np.zeros(m, dtype=np.int64)
-    v[0] = 1
-    for j in range(m):
-        krylov[j] = v
-        v = v @ a_mod % p
+    vec = np.zeros(m, dtype=np.int64)
+    vec[0] = 1
+    for row in range(m):
+        krylov[row] = vec
+        vec = vec @ a_mod % p
     return _full_rank_mod(krylov, p)
 
 
@@ -342,10 +434,11 @@ def _full_rank_mod(mat: np.ndarray, p: int) -> bool:
     return True
 
 
-def _first_nonassociative_row(tensor: np.ndarray) -> int | None:
-    """First row i whose ((b_i b_j) b_k) is not symmetric in (j,k), or None."""
+def _first_nonassociative_row(tensor: SparseTensor) -> int | None:
+    """First row i whose ((b_i b_j) b_k) is not symmetric in (j,k), or None.
+    The only axiom step that densifies the tensor."""
     m = tensor.shape[0]
-    t = tensor.astype(np.float64)
+    t = tensor.dense().astype(np.float64)
     flat = t.reshape(m, m * m)
     for i in range(m):
         lhs = (t[i] @ flat).reshape(m, m, m)  # sum_m N_ij^m N_mk^l

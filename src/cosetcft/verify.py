@@ -35,6 +35,7 @@ from .coset import (
 )
 from .fusion import (
     BasedRing,
+    SparseTensor,
     dimension_homomorphism_residual,
     fusion_ring,
     ring_axiom_failures,
@@ -176,14 +177,17 @@ def check_fusion(config: Config, specs) -> VerificationReport:
     for n, k in specs:
         ring = fusion_ring(AlgebraSpec.su(n, k), config.tolerance_integrality)
         worst = max(worst, ring.integrality_residual)
-        # one dense tensor serves both the axioms and the covariance check
-        tensor = ring.dense()
+        # one sparse form serves both the axioms and the covariance check
+        tensor = ring.sparse()
         failures = ring_axiom_failures(tensor, ring.conj)
-        # covariance under the cyclic relabeling of rows and targets
+        # covariance: relabelling rows and targets by sigma^t keeps the entries
+        m = tensor.shape[0]
         for t in range(1, n):
             perm = np.array(ring.sigma_permutation(t))
-            moved = tensor[np.ix_(perm, range(len(perm)), perm)]
-            if not np.array_equal(moved, tensor):
+            moved = SparseTensor.from_entries(
+                m, perm[tensor.i], tensor.j, perm[tensor.k], tensor.v
+            )
+            if not moved.same_entries(tensor):
                 failures.append(f"cyclic covariance fails at power {t}")
                 break
         res = dimension_homomorphism_residual(ring)

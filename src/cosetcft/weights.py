@@ -239,19 +239,28 @@ def straighten(v) -> tuple[int, Labels] | None:
 def finite_weight_multiplicities(n: int, lam: Labels) -> dict[Labels, int]:
     """Full weight system of the finite su(n) irrep with highest weight lam,
     by the Freudenthal recursion over dominant weights."""
-    simple = [root(n, i, i + 1) for i in range(n - 1)]
-    # dominant support: lam - sum(c_i alpha_i) with c in a box and labels >= 0
-    cmax = root_coordinates(add_labels(lam, tuple(reversed(lam))), n)
-    assert all(c.denominator == 1 for c in cmax)
-    dominants = []
-    for c in itertools.product(*(range(int(x) + 1) for x in cmax)):
-        mu = lam
-        for ci, row in zip(c, simple):
-            if ci:
-                mu = tuple(m - ci * r for m, r in zip(mu, row))
-        if all(x >= 0 for x in mu):
-            dominants.append(mu)
-    dominants = sorted(set(dominants), key=lambda m: -norm2_shifted(m, n))
+    # Dominant support: every dominant mu <= lam is reached from lam by
+    # subtracting positive roots through dominant weights only (Stembridge,
+    # "The partial order of dominant weights", Adv. Math. 1998).  Each mu
+    # carries its simple-root coordinates c, lam - mu = sum(c_i alpha_i).
+    steps = [
+        (root(n, a, b), tuple(int(a <= i < b) for i in range(n - 1)))
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
+    coords = {lam: (0,) * (n - 1)}
+    stack = [lam]
+    while stack:
+        mu = stack.pop()
+        for alpha, step in steps:
+            nu = sub_labels(mu, alpha)
+            if nu not in coords and min(nu) >= 0:
+                coords[nu] = add_labels(coords[mu], step)
+                stack.append(nu)
+    # Listing by increasing c before set() fixes the table's key order (that
+    # of a lexicographic scan of c), which graded-character slices inherit.
+    in_box_order = sorted(coords, key=coords.__getitem__)
+    dominants = sorted(set(in_box_order), key=lambda m: -norm2_shifted(m, n))
     support = set(dominants)
     top_norm = norm2_shifted(lam, n)
     mult: dict[Labels, int] = {}

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,66 @@ class TestCosetRingCommand:
         code, out = run(capsys, *op["cmd"].split())
         assert code == op["exit"]
         assert hashlib.sha256(out.encode()).hexdigest() == op["sha256"]
+
+
+    # digests of two outputs that no benchmark op records, taken before the
+    # JSON emit was streamed
+    def test_table_digest(self, capsys):
+        code, out = run(capsys, "coset-ring", "3", "3", "2", "--format", "table")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == (
+            "2e7766818affa2e1142f1a763e8ced245c4f93d52dac4a9ac3a88f3317533ded"
+        )
+
+    def test_out_file_digest(self, capsys, tmp_path):
+        target = tmp_path / "ring.json"
+        code, out = run(capsys, "coset-ring", "3", "3", "2", "--out", str(target))
+        assert code == 0 and out == ""
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert digest == (
+            "64343aede1277247a8561f968866294e087d0f17cb9e830e81e9dd88a3f1a067"
+        )
+
+
+class DigestSink:
+    """A stdout that keeps only the length and sha256 of what it is sent."""
+
+    def __init__(self):
+        self.size = 0
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.size += len(text)
+        self.digest.update(text.encode())
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+def test_streamed_emit_holds_less_than_its_output(monkeypatch):
+    args = cli._build_parser().parse_args(["coset-ring", "3", "3", "2"])
+    config = Config()
+    result, reports = cli.cmd_coset_ring(args, config)
+    document = {
+        "command": args.command,
+        "config": config.as_dict(),
+        "result": result,
+        "reports": [r.as_dict() for r in reports],
+    }
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._emit(document, [r.runtime for r in reports], config, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    assert sink.size == len(text)
+    assert sink.digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+    assert peak < sink.size
 
 
 class TestIntegralityViolation:

@@ -13,6 +13,7 @@ from cosetcft import (
     CosetSpec,
     IntegralityViolation,
     SMatrix,
+    SparseTensor,
     Weight,
     conjugate_weight,
     dimension_homomorphism_residual,
@@ -27,8 +28,8 @@ from cosetcft import (
     simple_current_check,
     verlinde_tensor,
 )
-from cosetcft import fusion, modular
-from cosetcft.verify import DESK_SPECS, SUITES, Config
+from cosetcft import fusion, modular, verify
+from cosetcft.verify import DESK_SPECS, SUITES, Config, coset_ring_reports
 from cosetcft.coset import coset_ring
 from cosetcft.maverick import build_maverick_ring
 from cosetcft.torus import torus_ring
@@ -604,3 +605,128 @@ class TestSimpleCurrents:
         assert tensor.sum() == 9  # one channel per pair
         for (i, j), payload in ring.table.items():
             assert list(payload.values()) == [1]
+
+
+def test_reports_memory():
+    # neither report of a coset ring holds an m^3 array
+    ring = coset_ring(CosetSpec(3, 3, 2))
+    m = len(ring.basis)
+    tracemalloc.start()
+    try:
+        reports = coset_ring_reports(ring, Config())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 8 * m**3
+
+
+ARRAY_CHECK_MESSAGES = (
+    "negative structure constant",
+    "unit row is not the identity permutation",
+    "commutativity fails",
+    "conjugation axiom N_ij^0 = delta(j, conj i) fails",
+)
+
+
+def dense_reference_messages(tensor, conj):
+    """Reference for the array checks: the negativity, unit, commutativity
+    and conjugation messages read off the dense tensor."""
+    m = len(tensor)
+    out = []
+    if tensor.min() < 0:
+        out.append("negative structure constant")
+    if not np.array_equal(tensor[0], np.eye(m, dtype=np.int64)):
+        out.append("unit row is not the identity permutation")
+    if not np.array_equal(tensor, tensor.transpose(1, 0, 2)):
+        out.append("commutativity fails")
+    conj_matrix = np.zeros((m, m), dtype=np.int64)
+    conj_matrix[np.arange(m), conj] = 1
+    if not np.array_equal(tensor[:, :, 0], conj_matrix):
+        out.append("conjugation axiom N_ij^0 = delta(j, conj i) fails")
+    return out
+
+
+@st.composite
+def small_tensors(draw):
+    """Tensors with m <= 4 and entries in [-1, 2], some of them repaired to
+    pass the unit, commutativity or conjugation axiom."""
+    m = draw(st.integers(1, 4))
+    entries = draw(st.lists(st.integers(-1, 2), min_size=m**3, max_size=m**3))
+    tensor = np.array(entries, dtype=np.int64).reshape(m, m, m)
+    conj = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        tensor[:, :, 0] = 0
+        tensor[np.arange(m), conj, 0] = 1
+    if draw(st.booleans()):
+        tensor[0] = tensor[:, 0] = np.eye(m, dtype=np.int64)
+    if draw(st.booleans()):
+        upper = np.triu(np.ones((m, m), dtype=bool))[:, :, None]
+        tensor = np.where(upper, tensor, tensor.transpose(1, 0, 2))
+    return tensor, conj
+
+
+class TestSparseTensor:
+    @settings(max_examples=300, deadline=None)
+    @given(small_tensors())
+    def test_array_checks_match_dense_reference(self, case):
+        tensor, conj = case
+        reference = dense_reference_messages(tensor, conj)
+        failures = ring_axiom_failures(SparseTensor.from_dense(tensor), conj)
+        checked = [f for f in failures if f in ARRAY_CHECK_MESSAGES]
+        assert checked == reference
+        assert ring_axiom_failures(tensor, conj) == failures
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: verlinde_tensor(s_matrix(AlgebraSpec.su(3, 4))),
+            lambda: product_of((2, 2), (3, 1)),
+            lambda: coset_ring(CosetSpec(3, 2, 1)),
+            lambda: torus_ring(2, 2),
+            build_maverick_ring,
+        ],
+        ids=["verlinde", "product", "coset", "torus", "maverick"],
+    )
+    def test_round_trips(self, build):
+        ring = build()
+        m = len(ring.basis)
+        sparse = ring.sparse()
+        assert sparse.shape == (m, m, m)
+        assert np.array_equal(sparse.dense(), loop_dense(ring.table, m))
+        again = SparseTensor.from_dense(sparse.dense())
+        assert again.same_entries(sparse)
+        key = (sparse.i * m + sparse.j) * m + sparse.k
+        assert (np.diff(key) > 0).all()
+
+    def test_unordered_table_is_sorted_and_zeros_dropped(self):
+        # a product table lists its pairs out of (i, j) order
+        ring = product_of((2, 2), (3, 1))
+        assert list(ring.table) != sorted(ring.table)
+        table = {**ring.table, (0, 1): {**ring.table[(0, 1)], 0: 0}}
+        sparse = SparseTensor.from_table(table, len(ring.basis))
+        assert sparse.same_entries(SparseTensor.from_dense(ring.dense()))
+        assert (sparse.v != 0).all()
+
+
+def test_check_fusion_reports_broken_covariance(monkeypatch):
+    # su(3)_2 with the labels of (1,1) and (2,0) swapped is the same ring,
+    # so every axiom and the dimensions hold, but sigma no longer acts on it
+    ring = fusion_ring(AlgebraSpec.su(3, 2))
+    a, b = (ring.index(Weight(ring.spec, x)) for x in ((1, 1), (2, 0)))
+    swap = list(range(len(ring.basis)))
+    swap[a], swap[b] = b, a
+    table = {
+        (swap[i], swap[j]): {swap[k]: c for k, c in payload.items()}
+        for (i, j), payload in ring.table.items()
+    }
+    conj = [0] * len(swap)
+    for x, cx in enumerate(ring.conj):
+        conj[swap[x]] = swap[cx]
+    dims = {ring.basis[swap[x]]: ring.dims[w] for x, w in enumerate(ring.basis)}
+    relabelled = dataclasses.replace(ring, table=table, conj=tuple(conj), dims=dims)
+    assert relabelled.axiom_failures() == []
+    monkeypatch.setattr(verify, "fusion_ring", lambda spec, tol: relabelled)
+    report = verify.check_fusion(Config(), [(3, 2)])
+    assert not report.passed
+    assert report.counterexamples == ["su(3)_2: ['cyclic covariance fails at power 1']"]

@@ -1,7 +1,9 @@
+import itertools
 import time
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -245,3 +247,48 @@ class TestStraighten:
         )
         v[j] = v[i]
         assert weights.straighten(v) is None
+
+
+def box_walk_multiplicities(n, lam):
+    """Reference: the dominant weights lam - sum(c_i alpha_i) found by testing
+    every c in the box of root coordinates of lam + lam* for dominance, in
+    the box's order, then the same Freudenthal recursion as the library."""
+    cmax = weights.root_coordinates(weights.add_labels(lam, lam[::-1]), n)
+    box = np.indices([int(c) + 1 for c in cmax]).reshape(n - 1, -1).T
+    simple = np.array([weights.root(n, i, i + 1) for i in range(n - 1)])
+    points = np.array(lam) - box @ simple
+    listed = [tuple(map(int, mu)) for mu in points[(points >= 0).all(axis=1)]]
+    dominants = sorted(set(listed), key=lambda m: -weights.norm2_shifted(m, n))
+    support = set(dominants)
+    top_norm = weights.norm2_shifted(lam, n)
+    mult = {}
+    for mu in dominants:
+        if mu == lam:
+            mult[mu] = 1
+            continue
+        num = Fraction(0)
+        for alpha in weights.positive_roots(n):
+            j = 1
+            while True:
+                x = weights.add_labels(mu, tuple(j * a for a in alpha))
+                dom = weights.dominant_rep(x)
+                if dom not in support:
+                    break
+                num += mult.get(dom, 0) * weights.inner_product(x, alpha, n)
+                j += 1
+        mult[mu] = int(2 * num / (top_norm - weights.norm2_shifted(mu, n)))
+    return mult
+
+
+# every irrep of su(2..6) with each Dynkin label at most the bound
+IRREP_RANGES = [(2, 12), (3, 6), (4, 4), (5, 3), (6, 2)]
+
+
+class TestDominantWalk:
+    @pytest.mark.parametrize("n,bound", IRREP_RANGES)
+    def test_matches_box_walk(self, n, bound):
+        for lam in itertools.product(range(bound + 1), repeat=n - 1):
+            table = weights.finite_weight_multiplicities(n, lam)
+            dominant = [(mu, m) for mu, m in table.items() if min(mu) >= 0]
+            # equal as dicts, and listed in the same order
+            assert dominant == list(box_walk_multiplicities(n, lam).items())
