@@ -10,16 +10,17 @@ requested check passed, 1 on a check failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import maverick as maverick_mod
 from .characters import InconclusiveCutoff, sector_branching
 from .coset import CosetSector, CosetSpec, NotFaithful, coset_ring, dgh, in_exp
-from .fusion import IntegralityViolation, fuse_pair
+from .fusion import IntegralityViolation, SparseTensor, fuse_pair
 from .modular import quantum_dimension, s_matrix
 from .verify import (
     SUITES,
@@ -36,6 +37,7 @@ from .weights import AlgebraSpec, Weight, color, conformal_weight, integrable_we
 OUT_DIR_ENV = "COSETCFT_OUT_DIR"
 CSV_COMMANDS = ("weights", "branch")  # the only results _to_csv can render
 JSON_BATCH = 8192  # encoder pieces per write; one write per piece is slow
+TENSOR_MARKER = "\0sparse tensor\0"  # stands in for a tensor while encoding
 
 
 def _parse_algebra(text: str) -> int:
@@ -116,10 +118,7 @@ def cmd_fuse(args, config: Config) -> tuple[dict, list[VerificationReport]]:
 def cmd_coset_ring(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     spec = CosetSpec(args.n, args.m1, args.m2)
     ring = coset_ring(spec)  # raises NotFaithful on fixed points
-    # the reports run first, so their arrays are gone before the document
-    # copies the constants
     reports = coset_ring_reports(ring, config)
-    names = [str(a) for a in range(len(ring.basis))]  # keys share these strings
     orbits = [
         {
             "representative": [_weight_str(w) for w in (
@@ -130,14 +129,12 @@ def cmd_coset_ring(args, config: Config) -> tuple[dict, list[VerificationReport]
         }
         for o in ring.basis
     ]
-    constants = {
-        f"{names[a]}*{names[b]}": {names[c]: v for c, v in sorted(payload.items())}
-        for (a, b), payload in sorted(ring.table.items())
-    }
+    # the emitters write the constants straight from the arrays, as the
+    # object {"a*b": {"c": N_ab^c}} of their nonzero entries
     return {
         "coset": {"n": spec.n, "m1": spec.m1, "m2": spec.m2},
         "orbits": orbits,
-        "structure_constants": constants,
+        "structure_constants": ring.constants,
         "dgh": format_real(dgh(spec)),
     }, reports
 
@@ -233,12 +230,85 @@ def _emit(document: dict, runtimes: list, config: Config, args) -> None:
 
 def _json_batches(document: dict):
     """The text of ``json.dumps(document, indent=2, sort_keys=True)`` and a
-    newline, streamed from the encoder in batches of JSON_BATCH pieces (tens
-    of KiB), so neither the whole text nor its list of pieces is held."""
-    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
-    while batch := "".join(itertools.islice(pieces, JSON_BATCH)):
-        yield batch
-    yield "\n"
+    newline, with each ``SparseTensor`` in the document written as its
+    ``{"a*b": {"c": N}}`` object.  The text is streamed in batches of
+    JSON_BATCH encoder pieces (tens of KiB), so neither the whole text nor
+    its list of pieces is held.
+
+    The encoder's ``default`` hook puts a marker string in a tensor's
+    place; the marker's piece is replaced by ``_constants_json``, at the
+    indent of the line the encoder has reached."""
+    tensors = []
+
+    def stand_in(obj):
+        if not isinstance(obj, SparseTensor):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        tensors.append(obj)
+        return TENSOR_MARKER
+
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=stand_in)
+    marker = encoder.encode(TENSOR_MARKER)
+    batch, indent = [], ""
+    for piece in encoder.iterencode(document):
+        if tensors and piece == marker:
+            yield "".join(batch)
+            batch = []
+            yield from _constants_json(tensors.pop(), indent)
+            continue
+        if "\n" in piece:
+            indent = piece.rpartition("\n")[2]
+        batch.append(piece)
+        if len(batch) == JSON_BATCH:
+            yield "".join(batch)
+            batch = []
+    batch.append("\n")
+    yield "".join(batch)
+
+
+def _constants_json(t: SparseTensor, indent: str):
+    """The text that ``json.dumps(indent=2, sort_keys=True)`` gives the
+    object {"a*b": {"c": N_ab^c}} of the nonzero entries, on a line indented
+    by ``indent``, written from the arrays one row a at a time.  JSON keys
+    sort as strings, and "*" sorts before every digit, so the pairs come in
+    the decimal-string order of (a, b) and each payload in that of c."""
+    if not t.v.size:
+        yield "{}"
+        return
+    m = t.shape[0]
+    names = [str(x) for x in range(m)]
+    order = sorted(range(m), key=str)
+    rank = np.empty(m, dtype=np.int64)  # each index's place in that order
+    rank[order] = np.arange(m)
+    row_ptr = t.pair_ptr[::m].tolist()  # row a is entries row_ptr[a] to row_ptr[a + 1]
+    pair_line = "\n" + indent + "  "
+    entry_line = ",\n" + indent + "    "
+    head = "{" + pair_line
+    for a in order:
+        run = slice(row_ptr[a], row_ptr[a + 1])
+        j, k = t.j[run], t.k[run]
+        by_name = np.argsort(rank[j] * m + rank[k])
+        parts, last = [], None
+        for b, c, v in zip(*(x[by_name].tolist() for x in (j, k, t.v[run]))):
+            if b != last:
+                parts.append(f'{head}"{names[a]}*{names[b]}": {{{entry_line[1:]}')
+                head, last = pair_line + "}," + pair_line, b
+            else:
+                parts.append(entry_line)
+            parts.append(f'"{names[c]}": {v}')
+        yield "".join(parts)
+    yield pair_line + "}\n" + indent + "}"
+
+
+def _constants_lines(t: SparseTensor):
+    """The table lines "a*b: {'c': N, ...}" of the nonzero pairs, in numeric
+    order."""
+    m = t.shape[0]
+    ptr = t.pair_ptr.tolist()
+    k, v = t.k.tolist(), t.v.tolist()
+    for p in np.flatnonzero(np.diff(t.pair_ptr)).tolist():
+        run = range(ptr[p], ptr[p + 1])
+        payload = ", ".join(f"'{k[e]}': {v[e]}" for e in run)
+        yield f"{p // m}*{p % m}: {{{payload}}}"
 
 
 def _to_csv(document: dict) -> str:
@@ -280,8 +350,7 @@ def _to_table(document: dict, runtimes: list) -> str:
         lines.append("coefficients " + " ".join(str(c) for c in result["coefficients"]))
         lines.append(f"lowest_energy {result.get('lowest_energy')}")
     elif "structure_constants" in result:
-        for key, payload in result["structure_constants"].items():
-            lines.append(f"{key}: {payload}")
+        lines.extend(_constants_lines(result["structure_constants"]))
     else:
         lines.append(json.dumps(result, sort_keys=True))
     for rep, runtime in zip(document["reports"], runtimes):

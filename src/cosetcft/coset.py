@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import BasedRing, FusionRing, fusion_ring
+from .fusion import BasedRing, FusionRing, SparseTensor, fusion_ring
 from .modular import (
     asymptotic_dimension,
     product_quantum_dimension,
@@ -205,8 +205,9 @@ def coset_ring(spec: CosetSpec) -> BasedRing:
     the factor-f basis index of each orbit representative and D_f the dense
     factor tensor, the slab C_[a]..^.. sums over the powers t the product
     over the three factors of D_f[idx_f[a]][np.ix_(idx_f, sigma_t,f[idx_f])].
-    Each slab's nonzeros are read in C order, so keys arrive sorted by
-    (a, b) and each payload by c.  Only m x m slabs are held; the m^3
+    Each slab's nonzeros are read in C order and the slabs are joined in
+    order of a, so the entries arrive in (a, b, c) order with no sort and
+    no per-entry Python work.  Only m x m slabs are held; the m^3
     constants themselves are held to DENSE_BUDGET before any sector is
     enumerated: every orbit of the ``sector_count`` sectors has at most n
     members.
@@ -230,7 +231,7 @@ def coset_ring(spec: CosetSpec) -> BasedRing:
             for t in range(spec.n)
         ]
         gathered.append((ring.dense(), idx, gathers))
-    table: dict[tuple[int, int], dict[int, int]] = {}
+    rows: list[tuple[np.ndarray, ...]] = []
     for a in range(m):
         slab = np.zeros((m, m), dtype=np.int64)
         for t in range(spec.n):
@@ -239,15 +240,18 @@ def coset_ring(spec: CosetSpec) -> BasedRing:
                 term *= dense[idx[a]][gathers[t]]
             slab += term
         nonzero = np.nonzero(slab)
-        for b, c, v in zip(*(x.tolist() for x in nonzero), slab[nonzero].tolist()):
-            table.setdefault((a, b), {})[c] = v
+        rows.append((*nonzero, slab[nonzero]))
+    b, c, v = (np.concatenate(x) for x in zip(*rows))
+    a = np.repeat(np.arange(m), [len(row[0]) for row in rows])
+    del rows
+    constants = SparseTensor((m, m, m), a, b, c, v)
     orbit_of = {s: a for a, orb in enumerate(orbits) for s in orb.members}
     conj = tuple(
         orbit_of[CosetSector(*map(conjugate_weight, (r.num1, r.num2, r.den)))]
         for r in reps
     )
     dims = {o: coset_statistical_dimension(spec, o.representative) for o in orbits}
-    return BasedRing(tuple(orbits), table, conj, dims)
+    return BasedRing(tuple(orbits), constants, conj, dims)
 
 
 def coset_statistical_dimension(spec: CosetSpec, s: CosetSector) -> float:

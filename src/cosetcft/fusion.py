@@ -1,7 +1,7 @@
 """Fusion rings from the Verlinde formula, and products of based rings.
 
-The structure-constant tensor is stored sparsely, keyed by the index pair
-(i, j) with a {k: multiplicity} payload; construction fails hard if any
+The structure constants are stored sparsely, as arrays of their nonzero
+positions and values (``SparseTensor``); construction fails hard if any
 pre-rounding residual exceeds the integrality tolerance, since a silently
 wrong integer would corrupt every coset ring built on top.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,20 +37,27 @@ class IntegralityViolation(ArithmeticError):
 class BasedRing:
     """Based ring over an ordered basis with integer structure constants.
 
-    ``table`` maps (i, j) to a {k: N_ij^k} payload of the nonzero constants;
-    ``conj`` lists the basis index of each element's conjugate, and ``dims``
-    maps each basis element to its dimension.  Each constructor fills
-    ``conj`` and ``dims`` by its own rule.
+    ``constants`` holds the nonzero N_ij^k as a ``SparseTensor``; ``conj``
+    lists the basis index of each element's conjugate, and ``dims`` maps
+    each basis element to its dimension.  Each constructor fills ``conj``
+    and ``dims`` by its own rule.
     """
 
     basis: tuple
-    table: dict[tuple[int, int], dict[int, int]]
+    constants: SparseTensor
     conj: tuple[int, ...]
     dims: dict
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {b: i for i, b in enumerate(self.basis)})
+
+    @cached_property
+    def table(self) -> dict[tuple[int, int], dict[int, int]]:
+        """The constants as {(i, j): {k: N_ij^k}}, in (i, j, k) order: a
+        view built from ``constants`` on first use, which must not be
+        mutated."""
+        return self.constants.to_table()
 
     def index(self, b) -> int:
         try:
@@ -59,18 +66,21 @@ class BasedRing:
             raise KeyError(f"{b} not in the ring basis") from None
 
     def coeff(self, i: int, j: int, k: int) -> int:
-        return self.table.get((i, j), {}).get(k, 0)
+        t = self.constants
+        run = t.run(i, j)
+        at = run.start + int(np.searchsorted(t.k[run], k))
+        return int(t.v[at]) if at < run.stop and t.k[at] == k else 0
 
     def dense(self) -> np.ndarray:
-        return dense_tensor(self.table, len(self.basis))
+        return self.constants.dense()
 
     def sparse(self) -> SparseTensor:
-        return SparseTensor.from_table(self.table, len(self.basis))
+        return self.constants
 
     def axiom_failures(self) -> list[str]:
         """Based-ring axiom failures of this ring's constants, as
         ``ring_axiom_failures`` describes them; empty when all hold."""
-        return ring_axiom_failures(self.sparse(), self.conj)
+        return ring_axiom_failures(self.constants, self.conj)
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,7 @@ class SparseTensor:
     @classmethod
     def from_entries(cls, m: int, i, j, k, v) -> "SparseTensor":
         """Drop zero values and order the entries; the sort is skipped when
-        the positions already increase, as every ring constructor emits
-        them."""
+        the positions already increase."""
         nonzero = v != 0
         if not nonzero.all():
             i, j, k, v = i[nonzero], j[nonzero], k[nonzero], v[nonzero]
@@ -138,6 +147,28 @@ class SparseTensor:
         nonzero = np.nonzero(tensor)  # C order: already (i, j, k) order
         return cls(tensor.shape, *nonzero, tensor[nonzero])
 
+    @cached_property
+    def pair_ptr(self) -> np.ndarray:
+        """Run offsets: pair p = i * m + j holds entries ptr[p] to ptr[p + 1]."""
+        m = self.shape[0]
+        sizes = np.bincount(self.i * m + self.j, minlength=m * m)
+        return np.concatenate(([0], np.cumsum(sizes)))
+
+    def run(self, i: int, j: int) -> slice:
+        """The entries of pair (i, j), ordered by k."""
+        p = i * self.shape[0] + j
+        return slice(int(self.pair_ptr[p]), int(self.pair_ptr[p + 1]))
+
+    def to_table(self) -> dict[tuple[int, int], dict[int, int]]:
+        """The entries as {(i, j): {k: value}}, in (i, j, k) order."""
+        m = self.shape[0]
+        ptr = self.pair_ptr.tolist()
+        k, v = self.k.tolist(), self.v.tolist()
+        return {
+            divmod(p, m): dict(zip(k[ptr[p] : ptr[p + 1]], v[ptr[p] : ptr[p + 1]]))
+            for p in np.flatnonzero(np.diff(self.pair_ptr)).tolist()
+        }
+
     def dense(self) -> np.ndarray:
         m = self.shape[0]
         require_dense_budget(m**3, f"a ring of {m} basis elements")
@@ -149,6 +180,12 @@ class SparseTensor:
         mine = (self.i, self.j, self.k, self.v)
         theirs = (other.i, other.j, other.k, other.v)
         return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
+
+    # rings holding equal constants compare equal
+    def __eq__(self, other):
+        if not isinstance(other, SparseTensor):
+            return NotImplemented
+        return self.same_entries(other)
 
 
 def _round_verlinde(
@@ -187,12 +224,10 @@ def verlinde_tensor(s: SMatrix, tol: float = INTEGRALITY_TOL) -> FusionRing:
     weights = mat.conj() / mat[0][None, :]
     raw = np.einsum("im,jm,km->ijk", mat, mat, weights, optimize=True)
     tensor, worst = _round_verlinde(raw, tol)
-    table: dict[tuple[int, int], dict[int, int]] = {}
-    for i, j, k in zip(*np.nonzero(tensor)):
-        table.setdefault((int(i), int(j)), {})[int(k)] = int(tensor[i, j, k])
+    constants = SparseTensor.from_dense(tensor)
     conj = tuple(s.index(conjugate_weight(w)) for w in s.basis)
     dims = {w: quantum_dimension(s, w) for w in s.basis}
-    return FusionRing(s.basis, table, conj, dims, s.spec, worst)
+    return FusionRing(s.basis, constants, conj, dims, s.spec, worst)
 
 
 @lru_cache(maxsize=None)
@@ -205,8 +240,9 @@ def fusion_ring(spec: AlgebraSpec, tol: float = INTEGRALITY_TOL) -> FusionRing:
 def fuse(ring: BasedRing, i, j) -> list[tuple]:
     """Nonzero fusion channels of the basis elements i x j with
     multiplicities."""
-    payload = ring.table.get((ring.index(i), ring.index(j)), {})
-    return [(ring.basis[k], c) for k, c in sorted(payload.items())]
+    t = ring.constants
+    run = t.run(ring.index(i), ring.index(j))
+    return [(ring.basis[k], c) for k, c in zip(t.k[run].tolist(), t.v[run].tolist())]
 
 
 def fuse_pair(
@@ -232,24 +268,22 @@ def product_ring(rings: list[BasedRing]) -> BasedRing:
         raise ValueError("need at least one ring")
     if len(rings) == 1:
         return rings[0]
-    table, conj = rings[0].table, rings[0].conj
+    t, conj = rings[0].constants, rings[0].conj
     for ring in rings[1:]:
-        n2 = len(ring.basis)
-        table = {
-            (i1 * n2 + i2, j1 * n2 + j2): {
-                k1 * n2 + k2: c1 * c2
-                for k1, c1 in pay1.items()
-                for k2, c2 in pay2.items()
-            }
-            for (i1, j1), pay1 in table.items()
-            for (i2, j2), pay2 in ring.table.items()
-        }
+        u, n2 = ring.constants, len(ring.basis)
+        # every entry of t against every entry of u, u's varying fastest
+        i, j, k = (
+            (x[:, None] * n2 + y).ravel()
+            for x, y in ((t.i, u.i), (t.j, u.j), (t.k, u.k))
+        )
+        v = np.outer(t.v, u.v).ravel()
+        t = SparseTensor.from_entries(t.shape[0] * n2, i, j, k, v)
         conj = tuple(c1 * n2 + c2 for c1, c2 in itertools.product(conj, ring.conj))
     basis = tuple(itertools.product(*(ring.basis for ring in rings)))
     dims = {
         b: math.prod(ring.dims[x] for ring, x in zip(rings, b)) for b in basis
     }
-    return BasedRing(basis, table, conj, dims)
+    return BasedRing(basis, t, conj, dims)
 
 
 @dataclass
@@ -261,22 +295,25 @@ class SimpleCurrentReport:
 
 def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     """Verify the translation rule: fusing conj(i) with i' hits the
-    sigma-image of the vacuum exactly when i' is the sigma-image of i."""
-    n = ring.spec.n
-    conj = ring.conj
-    failures = []
-    checked = 0
+    sigma-image of the vacuum exactly when i' is the sigma-image of i.
+
+    For each power t the m x m slice N_ab^(sigma^t(0)) is read off the
+    sparse entries; its rows taken at conj(i) must be the permutation
+    matrix of sigma^t.  Failures are listed in (t, i, i') order."""
+    c = ring.constants
     m = len(ring.basis)
-    for t in range(n):
+    conj = np.array(ring.conj)
+    failures = []
+    for t in range(ring.spec.n):
         perm = ring.sigma_permutation(t)
-        target = perm[0]
-        for i in range(m):
-            for ip in range(m):
-                expected = 1 if perm[i] == ip else 0
-                if ring.coeff(conj[i], ip, target) != expected:
-                    failures.append((t, i, ip))
-                checked += 1
-    return SimpleCurrentReport(not failures, checked, failures)
+        at = c.k == perm[0]
+        coeffs = np.zeros((m, m), dtype=np.int64)
+        coeffs[c.i[at], c.j[at]] = c.v[at]
+        expected = np.zeros((m, m), dtype=np.int64)
+        expected[np.arange(m), perm] = 1
+        wrong = np.argwhere(coeffs[conj] != expected).tolist()
+        failures.extend((t, i, ip) for i, ip in wrong)
+    return SimpleCurrentReport(not failures, ring.spec.n * m * m, failures)
 
 
 def ring_axiom_failures(tensor: SparseTensor | np.ndarray, conj_perm) -> list[str]:
@@ -340,9 +377,8 @@ def ring_axiom_failures(tensor: SparseTensor | np.ndarray, conj_perm) -> list[st
         out.append("unit row is not the identity permutation")
     # the run of pair p = i * m + j is entries ptr[p] to ptr[p + 1]
     pair = i * m + j
-    pair_sizes = np.bincount(pair, minlength=m * m)
-    ptr = np.concatenate(([0], np.cumsum(pair_sizes)))
-    pair_sizes = pair_sizes.reshape(m, m)
+    ptr = tensor.pair_ptr
+    pair_sizes = np.diff(ptr).reshape(m, m)
     commutative = np.array_equal(pair_sizes, pair_sizes.T)
     if commutative:
         # equal run lengths: entry r of run (i, j) must equal entry r of (j, i)
@@ -449,12 +485,17 @@ def _first_nonassociative_row(tensor: SparseTensor) -> int | None:
 
 def dimension_homomorphism_residual(ring: BasedRing) -> float:
     """Worst |sum_k N_ij^k d_k - d_i d_j| over all basis pairs (i, j), with
-    the dimensions d the ring carries."""
-    d = [ring.dims[b] for b in ring.basis]
-    worst = 0.0
-    m = len(d)
-    for i in range(m):
-        for j in range(m):
-            total = sum(c * d[k] for k, c in ring.table.get((i, j), {}).items())
-            worst = max(worst, abs(total - d[i] * d[j]))
-    return worst
+    the dimensions d the ring carries.  Each pair's sum is added left to
+    right over its run, in k order, so the result does not depend on how
+    numpy would group a reduction."""
+    t = ring.constants
+    d = np.array([ring.dims[b] for b in ring.basis], dtype=float)
+    terms = t.v * d[t.k]
+    starts = t.pair_ptr[:-1]
+    sizes = np.diff(t.pair_ptr)
+    totals = np.zeros(len(sizes))
+    for r in range(int(sizes.max(initial=0))):
+        live = np.flatnonzero(sizes > r)
+        totals[live] += terms[starts[live] + r]
+    residuals = np.abs(totals - np.outer(d, d).ravel())
+    return float(residuals.max(initial=0.0))

@@ -21,7 +21,7 @@ from .characters import (
     peel_branching,
     restrict_character,
 )
-from .fusion import BasedRing, dimension_homomorphism_residual
+from .fusion import BasedRing, SparseTensor, dimension_homomorphism_residual
 from .weights import AlgebraSpec, Weight, conformal_weight
 
 GOLDEN = (math.sqrt(5) + 1) / 2
@@ -88,7 +88,8 @@ def build_maverick_ring() -> BasedRing:
 
     conj = tuple(idx[_CONJUGATE[name]] for name in BASIS_NAMES)
     dims = dict(zip(BASIS_NAMES, (1.0, GOLDEN, GOLDEN, GOLDEN, 1.0, 1.0)))
-    ring = BasedRing(BASIS_NAMES, table, conj, dims)
+    constants = SparseTensor.from_table(table, len(BASIS_NAMES))
+    ring = BasedRing(BASIS_NAMES, constants, conj, dims)
     _verify(ring)
     return ring
 

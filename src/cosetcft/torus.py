@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fusion import BasedRing, fusion_ring
+from .fusion import BasedRing, SparseTensor, fusion_ring
 from .modular import asymptotic_dimension, quantum_dimension, s_matrix
 from .weights import AlgebraSpec, Weight, color, conjugate_weight, integrable_weights
 
@@ -128,7 +128,8 @@ def torus_ring(l: int, m: int) -> BasedRing:
         for s in sectors
     )
     dims = {s: ring.dims[s.weight] for s in sectors}
-    return BasedRing(tuple(sectors), table, conj, dims)
+    constants = SparseTensor.from_table(table, len(sectors))
+    return BasedRing(tuple(sectors), constants, conj, dims)
 
 
 def torus_kw_residual(l: int, m: int) -> float:

@@ -242,6 +242,32 @@ class TestCosetRingCommand:
             "2e7766818affa2e1142f1a763e8ced245c4f93d52dac4a9ac3a88f3317533ded"
         )
 
+    def test_larger_ring_digest(self, capsys):
+        # coset-ring 4 3 1: m = 175, 208,926 nonzero constants
+        code, out = run(capsys, "coset-ring", "4", "3", "1")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == (
+            "a6615935f5d3091268f7ceb17c1cc7d544dd9c8c95bc8886a37b07ebdc6d565d"
+        )
+
+    def test_no_dict_of_dicts(self, capsys, monkeypatch):
+        # the coset ring, its reports and its JSON, and the desk fusion
+        # suite, all run on the constants' arrays
+        def no_table(*args, **kwargs):
+            raise AssertionError("a dict of dicts was built")
+
+        fusion.fusion_ring.cache_clear()  # no ring keeps a cached table
+        monkeypatch.setattr(fusion.SparseTensor, "from_table", no_table)
+        monkeypatch.setattr(fusion.SparseTensor, "to_table", no_table)
+        code, out = run(capsys, "coset-ring", "3", "3", "2")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "64343aede1277247a8561f968866294e087d0f17cb9e830e81e9dd88a3f1a067"
+        )
+        code, out = run(capsys, "verify", "fusion", "--desk-scale")
+        assert code == 0 and json.loads(out)["result"]["passed"]
+
     def test_out_file_digest(self, capsys, tmp_path):
         target = tmp_path / "ring.json"
         code, out = run(capsys, "coset-ring", "3", "3", "2", "--out", str(target))
@@ -268,6 +294,16 @@ class DigestSink:
             self.write(text)
 
 
+def materialised(constants):
+    """Oracle: the structure constants as the {"a*b": {"c": N}} dict that
+    the JSON document names, filled one entry at a time."""
+    out = {}
+    entries = zip(*(x.tolist() for x in (constants.i, constants.j, constants.k)))
+    for (a, b, c), v in zip(entries, constants.v.tolist()):
+        out.setdefault(f"{a}*{b}", {})[str(c)] = v
+    return out
+
+
 def test_streamed_emit_holds_less_than_its_output(monkeypatch):
     args = cli._build_parser().parse_args(["coset-ring", "3", "3", "2"])
     config = Config()
@@ -286,10 +322,43 @@ def test_streamed_emit_holds_less_than_its_output(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    constants = materialised(result["structure_constants"])
+    document["result"] = {**result, "structure_constants": constants}
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     assert sink.size == len(text)
     assert sink.digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
     assert peak < sink.size
+
+
+@st.composite
+def sparse_constants(draw):
+    """Random constants on m <= 30 basis elements, so that decimal and
+    numeric key order differ; most pairs are empty, values reach 10^6."""
+    m = draw(st.integers(1, 30))
+    index = st.integers(0, m - 1)
+    positions = st.tuples(index, index, index)
+    entries = draw(st.dictionaries(positions, st.integers(1, 10**6), max_size=60))
+    i, j, k = (np.array([e[x] for e in entries], dtype=np.int64) for x in range(3))
+    v = np.array(list(entries.values()), dtype=np.int64)
+    return fusion.SparseTensor.from_entries(m, i, j, k, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_constants())
+def test_constants_written_from_arrays(constants):
+    # nested as in a coset-ring document, with keys on either side
+    def document(value):
+        result = {"dgh": "1", "structure_constants": value, "tail": [1]}
+        return {"reports": [], "result": result}
+
+    text = "".join(cli._json_batches(document(constants)))
+    oracle = document(materialised(constants))
+    assert text == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+    # the table view prints the dict in its insertion order, which is the
+    # arrays' numeric (i, j, k) order, one pair a line
+    numeric = oracle["result"]["structure_constants"]
+    lines = [f"{key}: {payload}" for key, payload in numeric.items()]
+    assert list(cli._constants_lines(constants)) == lines
 
 
 class TestIntegralityViolation:

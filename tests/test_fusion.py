@@ -12,6 +12,7 @@ from cosetcft import (
     AlgebraSpec,
     CosetSpec,
     IntegralityViolation,
+    SimpleCurrentReport,
     SMatrix,
     SparseTensor,
     Weight,
@@ -607,6 +608,43 @@ class TestSimpleCurrents:
             assert list(payload.values()) == [1]
 
 
+def coeff_loop_simple_current(ring):
+    """Reference: the translation rule checked one coefficient at a time."""
+    m = len(ring.basis)
+    failures = []
+    checked = 0
+    for t in range(ring.spec.n):
+        perm = ring.sigma_permutation(t)
+        for i in range(m):
+            for ip in range(m):
+                expected = 1 if perm[i] == ip else 0
+                if ring.coeff(ring.conj[i], ip, perm[0]) != expected:
+                    failures.append((t, i, ip))
+                checked += 1
+    return SimpleCurrentReport(not failures, checked, failures)
+
+
+@pytest.mark.parametrize("n,k", DESK_SPECS)
+def test_simple_current_check_matches_coeff_loop(n, k):
+    ring = fusion_ring(AlgebraSpec.su(n, k))
+    assert simple_current_check(ring) == coeff_loop_simple_current(ring)
+
+
+def test_simple_current_check_of_tampered_ring():
+    # su(3)_2 with one translation channel doubled and a stray channel
+    # 1 x sigma(1) -> sigma(vacuum) added
+    ring = fusion_ring(AlgebraSpec.su(3, 2))
+    perm = ring.sigma_permutation(1)
+    table = {pair: dict(payload) for pair, payload in ring.table.items()}
+    table[(ring.conj[1], perm[1])][perm[0]] = 2
+    table[(0, perm[1])][perm[0]] = 1
+    constants = SparseTensor.from_table(table, len(ring.basis))
+    tampered = dataclasses.replace(ring, constants=constants)
+    report = simple_current_check(tampered)
+    assert not report.passed and len(report.failures) >= 2
+    assert report == coeff_loop_simple_current(tampered)
+
+
 def test_reports_memory():
     # neither report of a coset ring holds an m^3 array
     ring = coset_ring(CosetSpec(3, 3, 2))
@@ -698,12 +736,15 @@ class TestSparseTensor:
         assert again.same_entries(sparse)
         key = (sparse.i * m + sparse.j) * m + sparse.k
         assert (np.diff(key) > 0).all()
+        # rings built twice hold equal constants and compare equal
+        assert build() == ring
 
     def test_unordered_table_is_sorted_and_zeros_dropped(self):
-        # a product table lists its pairs out of (i, j) order
+        # a product ring's table with its pairs listed in reverse (i, j) order
         ring = product_of((2, 2), (3, 1))
-        assert list(ring.table) != sorted(ring.table)
-        table = {**ring.table, (0, 1): {**ring.table[(0, 1)], 0: 0}}
+        table = dict(reversed(ring.table.items()))
+        assert list(table) != sorted(table)
+        table = {**table, (0, 1): {**table[(0, 1)], 0: 0}}
         sparse = SparseTensor.from_table(table, len(ring.basis))
         assert sparse.same_entries(SparseTensor.from_dense(ring.dense()))
         assert (sparse.v != 0).all()
@@ -724,7 +765,10 @@ def test_check_fusion_reports_broken_covariance(monkeypatch):
     for x, cx in enumerate(ring.conj):
         conj[swap[x]] = swap[cx]
     dims = {ring.basis[swap[x]]: ring.dims[w] for x, w in enumerate(ring.basis)}
-    relabelled = dataclasses.replace(ring, table=table, conj=tuple(conj), dims=dims)
+    constants = SparseTensor.from_table(table, len(swap))
+    relabelled = dataclasses.replace(
+        ring, constants=constants, conj=tuple(conj), dims=dims
+    )
     assert relabelled.axiom_failures() == []
     monkeypatch.setattr(verify, "fusion_ring", lambda spec, tol: relabelled)
     report = verify.check_fusion(Config(), [(3, 2)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cosetcft import (
+    SparseTensor,
     build_maverick_ring,
     maverick_branching,
     maverick_branching_check,
@@ -56,8 +57,9 @@ class TestRingStructure:
     def test_table_corruption_detected(self, ring):
         table = {k: dict(v) for k, v in ring.table.items()}
         table[(ring.index("z"), ring.index("z"))] = {ring.index("z"): 1}
+        constants = SparseTensor.from_table(table, len(ring.basis))
         with pytest.raises(InconsistentRelations):
-            _verify(dataclasses.replace(ring, table=table))
+            _verify(dataclasses.replace(ring, constants=constants))
 
 
 class TestDims:
