@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from .coset import CosetSpec, CosetSector
+from typing import TYPE_CHECKING
 
 # weyl_dimension is re-exported: perfbench/trace_runner.py traces it here
 from .weights import (
@@ -45,6 +44,9 @@ from .weights import (
     weyl_dimension,
     weyl_orbit,
 )
+
+if TYPE_CHECKING:  # coset loads numpy, which no character computation needs
+    from .coset import CosetSector, CosetSpec
 
 Poly = dict[Labels, int]
 

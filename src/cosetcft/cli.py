@@ -15,24 +15,19 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import maverick as maverick_mod
-from .characters import InconclusiveCutoff, sector_branching
-from .coset import CosetSector, CosetSpec, NotFaithful, coset_ring, dgh, in_exp
-from .fusion import IntegralityViolation, SparseTensor, fuse_pair
-from .modular import quantum_dimension, s_matrix
-from .verify import (
-    SUITES,
+# Library modules are the package's lazy submodules: each runs on first use,
+# so a command loads only what it calls (weights and branch --maverick never
+# load numpy).  `from .x import name` at the top would run x at once.
+from . import characters, coset, fusion, maverick, modular, verify, weights
+from .report import (
+    SUITE_NAMES,
     Config,
     VerificationReport,
-    check_kw,
     coset_ring_reports,
     format_real,
     smatrix_report,
     timed,
 )
-from .weights import AlgebraSpec, Weight, color, conformal_weight, integrable_weights
 
 OUT_DIR_ENV = "COSETCFT_OUT_DIR"
 CSV_COMMANDS = ("weights", "branch")  # the only results _to_csv can render
@@ -49,14 +44,25 @@ def _parse_algebra(text: str) -> int:
     return n
 
 
-def _parse_labels(text: str, n: int, spec: AlgebraSpec) -> Weight:
-    labels = tuple(int(x) for x in text.split(","))
-    if len(labels) != n - 1:
-        raise ValueError(f"expected {n - 1} labels, got {text!r}")
-    return Weight(spec, labels)
+def _int_groups(text: str, sizes: tuple[int, ...], form: str) -> list[tuple[int, ...]]:
+    """The ';'-separated groups of comma-joined integers in text, one group
+    of each length in sizes; anything else is a usage error that names the
+    expected form."""
+    try:
+        groups = [tuple(int(x) for x in part.split(",")) for part in text.split(";")]
+    except ValueError:
+        groups = None
+    if groups is None or [len(g) for g in groups] != list(sizes):
+        raise ValueError(f"expected {form}, got {text!r}")
+    return groups
 
 
-def _weight_str(w: Weight) -> list:
+def _parse_labels(text: str, n: int, spec: weights.AlgebraSpec) -> weights.Weight:
+    (labels,) = _int_groups(text, (n - 1,), f"{n - 1} comma-joined labels")
+    return weights.Weight(spec, labels)
+
+
+def _weight_str(w: weights.Weight) -> list:
     return [list(w.labels)]
 
 
@@ -64,16 +70,15 @@ def _weight_str(w: Weight) -> list:
 
 def cmd_weights(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     n = _parse_algebra(args.algebra)
-    spec = AlgebraSpec.su(n, args.level)
-    sm = s_matrix(spec)
+    spec = weights.AlgebraSpec.su(n, args.level)
     rows = []
-    for w in integrable_weights(spec):
+    for w, dim in weights.quantum_dimensions(spec).items():
         rows.append(
             {
                 "labels": list(w.labels),
-                "color": color(w),
-                "conformal_weight": str(conformal_weight(w)),
-                "quantum_dimension": format_real(quantum_dimension(sm, w)),
+                "color": weights.color(w),
+                "conformal_weight": str(weights.conformal_weight(w)),
+                "quantum_dimension": format_real(dim),
             }
         )
     return {"algebra": f"su{n}", "level": args.level, "weights": rows}, []
@@ -81,8 +86,8 @@ def cmd_weights(args, config: Config) -> tuple[dict, list[VerificationReport]]:
 
 def cmd_smatrix(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     n = _parse_algebra(args.algebra)
-    spec = AlgebraSpec.su(n, args.level)
-    sm = s_matrix(spec)
+    spec = weights.AlgebraSpec.su(n, args.level)
+    sm = modular.s_matrix(spec)
 
     def clean(x: float) -> str:  # entries are O(1); drop fp dust
         return format_real(0.0 if abs(x) < 1e-13 else x)
@@ -100,10 +105,12 @@ def cmd_smatrix(args, config: Config) -> tuple[dict, list[VerificationReport]]:
 
 def cmd_fuse(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     n = _parse_algebra(args.algebra)
-    spec = AlgebraSpec.su(n, args.level)
+    spec = weights.AlgebraSpec.su(n, args.level)
     wi = _parse_labels(args.i, n, spec)
     wj = _parse_labels(args.j, n, spec)
-    channels = fuse_pair(s_matrix(spec), wi, wj, config.tolerance_integrality)
+    channels = fusion.fuse_pair(
+        modular.s_matrix(spec), wi, wj, config.tolerance_integrality
+    )
     return {
         "algebra": f"su{n}",
         "level": args.level,
@@ -116,8 +123,8 @@ def cmd_fuse(args, config: Config) -> tuple[dict, list[VerificationReport]]:
 
 
 def cmd_coset_ring(args, config: Config) -> tuple[dict, list[VerificationReport]]:
-    spec = CosetSpec(args.n, args.m1, args.m2)
-    ring = coset_ring(spec)  # raises NotFaithful on fixed points
+    spec = coset.CosetSpec(args.n, args.m1, args.m2)
+    ring = coset.coset_ring(spec)  # raises NotFaithful on fixed points
     reports = coset_ring_reports(ring, config)
     orbits = [
         {
@@ -135,17 +142,15 @@ def cmd_coset_ring(args, config: Config) -> tuple[dict, list[VerificationReport]
         "coset": {"n": spec.n, "m1": spec.m1, "m2": spec.m2},
         "orbits": orbits,
         "structure_constants": ring.constants,
-        "dgh": format_real(dgh(spec)),
+        "dgh": format_real(coset.dgh(spec)),
     }, reports
 
 
 def cmd_branch(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     cutoff = args.cutoff if args.cutoff is not None else config.grade_cutoff
     if args.maverick:
-        pq_text, l_text = args.sector.split(";")
-        pq = tuple(int(x) for x in pq_text.split(","))
-        l = int(l_text)
-        table = maverick_mod.maverick_branching(pq, cutoff)
+        pq, (l,) = _int_groups(args.sector, (2, 1), "--sector 'p,q;l'")
+        table = maverick.maverick_branching(pq, cutoff)
         if l not in table:
             raise ValueError(f"no level-8 su(2) label {l}")
         bf = table[l]
@@ -156,19 +161,16 @@ def cmd_branch(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     else:
         if args.coset is None:
             raise ValueError("branch needs --coset n,m1,m2 or --maverick")
-        n, m1, m2 = (int(x) for x in args.coset.split(","))
-        spec = CosetSpec(n, m1, m2)
-        parts = args.sector.split(";")
-        if len(parts) != 3:
-            raise ValueError("sector must be 'num1;num2;den'")
-        s1, s2, sh = spec.factor_specs()
-        sector = CosetSector(
-            _parse_labels(parts[0], n, s1),
-            _parse_labels(parts[1], n, s2),
-            _parse_labels(parts[2], n, sh),
+        ((n, m1, m2),) = _int_groups(args.coset, (3,), "--coset 'n,m1,m2'")
+        spec = coset.CosetSpec(n, m1, m2)
+        parts = _int_groups(
+            args.sector, (n - 1,) * 3, f"--sector 'num1;num2;den' of {n - 1} labels each"
         )
-        selected = in_exp(spec, sector)
-        bf = sector_branching(spec, sector, cutoff)
+        sector = coset.CosetSector(
+            *(weights.Weight(s, labels) for s, labels in zip(spec.factor_specs(), parts))
+        )
+        selected = coset.in_exp(spec, sector)
+        bf = characters.sector_branching(spec, sector, cutoff)
         result = {
             "coset": {"n": n, "m1": m1, "m2": m2},
             "sector": [_weight_str(w) for w in (sector.num1, sector.num2, sector.den)],
@@ -192,12 +194,12 @@ def cmd_verify(args, config: Config) -> tuple[dict, list[VerificationReport]]:
             raise ValueError("--n selects a coset for the kw suite only")
         m1 = 1 if args.m1 is None else args.m1
         m2 = 1 if args.m2 is None else args.m2
-        reports = [timed(check_kw, config, [(args.n, m1, m2)])]
+        reports = [timed(verify.check_kw, config, [(args.n, m1, m2)])]
     elif args.m1 is not None or args.m2 is not None:
         raise ValueError("--m1 and --m2 select a coset only together with --n")
     else:
-        names = list(SUITES) if args.suite == "all" else [args.suite]
-        reports = [timed(SUITES[name], config, args.desk_scale) for name in names]
+        names = SUITE_NAMES if args.suite == "all" else [args.suite]
+        reports = [timed(verify.SUITES[name], config, args.desk_scale) for name in names]
     result = {
         "suite": args.suite,
         "passed": all(r.passed for r in reports),
@@ -241,7 +243,7 @@ def _json_batches(document: dict):
     tensors = []
 
     def stand_in(obj):
-        if not isinstance(obj, SparseTensor):
+        if not isinstance(obj, fusion.SparseTensor):
             raise TypeError(f"{type(obj).__name__} is not JSON serializable")
         tensors.append(obj)
         return TENSOR_MARKER
@@ -265,12 +267,14 @@ def _json_batches(document: dict):
     yield "".join(batch)
 
 
-def _constants_json(t: SparseTensor, indent: str):
+def _constants_json(t: fusion.SparseTensor, indent: str):
     """The text that ``json.dumps(indent=2, sort_keys=True)`` gives the
     object {"a*b": {"c": N_ab^c}} of the nonzero entries, on a line indented
     by ``indent``, written from the arrays one row a at a time.  JSON keys
     sort as strings, and "*" sorts before every digit, so the pairs come in
     the decimal-string order of (a, b) and each payload in that of c."""
+    import numpy as np
+
     if not t.v.size:
         yield "{}"
         return
@@ -299,9 +303,11 @@ def _constants_json(t: SparseTensor, indent: str):
     yield pair_line + "}\n" + indent + "}"
 
 
-def _constants_lines(t: SparseTensor):
+def _constants_lines(t: fusion.SparseTensor):
     """The table lines "a*b: {'c': N, ...}" of the nonzero pairs, in numeric
     order."""
+    import numpy as np
+
     m = t.shape[0]
     ptr = t.pair_ptr.tolist()
     k, v = t.k.tolist(), t.v.tolist()
@@ -409,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_branch)
 
     p = add("verify", "run a verification suite")
-    p.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p.add_argument("suite", choices=sorted(SUITE_NAMES) + ["all"])
     p.add_argument("--n", type=int)
     p.add_argument("--m1", type=int, help="first level with --n (default 1)")
     p.add_argument("--m2", type=int, help="second level with --n (default 1)")
@@ -433,21 +439,23 @@ def main(argv=None) -> int:
     try:
         result, reports = args.run(args, config)
         code = 0 if all(r.passed for r in reports) else 1
-    except NotFaithful as err:
+    # an except clause is evaluated only when something is raised, so these
+    # load coset, fusion and characters on the error path alone
+    except coset.NotFaithful as err:
         result = {
             "error": "NotFaithful",
             "message": str(err),
             "fixed_points": [str(s) for s, _ in err.fixed_points],
         }
         reports, code = [], 1
-    except IntegralityViolation as err:
+    except fusion.IntegralityViolation as err:
         result = {
             "error": "IntegralityViolation",
             "message": str(err),
             "indices": list(err.indices),
         }
         reports, code = [], 1
-    except (ValueError, KeyError, InconclusiveCutoff) as err:
+    except (ValueError, KeyError, characters.InconclusiveCutoff) as err:
         parser.error(str(err))
     document = {
         "command": args.command,

@@ -20,7 +20,6 @@ from .modular import (
     asymptotic_dimension,
     product_quantum_dimension,
     quantum_dimension,
-    require_dense_budget,
     s_matrix,
 )
 from .weights import (
@@ -30,6 +29,7 @@ from .weights import (
     color,
     conjugate_weight,
     integrable_weights,
+    require_dense_budget,
     sigma_apply,
 )
 

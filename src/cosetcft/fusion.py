@@ -15,8 +15,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .modular import SMatrix, quantum_dimension, require_dense_budget, s_matrix
-from .weights import AlgebraSpec, Weight, conjugate_weight, sigma_apply
+from .modular import SMatrix, quantum_dimension, s_matrix
+from .weights import (
+    AlgebraSpec,
+    Weight,
+    conjugate_weight,
+    require_dense_budget,
+    sigma_apply,
+)
 
 INTEGRALITY_TOL = 1e-6
 KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
@@ -93,11 +99,6 @@ class FusionRing(BasedRing):
     def sigma_permutation(self, power: int) -> list[int]:
         """Basis permutation of the cyclic automorphism."""
         return [self.index(sigma_apply(power, w)) for w in self.basis]
-
-
-def dense_tensor(table: dict[tuple[int, int], dict[int, int]], m: int) -> np.ndarray:
-    """The m x m x m int64 array of a sparse structure-constant table."""
-    return SparseTensor.from_table(table, m).dense()
 
 
 @dataclass(frozen=True, eq=False)

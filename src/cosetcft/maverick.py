@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .characters import (
     BranchingFunction,
@@ -21,8 +22,10 @@ from .characters import (
     peel_branching,
     restrict_character,
 )
-from .fusion import BasedRing, SparseTensor, dimension_homomorphism_residual
 from .weights import AlgebraSpec, Weight, conformal_weight
+
+if TYPE_CHECKING:  # fusion loads numpy; only the ring needs it, not branching
+    from .fusion import BasedRing
 
 GOLDEN = (math.sqrt(5) + 1) / 2
 
@@ -59,6 +62,8 @@ def _reduce(word: tuple[int, int]) -> dict[tuple[int, int], int]:
 def build_maverick_ring() -> BasedRing:
     """Close the generator relations into structure constants and verify
     every independently quoted property of the result."""
+    from .fusion import BasedRing, SparseTensor
+
     # close the span of words in the generators x and z under multiplication
     basis = {(0, 0), (1, 0), (0, 1)}
     frontier = list(basis)
@@ -95,6 +100,8 @@ def build_maverick_ring() -> BasedRing:
 
 
 def _verify(ring: BasedRing) -> None:
+    from .fusion import dimension_homomorphism_residual
+
     expect = {
         ("x", "x"): {"1": 1, "x": 1},
         ("y", "ybar"): {"1": 1, "x": 1},  # quoted independently of y = x z

@@ -19,24 +19,13 @@ from .weights import (
     AlgebraSpec,
     Weight,
     integrable_weights,
+    require_dense_budget,
     shifted_v,
 )
 
 UNITARY_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
 VACUUM_ROW_TOL = 1e-12
-# elements of the largest dense array built (256 MiB as complex128)
-DENSE_BUDGET = 2**24
-
-
-def require_dense_budget(elements: int, what: str) -> None:
-    """Refuse, before allocating, a dense array of more than DENSE_BUDGET
-    elements."""
-    if elements > DENSE_BUDGET:
-        raise ValueError(
-            f"{what} needs a dense array of {elements} elements, "
-            f"over the budget of {DENSE_BUDGET}"
-        )
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,6 @@ name to a callable ``(config, desk)`` returning one ``VerificationReport``;
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,122 +32,25 @@ from .coset import (
     vacuum_orbit_membership,
 )
 from .fusion import (
-    BasedRing,
     SparseTensor,
     dimension_homomorphism_residual,
     fusion_ring,
     ring_axiom_failures,
     simple_current_check,
 )
-from .modular import SMatrix, s_matrix, unitarity_residual
+from .modular import s_matrix, unitarity_residual
+
+# re-exported: part of this module's interface
+from .report import (
+    Config,
+    VerificationReport,
+    coset_ring_reports,
+    format_real,
+    smatrix_report,
+    timed,
+)
 from .torus import torus_classes, torus_exp, torus_kw_residual, torus_ring
 from .weights import AlgebraSpec, Weight, integrable_weights
-
-
-def format_real(x: float) -> str:
-    """Decimal string with 12 significant digits, so output is byte-stable."""
-    return f"{float(x):.12g}"
-
-
-@dataclass(frozen=True)
-class Config:
-    """Tolerances, cutoffs and output format; every real is finite and
-    positive."""
-
-    tolerance_unitary: float = 1e-9
-    tolerance_integrality: float = 1e-6
-    grade_cutoff: int = 8
-    beta_floor: float = 0.3
-    output_format: str = "json"
-
-    def __post_init__(self):
-        for name in ("tolerance_unitary", "tolerance_integrality", "beta_floor"):
-            value = getattr(self, name)
-            # under a nan tolerance every `resid > tol` is false: all would pass
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.grade_cutoff < 0:
-            raise ValueError("grade cutoff must be >= 0")
-        if self.output_format not in ("json", "csv", "table"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-
-    @classmethod
-    def from_file(cls, path: str) -> "Config":
-        values: dict[str, object] = {}
-        known = {f.name for f in fields(cls)}
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line: {raw.strip()!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in known:
-                    raise ValueError(f"unknown config key {key!r}")
-                if key == "output_format":
-                    values[key] = value
-                elif key == "grade_cutoff":
-                    values[key] = int(value)
-                else:
-                    values[key] = float(value)
-        return cls(**values)
-
-    def as_dict(self) -> dict:
-        return {
-            "tolerance_unitary": format_real(self.tolerance_unitary),
-            "tolerance_integrality": format_real(self.tolerance_integrality),
-            "grade_cutoff": self.grade_cutoff,
-            "beta_floor": format_real(self.beta_floor),
-            "output_format": self.output_format,
-        }
-
-
-@dataclass
-class VerificationReport:
-    check: str
-    passed: bool
-    worst_residual: float = 0.0
-    counterexamples: list = field(default_factory=list)
-    runtime: float | None = None  # seconds, set where the check is timed
-
-    def as_dict(self) -> dict:
-        # runtime stays out of the JSON document: identical inputs must
-        # produce byte-identical output (the table view does show it)
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "worst_residual": format_real(self.worst_residual),
-            "counterexamples": [str(c) for c in self.counterexamples[:8]],
-        }
-
-
-def timed(check, *args) -> VerificationReport:
-    """Run ``check(*args)`` and record its wall time in the report."""
-    start = time.perf_counter()
-    report = check(*args)
-    report.runtime = time.perf_counter() - start
-    return report
-
-
-# --- reports on a single computed object -------------------------------------
-
-def smatrix_report(sm: SMatrix, config: Config) -> VerificationReport:
-    resid = unitarity_residual(sm.entries)
-    return VerificationReport(
-        "s-matrix-unitarity", resid < config.tolerance_unitary, resid
-    )
-
-
-def coset_ring_reports(ring: BasedRing, config: Config) -> list[VerificationReport]:
-    failures = ring.axiom_failures()
-    worst = dimension_homomorphism_residual(ring)
-    return [
-        VerificationReport("coset-ring-axioms", not failures, 0.0, failures),
-        VerificationReport(
-            "coset-dimension-homomorphism", worst < config.tolerance_integrality, worst
-        ),
-    ]
 
 
 # --- verification suites -----------------------------------------------------
@@ -369,6 +270,7 @@ def check_kw_numeric(config: Config) -> VerificationReport:
     )
 
 
+# keyed in the order of report.SUITE_NAMES, which the CLI offers
 SUITES = {
     "unitarity": lambda cfg, desk: check_unitarity(cfg, DESK_SPECS if desk else QUICK_SPECS),
     "fusion": lambda cfg, desk: check_fusion(cfg, DESK_SPECS if desk else QUICK_SPECS),

@@ -1,5 +1,7 @@
-"""Integrable weights of affine su(N) at a fixed level, and the finite su(N)
-invariant form, Weyl group, roots, weight systems and Weyl dimensions.
+"""Integrable weights of affine su(N) at a fixed level and their quantum
+dimensions, the finite su(N) invariant form, Weyl group, roots, weight
+systems and Weyl dimensions, and the package's size budgets.  Pure Python:
+no numpy.
 
 Weights are handled in unshifted Dynkin labels ``Lambda_i >= 0`` with
 ``sum(Lambda_i) <= k``.  The rho-shifted coordinates ``lambda_i = Lambda_i + 1``
@@ -10,12 +12,25 @@ automorphism and the Weyl-group bookkeeping are more natural.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 # size budget for one weight basis, checked before enumerating it
 WEIGHT_BUDGET = 100_000
+# elements of the largest dense array built (256 MiB as complex128)
+DENSE_BUDGET = 2**24
+
+
+def require_dense_budget(elements: int, what: str) -> None:
+    """Refuse, before allocating, a dense array of more than DENSE_BUDGET
+    elements."""
+    if elements > DENSE_BUDGET:
+        raise ValueError(
+            f"{what} needs a dense array of {elements} elements, "
+            f"over the budget of {DENSE_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,32 @@ def _bounded_labels(length: int, bound: int):
     for first in range(bound + 1):
         for rest in _bounded_labels(length - 1, bound - first):
             yield (first,) + rest
+
+
+def quantum_dimensions(spec: AlgebraSpec) -> dict[Weight, float]:
+    """Quantum dimension S_0L / S_00 of every integrable weight, in
+    ``integrable_weights`` order, from the closed sine product of the
+    S-matrix's vacuum row and without numpy.
+
+    The arithmetic is that of ``s_matrix``'s vacuum row, step for step: the
+    norm, times 2 sin(pi (t_a - t_b) / h) for each a < b, divided by the
+    vacuum's value.  Dropping the norm changes some last bits, and then
+    some 12-digit strings.  The spec is held to the S-matrix's budget, so
+    these are served for exactly the specs whose S-matrix can be built."""
+    n, k = spec.n, spec.k
+    h = k + n
+    basis = integrable_weights(spec)
+    require_dense_budget(len(basis) ** 2 * n * n, f"the S-matrix of su({n})_{k}")
+    norm = (n * h ** (n - 1)) ** -0.5
+    row = []
+    for w in basis:
+        t = shifted_v(w.labels)
+        value = norm
+        for a in range(n):
+            for b in range(a + 1, n):
+                value *= 2.0 * math.sin(math.pi * (t[a] - t[b]) / h)
+        row.append(value)
+    return {w: value / row[0] for w, value in zip(basis, row)}
 
 
 def color(w: Weight) -> int:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosetcft
-from cosetcft import cli, coset, fusion, weights
+from cosetcft import cli, coset, fusion, report, verify, weights
 from cosetcft.cli import Config, main
 
 # exit codes and stdout digests recorded for the benchmark's operations
@@ -437,6 +437,30 @@ class TestBranchCommand:
         code, out = run(capsys, "branch", "--sector", "0;0;0")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize(
+        "argv,form,bad",
+        [
+            (["--maverick", "--sector", "1,1"], "--sector 'p,q;l'", "1,1"),
+            (["--maverick", "--sector", "x;y"], "--sector 'p,q;l'", "x;y"),
+            (["--maverick", "--sector", "1,1,1;4"], "--sector 'p,q;l'", "1,1,1;4"),
+            (["--maverick", "--sector", "1,1;4;0"], "--sector 'p,q;l'", "1,1;4;0"),
+            (["--coset", "2,1", "--sector", "0;0;0"], "--coset 'n,m1,m2'", "2,1"),
+            (["--coset", "2,1,x", "--sector", "0;0;0"], "--coset 'n,m1,m2'", "2,1,x"),
+            *(
+                (["--coset", "3,1,1", "--sector", sector],
+                 "--sector 'num1;num2;den' of 2 labels each", sector)
+                for sector in ("0;0;0", "0,0;0,0", "0,0;0,0;0,")
+            ),
+        ],
+    )
+    def test_malformed_sector_names_the_expected_form(self, capsys, argv, form, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["branch", *argv, "--cutoff", "2"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        last = err.strip().splitlines()[-1]
+        assert last == f"cosetcft: error: expected {form}, got {bad!r}"
+
 
 class TestVerifyCommand:
     def test_kw_single_spec(self, capsys):
@@ -500,6 +524,10 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _ = run(capsys, "verify", "everything")
         assert code == 2
+
+    def test_suite_choices_are_the_suites(self):
+        # the parser offers report.SUITE_NAMES so that it need not load verify
+        assert tuple(verify.SUITES) == report.SUITE_NAMES
 
     def test_quick_all(self, capsys):
         code, out = run(capsys, "verify", "all")

@@ -29,7 +29,7 @@ from cosetcft import (
     simple_current_check,
     verlinde_tensor,
 )
-from cosetcft import fusion, modular, verify
+from cosetcft import fusion, modular, verify, weights
 from cosetcft.verify import DESK_SPECS, SUITES, Config, coset_ring_reports
 from cosetcft.coset import coset_ring
 from cosetcft.maverick import build_maverick_ring
@@ -397,9 +397,9 @@ def forbid(monkeypatch, *names):
 
 class TestDenseBudget:
     def test_boundary(self):
-        modular.require_dense_budget(modular.DENSE_BUDGET, "an array")
+        weights.require_dense_budget(weights.DENSE_BUDGET, "an array")
         with pytest.raises(ValueError, match="budget"):
-            modular.require_dense_budget(modular.DENSE_BUDGET + 1, "an array")
+            weights.require_dense_budget(weights.DENSE_BUDGET + 1, "an array")
 
     def test_s_matrix_phases_refused(self, monkeypatch):
         forbid(monkeypatch, "einsum", "exp")
@@ -415,7 +415,7 @@ class TestDenseBudget:
     def test_dense_refused(self, monkeypatch):
         forbid(monkeypatch, "zeros")
         with pytest.raises(ValueError, match="budget"):
-            fusion.dense_tensor({}, 257)
+            SparseTensor.from_table({}, 257).dense()
 
 
 def loop_dense(table, m):
@@ -465,7 +465,7 @@ def test_dimension_residual_of_every_ring_kind(build):
 
 
 def test_dense_of_empty_table():
-    assert not fusion.dense_tensor({}, 3).any()
+    assert not SparseTensor.from_table({}, 3).dense().any()
 
 
 def test_axiom_check_memory():

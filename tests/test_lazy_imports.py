@@ -1,0 +1,130 @@
+"""The package runs a module only when it is used: its exported names resolve
+on first access, and each CLI command runs only the modules on its path."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cosetcft
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# every name the package exported before its modules were loaded lazily
+EXPORTED = {
+    "weights": [
+        "AlgebraSpec", "Weight", "color", "conformal_weight", "conjugate_weight",
+        "integrable_weights", "sigma_apply",
+    ],
+    "modular": [
+        "SMatrix", "asymptotic_dimension", "product_quantum_dimension",
+        "quantum_dimension", "s_matrix",
+    ],
+    "fusion": [
+        "BasedRing", "FusionRing", "IntegralityViolation", "SimpleCurrentReport",
+        "SparseTensor", "dimension_homomorphism_residual", "fuse", "fuse_pair",
+        "fusion_ring", "product_ring", "ring_axiom_failures", "simple_current_check",
+        "verlinde_tensor",
+    ],
+    "coset": [
+        "CosetSector", "CosetSpec", "NotFaithful", "SectorOrbit",
+        "class_dimension_sums", "coset_ring", "coset_statistical_dimension", "dgh",
+        "exp_set", "formula_31_residual", "identification_orbits",
+        "kw_identity_check", "sector_sigma", "vacuum_orbit_membership",
+    ],
+    "torus": [
+        "TorusClass", "TorusSector", "torus_class", "torus_classes", "torus_exp",
+        "torus_kw_residual", "torus_ring",
+    ],
+    "characters": [
+        "BranchingFunction", "GradedCharacter", "InconclusiveCutoff",
+        "NegativeResidual", "WeightTable", "coset_energy_offset",
+        "diagonal_branching", "freudenthal_character", "graded_character",
+        "kw_numeric_ratio", "peel_branching", "reconstitute", "restrict_character",
+        "sector_branching", "tensor_characters", "vacuum_membership",
+    ],
+    "maverick": [
+        "InconsistentRelations", "MaverickBranchingReport", "build_maverick_ring",
+        "maverick_branching", "maverick_branching_check", "maverick_dims",
+    ],
+}
+
+# Runs a CLI command as `python -m cosetcft.cli` does, then prints the
+# package modules that ran and whether numpy was imported.
+PROBE = """
+import contextlib, io, json, runpy, sys, types
+sys.argv = ["cosetcft", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("cosetcft.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+ran = [
+    name.partition(".")[2] for name, module in sys.modules.items()
+    if name.startswith("cosetcft.") and type(module) is types.ModuleType
+]
+print(json.dumps({"ran": sorted(ran), "numpy": "numpy" in sys.modules}))
+"""
+
+
+def cli_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [(module, name) for module, names in EXPORTED.items() for name in names],
+)
+def test_exported_name_is_the_module_attribute(module, name):
+    assert getattr(cosetcft, name) is getattr(getattr(cosetcft, module), name)
+
+
+def test_export_count_and_star_import():
+    assert sum(map(len, EXPORTED.values())) == 68
+    namespace = {}
+    exec("from cosetcft import *", namespace)
+    assert {n for names in EXPORTED.values() for n in names} <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cosetcft.no_such_name
+
+
+def test_module_run_prints_nothing_on_stderr():
+    # runpy warns on stderr when cosetcft.cli is in sys.modules before it runs
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosetcft.cli", "fuse", "su2", "2", "1", "1"],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv,ran,numpy",
+    [
+        ("weights --algebra su3 --level 6 --format table", ["report", "weights"], False),
+        (
+            "branch --maverick --sector 1,1;4 --cutoff 4",
+            ["characters", "maverick", "report", "weights"],
+            False,
+        ),
+        ("fuse su3 2 1,0 0,1", ["fusion", "modular", "report", "weights"], True),
+        ("smatrix --algebra su2 --level 3", ["modular", "report", "weights"], True),
+        ("coset-ring 2 1 1", ["coset", "fusion", "modular", "report", "weights"], True),
+    ],
+    ids=lambda x: x if isinstance(x, str) else None,
+)
+def test_command_runs_only_its_modules(argv, ran, numpy):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv.split()],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"ran": ran, "numpy": numpy}

@@ -1,4 +1,5 @@
 import math
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from cosetcft import (
     s_matrix,
     sigma_apply,
 )
+from cosetcft.report import format_real
+from cosetcft.weights import quantum_dimensions
 
 DESK = [(n, k) for n in (2, 3, 4) for k in range(1, 7)]
 
@@ -130,3 +133,35 @@ class TestProductDimensions:
     def test_mixed_levels(self):
         x = (Weight(AlgebraSpec.su(2, 2), (1,)), Weight(AlgebraSpec.su(2, 1), (1,)))
         assert product_quantum_dimension(x) == pytest.approx(math.sqrt(2), abs=1e-9)
+
+
+# every (N, k) with N <= 6, k < 40 whose S-matrix phases, m^2 N^2, fit in 2^22
+SINE_SPECS = [
+    (n, k)
+    for n in range(2, 7)
+    for k in range(1, 40)
+    if comb(k + n - 1, n - 1) ** 2 * n * n <= 2**22
+]
+
+
+def test_sine_product_dimensions_print_as_the_s_matrix_ones():
+    """The numpy-free dimensions of the `weights` command give the same
+    12-digit strings as S_0L / S_00 of the full S-matrix (the last bits of
+    the floats do differ)."""
+    assert len(SINE_SPECS) == 98
+    for n, k in SINE_SPECS:
+        spec = AlgebraSpec.su(n, k)
+        sm = s_matrix(spec)
+        dims = quantum_dimensions(spec)
+        assert list(dims) == list(sm.basis)
+        for w, d in dims.items():
+            assert format_real(d) == format_real(quantum_dimension(sm, w)), (n, k, w)
+
+
+def test_sine_product_dimensions_keep_the_s_matrix_budget(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dimension was computed before the budget check")
+
+    monkeypatch.setattr(math, "sin", refuse)
+    with pytest.raises(ValueError, match="budget"):
+        quantum_dimensions(AlgebraSpec.su(4, 30))  # m = 5456, as s_matrix refuses
