@@ -1,16 +1,14 @@
 """Truncated graded characters of integrable su(N) modules, and the
-branching-function machinery built on them.
+branching functions read from them.
 
-Two independent engines compute weight multiplicities per grade:
-
-* the production engine multiplies the Weyl-Kac numerator's translation
-  terms (grade shift at most the cutoff) by the denominator series P, which
-  ``denominator_series`` computes once per (N, cutoff), and straightens
-  each product term (Racah-Speiser) into a signed finite character;
-* a Freudenthal recursion on the extended algebra serves as the oracle.
-
-Both produce exact integer multiplicities; the test suite requires them to
-agree entry by entry.
+One loop serves both: ``alternant_terms`` lists an affine Weyl alternant's
+translation terms, and ``straighten_products`` multiplies a Weyl-invariant
+series by them and straightens each product (Racah-Speiser) into
+finite-irrep coefficients.  Over the cached denominator series P that gives
+a graded character; over a character or a restricted table, branching
+functions (Kac-Peterson).  The Freudenthal recursion and
+``tensor_characters`` with ``reconstitute`` are the oracles that the tests
+and ``verify`` compare them with, exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import TYPE_CHECKING
+
+from .report import InconclusiveCutoff  # re-exported: raised here
 
 # weyl_dimension is re-exported: perfbench/trace_runner.py traces it here
 from .weights import (
@@ -51,13 +52,9 @@ if TYPE_CHECKING:  # coset loads numpy, which no character computation needs
 Poly = dict[Labels, int]
 
 
-class InconclusiveCutoff(RuntimeError):
-    """Branching vanished up to the cutoff; no energy can be reported."""
-
-
 class NegativeResidual(ArithmeticError):
-    """Peeling drove a multiplicity negative: the table is not a nonnegative
-    combination of integrable characters (bug or wrong projection)."""
+    """A branching coefficient came out negative, or a table is not a
+    nonnegative combination of integrable characters (bug or wrong projection)."""
 
 
 # --- graded characters ------------------------------------------------------
@@ -89,6 +86,9 @@ class GradedCharacter(WeightTable):
 
 
 MAX_CUTOFF = 40
+# cost bound of a diagonal-coset branching (see ``require_alternant_budget``):
+# 8.1e8 for su(5) at level 2 and cutoff 9
+ALTERNANT_BUDGET = 2**30
 
 
 @lru_cache(maxsize=None)
@@ -107,58 +107,86 @@ def denominator_series(n: int, cutoff: int) -> tuple[tuple[tuple[Labels, int], .
             for g in range(j, cutoff + 1):
                 dst = series[g]
                 for v, mult in series[g - j].items():
-                    key = tuple(a + b for a, b in zip(v, step))
+                    key = tuple(map(add, v, step))
                     dst[key] = dst.get(key, 0) + mult
     return tuple(tuple(sl.items()) for sl in series)
 
 
-@lru_cache(maxsize=None)
-def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharacter:
-    """Production engine: the Weyl-Kac numerator is a sum of finite
-    alternants A(u); as P is Weyl-invariant, A(u) P = sum_nu P(nu) A(u + nu),
-    and ``straighten`` makes each A(u + nu) zero or a signed finite
-    character.  The per-grade irrep coefficients expand into weight slices."""
-    n, k = spec.n, spec.k
-    if w.spec != spec:
-        raise ValueError("weight bound to a different spec")
+def _box_radius(lam: Labels, n: int, h: int, cutoff: int) -> int:
+    """Bound r on the v-coordinates of the root-lattice vectors beta whose
+    alternant term (see ``alternant_terms``) has grade at most cutoff: such a
+    grade needs |beta| <= (|t| + sqrt(|t|^2 + 2*h*cutoff)) / h, and
+    |beta_i| < |beta|.  Checks the cutoff first."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     if cutoff > MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} beyond configured bound {MAX_CUTOFF}")
-    lam = w.labels
-    h = k + n
-    t = shifted_v(lam)
-
-    # rho-shifted numerator terms u = t + h*beta, beta in the root lattice,
-    # at grade (lam+rho, beta) + h*(beta,beta)/2
-    terms: list[tuple[int, Labels]] = []
     top_norm = float(norm2_shifted(lam, n))
-    reach = (top_norm**0.5 + (top_norm + 2 * h * cutoff) ** 0.5) / h
-    lam_min = 2 - 2 * math.cos(math.pi / n)  # smallest Cartan eigenvalue
-    cbound = int(reach / lam_min**0.5) + 2
-    for c in itertools.product(range(-cbound, cbound + 1), repeat=n - 1):
-        vb = [0] * n
-        prev = 0
-        for i, ci in enumerate(c):
-            vb[i] = ci - prev
-            prev = ci
-        vb[n - 1] = -prev
-        grade = sum(ta * vba for ta, vba in zip(t, vb))
-        grade += h * sum(x * x for x in vb) // 2
-        if 0 <= grade <= cutoff:
-            terms.append((grade, tuple(ta + h * vba for ta, vba in zip(t, vb))))
+    return int((top_norm**0.5 + (top_norm + 2 * h * cutoff) ** 0.5) / h)
 
-    # finite-irrep coefficients per grade: A(u) P_d lands at grade g' + d
-    denominator = denominator_series(n, cutoff)
+
+def require_alternant_budget(lam: Labels, n: int, h: int, cutoff: int) -> None:
+    """Refuse (ValueError) an alternant whose term box of (2r + 1)^(n-1)
+    points, r from ``_box_radius``, times a bound on the entries of P up to
+    the cutoff, (cutoff + 1) * (2*cutoff + 1)^(n-1) (its v-coordinates lie
+    in [-cutoff, cutoff]), exceeds ALTERNANT_BUDGET.  This models the
+    straighten loop of a graded character, one product per term and entry
+    of P; it overstates P's entries most at high rank."""
+    r = _box_radius(lam, n, h, cutoff)
+    cost = (2 * r + 1) ** (n - 1) * (cutoff + 1) * (2 * cutoff + 1) ** (n - 1)
+    if cost > ALTERNANT_BUDGET:
+        raise ValueError(
+            f"an su({n}) alternant at cutoff {cutoff} is over the budget of "
+            f"{ALTERNANT_BUDGET} box points times series entries"
+        )
+
+
+def alternant_terms(lam: Labels, n: int, h: int, cutoff: int) -> list[tuple[int, Labels]]:
+    """Translation terms of the affine Weyl alternant of lam + rho at shifted
+    level h, as (grade, u) pairs with grade at most cutoff: the alternant is
+    the sum of q^grade A(u) over them, A the finite alternant.  Here
+    u = t + h*beta in v-coordinates, t = shifted_v(lam), beta runs over the
+    root lattice, and the grade is (lam+rho, beta) + h*(beta,beta)/2."""
+    t = shifted_v(lam)
+    r = _box_radius(lam, n, h, cutoff)
+    terms: list[tuple[int, Labels]] = []
+    for head in itertools.product(range(-r, r + 1), repeat=n - 1):
+        vb = (*head, -sum(head))
+        grade = sum(a * b for a, b in zip(t, vb)) + h * sum(x * x for x in vb) // 2
+        if 0 <= grade <= cutoff:
+            terms.append((grade, tuple(a + h * b for a, b in zip(t, vb))))
+    return terms
+
+
+def straighten_products(series, terms, cutoff: int) -> list[dict[Labels, int]]:
+    """Finite-irrep coefficients, per grade up to cutoff, of a Weyl-invariant
+    series S times the sum of q^grade A(u) over terms: A(u) S_d is the sum of
+    S_d(nu) A(u + nu), at grade grade + d, and ``straighten`` makes each
+    A(u + nu) zero or a signed A(mu + rho).  ``series`` holds one sequence
+    of (v-coordinates, multiplicity) pairs per grade."""
     irreps: list[dict[Labels, int]] = [dict() for _ in range(cutoff + 1)]
     for grade, u in terms:
-        for g, sl in enumerate(denominator[: cutoff + 1 - grade], start=grade):
+        for g, sl in enumerate(series[: cutoff + 1 - grade], start=grade):
             dst = irreps[g]
             for nu, mult in sl:
-                hit = straighten(tuple(a + b for a, b in zip(u, nu)))
+                hit = straighten(tuple(map(add, u, nu)))
                 if hit is not None:
                     sign, mu = hit
                     dst[mu] = dst.get(mu, 0) + sign * mult
+    return irreps
+
+
+@lru_cache(maxsize=None)
+def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharacter:
+    """Production engine: the Weyl-Kac numerator's terms times the
+    Weyl-invariant series P, straightened into per-grade irrep
+    coefficients, which expand into weight slices."""
+    n, k = spec.n, spec.k
+    if w.spec != spec:
+        raise ValueError("weight bound to a different spec")
+    lam = w.labels
+    terms = alternant_terms(lam, n, k + n, cutoff)
+    irreps = straighten_products(denominator_series(n, cutoff), terms, cutoff)
 
     # highest weights first (descending v), which fixes each slice's key order
     slices: list[Poly] = []
@@ -298,15 +326,20 @@ def restrict_character(table: WeightTable, projection) -> WeightTable:
     return WeightTable(len(rows) + 1, table.cutoff, tuple(slices))
 
 
-def _shifted_madd(dst: list[Poly], src: tuple[Poly, ...], shift: int, coeff: int) -> None:
-    """dst[shift + g] += coeff * src[g] for every grade g that dst holds;
-    entries that cancel are dropped."""
-    for g, sl in enumerate(src[: len(dst) - shift]):
-        out = dst[shift + g]
-        for wlab, m in sl.items():
-            out[wlab] = out.get(wlab, 0) + coeff * m
-            if out[wlab] == 0:
-                del out[wlab]
+def _read_branching(table: WeightTable, terms, target: AlgebraSpec, depth: int):
+    """Per integrable target weight mu, the coefficients of A(mu + rho) in
+    the table times the alternant of terms, grade by grade up to depth.
+    Where that product is a sum of b_mu times target alternants
+    (Kac-Peterson), only the identity term of each lies in the open alcove,
+    so the coefficient of A(mu + rho) is b_mu exactly."""
+    series = [[(v_vector(lab), m) for lab, m in sl.items()] for sl in table.slices[: depth + 1]]
+    irreps = straighten_products(series, terms, depth)
+    out = {}
+    for wt in integrable_weights(target):
+        out[wt] = tuple(sl.get(wt.labels, 0) for sl in irreps)
+        if min(out[wt]) < 0:
+            raise NegativeResidual(f"negative branching coefficient for {wt}: {out[wt]}")
+    return out
 
 
 def peel_branching(
@@ -314,47 +347,25 @@ def peel_branching(
 ) -> dict[Weight, "BranchingFunction"]:
     """Decompose a restricted table into target graded characters.
 
-    Grade by grade, every dominant weight with positive residual
-    multiplicity starts that many copies of the target character at the
-    current grade (highest-norm weights first); the subtraction must come
-    out exactly nonnegative everywhere and exactly zero on each completed
-    grade.  Returns one coefficient sequence per integrable target weight,
+    The table times the target's affine denominator (the alternant of rho
+    at level 0, shifted level N) is read as in ``diagonal_branching``.  The
+    certificate: the coefficients must ``reconstitute`` the table exactly,
+    else it is no nonnegative sum of target characters (NegativeResidual).
+    Returns one coefficient sequence per integrable target weight,
     including identically zero ones.
     """
-    n, k = target.n, target.k
+    n = target.n
     if table.rank_param != n:
         raise ValueError("table rank does not match target algebra")
     depth = table.cutoff if cutoff is None else min(cutoff, table.cutoff)
-    residual = [dict(sl) for sl in table.slices[: depth + 1]]
-    targets = integrable_weights(target)
-    coeffs: dict[Weight, list[int]] = {t: [0] * (depth + 1) for t in targets}
-    for g in range(depth + 1):
-        while True:
-            positives = [
-                (lab, m)
-                for lab, m in residual[g].items()
-                if m > 0 and all(x >= 0 for x in lab)
-            ]
-            if not positives:
-                break
-            positives.sort(key=lambda p: -norm2_shifted(p[0], n))
-            lab, m = positives[0]
-            if sum(lab) > k:
-                raise NegativeResidual(
-                    f"dominant residual {lab} at grade {g} exceeds level {k}"
-                )
-            wt = Weight(target, lab)
-            coeffs[wt][g] += m
-            char = graded_character(target, wt, depth)
-            _shifted_madd(residual, char.slices, g, -m)
-        if residual[g]:
-            raise NegativeResidual(
-                f"nonzero residual left at grade {g}: {sorted(residual[g].items())[:4]}"
-            )
-    return {
-        t: BranchingFunction(str(t), Fraction(0), tuple(cs))
-        for t, cs in coeffs.items()
-    }
+    terms = alternant_terms((0,) * (n - 1), n, n, depth)
+    read = _read_branching(table, terms, target, depth)
+    out = {t: BranchingFunction(str(t), Fraction(0), cs) for t, cs in read.items()}
+    if reconstitute(out, target, depth).slices != table.slices[: depth + 1]:
+        raise NegativeResidual(
+            f"table is not a sum of {target} characters up to grade {depth}"
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -405,13 +416,16 @@ def reconstitute(
     n = target.n
     slices: list[Poly] = [dict() for _ in range(cutoff + 1)]
     for wt, bf in branchings.items():
-        char = None
-        for g, c in enumerate(bf.coeffs[: cutoff + 1]):
+        coeffs = bf.coeffs[: cutoff + 1]
+        char = graded_character(target, wt, cutoff) if any(coeffs) else None
+        for shift, c in enumerate(coeffs):
             if not c:
                 continue
-            if char is None:
-                char = graded_character(target, wt, cutoff)
-            _shifted_madd(slices, char.slices, g, c)
+            for sl, out in zip(char.slices, slices[shift:]):
+                for wlab, m in sl.items():
+                    out[wlab] = out.get(wlab, 0) + c * m
+                    if out[wlab] == 0:
+                        del out[wlab]
     return WeightTable(n, cutoff, tuple(slices))
 
 
@@ -421,19 +435,22 @@ def diagonal_branching(
     spec: CosetSpec, num1: Weight, num2: Weight, cutoff: int
 ) -> dict[Weight, BranchingFunction]:
     """Branching functions of the pair (num1, num2) over every downstairs
-    weight, with offsets h(num1) + h(num2) - h(den)."""
+    weight, with offsets h(num1) + h(num2) - h(den): ch(num1) times the
+    numerator of num2 is the sum of b_den times the downstairs numerators
+    (Kac-Peterson), read as in ``_read_branching``.  Both numerators'
+    alternants are held to ALTERNANT_BUDGET before any work."""
+    n = spec.n
+    for w in (num1, num2):
+        require_alternant_budget(w.labels, n, w.spec.k + n, cutoff)
+    terms = alternant_terms(num2.labels, n, num2.spec.k + n, cutoff)
     c1 = graded_character(num1.spec, num1, cutoff)
-    c2 = graded_character(num2.spec, num2, cutoff)
-    product = tensor_characters(c1, c2)
-    down = AlgebraSpec.su(spec.n, spec.diagonal_level)
-    peeled = peel_branching(product, down, cutoff)
+    down = AlgebraSpec.su(n, spec.diagonal_level)
+    read = _read_branching(c1, terms, down, cutoff)
     h12 = conformal_weight(num1) + conformal_weight(num2)
-    out = {}
-    for wt, bf in peeled.items():
-        out[wt] = BranchingFunction(
-            f"({num1},{num2};{wt})", h12 - conformal_weight(wt), bf.coeffs
-        )
-    return out
+    return {
+        wt: BranchingFunction(f"({num1},{num2};{wt})", h12 - conformal_weight(wt), cs)
+        for wt, cs in read.items()
+    }
 
 
 def sector_branching(spec: CosetSpec, sector: CosetSector, cutoff: int) -> BranchingFunction:

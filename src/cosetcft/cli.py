@@ -22,6 +22,9 @@ from . import characters, coset, fusion, maverick, modular, verify, weights
 from .report import (
     SUITE_NAMES,
     Config,
+    InconclusiveCutoff,
+    IntegralityViolation,
+    NotFaithful,
     VerificationReport,
     coset_ring_reports,
     format_real,
@@ -439,23 +442,23 @@ def main(argv=None) -> int:
     try:
         result, reports = args.run(args, config)
         code = 0 if all(r.passed for r in reports) else 1
-    # an except clause is evaluated only when something is raised, so these
-    # load coset, fusion and characters on the error path alone
-    except coset.NotFaithful as err:
+    # report defines the errors matched here: an error path runs no module
+    # that the command did not
+    except NotFaithful as err:
         result = {
             "error": "NotFaithful",
             "message": str(err),
             "fixed_points": [str(s) for s, _ in err.fixed_points],
         }
         reports, code = [], 1
-    except fusion.IntegralityViolation as err:
+    except IntegralityViolation as err:
         result = {
             "error": "IntegralityViolation",
             "message": str(err),
             "indices": list(err.indices),
         }
         reports, code = [], 1
-    except (ValueError, KeyError, characters.InconclusiveCutoff) as err:
+    except (ValueError, KeyError, InconclusiveCutoff) as err:
         parser.error(str(err))
     document = {
         "command": args.command,

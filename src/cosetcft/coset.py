@@ -22,6 +22,7 @@ from .modular import (
     quantum_dimension,
     s_matrix,
 )
+from .report import NotFaithful  # re-exported: raised here
 from .weights import (
     WEIGHT_BUDGET,
     AlgebraSpec,
@@ -102,17 +103,6 @@ class SectorOrbit:
 
     def __str__(self):
         return f"[{self.representative}]"
-
-
-class NotFaithful(ValueError):
-    """The cyclic action has a fixed sector; the orbit ring is undefined."""
-
-    def __init__(self, fixed_points):
-        self.fixed_points = list(fixed_points)
-        example = self.fixed_points[0][0] if self.fixed_points else None
-        super().__init__(
-            f"cyclic action on the sector set is not faithful; fixed sector {example}"
-        )
 
 
 def in_exp(spec: CosetSpec, s: CosetSector) -> bool:

@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .modular import SMatrix, quantum_dimension, s_matrix
+from .report import IntegralityViolation  # re-exported: raised here
 from .weights import (
     AlgebraSpec,
     Weight,
@@ -26,17 +27,6 @@ from .weights import (
 
 INTEGRALITY_TOL = 1e-6
 KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
-
-
-class IntegralityViolation(ArithmeticError):
-    """A Verlinde sum failed to land on an integer within tolerance."""
-
-    def __init__(self, residual: float, i: int, j: int, k: int):
-        self.residual = residual
-        self.indices = (i, j, k)
-        super().__init__(
-            f"fusion coefficient N[{i},{j}]^{k} off an integer by {residual:.3e}"
-        )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Run configuration and check reports, shared by the CLI and the
-verification suites.
+"""Run configuration, check reports and the errors that the CLI reports,
+shared by the CLI and the verification suites.
 
 Loading this module runs no other module of the package and imports no
 numpy: ``fusion`` and ``modular`` are the package's lazy submodules, run
@@ -13,6 +13,38 @@ import time
 from dataclasses import dataclass, field, fields
 
 from . import fusion, modular
+
+# --- errors that the CLI reports ----------------------------------------------
+#
+# Defined here, not beside the code that raises them, so that cli.main can
+# match them without running coset, fusion or characters (and numpy); those
+# modules re-export them under their old names.
+
+class NotFaithful(ValueError):
+    """The cyclic action has a fixed sector; the orbit ring is undefined."""
+
+    def __init__(self, fixed_points):
+        self.fixed_points = list(fixed_points)
+        example = self.fixed_points[0][0] if self.fixed_points else None
+        super().__init__(
+            f"cyclic action on the sector set is not faithful; fixed sector {example}"
+        )
+
+
+class IntegralityViolation(ArithmeticError):
+    """A Verlinde sum failed to land on an integer within tolerance."""
+
+    def __init__(self, residual: float, i: int, j: int, k: int):
+        self.residual = residual
+        self.indices = (i, j, k)
+        super().__init__(
+            f"fusion coefficient N[{i},{j}]^{k} off an integer by {residual:.3e}"
+        )
+
+
+class InconclusiveCutoff(RuntimeError):
+    """Branching vanished up to the cutoff; no energy can be reported."""
+
 
 # the keys of verify.SUITES, in its order: the CLI's suite choices
 SUITE_NAMES = (

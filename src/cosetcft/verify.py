@@ -241,9 +241,9 @@ def check_branching(config: Config, quick: bool = False) -> VerificationReport:
                     if bf.is_zero:
                         continue
                     sector = CosetSector(w1, w2, wh)
-                    via_peel = bf.energy() == 0 and bf.multiplicity_at_min() == 1
+                    via_branching = bf.energy() == 0 and bf.multiplicity_at_min() == 1
                     via_orbit = vacuum_orbit_membership(spec, sector)
-                    if via_peel != via_orbit:
+                    if via_branching != via_orbit:
                         bad.append(f"vacuum criterion mismatch {sector}")
     return VerificationReport("branching-functions", not bad, 0.0, bad)
 

@@ -99,13 +99,25 @@ def integrable_weights(spec: AlgebraSpec) -> list[Weight]:
 
 def _bounded_labels(length: int, bound: int):
     """Nonnegative tuples of the given length with sum <= bound, in
-    lexicographic order."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(bound + 1):
-        for rest in _bounded_labels(length - 1, bound - first):
-            yield (first,) + rest
+    lexicographic order.  Iterative, so any length works."""
+    lab = [0] * length
+    total = 0
+    while True:
+        yield tuple(lab)
+        if length and total < bound:
+            lab[-1] += 1
+            total += 1
+            continue
+        # the sum is at the bound: zero the last nonzero entry and carry one
+        # into the entry before it
+        i = length - 1
+        while i > 0 and lab[i] == 0:
+            i -= 1
+        if i <= 0:
+            return
+        total -= lab[i] - 1
+        lab[i] = 0
+        lab[i - 1] += 1
 
 
 def quantum_dimensions(spec: AlgebraSpec) -> dict[Weight, float]:

@@ -1,6 +1,8 @@
+import hashlib
+import json
+import math
 from fractions import Fraction
 
-import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,9 +29,13 @@ from cosetcft import (
     vacuum_membership,
     vacuum_orbit_membership,
 )
+from cosetcft import characters
 from cosetcft.characters import (
+    MAX_CUTOFF,
+    alternant_terms,
     denominator_series,
     finite_weight_multiplicities,
+    require_alternant_budget,
     weyl_dimension,
 )
 from cosetcft.weights import labels_from_v, weyl_orbit
@@ -319,6 +325,89 @@ class TestPeeling:
         table = WeightTable(2, 1, ({(4,): 1, (2,): 1, (0,): 1, (-2,): 1, (-4,): 1}, {}))
         with pytest.raises(NegativeResidual):
             peel_branching(table, su2(2))
+
+
+class TestAlternantBranching:
+    # every (numerator pair, downstairs weight) function of these cosets
+    PINNED = [(2, 1, 1, 10), (2, 3, 2, 10), (3, 1, 1, 8), (3, 2, 1, 8),
+              (3, 2, 2, 6), (4, 1, 1, 5), (4, 2, 1, 4)]
+
+    def test_pinned_coefficients(self):
+        # digest taken from the tensor-product-and-peel computation
+        lines = []
+        for n, m1, m2, cutoff in self.PINNED:
+            spec = CosetSpec(n, m1, m2)
+            s1, s2, _ = spec.factor_specs()
+            for x1 in integrable_weights(s1):
+                for x2 in integrable_weights(s2):
+                    for y, bf in diagonal_branching(spec, x1, x2, cutoff).items():
+                        row = [n, m1, m2, cutoff, x1.labels, x2.labels, y.labels, bf.coeffs]
+                        lines.append(json.dumps(row))
+        assert len(lines) == 1818
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "28ef8b0c17d7c0a8064952fc56149455c012cc94f17d864bd45125c85c8e2d5e"
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 6),
+        st.randoms(use_true_random=False),
+    )
+    def test_reconstitutes_the_tensor_product(self, n, m1, m2, cutoff, rng):
+        spec = CosetSpec(n, m1, m2)
+        s1, s2, down = spec.factor_specs()
+        x1 = rng.choice(integrable_weights(s1))
+        x2 = rng.choice(integrable_weights(s2))
+        table = diagonal_branching(spec, x1, x2, cutoff)
+        assert all(c >= 0 for bf in table.values() for c in bf.coeffs)
+        product = tensor_characters(
+            graded_character(s1, x1, cutoff), graded_character(s2, x2, cutoff)
+        )
+        assert reconstitute(table, down, cutoff).slices == product.slices
+
+    def test_no_tensor_product_and_no_peel(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("diagonal_branching left the alternant read")
+
+        monkeypatch.setattr(characters, "tensor_characters", forbidden)
+        monkeypatch.setattr(characters, "peel_branching", forbidden)
+        graded_character.cache_clear()
+        denominator_series.cache_clear()
+        br = diagonal_branching(CosetSpec(3, 1, 1), AlgebraSpec.su(3, 1).vacuum(),
+                                AlgebraSpec.su(3, 1).vacuum(), 6)
+        assert br[AlgebraSpec.su(3, 2).vacuum()].coeffs[:3] == (1, 0, 1)
+
+    def test_level_zero_alternant_is_the_denominator(self):
+        # su(2): the terms of rho at shifted level 2 are the Jacobi triple
+        # product's, q^(c + 2c^2) e^(rho - 2c alpha)
+        assert sorted(alternant_terms((0,), 2, 2, 10)) == [
+            (0, (1, 0)), (1, (-1, 2)), (3, (3, -2)), (6, (-3, 4)), (10, (5, -4)),
+        ]
+
+    def test_budget_refused_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work started before the budget check")
+
+        monkeypatch.setattr(characters.itertools, "product", forbidden)
+        graded_character.cache_clear()
+        denominator_series.cache_clear()
+        spec = CosetSpec(8, 1, 1)
+        vac = AlgebraSpec.su(8, 1).vacuum()
+        with pytest.raises(ValueError, match="over the budget"):
+            diagonal_branching(spec, vac, vac, 8)
+        assert denominator_series.cache_info().currsize == 0
+
+    def test_budget_admits_the_recorded_rows(self):
+        # branch --coset 3,4,4 at cutoff 30 and 5,2,2 at cutoff 9, vacuum
+        for n, h, cutoff in ((3, 7, 30), (5, 7, 9)):
+            require_alternant_budget((0,) * (n - 1), n, h, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [-1, MAX_CUTOFF + 1])
+    def test_cutoff_out_of_range_is_refused(self, cutoff):
+        vac = AlgebraSpec.su(2, 1).vacuum()
+        with pytest.raises(ValueError, match="cutoff"):
+            alternant_terms((0,), 2, 3, cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            diagonal_branching(ISING, vac, vac, cutoff)
 
 
 class TestEnergiesAndRatios:

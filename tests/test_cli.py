@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +21,14 @@ from cosetcft.cli import Config, main
 
 # exit codes and stdout digests recorded for the benchmark's operations
 BENCH_SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
+
+
+def cli_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cosetcft.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run(capsys, *argv):
@@ -109,6 +118,18 @@ class TestWeightsCommand:
     def test_bad_algebra_is_usage_error(self, capsys):
         code, _ = run(capsys, "weights", "--algebra", "so3", "--level", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["weights", "smatrix"])
+    def test_rank_beyond_the_recursion_limit_is_usage_error(self, command):
+        # su1000 at level 1 has only 1,000 weights, each of 999 labels
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosetcft.cli", command, "--algebra", "su1000",
+             "--level", "1"],
+            capture_output=True, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "cosetcft: error: the S-matrix of su(1000)_1" in proc.stderr
 
     def test_smatrix_re_im_pairs(self, capsys):
         code, out = run(capsys, "smatrix", "--algebra", "su2", "--level", "1")
@@ -375,14 +396,9 @@ class TestIntegralityViolation:
         # some float Verlinde sum misses its integer by more than 1e-300
         conf = tmp_path / "conf"
         conf.write_text("tolerance_integrality = 1e-300\n")
-        src = str(Path(cosetcft.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "cosetcft.cli", *argv, "--config", str(conf)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=cli_env(), timeout=120,
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
@@ -432,6 +448,16 @@ class TestBranchCommand:
         assert lines[0] == "grade,coefficient"
         assert lines[1] == "0,0"
         assert lines[2] == "1,1"
+
+    @pytest.mark.parametrize("cutoff", ["-1", "41"])
+    def test_cutoff_out_of_range_is_usage_error(self, capsys, cutoff):
+        try:
+            code = main(["branch", "--coset", "2,1,1", "--sector", "0;0;0", "--cutoff", cutoff])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "cutoff" in err and "Traceback" not in err
 
     def test_sector_without_coset_is_usage_error(self, capsys):
         code, out = run(capsys, "branch", "--sector", "0;0;0")
@@ -633,8 +659,9 @@ class TestUnsupportedCsv:
 #
 # Mostly well-formed commands at small sizes, with malformed tokens, zero and
 # negative numbers, and oversized sentinels (level 10**6, cutoff 41) that the
-# input budgets refuse at once mixed in.  `branch --coset` stays at N <= 3:
-# its cost has no budget yet.
+# input budgets refuse at once mixed in.  Well-formed `branch --coset` inputs
+# run at N <= 3; at N = 6 to 8, with cutoffs over the alternant budget, they
+# must be refused at once.
 
 BAD_NUMBERS = ["-1", "0", "x", "", "1000000"]
 BAD_LABELS = ["-1", "1,,0", "a", "", "0,0,0,0"]
@@ -671,6 +698,20 @@ CUTOFF = mostly(pick(["0", "2", "4"]), pick(["-1", "41", "x"]))
 
 
 @st.composite
+def over_budget_branch(draw):
+    """A well-formed `branch --coset` whose alternant the budget refuses."""
+    rank = draw(pick(["6", "7", "8"]))
+    coset = ",".join([rank, draw(pick(["1", "2"])), draw(pick(["1", "2"]))])
+    # at most one label 1: integrable at every level
+    units = st.integers(-1, int(rank) - 2).map(
+        lambda i: ",".join("1" if j == i else "0" for j in range(int(rank) - 1))
+    )
+    sector = ";".join(draw(units) for _ in range(3))
+    cutoff = draw(pick([[], ["--cutoff", "8"]] + ([["--cutoff", "4"]] if rank == "8" else [])))
+    return ["branch", "--coset", coset, "--sector", sector] + cutoff
+
+
+@st.composite
 def command_argv(draw):
     command = draw(pick(["weights", "smatrix", "fuse", "coset-ring", "branch", "verify"]))
     if command in ("weights", "smatrix"):
@@ -681,6 +722,8 @@ def command_argv(draw):
         args = [algebra, draw(number("1", "2", "3")), draw(labels(rank)), draw(labels(rank))]
     elif command == "coset-ring":
         args = [draw(number("2", "3")), draw(number("1", "2")), draw(number("1", "2"))]
+    elif command == "branch" and draw(st.integers(0, 9)) == 9:
+        return draw(over_budget_branch())
     elif command == "branch" and draw(st.booleans()):
         pq = draw(labels("3"))
         downstairs = draw(number("0", "4", "8", "9"))
@@ -729,5 +772,24 @@ class TestArgvGrammar:
                 except SystemExit as exc:
                     code = exc.code
             assert code in (0, 1, 2), (argv, code)
+
+        check()
+
+    def test_branch_coset_over_budget_is_refused_at_once(self):
+        from cosetcft.characters import denominator_series
+
+        @settings(max_examples=60, deadline=None)
+        @given(over_budget_branch())
+        def check(argv):
+            misses = denominator_series.cache_info().misses
+            sink = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert exc.value.code == 2, (argv, sink.getvalue())
+            assert "over the budget" in sink.getvalue()
+            assert denominator_series.cache_info().misses == misses
 
         check()

@@ -52,21 +52,21 @@ EXPORTED = {
     ],
 }
 
-# Runs a CLI command as `python -m cosetcft.cli` does, then prints the
-# package modules that ran and whether numpy was imported.
+# Runs a CLI command as `python -m cosetcft.cli` does, then prints its exit
+# code, the package modules that ran and whether numpy was imported.
 PROBE = """
 import contextlib, io, json, runpy, sys, types
 sys.argv = ["cosetcft", *sys.argv[1:]]
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
         runpy.run_module("cosetcft.cli", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
-        assert exc.code == 0, exc.code
+        code = exc.code
 ran = [
     name.partition(".")[2] for name, module in sys.modules.items()
     if name.startswith("cosetcft.") and type(module) is types.ModuleType
 ]
-print(json.dumps({"ran": sorted(ran), "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "ran": sorted(ran), "numpy": "numpy" in sys.modules}))
 """
 
 
@@ -122,9 +122,21 @@ def test_module_run_prints_nothing_on_stderr():
     ids=lambda x: x if isinstance(x, str) else None,
 )
 def test_command_runs_only_its_modules(argv, ran, numpy):
+    assert probe(argv) == {"code": 0, "ran": ran, "numpy": numpy}
+
+
+def test_usage_error_runs_no_further_module():
+    # cli.main matches its errors without running the modules that define
+    # where they are raised
+    assert probe("weights --algebra so3 --level 1") == {
+        "code": 2, "ran": ["report"], "numpy": False
+    }
+
+
+def probe(argv):
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv.split()],
         capture_output=True, text=True, env=cli_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"ran": ran, "numpy": numpy}
+    return json.loads(proc.stdout)
