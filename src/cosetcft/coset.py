@@ -13,15 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from .fusion import BasedRing, FusionRing, SparseTensor, fusion_ring
-from .modular import (
-    asymptotic_dimension,
-    product_quantum_dimension,
-    quantum_dimension,
-    s_matrix,
-)
+from . import fusion, modular
 from .report import NotFaithful  # re-exported: raised here
 from .weights import (
     WEIGHT_BUDGET,
@@ -31,6 +23,7 @@ from .weights import (
     conjugate_weight,
     integrable_weights,
     require_dense_budget,
+    require_s_matrix_budget,
     sigma_apply,
 )
 
@@ -86,7 +79,8 @@ class CosetSector:
 
 @dataclass(frozen=True)
 class SectorOrbit:
-    """Orbit of a sector under the diagonal cyclic action."""
+    """Orbit of a sector under the diagonal cyclic action: its members in
+    power order from the representative, the orbit's smallest sector."""
 
     members: tuple[CosetSector, ...]
 
@@ -124,7 +118,8 @@ def sector_count(spec: CosetSpec) -> int:
 
 def exp_set(spec: CosetSpec) -> list[CosetSector]:
     """All weight triples passing the selection rule (see ``in_exp``), in
-    label order.  A count above WEIGHT_BUDGET is refused before any sector
+    ``CosetSector.sort_key`` order: the product of three lexicographic
+    weight lists.  A count above WEIGHT_BUDGET is refused before any sector
     is built."""
     count = sector_count(spec)
     if count > WEIGHT_BUDGET:
@@ -136,7 +131,6 @@ def exp_set(spec: CosetSpec) -> list[CosetSector]:
         for wh in integrable_weights(sh):
             if color(wh) == c:
                 out.append(CosetSector(w1, w2, wh))
-    out.sort(key=CosetSector.sort_key)
     return out
 
 
@@ -155,8 +149,10 @@ def identification_orbits(
     """Partition the sector set into orbits of the diagonal cyclic action.
 
     Returns (orbits, faithful, fixed_points); fixed_points lists pairs
-    (sector, power) with a nontrivial stabilizing power.  Orbits are keyed
-    and sorted by their lexicographically smallest member.
+    (sector, power) with a nontrivial stabilizing power, in sector order.
+    Sectors arrive in order, so each orbit is found from its smallest
+    member and the orbits come out in order of it.  An orbit of size d is
+    fixed exactly by the powers d, 2d, ... below n.
     """
     sectors = exp_set(spec)
     sector_set = set(sectors)
@@ -166,88 +162,93 @@ def identification_orbits(
     for s in sectors:
         if s in seen:
             continue
-        images = [sector_sigma(s, t) for t in range(spec.n)]
-        if any(img not in sector_set for img in images):
-            raise AssertionError("cyclic action left the sector set")
-        members = sorted(set(images), key=CosetSector.sort_key)
-        for m in members:
-            for t in range(1, spec.n):
-                if sector_sigma(m, t) == m:
-                    fixed.append((m, t))
+        members = [s]
+        image = sector_sigma(s, 1)
+        while image != s:
+            if image not in sector_set:
+                raise AssertionError("cyclic action left the sector set")
+            members.append(image)
+            image = sector_sigma(image, 1)
+        d = len(members)
+        fixed.extend((m, t) for m in members for t in range(d, spec.n, d))
         orbits.append(SectorOrbit(tuple(members)))
         seen.update(members)
-    orbits.sort(key=lambda o: o.representative.sort_key())
-    # deduplicate fixed-point records
-    fixed = sorted(set(fixed), key=lambda p: (p[0].sort_key(), p[1]))
+    fixed.sort(key=lambda p: (p[0].sort_key(), p[1]))
     return orbits, not fixed, fixed
 
 
-def factor_rings(spec: CosetSpec) -> tuple[FusionRing, FusionRing, FusionRing]:
-    s1, s2, sh = spec.factor_specs()
-    return fusion_ring(s1), fusion_ring(s2), fusion_ring(sh)
+def factor_rings(
+    spec: CosetSpec,
+) -> tuple[fusion.FusionRing, fusion.FusionRing, fusion.FusionRing]:
+    return tuple(fusion.fusion_ring(f) for f in spec.factor_specs())
 
 
-def coset_ring(spec: CosetSpec) -> BasedRing:
+def coset_ring(spec: CosetSpec) -> fusion.BasedRing:
     """Orbit ring with constants summed over the cyclic group:
     C_[A][B]^[C] = sum_t N[i,j -> sigma^t(k)] * N[alpha,beta -> sigma^t(delta)].
 
-    Computed as an index gather, one first index a at a time: with idx_f
-    the factor-f basis index of each orbit representative and D_f the dense
-    factor tensor, the slab C_[a]..^.. sums over the powers t the product
-    over the three factors of D_f[idx_f[a]][np.ix_(idx_f, sigma_t,f[idx_f])].
-    Each slab's nonzeros are read in C order and the slabs are joined in
+    On a faithful spec orbit c is {sigma^t(rep c)}, so the sum runs over
+    its n members s: C_[a][b]^[c] = sum_s prod_f D_f[x_f(a), x_f(b), x_f(s)]
+    with D_f the dense factor tensor and x_f the factor-f basis index.
+    Each factor lists one column per (member position j, orbit c), at
+    j*m + c.  For each first index a, every factor gives an m x n*m block,
+    its rows x_f(a), x_f(b) gathered before its columns; the blocks'
+    product, summed over j, is the slab C_[a]..^..  Each slab's nonzeros are read in C order and the slabs are joined in
     order of a, so the entries arrive in (a, b, c) order with no sort and
-    no per-entry Python work.  Only m x m slabs are held; the m^3
-    constants themselves are held to DENSE_BUDGET before any sector is
-    enumerated: every orbit of the ``sector_count`` sectors has at most n
-    members.
+    no per-entry Python work.
 
-    The basis is the orbits, each with the statistical dimension of its
-    representative.  Refuses with NotFaithful when any sector has a
-    nontrivial stabilizer.
+    Before any sector is enumerated, the m^3 constants are held to
+    DENSE_BUDGET (every orbit of the ``sector_count`` sectors has at most n
+    members), and so is each factor's S-matrix.  The basis is the orbits,
+    each with the statistical dimension of its representative.  Refuses
+    with NotFaithful when any sector has a nontrivial stabilizer.
     """
+    import numpy as np
+
     least = -(-sector_count(spec) // spec.n)
     require_dense_budget(least**3, f"a coset ring of at least {least} orbits")
+    for f in spec.factor_specs():
+        require_s_matrix_budget(f)
     orbits, faithful, fixed = identification_orbits(spec)
     if not faithful:
         raise NotFaithful(fixed)
+    m = len(orbits)
     reps = [o.representative for o in orbits]
-    m = len(reps)
-    gathered = []
-    for ring, part in zip(factor_rings(spec), ("num1", "num2", "den")):
-        idx = np.array([ring.index(getattr(r, part)) for r in reps])
-        gathers = [
-            np.ix_(idx, np.array(ring.sigma_permutation(t))[idx])
-            for t in range(spec.n)
-        ]
-        gathered.append((ring.dense(), idx, gathers))
+    by_position = [s for position in zip(*(o.members for o in orbits)) for s in position]
+    gathers = [
+        (
+            ring.dense(),
+            np.array([ring.index(getattr(r, part)) for r in reps]),
+            np.array([ring.index(getattr(s, part)) for s in by_position]),
+        )
+        for ring, part in zip(factor_rings(spec), ("num1", "num2", "den"))
+    ]
     rows: list[tuple[np.ndarray, ...]] = []
     for a in range(m):
-        slab = np.zeros((m, m), dtype=np.int64)
-        for t in range(spec.n):
-            term = np.ones_like(slab)
-            for dense, idx, gathers in gathered:
-                term *= dense[idx[a]][gathers[t]]
-            slab += term
+        blocks = (dense[idx[a], idx][:, cols] for dense, idx, cols in gathers)
+        slab = next(blocks)
+        for block in blocks:
+            slab *= block
+        slab = slab.reshape(m, spec.n, m).sum(axis=1)
         nonzero = np.nonzero(slab)
         rows.append((*nonzero, slab[nonzero]))
     b, c, v = (np.concatenate(x) for x in zip(*rows))
     a = np.repeat(np.arange(m), [len(row[0]) for row in rows])
     del rows
-    constants = SparseTensor((m, m, m), a, b, c, v)
+    constants = fusion.SparseTensor((m, m, m), a, b, c, v)
     orbit_of = {s: a for a, orb in enumerate(orbits) for s in orb.members}
     conj = tuple(
         orbit_of[CosetSector(*map(conjugate_weight, (r.num1, r.num2, r.den)))]
         for r in reps
     )
     dims = {o: coset_statistical_dimension(spec, o.representative) for o in orbits}
-    return BasedRing(tuple(orbits), constants, conj, dims)
+    return fusion.BasedRing(tuple(orbits), constants, conj, dims)
 
 
 def coset_statistical_dimension(spec: CosetSpec, s: CosetSector) -> float:
     """Product of the three constituent quantum dimensions."""
     _require_in_exp(spec, s)
-    return product_quantum_dimension((s.num1, s.num2, s.den))
+    return modular.product_quantum_dimension((s.num1, s.num2, s.den))
 
 
 def kw_identity_check(spec: CosetSpec, s: CosetSector) -> float:
@@ -255,29 +256,29 @@ def kw_identity_check(spec: CosetSpec, s: CosetSector) -> float:
     with b evaluated through the closed form n * a(num1) a(num2) a(den)."""
     _require_in_exp(spec, s)
     s1, s2, sh = spec.factor_specs()
-    m1, m2, mh = s_matrix(s1), s_matrix(s2), s_matrix(sh)
+    m1, m2, mh = map(modular.s_matrix, (s1, s2, sh))
     b = spec.n * (
-        asymptotic_dimension(m1, s.num1)
-        * asymptotic_dimension(m2, s.num2)
-        * asymptotic_dimension(mh, s.den)
+        modular.asymptotic_dimension(m1, s.num1)
+        * modular.asymptotic_dimension(m2, s.num2)
+        * modular.asymptotic_dimension(mh, s.den)
     )
     b0 = spec.n * (
-        asymptotic_dimension(m1, s1.vacuum())
-        * asymptotic_dimension(m2, s2.vacuum())
-        * asymptotic_dimension(mh, sh.vacuum())
+        modular.asymptotic_dimension(m1, s1.vacuum())
+        * modular.asymptotic_dimension(m2, s2.vacuum())
+        * modular.asymptotic_dimension(mh, sh.vacuum())
     )
-    d_i = quantum_dimension(m1, s.num1) * quantum_dimension(m2, s.num2)
-    d_alpha = quantum_dimension(mh, s.den)
+    d_i = modular.quantum_dimension(m1, s.num1) * modular.quantum_dimension(m2, s.num2)
+    d_alpha = modular.quantum_dimension(mh, s.den)
     return abs(b / b0 - d_i * d_alpha)
 
 
 def class_dimension_sums(spec: CosetSpec) -> dict[int, float]:
     """sum of d_alpha^2 over downstairs weights, per congruence color class."""
     sh = AlgebraSpec.su(spec.n, spec.diagonal_level)
-    mh = s_matrix(sh)
+    mh = modular.s_matrix(sh)
     sums: dict[int, float] = {c: 0.0 for c in range(spec.n)}
     for w in integrable_weights(sh):
-        sums[color(w)] += quantum_dimension(mh, w) ** 2
+        sums[color(w)] += modular.quantum_dimension(mh, w) ** 2
     return sums
 
 
@@ -291,17 +292,17 @@ def formula_31_residual(spec: CosetSpec) -> float:
     """Worst residual of d_i * dgh^2 = sum_alpha d_(i,alpha) d_alpha over all
     upstairs sector pairs i."""
     s1, s2, sh = spec.factor_specs()
-    m1, m2, mh = s_matrix(s1), s_matrix(s2), s_matrix(sh)
+    m1, m2, mh = map(modular.s_matrix, (s1, s2, sh))
     d2 = dgh(spec) ** 2
     worst = 0.0
     for w1 in integrable_weights(s1):
         for w2 in integrable_weights(s2):
-            d_i = quantum_dimension(m1, w1) * quantum_dimension(m2, w2)
+            d_i = modular.quantum_dimension(m1, w1) * modular.quantum_dimension(m2, w2)
             c = (color(w1) + color(w2)) % spec.n
             total = 0.0
             for wh in integrable_weights(sh):
                 if color(wh) == c:
-                    d_alpha = quantum_dimension(mh, wh)
+                    d_alpha = modular.quantum_dimension(mh, wh)
                     total += (d_i * d_alpha) * d_alpha
             worst = max(worst, abs(d_i * d2 - total))
     return worst

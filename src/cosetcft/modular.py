@@ -19,7 +19,7 @@ from .weights import (
     AlgebraSpec,
     Weight,
     integrable_weights,
-    require_dense_budget,
+    require_s_matrix_budget,
     shifted_v,
 )
 
@@ -54,8 +54,8 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
     held to DENSE_BUDGET before it is built."""
     n, k = spec.n, spec.k
     h = k + n
+    require_s_matrix_budget(spec)
     basis = tuple(integrable_weights(spec))
-    require_dense_budget(len(basis) ** 2 * n * n, f"the S-matrix of su({n})_{k}")
     tvecs = np.array([shifted_v(w.labels) for w in basis])  # (m, n) ints
 
     # vacuum row: prod over positive roots of 2 sin(pi (t_a - t_b) / h)

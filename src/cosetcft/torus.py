@@ -49,16 +49,12 @@ def class_neg(a: TorusClass) -> TorusClass:
 
 
 def torus_classes(l: int, m: int) -> list[TorusClass]:
-    """All classes, canonically represented; there are l * m^(l-1) of them."""
+    """All l * m^(l-1) classes in order of their canonical representatives:
+    the first l-2 entries in [0, m) and the last in [0, l*m)."""
     if l < 2 or m < 1:
         raise ValueError("need l >= 2 and m >= 1")
-    seen = {}
-    for n in itertools.product(range(l * m), repeat=l - 1):
-        c = torus_class(l, m, n)
-        seen.setdefault(c.rep, c)
-    out = [seen[rep] for rep in sorted(seen)]
-    assert len(out) == l * m ** (l - 1)
-    return out
+    ranges = [range(m)] * (l - 2) + [range(l * m)]
+    return [TorusClass(l, m, rep) for rep in itertools.product(*ranges)]
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,8 @@ class TorusSector:
 
 
 def torus_exp(l: int, m: int) -> list[TorusSector]:
-    """All sectors: pairs with sum(n) = color(weight) mod l."""
+    """All sectors: pairs with sum(n) = color(weight) mod l, in
+    ``TorusSector.sort_key`` order."""
     spec = AlgebraSpec.su(l, m)
     classes = torus_classes(l, m)
     out = []
@@ -95,7 +92,6 @@ def torus_exp(l: int, m: int) -> list[TorusSector]:
         for cls in classes:
             if (sum(cls.rep) - c) % l == 0:
                 out.append(TorusSector(w, cls))
-    out.sort(key=TorusSector.sort_key)
     return out
 
 

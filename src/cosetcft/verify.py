@@ -50,7 +50,7 @@ from .report import (
     timed,
 )
 from .torus import torus_classes, torus_exp, torus_kw_residual, torus_ring
-from .weights import AlgebraSpec, Weight, integrable_weights
+from .weights import AlgebraSpec, Weight, integrable_weights, require_s_matrix_budget
 
 
 # --- verification suites -----------------------------------------------------
@@ -113,6 +113,8 @@ def check_kw(config: Config, coset_specs) -> VerificationReport:
     bad = []
     for n, m1, m2 in coset_specs:
         spec = CosetSpec(n, m1, m2)
+        for f in spec.factor_specs():
+            require_s_matrix_budget(f)
         for sector in exp_set(spec):
             r = kw_identity_check(spec, sector)
             worst = max(worst, r)

@@ -80,8 +80,14 @@ class Weight:
 
 def integrable_weights(spec: AlgebraSpec) -> list[Weight]:
     """All integrable weights of su(N) at level k, in lexicographic label
-    order.  The count is C(k+N-1, r) with r = min(k, N-1); a count above
-    WEIGHT_BUDGET is refused before any enumeration."""
+    order.  A count above WEIGHT_BUDGET is refused before any enumeration."""
+    _weight_count(spec)
+    return [Weight(spec, lab) for lab in _bounded_labels(spec.n - 1, spec.k)]
+
+
+def _weight_count(spec: AlgebraSpec) -> int:
+    """The number C(k+N-1, r) of integrable weights, r = min(k, N-1),
+    refused above WEIGHT_BUDGET."""
     n, k = spec.n, spec.k
     # the partial counts C(k+N-1-r+i, i) only grow: refuse at the first one
     # over the budget, before a binomial of 600,000 digits at N = k = 10^6
@@ -94,30 +100,22 @@ def integrable_weights(spec: AlgebraSpec) -> list[Weight]:
                 f"su({n}) at level {k} has more than {WEIGHT_BUDGET} "
                 "integrable weights, over the budget"
             )
-    return [Weight(spec, lab) for lab in _bounded_labels(n - 1, k)]
+    return count
+
+
+def require_s_matrix_budget(spec: AlgebraSpec) -> None:
+    """Refuse, from the weight count alone, a spec whose S-matrix phase
+    array (m, m, N, N) would exceed DENSE_BUDGET."""
+    n, k = spec.n, spec.k
+    require_dense_budget(_weight_count(spec) ** 2 * n * n, f"the S-matrix of su({n})_{k}")
 
 
 def _bounded_labels(length: int, bound: int):
     """Nonnegative tuples of the given length with sum <= bound, in
-    lexicographic order.  Iterative, so any length works."""
-    lab = [0] * length
-    total = 0
-    while True:
-        yield tuple(lab)
-        if length and total < bound:
-            lab[-1] += 1
-            total += 1
-            continue
-        # the sum is at the bound: zero the last nonzero entry and carry one
-        # into the entry before it
-        i = length - 1
-        while i > 0 and lab[i] == 0:
-            i -= 1
-        if i <= 0:
-            return
-        total -= lab[i] - 1
-        lab[i] = 0
-        lab[i - 1] += 1
+    lexicographic order: stars and bars, each tuple the gaps between
+    consecutive bars, counting a bar at -1."""
+    for bars in itertools.combinations(range(bound + length), length):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
 
 
 def quantum_dimensions(spec: AlgebraSpec) -> dict[Weight, float]:
@@ -132,8 +130,8 @@ def quantum_dimensions(spec: AlgebraSpec) -> dict[Weight, float]:
     these are served for exactly the specs whose S-matrix can be built."""
     n, k = spec.n, spec.k
     h = k + n
+    require_s_matrix_budget(spec)
     basis = integrable_weights(spec)
-    require_dense_budget(len(basis) ** 2 * n * n, f"the S-matrix of su({n})_{k}")
     norm = (n * h ** (n - 1)) ** -0.5
     row = []
     for w in basis:

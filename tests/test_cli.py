@@ -32,12 +32,16 @@ def cli_env():
 
 
 def run(capsys, *argv):
+    return run_with_err(capsys, *argv)[:2]
+
+
+def run_with_err(capsys, *argv):
     try:
         code = main(list(argv))
     except SystemExit as exc:  # argparse error paths
         code = exc.code
-    out = capsys.readouterr().out
-    return code, out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestConfig:
@@ -237,6 +241,18 @@ class TestCosetRingCommand:
         monkeypatch.setattr(coset, "exp_set", no_sectors)
         code, out = run(capsys, "coset-ring", "3", "8", "8")
         assert code == 2 and out == ""
+
+    def test_oversized_factor_s_matrix_refused_before_enumeration(
+        self, capsys, monkeypatch
+    ):
+        # 253 orbits fit the ring's budget; su(22)_2's S-matrix does not
+        def no_sectors(spec):
+            raise AssertionError("sectors enumerated before the budget check")
+
+        monkeypatch.setattr(coset, "exp_set", no_sectors)
+        code, out, err = run_with_err(capsys, "coset-ring", "22", "1", "1")
+        assert code == 2 and out == ""
+        assert "S-matrix of su(22)_2" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "op",
@@ -524,6 +540,15 @@ class TestVerifyCommand:
         monkeypatch.setattr(coset, "CosetSector", no_sector)
         code, out = run(capsys, "verify", "kw", "--n", "3", "--m1", "10", "--m2", "10")
         assert code == 2 and out == ""
+
+    def test_oversized_kw_s_matrix_refused_before_any_sector(self, capsys, monkeypatch):
+        def no_sector(*args):
+            raise AssertionError("a sector was built before the budget check")
+
+        monkeypatch.setattr(coset, "CosetSector", no_sector)
+        code, out, err = run_with_err(capsys, "verify", "kw", "--n", "40")
+        assert code == 2 and out == ""
+        assert "S-matrix of su(40)_2" in err and "Traceback" not in err
 
     def test_maverick_suite(self, capsys):
         code, out = run(capsys, "verify", "maverick")

@@ -1,8 +1,11 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcft import (
     CosetSector,
@@ -16,12 +19,13 @@ from cosetcft import (
     exp_set,
     formula_31_residual,
     identification_orbits,
+    integrable_weights,
     kw_identity_check,
     sector_sigma,
     vacuum_orbit_membership,
 )
 from cosetcft import coset
-from cosetcft.coset import factor_rings
+from cosetcft.coset import factor_rings, in_exp
 
 ISING = CosetSpec(2, 1, 1)
 TRICRITICAL = CosetSpec(2, 2, 1)
@@ -74,6 +78,13 @@ class TestExpSet:
     def test_vacuum_always_present(self):
         for spec in DESK_COSETS:
             assert spec.vacuum_sector() in exp_set(spec)
+
+    @pytest.mark.parametrize(
+        "spec", DESK_COSETS + [CosetSpec(2, 2, 2), CosetSpec(4, 2, 1)], ids=str
+    )
+    def test_sectors_arrive_sorted(self, spec):
+        sectors = exp_set(spec)
+        assert sectors == sorted(sectors, key=CosetSector.sort_key)
 
     def test_tricritical_twelve(self):
         assert len(exp_set(TRICRITICAL)) == 12
@@ -149,7 +160,42 @@ class TestExpSet:
                             assert out in in_exp
 
 
+def reference_orbits(spec):
+    """Orbits as sets of sigma-images and every (member, power) fixing it,
+    from the sectors enumerated as a filtered product and sigma applied at
+    every power."""
+    sectors = [
+        s
+        for s in itertools.starmap(
+            CosetSector,
+            itertools.product(*map(integrable_weights, spec.factor_specs())),
+        )
+        if in_exp(spec, s)
+    ]
+    orbits = {frozenset(sector_sigma(s, t) for t in range(spec.n)) for s in sectors}
+    fixed = [
+        (s, t) for s in sectors for t in range(1, spec.n) if sector_sigma(s, t) == s
+    ]
+    return orbits, fixed
+
+
 class TestOrbits:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3))
+    def test_matches_brute_force(self, n, m1, m2):
+        spec = CosetSpec(n, m1, m2)
+        orbits, faithful, fixed = identification_orbits(spec)
+        want_orbits, want_fixed = reference_orbits(spec)
+        assert [set(o.members) for o in orbits] == sorted(
+            map(set, want_orbits), key=lambda o: min(s.sort_key() for s in o)
+        )
+        assert fixed == want_fixed
+        assert faithful == (not want_fixed)
+        for o in orbits:
+            # members in power order from the smallest
+            assert list(o.members) == [sector_sigma(o.representative, t) for t in range(o.size)]
+            assert o.representative == min(o.members, key=CosetSector.sort_key)
+
     def test_ising_pairing(self):
         orbits, faithful, fixed = identification_orbits(ISING)
         assert faithful and not fixed

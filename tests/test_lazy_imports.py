@@ -118,6 +118,11 @@ def test_module_run_prints_nothing_on_stderr():
         ("fuse su3 2 1,0 0,1", ["fusion", "modular", "report", "weights"], True),
         ("smatrix --algebra su2 --level 3", ["modular", "report", "weights"], True),
         ("coset-ring 2 1 1", ["coset", "fusion", "modular", "report", "weights"], True),
+        (
+            "branch --coset 2,1,1 --sector 0;0;0 --cutoff 6",
+            ["characters", "coset", "report", "weights"],
+            False,
+        ),
     ],
     ids=lambda x: x if isinstance(x, str) else None,
 )

@@ -33,6 +33,17 @@ class TestClasses:
     def test_count_formula(self, l, m):
         assert len(torus_classes(l, m)) == l * m ** (l - 1)
 
+    @pytest.mark.parametrize("l", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_classes_are_the_canonicalized_box(self, l, m):
+        box = {torus_class(l, m, n) for n in itertools.product(range(l * m), repeat=l - 1)}
+        assert torus_classes(l, m) == sorted(box, key=lambda c: c.rep)
+
+    @pytest.mark.parametrize("l,m", [(2, 1), (2, 4), (3, 2), (3, 3), (4, 2)])
+    def test_sectors_arrive_sorted(self, l, m):
+        sectors = torus_exp(l, m)
+        assert sectors == sorted(sectors, key=TorusSector.sort_key)
+
     def test_canonicalization_is_orbit_invariant(self):
         # shifting by m*v with sum(v) in l*Z keeps the class
         a = torus_class(3, 2, (1, 5))

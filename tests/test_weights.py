@@ -65,6 +65,17 @@ class TestEnumeration:
             k + n - 1, n - 1
         )
 
+    def test_bounded_labels_are_the_sum_filtered_box(self):
+        # stars and bars lists the box's tuples of sum <= bound, in box order
+        for length in range(6):
+            for bound in range(7):
+                box = [
+                    lab
+                    for lab in itertools.product(range(bound + 1), repeat=length)
+                    if sum(lab) <= bound
+                ]
+                assert list(weights._bounded_labels(length, bound)) == box
+
 
 class TestSizeBudget:
     @pytest.fixture
@@ -97,6 +108,12 @@ class TestSizeBudget:
                 integrable_weights(AlgebraSpec.su(n, k))
         else:
             assert integrable_weights(AlgebraSpec.su(n, k)) == []
+
+    def test_s_matrix_budget_from_the_count(self, no_enumeration):
+        # su(2)_k has k+1 weights: (k+1)^2 * 4 <= 2^24 up to k = 2047
+        weights.require_s_matrix_budget(AlgebraSpec.su(2, 2047))
+        with pytest.raises(ValueError, match=r"S-matrix of su\(2\)_2048 .* budget"):
+            weights.require_s_matrix_budget(AlgebraSpec.su(2, 2048))
 
     def test_budget_boundary(self, monkeypatch):
         monkeypatch.setattr(weights, "_bounded_labels", lambda length, bound: iter(()))
