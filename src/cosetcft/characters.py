@@ -342,9 +342,7 @@ def _read_branching(table: WeightTable, terms, target: AlgebraSpec, depth: int):
     return out
 
 
-def peel_branching(
-    table: WeightTable, target: AlgebraSpec, cutoff: int | None = None
-) -> dict[Weight, "BranchingFunction"]:
+def peel_branching(table: WeightTable, target: AlgebraSpec) -> dict[Weight, "BranchingFunction"]:
     """Decompose a restricted table into target graded characters.
 
     The table times the target's affine denominator (the alternant of rho
@@ -357,7 +355,7 @@ def peel_branching(
     n = target.n
     if table.rank_param != n:
         raise ValueError("table rank does not match target algebra")
-    depth = table.cutoff if cutoff is None else min(cutoff, table.cutoff)
+    depth = table.cutoff
     terms = alternant_terms((0,) * (n - 1), n, n, depth)
     read = _read_branching(table, terms, target, depth)
     out = {t: BranchingFunction(str(t), Fraction(0), cs) for t, cs in read.items()}

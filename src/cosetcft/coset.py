@@ -217,7 +217,7 @@ def coset_ring(spec: CosetSpec) -> fusion.BasedRing:
     by_position = [s for position in zip(*(o.members for o in orbits)) for s in position]
     gathers = [
         (
-            ring.dense(),
+            ring.constants.dense(),
             np.array([ring.index(getattr(r, part)) for r in reps]),
             np.array([ring.index(getattr(s, part)) for s in by_position]),
         )

@@ -67,12 +67,6 @@ class BasedRing:
         at = run.start + int(np.searchsorted(t.k[run], k))
         return int(t.v[at]) if at < run.stop and t.k[at] == k else 0
 
-    def dense(self) -> np.ndarray:
-        return self.constants.dense()
-
-    def sparse(self) -> SparseTensor:
-        return self.constants
-
     def axiom_failures(self) -> list[str]:
         """Based-ring axiom failures of this ring's constants, as
         ``ring_axiom_failures`` describes them; empty when all hold."""
@@ -167,16 +161,13 @@ class SparseTensor:
         t[self.i, self.j, self.k] = self.v
         return t
 
-    def same_entries(self, other: "SparseTensor") -> bool:
-        mine = (self.i, self.j, self.k, self.v)
-        theirs = (other.i, other.j, other.k, other.v)
-        return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
-
     # rings holding equal constants compare equal
     def __eq__(self, other):
         if not isinstance(other, SparseTensor):
             return NotImplemented
-        return self.same_entries(other)
+        mine = (self.i, self.j, self.k, self.v)
+        theirs = (other.i, other.j, other.k, other.v)
+        return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
 
 
 def _round_verlinde(
@@ -307,12 +298,11 @@ def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     return SimpleCurrentReport(not failures, ring.spec.n * m * m, failures)
 
 
-def ring_axiom_failures(tensor: SparseTensor | np.ndarray, conj_perm) -> list[str]:
-    """Exhaustive based-ring axiom check on the structure constants, a
-    ``SparseTensor`` or a dense array, whose unit is basis element 0, as
-    every ring constructor here orders it: the vacuum weight, the vacuum
-    orbit, the vacuum torus sector, the Maverick "1", and the tuple of factor
-    units in a product.
+def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
+    """Exhaustive based-ring axiom check on the structure constants, whose
+    unit is basis element 0, as every ring constructor here orders it: the
+    vacuum weight, the vacuum orbit, the vacuum torus sector, the Maverick
+    "1", and the tuple of factor units in a product.
 
     Returns human-readable failure descriptions; empty means all axioms hold.
 
@@ -354,8 +344,6 @@ def ring_axiom_failures(tensor: SparseTensor | np.ndarray, conj_perm) -> list[st
     a time, so memory is O(nnz + m^2).  Only the scan makes an m x m x m
     array, held to DENSE_BUDGET.
     """
-    if isinstance(tensor, np.ndarray):
-        tensor = SparseTensor.from_dense(tensor)
     out = []
     m = tensor.shape[0]
     i, j, k, v = tensor.i, tensor.j, tensor.k, tensor.v

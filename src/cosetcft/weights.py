@@ -267,7 +267,7 @@ def dominant_rep(labels: Labels) -> Labels:
 
 def weyl_orbit(labels: Labels) -> set[Labels]:
     """Every weight in the Weyl orbit of labels."""
-    return {labels_from_v(v) for v in itertools.permutations(v_vector(labels))}
+    return {labels_from_v(v) for v in set(itertools.permutations(v_vector(labels)))}
 
 
 def straighten(v) -> tuple[int, Labels] | None:

@@ -337,7 +337,7 @@ class TestCosetRing:
         # orthogonality of distinct orbits, realized on the vacuum row
         ring = coset_ring(spec)
         m = len(ring.basis)
-        tensor = ring.dense()
+        tensor = ring.constants.dense()
         assert np.array_equal(tensor[0], np.eye(m, dtype=np.int64))
 
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)

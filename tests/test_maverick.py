@@ -11,6 +11,7 @@ from cosetcft import (
     maverick_branching_check,
     maverick_dims,
 )
+from cosetcft import maverick
 from cosetcft.maverick import InconsistentRelations, _verify
 
 
@@ -44,7 +45,7 @@ class TestRingStructure:
 
     def test_perron_frobenius_dimension_of_x(self, ring):
         ix = ring.index("x")
-        matrix = ring.dense()[ix].astype(float)
+        matrix = ring.constants.dense()[ix].astype(float)
         eigen = max(np.linalg.eigvals(matrix).real)
         assert eigen == pytest.approx((math.sqrt(5) + 1) / 2, abs=1e-9)
 
@@ -60,6 +61,17 @@ class TestRingStructure:
         constants = SparseTensor.from_table(table, len(ring.basis))
         with pytest.raises(InconsistentRelations):
             _verify(dataclasses.replace(ring, constants=constants))
+
+    def test_product_outside_the_six_words_refused(self, monkeypatch):
+        reduce = maverick._reduce
+        monkeypatch.setattr(maverick, "_reduce", lambda word: {**reduce(word), (2, 0): 1})
+        with pytest.raises(InconsistentRelations, match="leaves the six words"):
+            build_maverick_ring()
+
+    def test_wrong_conjugation_detected(self, ring):
+        # every quoted product holds; only the axiom check sees conj
+        with pytest.raises(InconsistentRelations, match="conjugation"):
+            _verify(dataclasses.replace(ring, conj=tuple(range(6))))
 
 
 class TestDims:

@@ -266,6 +266,16 @@ class TestStraighten:
         assert weights.straighten(v) is None
 
 
+class TestWeylOrbit:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_every_permutation(self, n):
+        # the reference relabels all n! permutations, repeated ones included
+        for lam in itertools.product(range(3), repeat=n - 1):
+            v = weights.v_vector(lam)
+            every = {weights.labels_from_v(p) for p in itertools.permutations(v)}
+            assert weights.weyl_orbit(lam) == every
+
+
 def box_walk_multiplicities(n, lam):
     """Reference: the dominant weights lam - sum(c_i alpha_i) found by testing
     every c in the box of root coordinates of lam + lam* for dominance, in
