@@ -42,6 +42,7 @@ _EXPORTS = {
         "fuse",
         "fuse_pair",
         "fusion_ring",
+        "orbit_ring",
         "product_ring",
         "ring_axiom_failures",
         "simple_current_check",

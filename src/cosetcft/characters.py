@@ -68,9 +68,6 @@ class WeightTable:
     cutoff: int
     slices: tuple[Poly, ...]
 
-    def dimension_at(self, grade: int) -> int:
-        return sum(self.slices[grade].values())
-
 
 @dataclass(frozen=True)
 class GradedCharacter(WeightTable):
@@ -78,11 +75,6 @@ class GradedCharacter(WeightTable):
 
     spec: AlgebraSpec
     top: Weight
-
-    def weight_mult(self, labels: Labels, grade: int) -> int:
-        if grade > self.cutoff:
-            raise ValueError(f"grade {grade} beyond cutoff {self.cutoff}")
-        return self.slices[grade].get(tuple(labels), 0)
 
 
 MAX_CUTOFF = 40

@@ -20,7 +20,6 @@ from .weights import (
     AlgebraSpec,
     Weight,
     color,
-    conjugate_weight,
     integrable_weights,
     require_dense_budget,
     require_s_matrix_budget,
@@ -91,9 +90,6 @@ class SectorOrbit:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def stabilizer_order(self, n: int) -> int:
-        return n // self.size
 
     def __str__(self):
         return f"[{self.representative}]"
@@ -187,15 +183,9 @@ def coset_ring(spec: CosetSpec) -> fusion.BasedRing:
     """Orbit ring with constants summed over the cyclic group:
     C_[A][B]^[C] = sum_t N[i,j -> sigma^t(k)] * N[alpha,beta -> sigma^t(delta)].
 
-    On a faithful spec orbit c is {sigma^t(rep c)}, so the sum runs over
-    its n members s: C_[a][b]^[c] = sum_s prod_f D_f[x_f(a), x_f(b), x_f(s)]
-    with D_f the dense factor tensor and x_f the factor-f basis index.
-    Each factor lists one column per (member position j, orbit c), at
-    j*m + c.  For each first index a, every factor gives an m x n*m block,
-    its rows x_f(a), x_f(b) gathered before its columns; the blocks'
-    product, summed over j, is the slab C_[a]..^..  Each slab's nonzeros are read in C order and the slabs are joined in
-    order of a, so the entries arrive in (a, b, c) order with no sort and
-    no per-entry Python work.
+    On a faithful spec orbit c is {sigma^t(rep c)}, so this is
+    ``fusion.orbit_ring`` over the three factor rings, with every orbit's
+    n members as weight-index triples.
 
     Before any sector is enumerated, the m^3 constants are held to
     DENSE_BUDGET (every orbit of the ``sector_count`` sectors has at most n
@@ -203,8 +193,6 @@ def coset_ring(spec: CosetSpec) -> fusion.BasedRing:
     each with the statistical dimension of its representative.  Refuses
     with NotFaithful when any sector has a nontrivial stabilizer.
     """
-    import numpy as np
-
     least = -(-sector_count(spec) // spec.n)
     require_dense_budget(least**3, f"a coset ring of at least {least} orbits")
     for f in spec.factor_specs():
@@ -212,37 +200,13 @@ def coset_ring(spec: CosetSpec) -> fusion.BasedRing:
     orbits, faithful, fixed = identification_orbits(spec)
     if not faithful:
         raise NotFaithful(fixed)
-    m = len(orbits)
-    reps = [o.representative for o in orbits]
-    by_position = [s for position in zip(*(o.members for o in orbits)) for s in position]
-    gathers = [
-        (
-            ring.constants.dense(),
-            np.array([ring.index(getattr(r, part)) for r in reps]),
-            np.array([ring.index(getattr(s, part)) for s in by_position]),
-        )
-        for ring, part in zip(factor_rings(spec), ("num1", "num2", "den"))
+    r1, r2, rh = rings = factor_rings(spec)
+    members = [
+        [(r1.index(s.num1), r2.index(s.num2), rh.index(s.den)) for s in o.members]
+        for o in orbits
     ]
-    rows: list[tuple[np.ndarray, ...]] = []
-    for a in range(m):
-        blocks = (dense[idx[a], idx][:, cols] for dense, idx, cols in gathers)
-        slab = next(blocks)
-        for block in blocks:
-            slab *= block
-        slab = slab.reshape(m, spec.n, m).sum(axis=1)
-        nonzero = np.nonzero(slab)
-        rows.append((*nonzero, slab[nonzero]))
-    b, c, v = (np.concatenate(x) for x in zip(*rows))
-    a = np.repeat(np.arange(m), [len(row[0]) for row in rows])
-    del rows
-    constants = fusion.SparseTensor((m, m, m), a, b, c, v)
-    orbit_of = {s: a for a, orb in enumerate(orbits) for s in orb.members}
-    conj = tuple(
-        orbit_of[CosetSector(*map(conjugate_weight, (r.num1, r.num2, r.den)))]
-        for r in reps
-    )
     dims = {o: coset_statistical_dimension(spec, o.representative) for o in orbits}
-    return fusion.BasedRing(tuple(orbits), constants, conj, dims)
+    return fusion.orbit_ring(rings, members, orbits, dims)
 
 
 def coset_statistical_dimension(spec: CosetSpec, s: CosetSector) -> float:

@@ -112,22 +112,6 @@ class SparseTensor:
         return cls((m, m, m), i, j, k, v)
 
     @classmethod
-    def from_table(
-        cls, table: dict[tuple[int, int], dict[int, int]], m: int
-    ) -> "SparseTensor":
-        payloads = list(table.values())
-        sizes = [len(p) for p in payloads]
-        pairs = itertools.chain.from_iterable(table)
-        pairs = np.fromiter(pairs, np.int64, 2 * len(table))
-        nnz = sum(sizes)
-        k = np.fromiter(itertools.chain.from_iterable(payloads), np.int64, nnz)
-        values = itertools.chain.from_iterable(p.values() for p in payloads)
-        v = np.fromiter(values, np.int64, nnz)
-        return cls.from_entries(
-            m, np.repeat(pairs[0::2], sizes), np.repeat(pairs[1::2], sizes), k, v
-        )
-
-    @classmethod
     def from_dense(cls, tensor: np.ndarray) -> "SparseTensor":
         nonzero = np.nonzero(tensor)  # C order: already (i, j, k) order
         return cls(tensor.shape, *nonzero, tensor[nonzero])
@@ -212,11 +196,20 @@ def verlinde_tensor(s: SMatrix, tol: float = INTEGRALITY_TOL) -> FusionRing:
     return FusionRing(s.basis, constants, conj, dims, s.spec, worst)
 
 
-@lru_cache(maxsize=None)
 def fusion_ring(spec: AlgebraSpec, tol: float = INTEGRALITY_TOL) -> FusionRing:
-    """Verlinde fusion ring of su(N) at level k, memoized like ``s_matrix``:
-    every caller shares the returned ring, so it must not be mutated."""
+    """Verlinde fusion ring of su(N) at level k, memoized like ``s_matrix``
+    on (spec, tol), whether tol is passed or left at its default: every
+    caller shares the returned ring, so it must not be mutated."""
+    return _verlinde_ring(spec, tol)
+
+
+@lru_cache(maxsize=None)
+def _verlinde_ring(spec: AlgebraSpec, tol: float) -> FusionRing:
     return verlinde_tensor(s_matrix(spec), tol)
+
+
+fusion_ring.cache_clear = _verlinde_ring.cache_clear
+fusion_ring.cache_info = _verlinde_ring.cache_info
 
 
 def fuse(ring: BasedRing, i, j) -> list[tuple]:
@@ -266,6 +259,53 @@ def product_ring(rings: list[BasedRing]) -> BasedRing:
         b: math.prod(ring.dims[x] for ring, x in zip(rings, b)) for b in basis
     }
     return BasedRing(basis, t, conj, dims)
+
+
+def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> BasedRing:
+    """Ring on orbits of the product of the factor rings' bases, with
+    constants summed over the target orbit:
+    C_[a][b]^[c] = sum_s prod_f D_f[x_f(a), x_f(b), x_f(s)], where a and b
+    are read at their representatives, s runs over the members of orbit c,
+    D_f is the dense factor tensor and x_f the factor-f basis index.
+
+    ``orbits[c]`` lists orbit c's members as tuples of factor basis indices,
+    representative first, and every orbit has the same size n.  Each factor
+    lists one column per (member position j, orbit c), at j*m + c.  For
+    each first index a, every factor gives an m x n*m block, its rows
+    x_f(a), x_f(b) gathered before its columns; the blocks' product, summed
+    over j, is the slab C_[a]..^..  Each slab's nonzeros are read in C order
+    and the slabs are joined in order of a, so the entries arrive in
+    (a, b, c) order with no sort and no per-entry Python work.  An orbit's
+    conjugate is the orbit holding its representative's factorwise
+    conjugate.  ``basis`` names the orbits and ``dims`` maps each name to
+    its dimension.
+    """
+    m, size = len(orbits), len(orbits[0])
+    members = np.array(orbits, dtype=np.int64)  # (orbit, position, factor)
+    reps = members[:, 0]
+    by_position = members.transpose(1, 0, 2).reshape(m * size, len(factors))
+    gathers = [
+        (ring.constants.dense(), reps[:, f], by_position[:, f])
+        for f, ring in enumerate(factors)
+    ]
+    rows: list[tuple[np.ndarray, ...]] = []
+    for a in range(m):
+        blocks = (dense[idx[a], idx][:, cols] for dense, idx, cols in gathers)
+        slab = next(blocks)
+        for block in blocks:
+            slab *= block
+        slab = slab.reshape(m, size, m).sum(axis=1)
+        nonzero = np.nonzero(slab)
+        rows.append((*nonzero, slab[nonzero]))
+    b, c, v = (np.concatenate(x) for x in zip(*rows))
+    a = np.repeat(np.arange(m), [len(row[0]) for row in rows])
+    del rows
+    orbit_of = {s: o for o, orbit in enumerate(orbits) for s in orbit}
+    conj = tuple(
+        orbit_of[tuple(ring.conj[x] for ring, x in zip(factors, orbit[0]))]
+        for orbit in orbits
+    )
+    return BasedRing(tuple(basis), SparseTensor((m, m, m), a, b, c, v), conj, dims)
 
 
 @dataclass

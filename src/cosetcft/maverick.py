@@ -63,10 +63,12 @@ def _reduce(word: tuple[int, int]) -> dict[tuple[int, int], int]:
 def build_maverick_ring() -> BasedRing:
     """Reduce every product of two basis words into structure constants and
     verify every independently quoted property of the result."""
+    import numpy as np
+
     from .fusion import BasedRing, SparseTensor
 
     index = {w: i for i, w in enumerate(_WORDS.values())}
-    table: dict[tuple[int, int], dict[int, int]] = {}
+    entries = []
     for i, (a1, b1) in enumerate(_WORDS.values()):
         for j, (a2, b2) in enumerate(_WORDS.values()):
             prod = _reduce((a1 + a2, b1 + b2))
@@ -74,11 +76,11 @@ def build_maverick_ring() -> BasedRing:
                 raise InconsistentRelations(
                     f"{BASIS_NAMES[i]}*{BASIS_NAMES[j]} = {prod} leaves the six words"
                 )
-            table[(i, j)] = {index[w]: c for w, c in prod.items()}
+            entries.extend((i, j, index[w], c) for w, c in prod.items())
 
     conj = tuple(BASIS_NAMES.index(_CONJUGATE[name]) for name in BASIS_NAMES)
     dims = dict(zip(BASIS_NAMES, (1.0, GOLDEN, GOLDEN, GOLDEN, 1.0, 1.0)))
-    constants = SparseTensor.from_table(table, len(BASIS_NAMES))
+    constants = SparseTensor.from_entries(len(BASIS_NAMES), *np.array(entries).T)
     ring = BasedRing(BASIS_NAMES, constants, conj, dims)
     _verify(ring)
     return ring

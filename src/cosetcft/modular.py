@@ -19,8 +19,8 @@ from .weights import (
     AlgebraSpec,
     Weight,
     integrable_weights,
-    require_s_matrix_budget,
     shifted_v,
+    vacuum_row,
 )
 
 UNITARY_TOL = 1e-9
@@ -54,16 +54,9 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
     held to DENSE_BUDGET before it is built."""
     n, k = spec.n, spec.k
     h = k + n
-    require_s_matrix_budget(spec)
+    s0 = np.array(vacuum_row(spec))  # refuses a spec over the budget
     basis = tuple(integrable_weights(spec))
     tvecs = np.array([shifted_v(w.labels) for w in basis])  # (m, n) ints
-
-    # vacuum row: prod over positive roots of 2 sin(pi (t_a - t_b) / h)
-    norm = (n * h ** (n - 1)) ** -0.5
-    s0 = np.full(len(basis), norm)
-    for a in range(n):
-        for b in range(a + 1, n):
-            s0 *= 2.0 * np.sin(np.pi * (tvecs[:, a] - tvecs[:, b]) / h)
 
     # Weyl characters via the ratio of alternants: chi_lam(mu) =
     # det(x_b(mu)^{t_a(lam)}) / det(x_b(mu)^{t_a(0)}) with x_b at the

@@ -11,9 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fusion import BasedRing, SparseTensor, fusion_ring
+import numpy as np
+
+from .fusion import BasedRing, SparseTensor, fusion_ring, orbit_ring
 from .modular import asymptotic_dimension, quantum_dimension, s_matrix
-from .weights import AlgebraSpec, Weight, color, conjugate_weight, integrable_weights
+from .weights import AlgebraSpec, Weight, color, integrable_weights, require_dense_budget
 
 
 @dataclass(frozen=True)
@@ -95,37 +97,36 @@ def torus_exp(l: int, m: int) -> list[TorusSector]:
     return out
 
 
+def _class_ring(l: int, m: int) -> BasedRing:
+    """Group ring of the charge classes: [n] x [n'] = [n + n'], each class
+    of dimension 1.  The dense array of its constants, which ``orbit_ring``
+    builds, is held to DENSE_BUDGET before any class is listed: more than
+    256 classes are refused."""
+    count = l * m ** (l - 1)
+    require_dense_budget(count**3, f"the group ring of {count} charge classes")
+    classes = torus_classes(l, m)
+    index = {c: i for i, c in enumerate(classes)}
+    i, j = np.divmod(np.arange(len(classes) ** 2), len(classes))
+    k = np.array([index[class_add(a, b)] for a in classes for b in classes])
+    constants = SparseTensor.from_entries(len(classes), i, j, k, np.ones_like(k))
+    conj = tuple(index[class_neg(c)] for c in classes)
+    return BasedRing(tuple(classes), constants, conj, dict.fromkeys(classes, 1.0))
+
+
 def torus_ring(l: int, m: int) -> BasedRing:
-    """(w,[n]) x (w',[n']) = sum over fusion channels of (w'', [n + n']).
+    """(w,[n]) x (w',[n']) = sum over fusion channels of (w'', [n + n']):
+    ``orbit_ring`` over the su(l)_m fusion ring and the charge classes'
+    group ring, every sector its own orbit.  Color additivity keeps every
+    product in the sector set.
 
     A sector's dimension is its weight's: every charge class has dimension 1.
     """
+    classes = _class_ring(l, m)
     sectors = torus_exp(l, m)
-    ring = fusion_ring(AlgebraSpec.su(l, m))
-    index = {s: i for i, s in enumerate(sectors)}
-    table: dict[tuple[int, int], dict[int, int]] = {}
-    for a, sa in enumerate(sectors):
-        ia = ring.index(sa.weight)
-        for b, sb in enumerate(sectors):
-            ib = ring.index(sb.weight)
-            cls = class_add(sa.cls, sb.cls)
-            row: dict[int, int] = {}
-            for k, c in ring.table.get((ia, ib), {}).items():
-                target = TorusSector(ring.basis[k], cls)
-                if target not in index:
-                    raise AssertionError(
-                        f"fusion left the sector set at {sa} x {sb} -> {target}"
-                    )
-                row[index[target]] = c
-            if row:
-                table[(a, b)] = row
-    conj = tuple(
-        index[TorusSector(conjugate_weight(s.weight), class_neg(s.cls))]
-        for s in sectors
-    )
-    dims = {s: ring.dims[s.weight] for s in sectors}
-    constants = SparseTensor.from_table(table, len(sectors))
-    return BasedRing(tuple(sectors), constants, conj, dims)
+    weights = fusion_ring(AlgebraSpec.su(l, m))
+    orbits = [[(weights.index(s.weight), classes.index(s.cls))] for s in sectors]
+    dims = {s: weights.dims[s.weight] for s in sectors}
+    return orbit_ring([weights, classes], orbits, sectors, dims)
 
 
 def torus_kw_residual(l: int, m: int) -> float:

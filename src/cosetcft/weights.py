@@ -118,30 +118,35 @@ def _bounded_labels(length: int, bound: int):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
 
 
-def quantum_dimensions(spec: AlgebraSpec) -> dict[Weight, float]:
-    """Quantum dimension S_0L / S_00 of every integrable weight, in
-    ``integrable_weights`` order, from the closed sine product of the
-    S-matrix's vacuum row and without numpy.
-
-    The arithmetic is that of ``s_matrix``'s vacuum row, step for step: the
-    norm, times 2 sin(pi (t_a - t_b) / h) for each a < b, divided by the
-    vacuum's value.  Dropping the norm changes some last bits, and then
-    some 12-digit strings.  The spec is held to the S-matrix's budget, so
-    these are served for exactly the specs whose S-matrix can be built."""
+def vacuum_row(spec: AlgebraSpec) -> list[float]:
+    """The S-matrix's vacuum row S_0L, in ``integrable_weights`` order, from
+    its closed sine product and without numpy: the norm, times
+    2 sin(pi (t_a - t_b) / h) for each a < b, with t the rho-shifted
+    v-coordinates of L.  Dividing by the vacuum's value gives the quantum
+    dimensions; dropping the norm first would change some last bits.  The
+    spec is held to the S-matrix's budget, so the row is served for exactly
+    the specs whose S-matrix can be built."""
     n, k = spec.n, spec.k
     h = k + n
     require_s_matrix_budget(spec)
-    basis = integrable_weights(spec)
     norm = (n * h ** (n - 1)) ** -0.5
     row = []
-    for w in basis:
-        t = shifted_v(w.labels)
+    for labels in _bounded_labels(n - 1, k):
+        t = shifted_v(labels)
         value = norm
         for a in range(n):
             for b in range(a + 1, n):
                 value *= 2.0 * math.sin(math.pi * (t[a] - t[b]) / h)
         row.append(value)
-    return {w: value / row[0] for w, value in zip(basis, row)}
+    return row
+
+
+def quantum_dimensions(spec: AlgebraSpec) -> dict[Weight, float]:
+    """Quantum dimension S_0L / S_00 of every integrable weight, in
+    ``integrable_weights`` order: the vacuum row divided by its first
+    entry, as ``modular.quantum_dimension`` divides the S-matrix's."""
+    row = vacuum_row(spec)
+    return {w: value / row[0] for w, value in zip(integrable_weights(spec), row)}
 
 
 def color(w: Weight) -> int:

@@ -295,7 +295,6 @@ class TestCosetRingCommand:
             raise AssertionError("a dict of dicts was built")
 
         fusion.fusion_ring.cache_clear()  # no ring keeps a cached table
-        monkeypatch.setattr(fusion.SparseTensor, "from_table", no_table)
         monkeypatch.setattr(fusion.SparseTensor, "to_table", no_table)
         code, out = run(capsys, "coset-ring", "3", "3", "2")
         assert code == 0

@@ -21,6 +21,7 @@ from cosetcft import (
     fuse,
     fuse_pair,
     fusion_ring,
+    orbit_ring,
     product_quantum_dimension,
     product_ring,
     quantum_dimension,
@@ -375,6 +376,10 @@ class TestSharedRings:
         spec = AlgebraSpec.su(3, 2)
         assert fusion_ring(spec) is fusion_ring(spec)
 
+    def test_default_and_explicit_tolerance_share_one_ring(self):
+        spec = AlgebraSpec.su(2, 2)
+        assert fusion_ring(spec) is fusion_ring(spec, fusion.INTEGRALITY_TOL)
+
     def test_desk_suites_build_each_ring_once(self, monkeypatch):
         calls = []
         original = fusion.verlinde_tensor
@@ -389,6 +394,11 @@ class TestSharedRings:
         for name in ("fusion", "simple-current"):
             assert SUITES[name](Config(), True).passed
         assert len(calls) == 18
+        # the coset and torus suites ask for rings without a tolerance, and
+        # su(2)_1 and su(2)_2 among them are desk specs: no ring is rebuilt
+        for suite in SUITES.values():
+            assert suite(Config(), True).passed
+        assert len(calls) == len(set(calls)) == 18
 
 
 def forbid(monkeypatch, *names):
@@ -421,7 +431,15 @@ class TestDenseBudget:
     def test_dense_refused(self, monkeypatch):
         forbid(monkeypatch, "zeros")
         with pytest.raises(ValueError, match="budget"):
-            SparseTensor.from_table({}, 257).dense()
+            tensor_of({}, 257).dense()
+
+
+def tensor_of(table, m):
+    """The entries of {(i, j): {k: value}}, listed in the table's order, as
+    a SparseTensor of m basis elements."""
+    entries = [(i, j, k, c) for (i, j), row in table.items() for k, c in row.items()]
+    i, j, k, v = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+    return SparseTensor.from_entries(m, i, j, k, v)
 
 
 def loop_dense(table, m):
@@ -471,7 +489,7 @@ def test_dimension_residual_of_every_ring_kind(build):
 
 
 def test_dense_of_empty_table():
-    assert not SparseTensor.from_table({}, 3).dense().any()
+    assert not tensor_of({}, 3).dense().any()
 
 
 def test_axiom_check_memory():
@@ -589,6 +607,15 @@ class TestRingProperties:
         for b in ring.basis:
             assert ring.dims[b] == product_quantum_dimension(b)
 
+    @settings(deadline=None)
+    @given(small_spec_pairs())
+    def test_orbit_ring_of_single_tuples_is_the_product_ring(self, pair):
+        rings = [fusion_ring(AlgebraSpec.su(*nk)) for nk in pair]
+        product = product_ring(rings)
+        orbits = [[x] for x in itertools.product(*(range(len(r.basis)) for r in rings))]
+        assert orbit_ring(rings, orbits, product.basis, product.dims) == product
+
+
 class TestSimpleCurrents:
     @pytest.mark.parametrize("n,k", DESK)
     def test_translation_rule(self, n, k):
@@ -644,7 +671,7 @@ def test_simple_current_check_of_tampered_ring():
     table = {pair: dict(payload) for pair, payload in ring.table.items()}
     table[(ring.conj[1], perm[1])][perm[0]] = 2
     table[(0, perm[1])][perm[0]] = 1
-    constants = SparseTensor.from_table(table, len(ring.basis))
+    constants = tensor_of(table, len(ring.basis))
     tampered = dataclasses.replace(ring, constants=constants)
     report = simple_current_check(tampered)
     assert not report.passed and len(report.failures) >= 2
@@ -750,7 +777,7 @@ class TestSparseTensor:
         table = dict(reversed(ring.table.items()))
         assert list(table) != sorted(table)
         table = {**table, (0, 1): {**table[(0, 1)], 0: 0}}
-        sparse = SparseTensor.from_table(table, len(ring.basis))
+        sparse = tensor_of(table, len(ring.basis))
         assert sparse == SparseTensor.from_dense(ring.constants.dense())
         assert (sparse.v != 0).all()
 
@@ -770,7 +797,7 @@ def test_check_fusion_reports_broken_covariance(monkeypatch):
     for x, cx in enumerate(ring.conj):
         conj[swap[x]] = swap[cx]
     dims = {ring.basis[swap[x]]: ring.dims[w] for x, w in enumerate(ring.basis)}
-    constants = SparseTensor.from_table(table, len(swap))
+    constants = tensor_of(table, len(swap))
     relabelled = dataclasses.replace(
         ring, constants=constants, conj=tuple(conj), dims=dims
     )

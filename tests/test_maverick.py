@@ -58,7 +58,8 @@ class TestRingStructure:
     def test_table_corruption_detected(self, ring):
         table = {k: dict(v) for k, v in ring.table.items()}
         table[(ring.index("z"), ring.index("z"))] = {ring.index("z"): 1}
-        constants = SparseTensor.from_table(table, len(ring.basis))
+        entries = [(i, j, k, c) for (i, j), row in table.items() for k, c in row.items()]
+        constants = SparseTensor.from_entries(len(ring.basis), *np.array(entries).T)
         with pytest.raises(InconsistentRelations):
             _verify(dataclasses.replace(ring, constants=constants))
 

@@ -1,13 +1,17 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cosetcft import (
     AlgebraSpec,
+    SparseTensor,
     TorusSector,
     Weight,
+    conjugate_weight,
+    fusion_ring,
     quantum_dimension,
     s_matrix,
     torus_class,
@@ -16,6 +20,7 @@ from cosetcft import (
     torus_kw_residual,
     torus_ring,
 )
+from cosetcft import torus
 from cosetcft.torus import class_add, class_neg
 
 
@@ -185,6 +190,14 @@ class TestRing:
             for k in payload:
                 assert color(ring.basis[k].weight) == (ca + cb) % l
 
+    def test_more_than_256_classes_refused_before_listing_them(self, monkeypatch):
+        def no_classes(l, m):
+            raise AssertionError("classes listed before the budget check")
+
+        monkeypatch.setattr(torus, "torus_classes", no_classes)
+        with pytest.raises(ValueError, match="budget"):
+            torus_ring(7, 2)  # 448 classes, 1,792 sectors
+
     @pytest.mark.parametrize("l,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_kw_ratio_matches_dimension(self, l, m):
         assert torus_kw_residual(l, m) < 1e-9
@@ -194,6 +207,41 @@ class TestRing:
         sm = s_matrix(AlgebraSpec.su(2, 2))
         for s in ring.basis:
             assert ring.dims[s] == quantum_dimension(sm, s.weight)
+
+
+def pair_loop_torus_ring(l, m):
+    """Reference: every sector pair fused through the su(l)_m table with its
+    charge classes added, one entry at a time; returns the sectors, the
+    constants, conj and dims."""
+    sectors = torus_exp(l, m)
+    ring = fusion_ring(AlgebraSpec.su(l, m))
+    index = {s: i for i, s in enumerate(sectors)}
+    entries = []
+    for a, sa in enumerate(sectors):
+        for b, sb in enumerate(sectors):
+            cls = class_add(sa.cls, sb.cls)
+            pair = (ring.index(sa.weight), ring.index(sb.weight))
+            for k, c in ring.table.get(pair, {}).items():
+                entries.append((a, b, index[TorusSector(ring.basis[k], cls)], c))
+    constants = SparseTensor.from_entries(len(sectors), *np.array(entries).T)
+    conj = tuple(
+        index[TorusSector(conjugate_weight(s.weight), class_neg(s.cls))]
+        for s in sectors
+    )
+    dims = {s: ring.dims[s.weight] for s in sectors}
+    return tuple(sectors), constants, conj, dims
+
+
+@pytest.mark.parametrize(
+    "l,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (2, 12)]
+)
+def test_ring_matches_the_pair_loop(l, m):
+    ring = torus_ring(l, m)
+    basis, constants, conj, dims = pair_loop_torus_ring(l, m)
+    assert ring.basis == basis
+    assert ring.constants == constants
+    assert ring.conj == conj
+    assert list(ring.dims.items()) == list(dims.items())
 
 
 def orbit_minimum(l, m, n):
