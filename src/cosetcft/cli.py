@@ -15,6 +15,17 @@ import os
 import sys
 from dataclasses import replace
 
+# The BLAS libraries' own thread settings.  Every matrix here is small (m <=
+# 256 under DENSE_BUDGET), where a second BLAS thread saves no wall time but
+# busy-waits a core after each call, so the CLI runs one unless the user set
+# any of these.  This runs before any module below can import numpy.
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+if not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
 # Library modules are the package's lazy submodules: each runs on first use,
 # so a command loads only what it calls (weights and branch --maverick never
 # load numpy).  `from .x import name` at the top would run x at once.

@@ -70,9 +70,39 @@ print(json.dumps({"code": code, "ran": sorted(ran), "numpy": "numpy" in sys.modu
 """
 
 
-def cli_env():
+# the BLAS libraries' thread settings, which the CLI fills in when none is
+# set; listed here rather than read from cli, so a name dropped there fails
+BLAS_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+
+# Runs the statement in argv[1], imports numpy, then prints the environment
+# variables that changed, the BLAS ones and the process's thread count.
+ENV_PROBE = """
+import json, os, sys
+before = dict(os.environ)
+exec(sys.argv[1])
+import numpy
+task = "/proc/self/task"
+print(json.dumps({
+    "changed": sorted(k for k in before.keys() | os.environ.keys()
+                      if before.get(k) != os.environ.get(k)),
+    "blas": {v: os.environ.get(v) for v in %r},
+    "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+}))
+""" % (BLAS_VARS,)
+
+
+def cli_env(blas=None):
+    """The test process's environment with src on the path; given a dict,
+    the BLAS variables are exactly those in it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    if blas is not None:
+        for var in BLAS_VARS:
+            env.pop(var, None)
+        env.update(blas)
     return env
 
 
@@ -145,3 +175,48 @@ def probe(argv):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def env_probe(statement, blas):
+    proc = subprocess.run(
+        [sys.executable, "-c", ENV_PROBE, statement],
+        capture_output=True, text=True, env=cli_env(blas), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestBlasThreads:
+    """Every probe starts with none of the BLAS variables set unless it names
+    some; the test process itself has loaded numpy already."""
+
+    def test_cli_runs_one_blas_thread_by_default(self):
+        probe = env_probe("import cosetcft.cli", {})
+        assert probe["blas"] == dict.fromkeys(BLAS_VARS, "1")
+        if probe["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert probe["threads"] == 1
+
+    def test_cli_keeps_a_thread_count_the_caller_set(self):
+        probe = env_probe("import cosetcft.cli", {"OMP_NUM_THREADS": "2"})
+        assert probe["changed"] == []
+        assert probe["blas"] == {**dict.fromkeys(BLAS_VARS), "OMP_NUM_THREADS": "2"}
+
+    def test_library_import_leaves_the_environment(self):
+        probe = env_probe("import cosetcft, cosetcft.fusion", {})
+        assert probe["changed"] == []
+        assert probe["blas"] == dict.fromkeys(BLAS_VARS)
+
+    @pytest.mark.parametrize(
+        "argv", ["coset-ring 3 3 2", "smatrix --algebra su4 --level 8"]
+    )
+    def test_output_does_not_depend_on_the_thread_count(self, argv):
+        one, two = (
+            subprocess.run(
+                [sys.executable, "-m", "cosetcft.cli", *argv.split()],
+                capture_output=True, env=cli_env(blas), timeout=120,
+            )
+            for blas in ({}, {"OPENBLAS_NUM_THREADS": "2"})
+        )
+        assert one.stdout
+        assert (two.returncode, two.stdout) == (one.returncode, one.stdout)
