@@ -21,6 +21,7 @@ from functools import lru_cache
 from operator import add
 from typing import TYPE_CHECKING
 
+from .report import Config
 from .report import InconclusiveCutoff  # re-exported: raised here
 
 # weyl_dimension is re-exported: perfbench/trace_runner.py traces it here
@@ -464,7 +465,7 @@ def vacuum_membership(spec: CosetSpec, sector: CosetSector, cutoff: int) -> bool
 
 # --- truncated trace ratio ---------------------------------------------------
 
-DEFAULT_BETA_FLOOR = 0.3
+DEFAULT_BETA_FLOOR = Config.beta_floor
 
 
 def kw_numeric_ratio(

@@ -163,6 +163,8 @@ def cmd_coset_ring(args, config: Config) -> tuple[dict, list[VerificationReport]
 def cmd_branch(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     cutoff = args.cutoff if args.cutoff is not None else config.grade_cutoff
     if args.maverick:
+        if args.coset is not None:
+            raise ValueError("--coset and --maverick each select a coset: give one")
         pq, (l,) = _int_groups(args.sector, (2, 1), "--sector 'p,q;l'")
         table = maverick.maverick_branching(pq, cutoff)
         if l not in table:
@@ -219,7 +221,7 @@ def cmd_verify(args, config: Config) -> tuple[dict, list[VerificationReport]]:
         "passed": all(r.passed for r in reports),
     }
     if args.suite == "maverick" and result["passed"]:
-        result["relations"] = ["x*x = 1 + x", "y*ybar = 1 + x", "z**3 = 1", "y = x*z"]
+        result["relations"] = list(maverick.RELATIONS)
     return result, reports
 
 

@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .modular import SMatrix, quantum_dimension, s_matrix
+from .report import Config
 from .report import IntegralityViolation  # re-exported: raised here
 from .weights import (
     AlgebraSpec,
@@ -25,7 +26,10 @@ from .weights import (
     sigma_apply,
 )
 
-INTEGRALITY_TOL = 1e-6
+# the run config's default, so that `verify` (which passes the config's
+# tolerance) and coset and torus rings (which pass none) share each spec's
+# fusion_ring entry
+INTEGRALITY_TOL = Config.tolerance_integrality
 KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
 
 

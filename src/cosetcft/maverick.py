@@ -29,6 +29,9 @@ if TYPE_CHECKING:  # fusion loads numpy; only the ring needs it, not branching
 
 GOLDEN = (math.sqrt(5) + 1) / 2
 
+# the quoted relations that generate the ring, as `verify maverick` lists them
+RELATIONS = ("x*x = 1 + x", "y*ybar = 1 + x", "z**3 = 1", "y = x*z")
+
 # index-4 embedding of su(2) in su(3): weight labels (a, b) -> 2a + 2b,
 # pinned by the defining triplet restricting to the spin-1 triplet
 INDEX4_PROJECTION = ((2, 2),)

@@ -70,11 +70,11 @@ class Config:
     output_format: str = "json"
 
     def __post_init__(self):
-        for name in ("tolerance_unitary", "tolerance_integrality", "beta_floor"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             # under a nan tolerance every `resid > tol` is false: all would pass
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if type(f.default) is float and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be finite and positive, got {value}")
         if self.grade_cutoff < 0:
             raise ValueError("grade cutoff must be >= 0")
         if self.output_format not in ("json", "csv", "table"):
@@ -82,8 +82,10 @@ class Config:
 
     @classmethod
     def from_file(cls, path: str) -> "Config":
+        """Read key = value lines; each value is parsed by the type of its
+        field's default."""
         values: dict[str, object] = {}
-        known = {f.name for f in fields(cls)}
+        parsers = {f.name: type(f.default) for f in fields(cls)}
         with open(path, encoding="utf-8") as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
@@ -92,24 +94,17 @@ class Config:
                 if "=" not in line:
                     raise ValueError(f"bad config line: {raw.strip()!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in known:
+                if key not in parsers:
                     raise ValueError(f"unknown config key {key!r}")
-                if key == "output_format":
-                    values[key] = value
-                elif key == "grade_cutoff":
-                    values[key] = int(value)
-                else:
-                    values[key] = float(value)
+                values[key] = parsers[key](value)
         return cls(**values)
 
     def as_dict(self) -> dict:
-        return {
-            "tolerance_unitary": format_real(self.tolerance_unitary),
-            "tolerance_integrality": format_real(self.tolerance_integrality),
-            "grade_cutoff": self.grade_cutoff,
-            "beta_floor": format_real(self.beta_floor),
-            "output_format": self.output_format,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = format_real(value) if type(f.default) is float else value
+        return out
 
 
 @dataclass

@@ -193,7 +193,7 @@ def check_parafermion(config: Config) -> VerificationReport:
 def check_maverick(config: Config) -> VerificationReport:
     bad = []
     ring = maverick_mod.build_maverick_ring()
-    resid = abs(ring.dims["x"] - (math.sqrt(5) + 1) / 2)
+    resid = abs(ring.dims["x"] - maverick_mod.GOLDEN)
     if resid > 1e-9:
         bad.append("x dimension")
     report = maverick_mod.maverick_branching_check(max(4, config.grade_cutoff // 2))

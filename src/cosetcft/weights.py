@@ -293,59 +293,35 @@ def straighten(v) -> tuple[int, Labels] | None:
 
 @lru_cache(maxsize=None)
 def finite_weight_multiplicities(n: int, lam: Labels) -> dict[Labels, int]:
-    """Full weight system of the finite su(n) irrep with highest weight lam,
-    by the Freudenthal recursion over dominant weights."""
-    # Dominant support: every dominant mu <= lam is reached from lam by
-    # subtracting positive roots through dominant weights only (Stembridge,
-    # "The partial order of dominant weights", Adv. Math. 1998).  Each mu
-    # carries its simple-root coordinates c, lam - mu = sum(c_i alpha_i).
-    steps = [
-        (root(n, a, b), tuple(int(a <= i < b) for i in range(n - 1)))
-        for a in range(n)
-        for b in range(a + 1, n)
-    ]
-    coords = {lam: (0,) * (n - 1)}
-    stack = [lam]
-    while stack:
-        mu = stack.pop()
-        for alpha, step in steps:
-            nu = sub_labels(mu, alpha)
-            if nu not in coords and min(nu) >= 0:
-                coords[nu] = add_labels(coords[mu], step)
-                stack.append(nu)
-    # Listing by increasing c before set() fixes the table's key order (that
-    # of a lexicographic scan of c), which graded-character slices inherit.
-    in_box_order = sorted(coords, key=coords.__getitem__)
-    dominants = sorted(set(in_box_order), key=lambda m: -norm2_shifted(m, n))
-    support = set(dominants)
-    top_norm = norm2_shifted(lam, n)
-    mult: dict[Labels, int] = {}
-    for mu in dominants:
-        if mu == lam:
-            mult[mu] = 1
-            continue
-        den = top_norm - norm2_shifted(mu, n)
-        num = Fraction(0)
-        for alpha in positive_roots(n):
-            j = 1
-            while True:
-                x = add_labels(mu, tuple(j * a for a in alpha))
-                dom = dominant_rep(x)
-                if dom not in support:
-                    break
-                m = mult.get(dom, 0)
-                if m:
-                    num += m * inner_product(x, alpha, n)
-                j += 1
-        value = 2 * num / den
-        assert value.denominator == 1 and value >= 0
-        mult[mu] = int(value)
+    """Full weight system of the finite su(n) irrep with highest weight lam:
+    the Weyl orbit of each dominant weight, with its multiplicity."""
     table: dict[Labels, int] = {}
-    for mu, m in mult.items():
-        if m:
-            for w in weyl_orbit(mu):
-                table[w] = m
+    for mu, m in _dominant_weights(v_vector(lam)).items():
+        for w in weyl_orbit(labels_from_v(mu)):
+            table[w] = m
     return table
+
+
+@lru_cache(maxsize=None)
+def _dominant_weights(row: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Dominant weights, in v-coordinates, of the irrep with partition row,
+    and their multiplicities: the Gelfand-Tsetlin patterns of each weight
+    (Gelfand and Tsetlin, Dokl. Akad. Nauk SSSR 71 (1950)), counted one
+    row at a time.  A row below interlaces row, and the weight's last
+    coordinate is the difference of their sums; the weight is dominant
+    exactly when the rest is a dominant weight of the row below whose last
+    coordinate is at least that difference."""
+    if len(row) == 1:
+        return {row: 1}
+    out: dict[tuple[int, ...], int] = {}
+    ranges = (range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))
+    for below in itertools.product(*ranges):
+        last = sum(row) - sum(below)
+        for w, m in _dominant_weights(below).items():
+            if w[-1] >= last:
+                key = (*w, last)
+                out[key] = out.get(key, 0) + m
+    return out
 
 
 def weyl_dimension(n: int, lam: Labels) -> int:

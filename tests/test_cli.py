@@ -68,6 +68,16 @@ class TestConfig:
         assert cfg.grade_cutoff == 6
         assert cfg.beta_floor == 0.4
 
+    def test_from_file_types_and_as_dict(self, tmp_path):
+        path = tmp_path / "conf"
+        path.write_text("grade_cutoff = 6\noutput_format = table\ntolerance_unitary = 1e-10\n")
+        cfg = Config.from_file(str(path))
+        assert cfg == Config(tolerance_unitary=1e-10, grade_cutoff=6, output_format="table")
+        assert cfg.as_dict() == {
+            "tolerance_unitary": "1e-10", "tolerance_integrality": "1e-06",
+            "grade_cutoff": 6, "beta_floor": "0.3", "output_format": "table",
+        }
+
     def test_from_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "conf"
         path.write_text("beta=1\n")
@@ -453,6 +463,31 @@ class TestBranchCommand:
         assert doc["result"]["lowest_energy"] == "0"
         assert doc["result"]["lowest_multiplicity"] == 1
 
+    def test_maverick_with_coset_is_usage_error(self, capsys):
+        code, out = run(
+            capsys, "branch", "--maverick", "--coset", "2,1,1", "--sector", "1,1;4"
+        )
+        assert code == 2 and out == ""
+
+    # the branch runs that expand the most finite su(N) weight systems,
+    # su(5) to grade 9 and su(3) to grade 30; digests taken with the
+    # Freudenthal recursion
+    @pytest.mark.parametrize(
+        "coset,sector,cutoff,digest",
+        [
+            ("5,2,2", "0,0,0,0;0,0,0,0;0,0,0,0", "9",
+             "2b3b35f1244ce61bf3210268ffd222451f3067dd691d38a6ac05127624e22047"),
+            ("3,4,4", "0,0;0,0;0,0", "30",
+             "eb99766e8a71708c0695d12a9a5bc160c763488c92dfd7a84357326c119dfb29"),
+        ],
+    )
+    def test_vacuum_digest(self, capsys, coset, sector, cutoff, digest):
+        code, out = run(
+            capsys, "branch", "--coset", coset, "--sector", sector, "--cutoff", cutoff
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_branch_csv(self, capsys):
         code, out = run(
             capsys, "branch", "--coset", "2,1,1", "--sector", "0;0;2",
@@ -598,6 +633,13 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert "x*x = 1 + x" in doc["result"]["relations"]
+
+    def test_maverick_relations_in_order(self, capsys):
+        code, out = run(capsys, "verify", "maverick")
+        assert code == 0
+        assert json.loads(out)["result"]["relations"] == [
+            "x*x = 1 + x", "y*ybar = 1 + x", "z**3 = 1", "y = x*z"
+        ]
 
 
 class TestOutputRouting:

@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetcft import (
@@ -278,8 +278,9 @@ class TestWeylOrbit:
 
 def box_walk_multiplicities(n, lam):
     """Reference: the dominant weights lam - sum(c_i alpha_i) found by testing
-    every c in the box of root coordinates of lam + lam* for dominance, in
-    the box's order, then the same Freudenthal recursion as the library."""
+    every c in the box of root coordinates of lam + lam* for dominance, then
+    the Freudenthal recursion: independent of the library's Gelfand-Tsetlin
+    pattern counts."""
     cmax = weights.root_coordinates(weights.add_labels(lam, lam[::-1]), n)
     box = np.indices([int(c) + 1 for c in cmax]).reshape(n - 1, -1).T
     simple = np.array([weights.root(n, i, i + 1) for i in range(n - 1)])
@@ -316,6 +317,26 @@ class TestDominantWalk:
     def test_matches_box_walk(self, n, bound):
         for lam in itertools.product(range(bound + 1), repeat=n - 1):
             table = weights.finite_weight_multiplicities(n, lam)
-            dominant = [(mu, m) for mu, m in table.items() if min(mu) >= 0]
-            # equal as dicts, and listed in the same order
-            assert dominant == list(box_walk_multiplicities(n, lam).items())
+            dominant = {mu: m for mu, m in table.items() if min(mu) >= 0}
+            assert dominant == box_walk_multiplicities(n, lam)
+
+
+@st.composite
+def small_irreps(draw):
+    """su(n), n in 2..6, with each Dynkin label at most 3 (at most 2 above
+    su(4))."""
+    n = draw(st.integers(2, 6))
+    bound = 3 if n <= 4 else 2
+    return n, tuple(draw(st.lists(st.integers(0, bound), min_size=n - 1, max_size=n - 1)))
+
+
+class TestGelfandTsetlin:
+    @settings(max_examples=60, deadline=None)
+    @given(small_irreps())
+    def test_weight_system(self, irrep):
+        n, lam = irrep
+        table = weights.finite_weight_multiplicities(n, lam)
+        assert sum(table.values()) == weights.weyl_dimension(n, lam)
+        assert all(m == table[weights.dominant_rep(mu)] for mu, m in table.items())
+        dominant = {mu: m for mu, m in table.items() if min(mu) >= 0}
+        assert dominant == box_walk_multiplicities(n, lam)
