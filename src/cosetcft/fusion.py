@@ -116,9 +116,14 @@ class SparseTensor:
         return cls((m, m, m), i, j, k, v)
 
     @classmethod
-    def from_dense(cls, tensor: np.ndarray) -> "SparseTensor":
-        nonzero = np.nonzero(tensor)  # C order: already (i, j, k) order
-        return cls(tensor.shape, *nonzero, tensor[nonzero])
+    def from_rows(cls, rows: list[tuple[np.ndarray, ...]]) -> "SparseTensor":
+        """Join the rows i = 0, 1, ... of an m x m x m tensor, row i given
+        as its (j, k, v) arrays in (j, k) order: the entries arrive in
+        (i, j, k) order with no sort."""
+        m = len(rows)
+        j, k, v = (np.concatenate(x) for x in zip(*rows))
+        i = np.repeat(np.arange(m), [len(row[0]) for row in rows])
+        return cls((m, m, m), i, j, k, v)
 
     @cached_property
     def pair_ptr(self) -> np.ndarray:
@@ -184,17 +189,36 @@ def _round_verlinde(
     return ints, float(max(resid.max(), worst_imag))
 
 
-def verlinde_tensor(s: SMatrix, tol: float = INTEGRALITY_TOL) -> FusionRing:
-    """Fusion ring with N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m.
+def verlinde_constants(
+    mat: np.ndarray, tol: float = INTEGRALITY_TOL
+) -> tuple[SparseTensor, float]:
+    """Verlinde constants N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m of a
+    unitary m x m matrix S whose row 0 is the vacuum's, as a SparseTensor,
+    and the worst pre-rounding distance from an integer.
 
-    The sum is one dense complex m x m x m array, held to DENSE_BUDGET."""
-    mat = s.entries
+    Row i's m x m block over (j, k) is one matrix product,
+    (S * (S_i / S_0)) @ S^dagger, rounded under ``_round_verlinde``'s
+    guards; the first row that fails raises IntegralityViolation at its
+    worst entry.  No m^3 array is held, but DENSE_BUDGET still bounds the
+    m^3 sums, as work, before any is made."""
     m = len(mat)
     require_dense_budget(m**3, f"the Verlinde tensor of {m} weights")
-    weights = mat.conj() / mat[0][None, :]
-    raw = np.einsum("im,jm,km->ijk", mat, mat, weights, optimize=True)
-    tensor, worst = _round_verlinde(raw, tol)
-    constants = SparseTensor.from_dense(tensor)
+    adjoint = mat.conj().T
+    rows: list[tuple[np.ndarray, ...]] = []
+    worst = 0.0
+    for i in range(m):
+        block = (mat * (mat[i] / mat[0])) @ adjoint
+        ints, resid = _round_verlinde(block, tol, (i,))
+        worst = max(worst, resid)
+        nonzero = np.nonzero(ints)  # C order: (j, k) order
+        rows.append((*nonzero, ints[nonzero]))
+    return SparseTensor.from_rows(rows), worst
+
+
+def verlinde_tensor(s: SMatrix, tol: float = INTEGRALITY_TOL) -> FusionRing:
+    """Fusion ring of the S-matrix's Verlinde constants, which
+    ``verlinde_constants`` computes one row at a time."""
+    constants, worst = verlinde_constants(s.entries, tol)
     conj = tuple(s.index(conjugate_weight(w)) for w in s.basis)
     dims = {w: quantum_dimension(s, w) for w in s.basis}
     return FusionRing(s.basis, constants, conj, dims, s.spec, worst)
@@ -301,15 +325,14 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
         slab = slab.reshape(m, size, m).sum(axis=1)
         nonzero = np.nonzero(slab)
         rows.append((*nonzero, slab[nonzero]))
-    b, c, v = (np.concatenate(x) for x in zip(*rows))
-    a = np.repeat(np.arange(m), [len(row[0]) for row in rows])
+    constants = SparseTensor.from_rows(rows)
     del rows
     orbit_of = {s: o for o, orbit in enumerate(orbits) for s in orbit}
     conj = tuple(
         orbit_of[tuple(ring.conj[x] for ring, x in zip(factors, orbit[0]))]
         for orbit in orbits
     )
-    return BasedRing(tuple(basis), SparseTensor((m, m, m), a, b, c, v), conj, dims)
+    return BasedRing(tuple(basis), constants, conj, dims)
 
 
 @dataclass

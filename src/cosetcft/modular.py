@@ -26,6 +26,10 @@ from .weights import (
 UNITARY_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
 VACUUM_ROW_TOL = 1e-12
+# phases per determinant batch of s_matrix: all of a small S-matrix's, whose
+# per-row numpy calls would cost more than its arithmetic, or a few rows of
+# a large one's
+PHASE_BATCH = 2**15
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,10 @@ class SMatrix:
 def s_matrix(spec: AlgebraSpec) -> SMatrix:
     """Kac-Peterson S-matrix of su(N) at level k.
 
-    The Weyl characters come from an (m, m, N, N) array of phases, which is
-    held to DENSE_BUDGET before it is built."""
+    The Weyl characters are determinants of N x N phase matrices, built a
+    few rows of m at a time (PHASE_BATCH), so no (m, m, N, N) array is held
+    beyond that size; DENSE_BUDGET still bounds the m^2 N^2 phases, as work,
+    before any is built."""
     n, k = spec.n, spec.k
     h = k + n
     s0 = np.array(vacuum_row(spec))  # refuses a spec over the budget
@@ -62,10 +68,16 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
     # det(x_b(mu)^{t_a(lam)}) / det(x_b(mu)^{t_a(0)}) with x_b at the
     # traceless coordinates of (mu+rho)/h; evaluating at the raw partial
     # sums instead costs one overall phase per column, restored below.
-    phases = np.exp(
-        (-2j * np.pi / h) * np.einsum("la,mb->lmab", tvecs, tvecs)
-    )
-    dets = np.linalg.det(phases)  # (m, m): rows lam, cols mu
+    # Row lam's phases are exp(-2 pi i t_a(lam) t_b(mu) / h) over (mu, a, b);
+    # each batch takes as many rows as fit in PHASE_BATCH, at least one.
+    m = len(basis)
+    step = max(1, PHASE_BATCH // (m * n * n))
+    dets = np.empty((m, m), dtype=complex)  # rows lam, cols mu
+    for start in range(0, m, step):
+        t = tvecs[start : start + step]
+        exponents = t[:, None, :, None] * tvecs[None, :, None, :]  # (lam, mu, a, b)
+        phases = np.exp((-2j * np.pi / h) * exponents)
+        dets[start : start + step] = np.linalg.det(phases)
     vac = 0  # lexicographic enumeration puts the zero labels first
     sums = tvecs.sum(axis=1)
     trace_fix = np.exp(

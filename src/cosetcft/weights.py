@@ -24,8 +24,9 @@ DENSE_BUDGET = 2**24
 
 
 def require_dense_budget(elements: int, what: str) -> None:
-    """Refuse, before allocating, a dense array of more than DENSE_BUDGET
-    elements."""
+    """Refuse, before any work, a dense array of more than DENSE_BUDGET
+    elements, or a computation that sweeps that many, such as the S-matrix
+    phases and the Verlinde sums, which are built a few rows at a time."""
     if elements > DENSE_BUDGET:
         raise ValueError(
             f"{what} needs a dense array of {elements} elements, "
@@ -104,8 +105,8 @@ def _weight_count(spec: AlgebraSpec) -> int:
 
 
 def require_s_matrix_budget(spec: AlgebraSpec) -> None:
-    """Refuse, from the weight count alone, a spec whose S-matrix phase
-    array (m, m, N, N) would exceed DENSE_BUDGET."""
+    """Refuse, from the weight count alone, a spec whose m^2 N^2 S-matrix
+    phases would exceed DENSE_BUDGET."""
     n, k = spec.n, spec.k
     require_dense_budget(_weight_count(spec) ** 2 * n * n, f"the S-matrix of su({n})_{k}")
 

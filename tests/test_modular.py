@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -16,7 +17,7 @@ from cosetcft import (
     sigma_apply,
 )
 from cosetcft.report import format_real
-from cosetcft.weights import quantum_dimensions
+from cosetcft.weights import quantum_dimensions, shifted_v, vacuum_row
 
 DESK = [(n, k) for n in (2, 3, 4) for k in range(1, 7)]
 
@@ -61,6 +62,38 @@ class TestMatrixInvariants:
         for i, x in enumerate(sm.basis):
             perm[i, sm.index(conjugate_weight(x))] = 1.0
         assert np.abs(sm.entries @ sm.entries - perm).max() < 1e-8
+
+
+def one_shot_s_matrix(spec):
+    """Reference: the S-matrix entries from one (m, m, N, N) phase array and
+    one batched determinant, the same formula with every row at once."""
+    n, h = spec.n, spec.k + spec.n
+    tvecs = np.array([shifted_v(w.labels) for w in integrable_weights(spec)])
+    phases = np.exp((-2j * np.pi / h) * np.einsum("la,mb->lmab", tvecs, tvecs))
+    dets = np.linalg.det(phases)
+    sums = tvecs.sum(axis=1)
+    trace_fix = np.exp((2j * np.pi / (n * h)) * np.outer(sums - sums[0], sums))
+    chars = dets / dets[0][None, :] * trace_fix
+    return np.array(vacuum_row(spec))[None, :] * chars
+
+
+class TestRowByRow:
+    @pytest.mark.parametrize("n,k", DESK + [(4, 8)])
+    def test_bit_identical_to_one_shot_formula(self, n, k):
+        # each N x N determinant is factored on its own either way
+        spec = AlgebraSpec.su(n, k)
+        assert np.array_equal(s_matrix(spec).entries, one_shot_s_matrix(spec))
+
+    def test_memory_below_the_phase_array(self):
+        spec = AlgebraSpec.su(4, 8)
+        m = len(integrable_weights(spec))  # 165
+        tracemalloc.start()
+        try:
+            s_matrix.__wrapped__(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * spec.n**2 * 16  # the complex (m, m, N, N) phases
 
 
 class TestDimensions:
