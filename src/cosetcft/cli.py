@@ -46,7 +46,7 @@ from .report import (
 OUT_DIR_ENV = "COSETCFT_OUT_DIR"
 CSV_COMMANDS = ("weights", "branch")  # the only results _to_csv can render
 JSON_BATCH = 8192  # encoder pieces per write; one write per piece is slow
-TENSOR_MARKER = "\0sparse tensor\0"  # stands in for a tensor while encoding
+ARRAY_MARKER = "\0array\0"  # stands in for a tensor or a matrix while encoding
 
 
 def _parse_algebra(text: str) -> int:
@@ -102,18 +102,13 @@ def cmd_smatrix(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     n = _parse_algebra(args.algebra)
     spec = weights.AlgebraSpec.su(n, args.level)
     sm = modular.s_matrix(spec)
-
-    def clean(x: float) -> str:  # entries are O(1); drop fp dust
-        return format_real(0.0 if abs(x) < 1e-13 else x)
-
-    entries = [
-        [[clean(z.real), clean(z.imag)] for z in row] for row in sm.entries
-    ]
+    # the emitters write the entries straight from the array, as the list
+    # of rows of [re, im] strings that ``_entry_rows`` gives
     return {
         "algebra": f"su{n}",
         "level": args.level,
         "basis": [_weight_str(w) for w in sm.basis],
-        "entries": entries,
+        "entries": sm.entries,
     }, [smatrix_report(sm, config)]
 
 
@@ -249,29 +244,35 @@ def _emit(document: dict, runtimes: list, config: Config, args) -> None:
 def _json_batches(document: dict):
     """The text of ``json.dumps(document, indent=2, sort_keys=True)`` and a
     newline, with each ``SparseTensor`` in the document written as its
-    ``{"a*b": {"c": N}}`` object.  The text is streamed in batches of
-    JSON_BATCH encoder pieces (tens of KiB), so neither the whole text nor
-    its list of pieces is held.
+    ``{"a*b": {"c": N}}`` object and each complex array as the rows of
+    ``_entry_rows``.  The text is streamed in batches of JSON_BATCH encoder
+    pieces (tens of KiB), so neither the whole text nor its list of pieces
+    is held.
 
-    The encoder's ``default`` hook puts a marker string in a tensor's
-    place; the marker's piece is replaced by ``_constants_json``, at the
+    The encoder's ``default`` hook puts a marker string in such a value's
+    place; the marker's piece is replaced by the value's own writer, at the
     indent of the line the encoder has reached."""
-    tensors = []
+    writers = []
 
     def stand_in(obj):
-        if not isinstance(obj, fusion.SparseTensor):
+        import numpy as np  # loaded already by the commands that reach here
+
+        if isinstance(obj, np.ndarray):
+            writers.append(lambda indent: _entries_json(obj, indent))
+        elif isinstance(obj, fusion.SparseTensor):
+            writers.append(lambda indent: _constants_json(obj, indent))
+        else:
             raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-        tensors.append(obj)
-        return TENSOR_MARKER
+        return ARRAY_MARKER
 
     encoder = json.JSONEncoder(indent=2, sort_keys=True, default=stand_in)
-    marker = encoder.encode(TENSOR_MARKER)
+    marker = encoder.encode(ARRAY_MARKER)
     batch, indent = [], ""
     for piece in encoder.iterencode(document):
-        if tensors and piece == marker:
+        if writers and piece == marker:
             yield "".join(batch)
             batch = []
-            yield from _constants_json(tensors.pop(), indent)
+            yield from writers.pop()(indent)
             continue
         if "\n" in piece:
             indent = piece.rpartition("\n")[2]
@@ -281,6 +282,30 @@ def _json_batches(document: dict):
             batch = []
     batch.append("\n")
     yield "".join(batch)
+
+
+def _entry_rows(entries):
+    """Each row of a complex matrix as its list of [re, im] decimal strings.
+    The entries are O(1), so a part below 1e-13 is fp dust, written as 0."""
+    for row in entries:
+        re, im = row.real.copy(), row.imag.copy()  # not views of the cached array
+        re[abs(re) < 1e-13] = 0.0
+        im[abs(im) < 1e-13] = 0.0
+        yield [[format_real(x), format_real(y)] for x, y in zip(re.tolist(), im.tolist())]
+
+
+def _entries_json(entries, indent: str):
+    """The text that ``json.dumps(indent=2)`` gives the list of
+    ``_entry_rows``, on a line indented by ``indent``, one row at a time."""
+    row_line = "\n" + indent + "  "
+    pair_line = row_line + "  "
+    part_line = pair_line + "  "
+    head = "[" + row_line
+    for row in _entry_rows(entries):
+        pairs = (f'[{part_line}"{re}",{part_line}"{im}"{pair_line}]' for re, im in row)
+        yield f"{head}[{pair_line}{(',' + pair_line).join(pairs)}{row_line}]"
+        head = "," + row_line
+    yield "\n" + indent + "]"
 
 
 def _constants_json(t: fusion.SparseTensor, indent: str):
@@ -373,8 +398,10 @@ def _to_table(document: dict, runtimes: list) -> str:
         lines.append(f"lowest_energy {result.get('lowest_energy')}")
     elif "structure_constants" in result:
         lines.extend(_constants_lines(result["structure_constants"]))
-    else:
-        lines.append(json.dumps(result, sort_keys=True))
+    else:  # the hook lists an S-matrix's entries as _entry_rows gives them
+        lines.append(
+            json.dumps(result, sort_keys=True, default=lambda a: list(_entry_rows(a)))
+        )
     for rep, runtime in zip(document["reports"], runtimes):
         status = "pass" if rep["passed"] else "FAIL"
         line = f"[{status}] {rep['check']} residual={rep['worst_residual']}"

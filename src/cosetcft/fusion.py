@@ -31,6 +31,7 @@ from .weights import (
 # fusion_ring entry
 INTEGRALITY_TOL = Config.tolerance_integrality
 KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
+ENTRY_CHUNK = 1 << 14  # entries per step of a pass over the whole tensor
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,11 @@ class FusionRing(BasedRing):
 
 @dataclass(frozen=True, eq=False)
 class SparseTensor:
-    """The nonzero entries of an m x m x m integer tensor: int64 arrays
-    ``i``, ``j``, ``k`` of distinct positions and ``v`` of values, in
-    increasing (i, j, k) order.  Each (i, j) pair's payload is therefore one
-    contiguous run, ordered by k."""
+    """The nonzero entries of an m x m x m integer tensor: int32 arrays
+    ``i``, ``j``, ``k`` of distinct positions and an int64 array ``v`` of
+    values, 20 bytes a nonzero, in increasing (i, j, k) order.  Each (i, j)
+    pair's payload is therefore one contiguous run, ordered by k.  Both
+    constructors store these dtypes whatever they are given."""
 
     shape: tuple[int, int, int]
     i: np.ndarray
@@ -105,11 +107,18 @@ class SparseTensor:
     @classmethod
     def from_entries(cls, m: int, i, j, k, v) -> "SparseTensor":
         """Drop zero values and order the entries; the sort is skipped when
-        the positions already increase."""
+        the positions already increase.  The sort key (i * m + j) * m + k is
+        taken in int64: from m = 1291 on it passes 2^31."""
+        i, j, k = (np.asarray(x, dtype=np.int32) for x in (i, j, k))
+        v = np.asarray(v, dtype=np.int64)
         nonzero = v != 0
         if not nonzero.all():
             i, j, k, v = i[nonzero], j[nonzero], k[nonzero], v[nonzero]
-        key = (i * m + j) * m + k
+        key = i.astype(np.int64)
+        key *= m
+        key += j
+        key *= m
+        key += k
         if not (key[1:] > key[:-1]).all():
             order = np.argsort(key)
             i, j, k, v = i[order], j[order], k[order], v[order]
@@ -121,16 +130,19 @@ class SparseTensor:
         as its (j, k, v) arrays in (j, k) order: the entries arrive in
         (i, j, k) order with no sort."""
         m = len(rows)
-        j, k, v = (np.concatenate(x) for x in zip(*rows))
-        i = np.repeat(np.arange(m), [len(row[0]) for row in rows])
+        j, k, v = (
+            np.concatenate(x, dtype=dtype)
+            for x, dtype in zip(zip(*rows), (np.int32, np.int32, np.int64))
+        )
+        i = np.repeat(np.arange(m, dtype=np.int32), [len(row[0]) for row in rows])
         return cls((m, m, m), i, j, k, v)
 
     @cached_property
     def pair_ptr(self) -> np.ndarray:
         """Run offsets: pair p = i * m + j holds entries ptr[p] to ptr[p + 1]."""
         m = self.shape[0]
-        sizes = np.bincount(self.i * m + self.j, minlength=m * m)
-        return np.concatenate(([0], np.cumsum(sizes)))
+        pair = self.i * m + self.j  # increasing, as the entries are ordered
+        return np.searchsorted(pair, np.arange(m * m + 1, dtype=pair.dtype))
 
     def run(self, i: int, j: int) -> slice:
         """The entries of pair (i, j), ordered by k."""
@@ -189,6 +201,14 @@ def _round_verlinde(
     return ints, float(max(resid.max(), worst_imag))
 
 
+def _row_nonzeros(block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The nonzeros of an m x m block over (j, k) as a row of
+    ``SparseTensor.from_rows``: int32 ``j``, ``k`` and the values, in C
+    order, which is (j, k) order."""
+    nonzero = np.nonzero(block)
+    return (*(x.astype(np.int32) for x in nonzero), block[nonzero])
+
+
 def verlinde_constants(
     mat: np.ndarray, tol: float = INTEGRALITY_TOL
 ) -> tuple[SparseTensor, float]:
@@ -210,8 +230,7 @@ def verlinde_constants(
         block = (mat * (mat[i] / mat[0])) @ adjoint
         ints, resid = _round_verlinde(block, tol, (i,))
         worst = max(worst, resid)
-        nonzero = np.nonzero(ints)  # C order: (j, k) order
-        rows.append((*nonzero, ints[nonzero]))
+        rows.append(_row_nonzeros(ints))
     return SparseTensor.from_rows(rows), worst
 
 
@@ -323,8 +342,7 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
         for block in blocks:
             slab *= block
         slab = slab.reshape(m, size, m).sum(axis=1)
-        nonzero = np.nonzero(slab)
-        rows.append((*nonzero, slab[nonzero]))
+        rows.append(_row_nonzeros(slab))
     constants = SparseTensor.from_rows(rows)
     del rows
     orbit_of = {s: o for o, orbit in enumerate(orbits) for s in orbit}
@@ -422,14 +440,19 @@ def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
     if not _ones_exactly_at(j[unit_row], k[unit_row], v[unit_row], basis, basis):
         out.append("unit row is not the identity permutation")
     # the run of pair p = i * m + j is entries ptr[p] to ptr[p + 1]
-    pair = i * m + j
     ptr = tensor.pair_ptr
     pair_sizes = np.diff(ptr).reshape(m, m)
     commutative = np.array_equal(pair_sizes, pair_sizes.T)
-    if commutative:
-        # equal run lengths: entry r of run (i, j) must equal entry r of (j, i)
-        mirror = ptr[j * m + i] + (np.arange(v.size) - ptr[pair])
-        commutative = np.array_equal(k[mirror], k) and np.array_equal(v[mirror], v)
+    # equal run lengths: entry r of run (i, j) must equal entry r of (j, i),
+    # compared ENTRY_CHUNK entries at a time
+    for start in range(0, v.size if commutative else 0, ENTRY_CHUNK):
+        run = slice(start, start + ENTRY_CHUNK)
+        rows, cols = i[run], j[run]
+        mirror = ptr[cols * m + rows] - ptr[rows * m + cols]
+        mirror += np.arange(start, start + len(rows))
+        if not (np.array_equal(k[mirror], k[run]) and np.array_equal(v[mirror], v[run])):
+            commutative = False
+            break
     if not commutative:
         out.append("commutativity fails")
     to_unit = k == 0
@@ -478,10 +501,12 @@ def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool
     if int(coeffs.max()) * slice_total * int(row_sums.max()) >= 2**53:
         return False
     a = np.zeros(m * m, dtype=np.int64)
-    np.add.at(a, j * m + k, coeffs[i] * v)
+    for start in range(0, v.size, ENTRY_CHUNK):
+        run = slice(start, start + ENTRY_CHUNK)
+        np.add.at(a, j[run] * m + k[run], coeffs[i[run]] * v[run])
     a = a.reshape(m, m)
     a_float = a.astype(np.float64)
-    row_starts = np.searchsorted(i, np.arange(m + 1))
+    row_starts = tensor.pair_ptr[::m]  # row i is entries row_starts[i] on
     n_k = np.zeros((m, m))
     for start, stop in zip(row_starts[:-1], row_starts[1:]):
         n_k[:] = 0

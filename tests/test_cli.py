@@ -376,6 +376,77 @@ def test_streamed_emit_holds_less_than_its_output(monkeypatch):
     assert peak < sink.size
 
 
+def nested_entries(entries):
+    """Oracle: the S-matrix entries as the nested [re, im] lists that the
+    document names, built one entry at a time; fp dust below 1e-13 is 0."""
+
+    def clean(x):
+        return report.format_real(0.0 if abs(x) < 1e-13 else x)
+
+    return [[[clean(z.real), clean(z.imag)] for z in row] for row in entries]
+
+
+def test_smatrix_document_memory(monkeypatch):
+    # 5.05 MiB with the nested list of strings; streamed, one row at a time
+    args = cli._build_parser().parse_args(["smatrix", "--algebra", "su4", "--level", "8"])
+    config = Config()
+    cosetcft.s_matrix(weights.AlgebraSpec.su(4, 8))  # only the document is traced
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    documents = []
+
+    def run_command():
+        result, reports = cli.cmd_smatrix(args, config)
+        document = {
+            "command": args.command,
+            "config": config.as_dict(),
+            "result": result,
+            "reports": [r.as_dict() for r in reports],
+        }
+        cli._emit(document, [r.runtime for r in reports], config, args)
+        documents.append(document)
+
+    tracemalloc.start()
+    try:
+        run_command()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (document,) = documents
+    result = document["result"]
+    document["result"] = {**result, "entries": nested_entries(result["entries"])}
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    assert sink.digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+    assert peak < 2 * 2**20
+
+
+DUST = [0.0, -0.0, 1e-14, -1e-14, 9.99e-14, 1e-13, -1e-13, 0.5, -0.5]
+
+
+@st.composite
+def complex_matrices(draw):
+    m = draw(st.integers(1, 4))
+    parts = st.one_of(st.sampled_from(DUST), st.floats(-1, 1))
+    values = draw(st.lists(parts, min_size=2 * m * m, max_size=2 * m * m))
+    pairs = np.array(values).reshape(m, m, 2)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_matrices())
+def test_smatrix_entries_written_from_the_array(entries):
+    # nested as in an smatrix document, with keys on either side
+    kept = entries.copy()
+    result = {"algebra": "su2", "entries": entries, "level": 1}
+    text = "".join(cli._json_batches({"reports": [], "result": result}))
+    oracle = {**result, "entries": nested_entries(entries)}
+    assert text == json.dumps({"reports": [], "result": oracle}, indent=2, sort_keys=True) + "\n"
+    table = cli._to_table({"reports": [], "result": result}, [])
+    assert table == json.dumps(oracle, sort_keys=True) + "\n"
+    # the dust is zeroed in copies, not in the (shared, cached) array
+    assert entries.tobytes() == kept.tobytes()
+
+
 @st.composite
 def sparse_constants(draw):
     """Random constants on m <= 30 basis elements, so that decimal and

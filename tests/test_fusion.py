@@ -34,7 +34,7 @@ from cosetcft import fusion, modular, verify, weights
 from cosetcft.verify import DESK_SPECS, SUITES, Config, coset_ring_reports
 from cosetcft.coset import coset_ring
 from cosetcft.maverick import build_maverick_ring
-from cosetcft.torus import torus_ring
+from cosetcft.torus import _class_ring, torus_ring
 
 DESK = [(n, k) for n in (2, 3, 4) for k in range(1, 7)]
 
@@ -862,3 +862,154 @@ def test_check_fusion_reports_broken_covariance(monkeypatch):
     report = verify.check_fusion(Config(), [(3, 2)])
     assert not report.passed
     assert report.counterexamples == ["su(3)_2: ['cyclic covariance fails at power 1']"]
+
+
+def covariance_case(values=None):
+    """su(3)_2's constants with their values replaced by ``values`` (same
+    positions), and the basis permutation of sigma."""
+    ring = fusion_ring(AlgebraSpec.su(3, 2))
+    t = ring.constants
+    if values is not None:
+        t = SparseTensor(t.shape, t.i, t.j, t.k, np.asarray(values, dtype=np.int64))
+    return t, np.array(ring.sigma_permutation(1), dtype=np.int32)
+
+
+def test_check_fusion_reports_a_changed_value(monkeypatch):
+    # one diagonal value set to 2: the positions still move onto themselves
+    # under sigma and the ring stays commutative, so only the packed value
+    # tells the moved entries from the unmoved ones
+    ring = fusion_ring(AlgebraSpec.su(3, 2))
+    t = ring.constants
+    at = int(np.flatnonzero((t.i == t.j) & (t.i > 0))[0])
+    values = t.v.copy()
+    values[at] = 2
+    changed, perm = covariance_case(values)
+    assert verify.sigma_covariant(covariance_case()[0], perm)
+    assert not verify.sigma_covariant(changed, perm)
+    tampered = dataclasses.replace(ring, constants=changed)
+    assert "commutativity fails" not in tampered.axiom_failures()
+    monkeypatch.setattr(verify, "fusion_ring", lambda spec, tol: tampered)
+    report = verify.check_fusion(Config(), [(3, 2)])
+    assert not report.passed
+    assert "cyclic covariance fails at power 1" in report.counterexamples[0]
+
+
+class TestCovarianceGuard:
+    """The packed key ((i m + j) m + k)(max v + 1) + v is used exactly when
+    m^3 (max v + 1) < 2^63 and no value is negative; otherwise the moved
+    entries are sorted into a second tensor."""
+
+    M3 = 6**3  # su(3)_2 has 6 weights
+    LARGEST_PACKED = (2**63 - 1) // M3 - 1  # largest max v that still packs
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        calls = []
+        original = SparseTensor.from_entries.__func__
+
+        def spy(cls, *args):
+            calls.append(args[0])
+            return original(cls, *args)
+
+        monkeypatch.setattr(SparseTensor, "from_entries", classmethod(spy))
+        return calls
+
+    @pytest.mark.parametrize(
+        "top,packed",
+        [(LARGEST_PACKED, True), (LARGEST_PACKED + 1, False), (2**62, False)],
+        ids=["largest-packed", "smallest-fallback", "far-past"],
+    )
+    def test_both_paths_agree(self, sorts, top, packed):
+        t, perm = covariance_case()
+        same = np.full(t.v.size, top)
+        assert verify.sigma_covariant(covariance_case(same)[0], perm)
+        one_off = same.copy()
+        one_off[t.v.size // 2] = top - 1
+        assert not verify.sigma_covariant(covariance_case(one_off)[0], perm)
+        assert sorts == ([] if packed else [6, 6])
+
+    def test_negative_value_falls_back(self, sorts):
+        t, perm = covariance_case()
+        assert verify.sigma_covariant(covariance_case(-t.v)[0], perm)
+        assert sorts == [6]
+
+    def test_guard_boundary(self):
+        assert self.M3 * (self.LARGEST_PACKED + 1) < 2**63
+        assert self.M3 * (self.LARGEST_PACKED + 2) >= 2**63
+
+
+RING_CONSTRUCTORS = {
+    "verlinde": lambda: verlinde_tensor(s_matrix(AlgebraSpec.su(3, 4))),
+    "coset": lambda: coset_ring(CosetSpec(3, 2, 1)),
+    "class": lambda: _class_ring(3, 2),
+    "torus": lambda: torus_ring(2, 2),
+    "maverick": build_maverick_ring,
+    "product": lambda: product_of((2, 2), (3, 1)),
+}
+
+
+class TestDtypeContract:
+    @pytest.mark.parametrize("name", RING_CONSTRUCTORS)
+    def test_int32_positions_int64_values(self, name):
+        t = RING_CONSTRUCTORS[name]().constants
+        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int64]
+        assert t.v.size and t.i.nbytes + t.j.nbytes + t.k.nbytes + t.v.nbytes == 20 * t.v.size
+
+    def test_from_entries_sorts_on_int64_keys(self):
+        # (i m + j) m + k passes 2^31 for most of these: int32 keys would wrap
+        m = 2000
+        entries = [
+            (1999, 1999, 1999, 1), (537, 0, 0, 2), (536, 0, 5, 3),
+            (1000, 5, 7, 4), (0, 1999, 1999, 5), (1000, 5, 6, 6), (537, 0, 1, 7),
+        ]
+        assert (537 * m) * m > 2**31 > (536 * m) * m + 5
+        i, j, k, v = (np.array(x, dtype=np.int64) for x in zip(*entries))
+        t = SparseTensor.from_entries(m, i, j, k, v)
+        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int64]
+        got = list(zip(*(x.tolist() for x in (t.i, t.j, t.k, t.v))))
+        assert got == sorted(entries)
+        assert t.to_table()[(537, 0)] == {0: 2, 1: 7}
+
+    def test_from_rows_stores_the_contract_dtypes(self):
+        rows = [(np.array([0]), np.array([0]), np.array([1], dtype=np.int32))] * 2
+        t = SparseTensor.from_rows(rows)
+        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int64]
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """Traced peaks (numpy reports its allocations to tracemalloc), with
+    bounds that int64 positions and whole-tensor temporaries would pass."""
+
+    def test_check_fusion_desk_sweep(self):
+        # 6.89 MiB with int64 positions and a sorted second tensor per power
+        for n, k in DESK_SPECS:
+            s_matrix(AlgebraSpec.su(n, k))
+        fusion_ring.cache_clear()
+        report = None
+
+        def run():
+            nonlocal report
+            report = verify.check_fusion(Config(), DESK_SPECS)
+
+        assert traced_peak(run) < 4.5 * 2**20
+        assert report.passed
+
+    def test_coset_ring_and_axioms(self):
+        # 7.6 MiB with int64 positions and whole-tensor mirror indices
+        for spec in CosetSpec(3, 3, 2).factor_specs():
+            s_matrix(spec)
+        fusion_ring.cache_clear()
+
+        def run():
+            assert coset_ring(CosetSpec(3, 3, 2)).axiom_failures() == []
+
+        assert traced_peak(run) < 6 * 2**20
