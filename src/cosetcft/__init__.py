@@ -23,6 +23,7 @@ _EXPORTS = {
         "conformal_weight",
         "conjugate_weight",
         "integrable_weights",
+        "kac_walton",
         "sigma_apply",
     ),
     "modular": (
@@ -40,7 +41,6 @@ _EXPORTS = {
         "SparseTensor",
         "dimension_homomorphism_residual",
         "fuse",
-        "fuse_pair",
         "fusion_ring",
         "orbit_ring",
         "product_ring",

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 from typing import TYPE_CHECKING
 
 from .report import Config
@@ -29,19 +29,13 @@ from .weights import (
     AlgebraSpec,
     Labels,
     Weight,
-    add_labels,
     all_roots,
     conformal_weight,
-    dominant_rep,
     finite_weight_multiplicities,
-    inner_product,
     integrable_weights,
     norm2_shifted,
-    positive_roots,
-    root_coordinates,
     shifted_v,
     straighten,
-    sub_labels,
     v_vector,
     weyl_dimension,
     weyl_orbit,
@@ -84,25 +78,63 @@ MAX_CUTOFF = 40
 ALTERNANT_BUDGET = 2**30
 
 
+@dataclass(frozen=True)
+class Packing:
+    """Integer vectors of a fixed length whose entries lie in [-radius,
+    radius], each held as one int: the entries plus radius are its digits in
+    base 2 * radius + 1, the first most significant.  Adding ``shift(step)``
+    to a key adds step to its vector, so long as every entry stays in range."""
+
+    length: int
+    radius: int
+
+    def encode(self, v) -> int:
+        base, key = 2 * self.radius + 1, 0
+        for x in v:
+            key = key * base + x + self.radius
+        return key
+
+    def shift(self, step) -> int:
+        """The key difference that adds step."""
+        return self.encode(step) - self.encode((0,) * self.length)
+
+    def decode(self, key: int) -> tuple[int, ...]:
+        base, out = 2 * self.radius + 1, []
+        for _ in range(self.length):
+            key, digit = divmod(key, base)
+            out.append(digit - self.radius)
+        return tuple(reversed(out))
+
+
 @lru_cache(maxsize=None)
 def denominator_series(n: int, cutoff: int) -> tuple[tuple[tuple[Labels, int], ...], ...]:
     """Grades 0..cutoff of P = prod_{j>=1} (1 - q^j)^-(n-1) prod_alpha
     (1 - q^j e^alpha)^-1 over the roots alpha of su(n), as (v-coordinates,
     multiplicity) pairs per grade.  P is Weyl-invariant and shared by every
-    level and module; a smaller cutoff gives a prefix of the series."""
+    level and module; a smaller cutoff gives a prefix of the series.
+
+    The entries are keyed by one packed integer while the series is divided
+    out: an entry of grade g is a sum of at most g roots, whose v-coordinates
+    lie in [-1, 2], so its own lie in [-2 cutoff, 2 cutoff]."""
     zero = (0,) * n
-    steps = [v_vector(alpha) for alpha in all_roots(n)] + [zero] * (n - 1)
-    series: list[dict[Labels, int]] = [dict() for _ in range(cutoff + 1)]
-    series[0][zero] = 1
+    pack = Packing(n, 2 * cutoff)
+    steps = [pack.shift(v_vector(alpha)) for alpha in all_roots(n)] + [0] * (n - 1)
+    series: list[dict[int, int]] = [dict() for _ in range(cutoff + 1)]
+    series[0][pack.encode(zero)] = 1
     # divide in place by each factor (1 - q^j e^step), grade by grade
     for j in range(1, cutoff + 1):
         for step in steps:
             for g in range(j, cutoff + 1):
                 dst = series[g]
-                for v, mult in series[g - j].items():
-                    key = tuple(map(add, v, step))
-                    dst[key] = dst.get(key, 0) + mult
-    return tuple(tuple(sl.items()) for sl in series)
+                get = dst.get
+                for key, mult in series[g - j].items():
+                    key += step
+                    dst[key] = get(key, 0) + mult
+    # each grade's packed dict is dropped once decoded
+    return tuple(
+        tuple((pack.decode(key), mult) for key, mult in series.pop(0).items())
+        for _ in range(cutoff + 1)
+    )
 
 
 def _box_radius(lam: Labels, n: int, h: int, cutoff: int) -> int:
@@ -201,73 +233,90 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharact
 
 @lru_cache(maxsize=None)
 def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharacter:
-    """Oracle engine: Freudenthal recursion on the extended algebra."""
+    """Oracle engine: Freudenthal recursion on the extended algebra, in
+    integers.  A weight x is held by its v-coordinates, its pairing with the
+    root e_a - e_b is x_a - x_b, and squared lengths are scaled by n:
+    n |x + rho|^2 = n sum(t^2) - sum(t)^2 with t = x + rho."""
     n, k = spec.n, spec.k
     lam = w.labels
     h = k + n
-    top_norm = norm2_shifted(lam, n)
-    max_norm = top_norm + 2 * h * cutoff
-    label_bound = int((4 * float(max_norm)) ** 0.5) + 2
-    roots = all_roots(n)
-    pos_roots = positive_roots(n)
+    rho = range(n - 1, -1, -1)
 
-    # dominant candidates with the right root-lattice congruence
+    def norm(v) -> int:
+        t = list(map(add, v, rho))
+        return n * sum(x * x for x in t) - sum(t) ** 2
+
+    top = norm(v_vector(lam))
+    max_norm = top + 2 * h * cutoff * n
+    label_bound = math.isqrt(4 * max_norm // n) + 2
+    pos_roots = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    roots = pos_roots + [(b, a) for a, b in pos_roots]
+
+    # dominant candidates in lam's class mod the root lattice, whose
+    # sum(i * label_i) is lam's mod n
+    color = sum(i * x for i, x in enumerate(lam, start=1)) % n
     candidates = []
     for lab in itertools.product(range(label_bound + 1), repeat=n - 1):
-        diff = root_coordinates(sub_labels(lam, lab), n)
-        if any(d.denominator != 1 for d in diff):
+        if sum(i * x for i, x in enumerate(lab, start=1)) % n != color:
             continue
-        nrm = norm2_shifted(lab, n)
+        v = v_vector(lab)
+        nrm = norm(v)
         if nrm <= max_norm:
-            candidates.append((lab, nrm))
-    candidates.sort(key=lambda p: -p[1])
+            candidates.append((lab, v, nrm))
+    candidates.sort(key=lambda c: -c[2])
 
     dom_mult: dict[tuple[Labels, int], int] = {}
 
-    def lookup(labels: Labels, grade: int) -> int:
-        if grade < 0:
-            return 0
-        return dom_mult.get((dominant_rep(labels), grade), 0)
+    def lookup(x, grade: int) -> int:
+        """Multiplicity at grade of the weight with v-coordinates x."""
+        s = sorted(x, reverse=True)
+        return dom_mult.get((tuple(map(sub, s[:-1], s[1:])), grade), 0)
 
     for g in range(cutoff + 1):
-        bound = top_norm + 2 * h * g
-        for mu, nrm in candidates:
+        bound = top + 2 * h * g * n
+        for mu, v, nrm in candidates:
             if nrm > bound:
                 continue
             if g == 0 and mu == lam:
                 dom_mult[(mu, 0)] = 1
                 continue
-            den = top_norm - nrm + 2 * h * g
+            den = bound - nrm
             if den <= 0:
                 continue
-            num = Fraction(0)
-            # real roots with grade part m >= 1 (all roots), m = 0 (positive)
-            for alpha in pos_roots:
+            num = 0
+            # real roots with grade part m >= 1 (all roots), m = 0 (positive);
+            # (mu + j alpha, alpha) = d + 2j, and n |mu + j alpha + rho|^2
+            # = nrm + 2n (j (mu + rho, alpha) + j^2)
+            for a, b in pos_roots:
+                d = v[a] - v[b]
+                x = list(v)
                 j = 1
-                while True:
-                    x = add_labels(mu, tuple(j * a for a in alpha))
-                    if norm2_shifted(x, n) > bound:
-                        break
+                while nrm + 2 * n * (j * (d + b - a) + j * j) <= bound:
+                    x[a] += 1
+                    x[b] -= 1
                     m = lookup(x, g)
                     if m:
-                        num += m * inner_product(x, alpha, n)
+                        num += m * (d + 2 * j)
                     j += 1
             for mpart in range(1, g + 1):
-                for alpha in roots:
+                for a, b in roots:
+                    d = v[a] - v[b]
+                    x = list(v)
                     for j in range(1, g // mpart + 1):
-                        x = add_labels(mu, tuple(j * a for a in alpha))
+                        x[a] += 1
+                        x[b] -= 1
                         m = lookup(x, g - j * mpart)
                         if m:
-                            num += m * (inner_product(x, alpha, n) + k * mpart)
+                            num += m * (d + 2 * j + k * mpart)
                 # imaginary roots at grade mpart, multiplicity n - 1
                 for j in range(1, g // mpart + 1):
-                    m = lookup(mu, g - j * mpart)
+                    m = dom_mult.get((mu, g - j * mpart), 0)
                     if m:
                         num += m * k * mpart * (n - 1)
-            value = 2 * num / den
-            assert value.denominator == 1 and value >= 0
+            value, rest = divmod(2 * n * num, den)
+            assert rest == 0 and value >= 0
             if value:
-                dom_mult[(mu, g)] = int(value)
+                dom_mult[(mu, g)] = value
 
     slices: list[Poly] = [dict() for _ in range(cutoff + 1)]
     for (mu, g), m in dom_mult.items():
@@ -279,25 +328,39 @@ def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCh
 # --- products, restriction, peeling ----------------------------------------
 
 def tensor_characters(a: WeightTable, b: WeightTable) -> WeightTable:
-    """Convolve two graded tables in weight and grade (same rank)."""
+    """Convolve two graded tables in weight and grade (same rank), with
+    each weight packed into one integer (``Packing``) while they are summed."""
     if a.rank_param != b.rank_param:
         raise ValueError("rank mismatch in tensor product")
     cutoff = min(a.cutoff, b.cutoff)
-    slices: list[Poly] = [dict() for _ in range(cutoff + 1)]
-    for g1 in range(cutoff + 1):
-        s1 = a.slices[g1]
+    tables = (a.slices[: cutoff + 1], b.slices[: cutoff + 1])
+    radius = sum(
+        max((abs(x) for sl in t for wlab in sl for x in wlab), default=0) for t in tables
+    )
+    pack = Packing(a.rank_param - 1, radius)
+    packed_a, packed_b = (
+        [[(code(wlab), m) for wlab, m in sl.items()] for sl in t]
+        for code, t in zip((pack.encode, pack.shift), tables)
+    )
+    slices: list[dict[int, int]] = [dict() for _ in range(cutoff + 1)]
+    for g1, s1 in enumerate(packed_a):
         if not s1:
             continue
         for g2 in range(cutoff + 1 - g1):
-            s2 = b.slices[g2]
+            s2 = packed_b[g2]
             if not s2:
                 continue
             dst = slices[g1 + g2]
-            for w1, m1 in s1.items():
-                for w2, m2 in s2.items():
-                    key = add_labels(w1, w2)
-                    dst[key] = dst.get(key, 0) + m1 * m2
-    return WeightTable(a.rank_param, cutoff, tuple(slices))
+            get = dst.get
+            for w1, m1 in s1:
+                for w2, m2 in s2:
+                    key = w1 + w2
+                    dst[key] = get(key, 0) + m1 * m2
+    return WeightTable(
+        a.rank_param,
+        cutoff,
+        tuple({pack.decode(key): m for key, m in sl.items()} for sl in slices),
+    )
 
 
 def restrict_character(table: WeightTable, projection) -> WeightTable:

@@ -117,9 +117,7 @@ def cmd_fuse(args, config: Config) -> tuple[dict, list[VerificationReport]]:
     spec = weights.AlgebraSpec.su(n, args.level)
     wi = _parse_labels(args.i, n, spec)
     wj = _parse_labels(args.j, n, spec)
-    channels = fusion.fuse_pair(
-        modular.s_matrix(spec), wi, wj, config.tolerance_integrality
-    )
+    channels = weights.kac_walton(wi, wj)
     return {
         "algebra": f"su{n}",
         "level": args.level,

@@ -20,7 +20,6 @@ from .report import Config
 from .report import IntegralityViolation  # re-exported: raised here
 from .weights import (
     AlgebraSpec,
-    Weight,
     conjugate_weight,
     require_dense_budget,
     sigma_apply,
@@ -128,13 +127,17 @@ class SparseTensor:
     def from_rows(cls, rows: list[tuple[np.ndarray, ...]]) -> "SparseTensor":
         """Join the rows i = 0, 1, ... of an m x m x m tensor, row i given
         as its (j, k, v) arrays in (j, k) order: the entries arrive in
-        (i, j, k) order with no sort."""
+        (i, j, k) order with no sort.  The list is emptied, and each field
+        is joined and its row arrays dropped before the next, so the rows
+        and the joined tensor are not held in full at once."""
         m = len(rows)
-        j, k, v = (
-            np.concatenate(x, dtype=dtype)
-            for x, dtype in zip(zip(*rows), (np.int32, np.int32, np.int64))
-        )
         i = np.repeat(np.arange(m, dtype=np.int32), [len(row[0]) for row in rows])
+        fields = [list(x) for x in zip(*rows)]
+        rows.clear()
+        j, k, v = (
+            np.concatenate(fields.pop(0), dtype=dtype)
+            for dtype in (np.int32, np.int32, np.int64)
+        )
         return cls((m, m, m), i, j, k, v)
 
     @cached_property
@@ -267,21 +270,6 @@ def fuse(ring: BasedRing, i, j) -> list[tuple]:
     return [(ring.basis[k], c) for k, c in zip(t.k[run].tolist(), t.v[run].tolist())]
 
 
-def fuse_pair(
-    s: SMatrix, i: Weight, j: Weight, tol: float = INTEGRALITY_TOL
-) -> list[tuple[Weight, int]]:
-    """Nonzero fusion channels of i x j, as ``fuse`` lists them, straight
-    from the Verlinde sum: the row N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m
-    over every k is one length-m vector against the m x m matrix, so no ring
-    is built.  The row passes the same integrality guards as
-    ``verlinde_tensor``."""
-    a, b = s.index(i), s.index(j)
-    mat = s.entries
-    raw = mat.conj() @ (mat[a] * mat[b] / mat[0])
-    row, _ = _round_verlinde(raw, tol, (a, b))
-    return [(s.basis[k], int(row[k])) for k in np.flatnonzero(row)]
-
-
 def product_ring(rings: list[BasedRing]) -> BasedRing:
     """Cartesian-product ring: the basis is the tuples of factor basis
     elements, the first factor varying slowest; constants, conjugates and
@@ -343,8 +331,8 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
             slab *= block
         slab = slab.reshape(m, size, m).sum(axis=1)
         rows.append(_row_nonzeros(slab))
+    del slab
     constants = SparseTensor.from_rows(rows)
-    del rows
     orbit_of = {s: o for o, orbit in enumerate(orbits) for s in orbit}
     conj = tuple(
         orbit_of[tuple(ring.conj[x] for ring, x in zip(factors, orbit[0]))]
@@ -513,20 +501,22 @@ def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool
         n_k[j[start:stop], k[start:stop]] = v[start:stop]
         if not np.array_equal(a_float @ n_k, n_k @ a_float):
             return False
+    del a_float, n_k
     p = KRYLOV_PRIME
-    a_mod = a % p
+    a %= p
     krylov = np.empty((m, m), dtype=np.int64)
     vec = np.zeros(m, dtype=np.int64)
     vec[0] = 1
     for row in range(m):
         krylov[row] = vec
-        vec = vec @ a_mod % p
+        vec = vec @ a % p
+    del a
     return _full_rank_mod(krylov, p)
 
 
 def _full_rank_mod(mat: np.ndarray, p: int) -> bool:
-    """Gaussian elimination over GF(p) on a square matrix of residues."""
-    mat = mat.copy()
+    """Gaussian elimination over GF(p), in place, on a square int64 matrix
+    of residues."""
     m = len(mat)
     for col in range(m):
         nonzero = np.flatnonzero(mat[col:, col])
@@ -535,9 +525,9 @@ def _full_rank_mod(mat: np.ndarray, p: int) -> bool:
         pivot = col + int(nonzero[0])
         mat[[col, pivot]] = mat[[pivot, col]]
         multipliers = mat[col + 1 :, col] * pow(int(mat[col, col]), -1, p) % p
-        mat[col + 1 :, col:] = (
-            mat[col + 1 :, col:] - multipliers[:, None] * mat[col, col:]
-        ) % p
+        rest = mat[col + 1 :, col:]
+        rest -= np.multiply.outer(multipliers, mat[col, col:])
+        rest %= p
     return True
 
 

@@ -70,14 +70,17 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
     # sums instead costs one overall phase per column, restored below.
     # Row lam's phases are exp(-2 pi i t_a(lam) t_b(mu) / h) over (mu, a, b);
     # each batch takes as many rows as fit in PHASE_BATCH, at least one.
+    # The exponents are integers below h^2, so each phase is read from a
+    # table of exp at every such integer: the same values as exp at each
+    # entry, bit for bit.
     m = len(basis)
     step = max(1, PHASE_BATCH // (m * n * n))
+    table = np.exp((-2j * np.pi / h) * np.arange(int(tvecs.max()) ** 2 + 1))
     dets = np.empty((m, m), dtype=complex)  # rows lam, cols mu
     for start in range(0, m, step):
         t = tvecs[start : start + step]
         exponents = t[:, None, :, None] * tvecs[None, :, None, :]  # (lam, mu, a, b)
-        phases = np.exp((-2j * np.pi / h) * exponents)
-        dets[start : start + step] = np.linalg.det(phases)
+        dets[start : start + step] = np.linalg.det(table[exponents])
     vac = 0  # lexicographic enumeration puts the zero labels first
     sums = tvecs.sum(axis=1)
     trace_fix = np.exp(

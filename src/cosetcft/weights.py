@@ -1,7 +1,7 @@
 """Integrable weights of affine su(N) at a fixed level and their quantum
 dimensions, the finite su(N) invariant form, Weyl group, roots, weight
-systems and Weyl dimensions, and the package's size budgets.  Pure Python:
-no numpy.
+systems and Weyl dimensions, exact fusion of two weights by Kac-Walton, and
+the package's size budgets.  Pure Python: no numpy.
 
 Weights are handled in unshifted Dynkin labels ``Lambda_i >= 0`` with
 ``sum(Lambda_i) <= k``.  The rho-shifted coordinates ``lambda_i = Lambda_i + 1``
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 # size budget for one weight basis, checked before enumerating it
 WEIGHT_BUDGET = 100_000
@@ -210,7 +211,7 @@ def v_vector(lab) -> tuple[int, ...]:
 
 
 def labels_from_v(v) -> tuple[int, ...]:
-    return tuple(v[i] - v[i + 1] for i in range(len(v) - 1))
+    return tuple(map(sub, v, v[1:]))
 
 
 def shifted_v(lab) -> tuple[int, ...]:
@@ -231,10 +232,6 @@ def root_coordinates(entries, n: int) -> tuple[Fraction, ...]:
 
 def add_labels(a: Labels, b: Labels) -> Labels:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def sub_labels(a: Labels, b: Labels) -> Labels:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def norm2_shifted(labels: Labels, n: int) -> Fraction:
@@ -273,7 +270,28 @@ def dominant_rep(labels: Labels) -> Labels:
 
 def weyl_orbit(labels: Labels) -> set[Labels]:
     """Every weight in the Weyl orbit of labels."""
-    return {labels_from_v(v) for v in set(itertools.permutations(v_vector(labels)))}
+    return {labels_from_v(v) for v in distinct_permutations(v_vector(labels))}
+
+
+def distinct_permutations(v):
+    """Each distinct permutation of the entries of v once, in increasing
+    lexicographic order: the successor of a permutation swaps the last
+    ascent's left entry with the last entry that exceeds it and reverses the
+    tail."""
+    a = sorted(v)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[: i : -1]
 
 
 def straighten(v) -> tuple[int, Labels] | None:
@@ -298,8 +316,7 @@ def finite_weight_multiplicities(n: int, lam: Labels) -> dict[Labels, int]:
     the Weyl orbit of each dominant weight, with its multiplicity."""
     table: dict[Labels, int] = {}
     for mu, m in _dominant_weights(v_vector(lam)).items():
-        for w in weyl_orbit(labels_from_v(mu)):
-            table[w] = m
+        table.update(dict.fromkeys(map(labels_from_v, distinct_permutations(mu)), m))
     return table
 
 
@@ -311,8 +328,9 @@ def _dominant_weights(row: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     row at a time.  A row below interlaces row, and the weight's last
     coordinate is the difference of their sums; the weight is dominant
     exactly when the rest is a dominant weight of the row below whose last
-    coordinate is at least that difference."""
-    if len(row) == 1:
+    coordinate is at least that difference.  A constant row, such as a
+    single entry, has one pattern."""
+    if row[0] == row[-1]:
         return {row: 1}
     out: dict[tuple[int, ...], int] = {}
     ranges = (range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))
@@ -326,12 +344,82 @@ def _dominant_weights(row: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 
 def weyl_dimension(n: int, lam: Labels) -> int:
-    """Weyl dimension formula, exact."""
-    rho = tuple(1 for _ in lam)
-    dim = Fraction(1)
-    for alpha in positive_roots(n):
-        dim *= inner_product(add_labels(lam, rho), alpha, n) / inner_product(
-            rho, alpha, n
+    """Weyl dimension formula, exact: the product over a < b of
+    (t_a - t_b) / (b - a), t = shifted_v(lam)."""
+    return _dimension_within(lam, None)
+
+
+def _dimension_within(lam: Labels, cap: int | None) -> int | None:
+    """The Weyl dimension of lam, or None once it exceeds cap.  A pair a < b
+    whose coordinates v_a, v_b of lam are equal (no nonzero label between
+    them) gives the factor 1, and every other factor exceeds 1, so only
+    those pairs are walked and the partial products only grow."""
+    t = shifted_v(lam)
+    n = len(t)
+    num = den = 1
+    start = n  # the first b past a nonzero label at or after a
+    for a in range(n - 2, -1, -1):
+        if lam[a]:
+            start = a + 1
+        for b in range(start, n):
+            num *= t[a] - t[b]
+            den *= b - a
+            if cap is not None and num > cap * den:
+                return None
+    dim, rest = divmod(num, den)
+    assert rest == 0
+    return None if cap is not None and dim > cap else dim
+
+
+def kac_walton(i: Weight, j: Weight) -> list[tuple[Weight, int]]:
+    """Nonzero fusion channels of i x j with their multiplicities, in label
+    order, as ``fusion.fuse`` lists them, exact by the Kac-Walton formula
+    (Walton, Nucl. Phys. B340 (1990); Kac, 3rd ed., Exercise 13.35).
+
+    One of the two irreps, the one of smaller Weyl dimension, is walked
+    weight by weight: each weight x, with its multiplicity, contributes
+    sign(w) to N_ij^nu when the affine Weyl element w at shifted level
+    h = k + N takes x + (the other) + rho to nu + rho in the open alcove.
+    In v-coordinates u, write each u_a = q_a h + r_a with 0 <= r_a < h; a
+    repeated residue puts u on a wall, and it contributes nothing.  Else
+    the residues, sorted decreasing with the permutation's sign, lie in the
+    alcove, but they differ from u by h times a vector of sum -sum(q), which
+    must vanish mod N: lowering the t = (-sum(q)) mod N largest residues by
+    h and moving them to the end, with the sign (-1)^(t(N-1)), does that.
+    The result's labels are the sorted residues' affine labels (k - sum,
+    then the labels) read cyclically from position t + 1.
+
+    The walked irrep's dimension is held to WEIGHT_BUDGET, and its
+    dimension times N^2, the coordinate comparisons of ``straighten``, to
+    DENSE_BUDGET, before any weight is built."""
+    spec = i.spec
+    if j.spec != spec:
+        raise ValueError("weights bound to different specs")
+    n, k = spec.n, spec.k
+    h = k + n
+    cap = min(WEIGHT_BUDGET, DENSE_BUDGET // (n * n))
+    dims = [_dimension_within(w.labels, cap) for w in (i, j)]
+    if dims == [None, None]:
+        raise ValueError(
+            f"fusing in su({n}) needs the weights of an irrep of dimension at "
+            f"most {cap}, over the budget"
         )
-    assert dim.denominator == 1
-    return int(dim)
+    walked, other = i, j
+    if dims[1] is not None and (dims[0] is None or dims[1] < dims[0]):
+        walked, other = j, i
+    base = shifted_v(other.labels)
+    out: dict[Labels, int] = {}
+    for x, mult in finite_weight_multiplicities(n, walked.labels).items():
+        quotients, residues = zip(*(divmod(a + b, h) for a, b in zip(base, v_vector(x))))
+        hit = straighten(residues)
+        if hit is None:
+            continue
+        sign, mu = hit
+        t = -sum(quotients) % n
+        if t:
+            affine = (k - sum(mu), *mu)
+            mu = affine[t + 1 :] + affine[:t]
+            if t * (n - 1) % 2:
+                sign = -sign
+        out[mu] = out.get(mu, 0) + sign * mult
+    return [(Weight(spec, mu), c) for mu, c in sorted(out.items()) if c]

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -32,13 +34,14 @@ from cosetcft import (
 from cosetcft import characters
 from cosetcft.characters import (
     MAX_CUTOFF,
+    Packing,
     alternant_terms,
     denominator_series,
     finite_weight_multiplicities,
     require_alternant_budget,
     weyl_dimension,
 )
-from cosetcft.weights import labels_from_v, weyl_orbit
+from cosetcft.weights import all_roots, labels_from_v, v_vector, weyl_orbit
 
 ISING = CosetSpec(2, 1, 1)
 
@@ -49,6 +52,10 @@ def partitions(limit):
         for s in range(part, limit + 1):
             p[s] += p[s - part]
     return p
+
+
+def no_fraction(cls, *args, **kwargs):
+    raise AssertionError("a Fraction was made")
 
 
 def su2(k):
@@ -132,6 +139,18 @@ class TestGradedCharacterEngine:
         b = freudenthal_character(spec, x, cutoff)
         assert a.slices == b.slices
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 5), st.data())
+    def test_oracle_makes_no_fraction(self, n, k, cutoff, data):
+        spec = AlgebraSpec.su(n, k)
+        x = data.draw(st.sampled_from(integrable_weights(spec)))
+        want = graded_character(spec, x, cutoff)
+        freudenthal_character.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Fraction, "__new__", no_fraction)
+            got = freudenthal_character(spec, x, cutoff)
+        assert got.slices == want.slices
+
     def test_grade_zero_is_finite_irrep(self):
         spec = AlgebraSpec.su(3, 2)
         for x in integrable_weights(spec):
@@ -198,6 +217,83 @@ class TestDenominatorSeries:
         for x in integrable_weights(spec):
             graded_character(spec, x, 6)
         assert denominator_series.cache_info().misses == 1
+
+
+def tuple_series(n, cutoff):
+    """Reference: P divided out with tuple keys, the form before packing."""
+    zero = (0,) * n
+    steps = [v_vector(alpha) for alpha in all_roots(n)] + [zero] * (n - 1)
+    series = [dict() for _ in range(cutoff + 1)]
+    series[0][zero] = 1
+    for j in range(1, cutoff + 1):
+        for step in steps:
+            for g in range(j, cutoff + 1):
+                dst = series[g]
+                for v, mult in series[g - j].items():
+                    key = tuple(map(add, v, step))
+                    dst[key] = dst.get(key, 0) + mult
+    return tuple(tuple(sl.items()) for sl in series)
+
+
+def tuple_tensor(a, b):
+    """Reference: the convolution with tuple keys, the form before packing."""
+    cutoff = min(a.cutoff, b.cutoff)
+    slices = [dict() for _ in range(cutoff + 1)]
+    for g1 in range(cutoff + 1):
+        for g2 in range(cutoff + 1 - g1):
+            dst = slices[g1 + g2]
+            for w1, m1 in a.slices[g1].items():
+                for w2, m2 in b.slices[g2].items():
+                    key = tuple(map(add, w1, w2))
+                    dst[key] = dst.get(key, 0) + m1 * m2
+    return slices
+
+
+@st.composite
+def weight_tables(draw, rank_param, cutoff):
+    labels = st.tuples(*[st.integers(-6, 6)] * (rank_param - 1))
+    slices = tuple(
+        draw(st.dictionaries(labels, st.integers(-3, 3), max_size=6))
+        for _ in range(cutoff + 1)
+    )
+    return WeightTable(rank_param, cutoff, slices)
+
+
+class TestPackedKeys:
+    """Packed integer keys give the entries of the tuple-keyed forms, in the
+    same order."""
+
+    @pytest.mark.parametrize("n,cutoff", [(2, 12), (3, 8), (4, 5), (5, 3)])
+    def test_denominator_series_matches_the_tuple_form(self, n, cutoff):
+        assert denominator_series.__wrapped__(n, cutoff) == tuple_series(n, cutoff)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_tensor_matches_the_tuple_form(self, n, c1, c2, data):
+        a = data.draw(weight_tables(n, c1))
+        b = data.draw(weight_tables(n, c2))
+        got = tensor_characters(a, b)
+        assert got.cutoff == min(c1, c2)
+        want = tuple_tensor(a, b)
+        assert [list(sl.items()) for sl in got.slices] == [list(sl.items()) for sl in want]
+
+    def test_tensor_of_characters_matches_the_tuple_form(self):
+        for spec in (AlgebraSpec.su(3, 1), AlgebraSpec.su(3, 2)):
+            for x, y in itertools.product(integrable_weights(spec), repeat=2):
+                a, b = graded_character(spec, x, 4), graded_character(spec, y, 3)
+                got = [list(sl.items()) for sl in tensor_characters(a, b).slices]
+                assert got == [list(sl.items()) for sl in tuple_tensor(a, b)]
+
+    @given(st.integers(0, 5), st.data())
+    def test_packing_adds_vectors(self, radius, data):
+        entry = st.integers(-radius, radius)
+        length = data.draw(st.integers(1, 5))
+        v, w = (data.draw(st.tuples(*[entry] * length)) for _ in range(2))
+        pack = Packing(length, radius)
+        assert pack.decode(pack.encode(v)) == v
+        total = tuple(map(add, v, w))
+        if all(abs(x) <= radius for x in total):
+            assert pack.encode(v) + pack.shift(w) == pack.encode(total)
 
 
 class TestTensorAndRestrict:

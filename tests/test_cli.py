@@ -212,12 +212,23 @@ class TestFuseCommand:
 
     def test_oversized_level_is_usage_error(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("allocated before the budget check")
+            raise AssertionError("a weight was built before the budget check")
 
-        monkeypatch.setattr(np, "einsum", refuse)
-        monkeypatch.setattr(np, "exp", refuse)
-        code, out = run(capsys, "fuse", "su4", "30", "1,0,0", "0,0,1")  # m = 5456
+        for name in ("finite_weight_multiplicities", "_dominant_weights", "distinct_permutations"):
+            monkeypatch.setattr(weights, name, refuse)
+        # both irreps have dimension C(103, 3) = 176,851 > WEIGHT_BUDGET
+        code, out = run(capsys, "fuse", "su4", "100", "100,0,0", "0,0,100")
         assert code == 2 and out == ""
+
+    def test_large_level_runs_without_the_s_matrix(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fuse built an S-matrix")
+
+        monkeypatch.setattr(cosetcft.modular, "s_matrix", refuse)
+        # m = 5456 weights, whose S-matrix is over DENSE_BUDGET
+        code, out = run(capsys, "fuse", "su4", "30", "1,0,0", "0,0,1", "--format", "table")
+        assert code == 0
+        assert out.strip() == "0,0,0 + 1,0,1"
 
 
 class TestCosetRingCommand:
@@ -482,7 +493,6 @@ class TestIntegralityViolation:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fuse", "su4", "3", "1,0,0", "0,0,1"],
             ["verify", "fusion"],
             ["verify", "simple-current"],
         ],
@@ -502,6 +512,19 @@ class TestIntegralityViolation:
         assert result["error"] == "IntegralityViolation"
         assert "off an integer" in result["message"]
         assert len(result["indices"]) == 3
+
+    def test_fuse_is_exact_under_any_tolerance(self, capsys, tmp_path):
+        # fuse sums no floats, so the integrality tolerance does not reach it
+        conf = tmp_path / "conf"
+        conf.write_text("tolerance_integrality = 1e-300\n")
+        argv = ("fuse", "su4", "3", "1,0,0", "0,0,1")
+        code, out = run(capsys, *argv, "--config", str(conf))
+        assert code == 0
+        doc = json.loads(out)
+        assert float(doc["config"]["tolerance_integrality"]) == 1e-300
+        default = json.loads(run(capsys, *argv)[1])
+        assert doc["result"] == default["result"]
+        assert [ch["weight"] for ch in doc["result"]["channels"]] == [[[0, 0, 0]], [[1, 0, 1]]]
 
 
 class TestBranchCommand:

@@ -19,8 +19,9 @@ from cosetcft import (
     conjugate_weight,
     dimension_homomorphism_residual,
     fuse,
-    fuse_pair,
     fusion_ring,
+    integrable_weights,
+    kac_walton,
     orbit_ring,
     product_quantum_dimension,
     product_ring,
@@ -394,37 +395,86 @@ class TestCommutingCertificate:
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
+# su(N)_k with m <= 60 integrable weights
+SMALL_SPECS = [
+    (n, k) for n in range(2, 7) for k in range(1, 13) if math.comb(k + n - 1, k) <= 60
+]
+
+
 class TestFusePair:
+    """``kac_walton`` fuses one pair exactly, from one irrep's weights, and
+    lists the channels as ``fuse`` reads them from the Verlinde ring."""
+
     @pytest.mark.parametrize("n,k", DESK_SPECS)
     def test_every_pair_matches_the_ring(self, n, k):
-        sm = s_matrix(AlgebraSpec.su(n, k))
-        ring = verlinde_tensor(sm)
-        for i, j in itertools.product(sm.basis, repeat=2):
-            assert fuse_pair(sm, i, j) == fuse(ring, i, j)
+        ring = fusion_ring(AlgebraSpec.su(n, k))
+        for i, j in itertools.product(ring.basis, repeat=2):
+            assert kac_walton(i, j) == fuse(ring, i, j)
 
     def test_su4_level8_pair(self):
         spec = AlgebraSpec.su(4, 8)
-        sm = s_matrix(spec)
         i, j = Weight(spec, (1, 0, 0)), Weight(spec, (0, 0, 1))
-        assert fuse_pair(sm, i, j) == fuse(verlinde_tensor(sm), i, j)
+        assert kac_walton(i, j) == fuse(verlinde_tensor(s_matrix(spec)), i, j)
 
     def test_tight_tolerance_names_the_pair(self):
+        # the float guard refuses the ring at 1e-300 and names an entry; the
+        # exact kernel fuses that entry's pair as the default ring does
         spec = AlgebraSpec.su(3, 2)
         sm = s_matrix(spec)
-        i, j = Weight(spec, (1, 0)), Weight(spec, (0, 1))
         with pytest.raises(IntegralityViolation) as err:
-            fuse_pair(sm, i, j, tol=1e-300)
+            verlinde_tensor(sm, tol=1e-300)
         a, b, k = err.value.indices
-        assert (a, b) == (sm.index(i), sm.index(j))
-        assert 0 <= k < len(sm.basis)
+        assert all(0 <= x < len(sm.basis) for x in (a, b, k))
+        i, j = sm.basis[a], sm.basis[b]
+        assert kac_walton(i, j) == fuse(fusion_ring(spec), i, j)
 
-    def test_guard_fires_on_corrupt_s(self):
-        sm = s_matrix(AlgebraSpec.su(2, 3))
-        corrupt = SMatrix(sm.spec, sm.basis, sm.entries + 0.01)
-        with pytest.raises(IntegralityViolation) as err:
-            fuse_pair(corrupt, sm.basis[1], sm.basis[2])
-        assert err.value.residual > 1e-6
-        assert err.value.indices[:2] == (1, 2)
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SMALL_SPECS), st.data())
+    def test_random_spec_matches_the_ring(self, nk, data):
+        basis = integrable_weights(AlgebraSpec.su(*nk))
+        i, j = (data.draw(st.sampled_from(basis)) for _ in range(2))
+        assert kac_walton(i, j) == fuse(fusion_ring(i.spec), i, j)
+
+    def test_refused_before_any_weight(self, monkeypatch):
+        def no_weights(*args):
+            raise AssertionError("a weight was built before the budget check")
+
+        for name in ("finite_weight_multiplicities", "_dominant_weights", "distinct_permutations"):
+            monkeypatch.setattr(weights, name, no_weights)
+        spec = AlgebraSpec.su(4, 100)
+        big, bar = Weight(spec, (100, 0, 0)), Weight(spec, (0, 0, 100))
+        assert weights.weyl_dimension(4, big.labels) == math.comb(103, 3)  # 176,851
+        with pytest.raises(ValueError, match="over the budget"):
+            kac_walton(big, bar)
+
+    def test_weights_of_two_specs_are_refused(self):
+        with pytest.raises(ValueError, match="different specs"):
+            kac_walton(AlgebraSpec.su(3, 1).vacuum(), AlgebraSpec.su(3, 2).vacuum())
+
+    def test_budget_counts_the_rank(self):
+        # dimension 2000 is within WEIGHT_BUDGET, but 2000 * 2000^2
+        # comparisons are not; the unit is walked as one weight
+        spec = AlgebraSpec.su(2000, 1)
+        vector = Weight(spec, (1,) + (0,) * 1998)
+        with pytest.raises(ValueError, match="over the budget"):
+            kac_walton(vector, Weight(spec, (0,) * 1998 + (1,)))
+        assert kac_walton(spec.vacuum(), vector) == [(vector, 1)]
+
+    def test_walks_the_smaller_irrep(self, monkeypatch):
+        walked = []
+        original = weights.finite_weight_multiplicities
+
+        def recording(n, lam):
+            walked.append(lam)
+            return original(n, lam)
+
+        monkeypatch.setattr(weights, "finite_weight_multiplicities", recording)
+        spec = AlgebraSpec.su(3, 40)  # no channel meets the level
+        big, small = Weight(spec, (20, 10)), Weight(spec, (1, 0))
+        assert kac_walton(big, small) == [
+            (Weight(spec, labels), 1) for labels in ((19, 11), (20, 9), (21, 10))
+        ]
+        assert walked == [small.labels]
 
 
 class TestSharedRings:
@@ -1013,3 +1063,22 @@ class TestMemoryBounds:
             assert coset_ring(CosetSpec(3, 3, 2)).axiom_failures() == []
 
         assert traced_peak(run) < 6 * 2**20
+
+    def test_coset_ring_build_holds_its_constants_once(self):
+        # 4.70 MiB while the row arrays and the whole joined tensor were
+        # held together
+        spec = CosetSpec(3, 3, 2)
+        coset_ring(spec)  # the factor rings stay cached
+        assert traced_peak(lambda: coset_ring(spec)) < 4.2 * 2**20
+
+    def test_commuting_certificate(self):
+        # 1.26 MiB while the float copies lived through the Krylov step and
+        # the elimination worked on a copy
+        tensor = coset_ring(CosetSpec(3, 3, 2)).constants
+        m = tensor.shape[0]
+        row_sums = np.zeros(m * m, dtype=np.int64)
+        np.add.at(row_sums, tensor.i.astype(np.int64) * m + tensor.j, tensor.v)
+        tensor.pair_ptr  # cached before tracing
+        assert traced_peak(
+            lambda: fusion._fusion_matrices_commute(tensor, row_sums.reshape(m, m))
+        ) < 2**20

@@ -275,6 +275,54 @@ class TestWeylOrbit:
             every = {weights.labels_from_v(p) for p in itertools.permutations(v)}
             assert weights.weyl_orbit(lam) == every
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=7))
+    def test_distinct_permutations_are_the_permutation_set(self, v):
+        # few values over up to 7 entries: most draws repeat some
+        listed = list(weights.distinct_permutations(v))
+        assert listed == sorted(set(itertools.permutations(v)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=6))
+    def test_orbit_is_the_relabelled_permutation_set(self, lam):
+        v = weights.v_vector(tuple(lam))
+        every = {weights.labels_from_v(p) for p in set(itertools.permutations(v))}
+        assert weights.weyl_orbit(tuple(lam)) == every
+
+
+def root_formula_dimension(n, lam):
+    """Reference: the Weyl dimension as the product over the positive roots
+    of (lam + rho, alpha) / (rho, alpha), in fractions."""
+    rho = (1,) * (n - 1)
+    dim = Fraction(1)
+    for alpha in weights.positive_roots(n):
+        shifted = weights.inner_product(weights.add_labels(lam, rho), alpha, n)
+        dim *= shifted / weights.inner_product(rho, alpha, n)
+    return dim
+
+
+class TestWeylDimension:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    def test_matches_the_root_formula(self, lam):
+        lam = tuple(lam)
+        assert weights.weyl_dimension(len(lam) + 1, lam) == root_formula_dimension(
+            len(lam) + 1, lam
+        )
+
+    @pytest.mark.parametrize("lam", [(0,), (3,), (1, 0, 1), (2, 0, 3, 1)])
+    def test_capped_walk_stops_just_past_the_cap(self, lam):
+        dim = weights.weyl_dimension(len(lam) + 1, lam)
+        assert weights._dimension_within(lam, dim) == dim
+        assert weights._dimension_within(lam, dim - 1) is None
+
+    def test_high_rank_is_walked_by_its_labels(self):
+        # su(5000): the vacuum has no pair to walk, a vector one row of them
+        start = time.perf_counter()
+        assert weights.weyl_dimension(5000, (0,) * 4999) == 1
+        assert weights.weyl_dimension(5000, (1,) + (0,) * 4998) == 5000
+        assert time.perf_counter() - start < 1.0
+
 
 def box_walk_multiplicities(n, lam):
     """Reference: the dominant weights lam - sum(c_i alpha_i) found by testing
