@@ -105,9 +105,9 @@ class SparseTensor:
 
     @classmethod
     def from_entries(cls, m: int, i, j, k, v) -> "SparseTensor":
-        """Drop zero values and order the entries; the sort is skipped when
-        the positions already increase.  The sort key (i * m + j) * m + k is
-        taken in int64: from m = 1291 on it passes 2^31."""
+        """Drop zero values and sort the entries.  The sort key
+        (i * m + j) * m + k is taken in int64: from m = 1291 on it passes
+        2^31."""
         i, j, k = (np.asarray(x, dtype=np.int32) for x in (i, j, k))
         v = np.asarray(v, dtype=np.int64)
         nonzero = v != 0
@@ -118,10 +118,8 @@ class SparseTensor:
         key += j
         key *= m
         key += k
-        if not (key[1:] > key[:-1]).all():
-            order = np.argsort(key)
-            i, j, k, v = i[order], j[order], k[order], v[order]
-        return cls((m, m, m), i, j, k, v)
+        order = np.argsort(key)
+        return cls((m, m, m), i[order], j[order], k[order], v[order])
 
     @classmethod
     def from_rows(cls, rows: list[tuple[np.ndarray, ...]]) -> "SparseTensor":
@@ -273,27 +271,18 @@ def fuse(ring: BasedRing, i, j) -> list[tuple]:
 def product_ring(rings: list[BasedRing]) -> BasedRing:
     """Cartesian-product ring: the basis is the tuples of factor basis
     elements, the first factor varying slowest; constants, conjugates and
-    dimensions multiply factorwise.  A single ring is returned as is."""
+    dimensions multiply factorwise, as ``orbit_ring`` gives them over
+    one-member orbits.  A single ring is returned as is."""
     if not rings:
         raise ValueError("need at least one ring")
     if len(rings) == 1:
         return rings[0]
-    t, conj = rings[0].constants, rings[0].conj
-    for ring in rings[1:]:
-        u, n2 = ring.constants, len(ring.basis)
-        # every entry of t against every entry of u, u's varying fastest
-        i, j, k = (
-            (x[:, None] * n2 + y).ravel()
-            for x, y in ((t.i, u.i), (t.j, u.j), (t.k, u.k))
-        )
-        v = np.outer(t.v, u.v).ravel()
-        t = SparseTensor.from_entries(t.shape[0] * n2, i, j, k, v)
-        conj = tuple(c1 * n2 + c2 for c1, c2 in itertools.product(conj, ring.conj))
+    indices = itertools.product(*(range(len(ring.basis)) for ring in rings))
     basis = tuple(itertools.product(*(ring.basis for ring in rings)))
     dims = {
         b: math.prod(ring.dims[x] for ring, x in zip(rings, b)) for b in basis
     }
-    return BasedRing(basis, t, conj, dims)
+    return orbit_ring(rings, [[t] for t in indices], basis, dims)
 
 
 def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> BasedRing:

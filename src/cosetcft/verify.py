@@ -76,18 +76,12 @@ def sigma_covariant(tensor: SparseTensor, perm: np.ndarray) -> bool:
     keeps the entries: the entries (perm[i], j, perm[k], v) are the entries
     (i, j, k, v).
 
-    Each entry is packed into one int64 key ((i m + j) m + k)(max v + 1) + v.
-    The moved entries' keys, sorted in place, must equal the unmoved ones,
-    which the (i, j, k) order already sorts.  When a key could reach 2^63,
-    or a value is negative, the moved entries are sorted into a second
-    tensor and compared with this one instead."""
+    The moved positions' int64 keys (perm[i] m + j) m + perm[k], put in
+    increasing order, must be the unmoved keys, which the (i, j, k) order
+    already sorts, and the values must come along in the same order.  The
+    positions are distinct, so that order is unique, whatever the values."""
     m = tensor.shape[0]
     i, j, k, v = tensor.i, tensor.j, tensor.k, tensor.v
-    if not v.size:
-        return True
-    span = int(v.max()) + 1
-    if v.min() < 0 or m**3 * span >= 2**63:
-        return SparseTensor.from_entries(m, perm[i], j, perm[k], v) == tensor
 
     def keys(rows, cols):
         key = rows.astype(np.int64)
@@ -95,13 +89,12 @@ def sigma_covariant(tensor: SparseTensor, perm: np.ndarray) -> bool:
         key += j
         key *= m
         key += cols
-        key *= span
-        key += v
         return key
 
     moved = keys(perm[i], perm[k])
-    moved.sort()
-    return np.array_equal(moved, keys(i, k))
+    order = moved.argsort()
+    moved = moved[order]
+    return np.array_equal(moved, keys(i, k)) and np.array_equal(v[order], v)
 
 
 def check_fusion(config: Config, specs) -> VerificationReport:

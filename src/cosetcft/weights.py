@@ -219,21 +219,6 @@ def shifted_v(lab) -> tuple[int, ...]:
     return v_vector(tuple(x + 1 for x in lab))
 
 
-def root_coordinates(entries, n: int) -> tuple[Fraction, ...]:
-    """Coefficients of a weight-lattice vector on the simple roots: the
-    partial sums of its v-coordinates minus i * sum(v) / n."""
-    v = v_vector(entries)
-    total = sum(v)
-    partial = itertools.accumulate(v[:-1])
-    return tuple(
-        Fraction(n * p - i * total, n) for i, p in enumerate(partial, start=1)
-    )
-
-
-def add_labels(a: Labels, b: Labels) -> Labels:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def norm2_shifted(labels: Labels, n: int) -> Fraction:
     """Squared length of labels + rho."""
     shifted = tuple(x + 1 for x in labels)
@@ -261,11 +246,6 @@ def all_roots(n: int) -> tuple[Labels, ...]:
     negatives."""
     positive = positive_roots(n)
     return positive + tuple(tuple(-x for x in alpha) for alpha in positive)
-
-
-def dominant_rep(labels: Labels) -> Labels:
-    """The dominant weight in the Weyl orbit of labels."""
-    return labels_from_v(tuple(sorted(v_vector(labels), reverse=True)))
 
 
 def weyl_orbit(labels: Labels) -> set[Labels]:
@@ -320,7 +300,11 @@ def finite_weight_multiplicities(n: int, lam: Labels) -> dict[Labels, int]:
     return table
 
 
-@lru_cache(maxsize=None)
+# each row's dominant weights and multiplicities, shared by every irrep: a
+# dict rather than an lru_cache, because the walk asks which rows it holds
+_pattern_counts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+
+
 def _dominant_weights(row: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Dominant weights, in v-coordinates, of the irrep with partition row,
     and their multiplicities: the Gelfand-Tsetlin patterns of each weight
@@ -329,18 +313,43 @@ def _dominant_weights(row: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     coordinate is the difference of their sums; the weight is dominant
     exactly when the rest is a dominant weight of the row below whose last
     coordinate is at least that difference.  A constant row, such as a
-    single entry, has one pattern."""
-    if row[0] == row[-1]:
-        return {row: 1}
-    out: dict[tuple[int, ...], int] = {}
-    ranges = (range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))
-    for below in itertools.product(*ranges):
-        last = sum(row) - sum(below)
-        for w, m in _dominant_weights(below).items():
-            if w[-1] >= last:
-                key = (*w, last)
-                out[key] = out.get(key, 0) + m
-    return out
+    single entry, has one pattern.
+
+    The walk does not recurse: it lists the rows not yet in the memo one
+    length at a time, from row down, then counts them shortest first, so
+    each row's rows below are in the memo when it is counted."""
+    levels = [] if row in _pattern_counts else [[row]]
+    while levels:
+        below = dict.fromkeys(
+            b
+            for r in levels[-1]
+            if r[0] != r[-1]
+            for b in _rows_below(r)
+            if b not in _pattern_counts
+        )
+        if not below:
+            break
+        levels.append(below)
+    for level in reversed(levels):
+        for r in level:
+            if r[0] == r[-1]:
+                _pattern_counts[r] = {r: 1}
+                continue
+            out: dict[tuple[int, ...], int] = {}
+            total = sum(r)
+            for b in _rows_below(r):
+                last = total - sum(b)
+                for w, m in _pattern_counts[b].items():
+                    if w[-1] >= last:
+                        key = (*w, last)
+                        out[key] = out.get(key, 0) + m
+            _pattern_counts[r] = out
+    return _pattern_counts[row]
+
+
+def _rows_below(row: tuple[int, ...]):
+    """The rows that interlace row from below, in lexicographic order."""
+    return itertools.product(*map(range, row[1:], (x + 1 for x in row)))
 
 
 def weyl_dimension(n: int, lam: Labels) -> int:

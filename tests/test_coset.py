@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -26,8 +27,18 @@ from cosetcft import (
 )
 from cosetcft import coset
 from cosetcft.coset import factor_rings, in_exp
+from cosetcft.weights import v_vector
 
 ISING = CosetSpec(2, 1, 1)
+
+
+def root_coordinates(entries, n):
+    """Coefficients of a weight-lattice vector on the simple roots: the
+    partial sums of its v-coordinates minus i * sum(v) / n."""
+    v = v_vector(entries)
+    total = sum(v)
+    partial = itertools.accumulate(v[:-1])
+    return tuple(Fraction(n * p - i * total, n) for i, p in enumerate(partial, start=1))
 TRICRITICAL = CosetSpec(2, 2, 1)
 DESK_COSETS = [ISING, TRICRITICAL, CosetSpec(3, 1, 1), CosetSpec(3, 2, 1)]
 
@@ -115,10 +126,6 @@ class TestExpSet:
 
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_membership_is_root_lattice_rule(self, spec):
-        import itertools
-        from cosetcft import integrable_weights
-        from cosetcft.weights import root_coordinates
-
         s1, s2, sh = spec.factor_specs()
         members = set(exp_set(spec))
         for w1, w2, wh in itertools.product(

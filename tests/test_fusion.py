@@ -22,7 +22,6 @@ from cosetcft import (
     fusion_ring,
     integrable_weights,
     kac_walton,
-    orbit_ring,
     product_quantum_dimension,
     product_ring,
     quantum_dimension,
@@ -715,11 +714,18 @@ class TestRingProperties:
 
     @settings(deadline=None)
     @given(small_spec_pairs())
-    def test_orbit_ring_of_single_tuples_is_the_product_ring(self, pair):
+    def test_product_ring_factorizes(self, pair):
         rings = [fusion_ring(AlgebraSpec.su(*nk)) for nk in pair]
-        product = product_ring(rings)
-        orbits = [[x] for x in itertools.product(*(range(len(r.basis)) for r in rings))]
-        assert orbit_ring(rings, orbits, product.basis, product.dims) == product
+        ring = product_ring(rings)
+        a, b = (r.constants.dense() for r in rings)
+        m = len(ring.basis)
+        expected = np.einsum("ijk,lmn->iljmkn", a, b).reshape(m, m, m)
+        assert np.array_equal(ring.constants.dense(), expected)
+        for x in ring.basis:
+            assert ring.dims[x] == product_quantum_dimension(x)
+        assert list(ring.conj) == [
+            ring.index(tuple(map(conjugate_weight, x))) for x in ring.basis
+        ]
 
 
 class TestSimpleCurrents:
@@ -926,8 +932,8 @@ def covariance_case(values=None):
 
 def test_check_fusion_reports_a_changed_value(monkeypatch):
     # one diagonal value set to 2: the positions still move onto themselves
-    # under sigma and the ring stays commutative, so only the packed value
-    # tells the moved entries from the unmoved ones
+    # under sigma and the ring stays commutative, so only the values tell
+    # the moved entries from the unmoved ones
     ring = fusion_ring(AlgebraSpec.su(3, 2))
     t = ring.constants
     at = int(np.flatnonzero((t.i == t.j) & (t.i > 0))[0])
@@ -944,13 +950,50 @@ def test_check_fusion_reports_a_changed_value(monkeypatch):
     assert "cyclic covariance fails at power 1" in report.counterexamples[0]
 
 
+@st.composite
+def covariance_cases(draw):
+    """A tensor of at most 12 basis elements with int64 values, and a basis
+    permutation.  Half the draws copy each value over its position's orbit
+    under the permutation, so that they are covariant, and then may change
+    one value, keeping the positions covariant."""
+    m = draw(st.integers(1, 12))
+    perm = draw(st.permutations(range(m)))
+    cells = st.tuples(*[st.integers(0, m - 1)] * 3)
+    values = st.integers(-(2**63), 2**63 - 1).filter(bool)
+    entries = draw(st.dictionaries(cells, values, max_size=40))
+    if draw(st.booleans()):
+        closed = {}
+        for (i, j, k), v in entries.items():
+            while (i, j, k) not in closed:
+                closed[i, j, k] = v
+                i, k = perm[i], perm[k]
+        entries = closed
+        if entries and draw(st.booleans()):
+            entries[draw(st.sampled_from(sorted(entries)))] = draw(values)
+    i, j, k = np.array(list(entries) or np.empty((0, 3)), dtype=np.int64).T
+    v = np.array(list(entries.values()), dtype=np.int64)
+    return SparseTensor.from_entries(m, i, j, k, v), np.array(perm, dtype=np.int32)
+
+
+class TestCovariance:
+    @settings(max_examples=300, deadline=None)
+    @given(covariance_cases())
+    def test_matches_the_dense_relabelling(self, case):
+        t, perm = case
+        dense = t.dense()
+        assert verify.sigma_covariant(t, perm) == np.array_equal(
+            dense[perm][:, :, perm], dense
+        )
+
+
 class TestCovarianceGuard:
-    """The packed key ((i m + j) m + k)(max v + 1) + v is used exactly when
-    m^3 (max v + 1) < 2^63 and no value is negative; otherwise the moved
-    entries are sorted into a second tensor."""
+    """Values at and past the old m^3 (max v + 1) < 2^63 packing bound, and
+    negative values, which once took a fallback that sorted the moved
+    entries into a second tensor.  They are now compared on one path, and
+    no second tensor is built."""
 
     M3 = 6**3  # su(3)_2 has 6 weights
-    LARGEST_PACKED = (2**63 - 1) // M3 - 1  # largest max v that still packs
+    LARGEST_PACKED = (2**63 - 1) // M3 - 1
 
     @pytest.fixture
     def sorts(self, monkeypatch):
@@ -965,27 +1008,26 @@ class TestCovarianceGuard:
         return calls
 
     @pytest.mark.parametrize(
-        "top,packed",
-        [(LARGEST_PACKED, True), (LARGEST_PACKED + 1, False), (2**62, False)],
+        "top",
+        [LARGEST_PACKED, LARGEST_PACKED + 1, 2**62],
         ids=["largest-packed", "smallest-fallback", "far-past"],
     )
-    def test_both_paths_agree(self, sorts, top, packed):
+    def test_both_paths_agree(self, sorts, top):
         t, perm = covariance_case()
         same = np.full(t.v.size, top)
         assert verify.sigma_covariant(covariance_case(same)[0], perm)
         one_off = same.copy()
         one_off[t.v.size // 2] = top - 1
         assert not verify.sigma_covariant(covariance_case(one_off)[0], perm)
-        assert sorts == ([] if packed else [6, 6])
+        assert sorts == []
 
     def test_negative_value_falls_back(self, sorts):
         t, perm = covariance_case()
         assert verify.sigma_covariant(covariance_case(-t.v)[0], perm)
-        assert sorts == [6]
-
-    def test_guard_boundary(self):
-        assert self.M3 * (self.LARGEST_PACKED + 1) < 2**63
-        assert self.M3 * (self.LARGEST_PACKED + 2) >= 2**63
+        one_off = -t.v
+        one_off[t.v.size // 2] -= 1
+        assert not verify.sigma_covariant(covariance_case(one_off)[0], perm)
+        assert sorts == []
 
 
 RING_CONSTRUCTORS = {

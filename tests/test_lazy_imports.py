@@ -1,10 +1,12 @@
 """The package runs a module only when it is used: its exported names resolve
 on first access, and each CLI command runs only the modules on its path."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -118,6 +120,41 @@ def test_export_count_and_star_import():
     namespace = {}
     exec("from cosetcft import *", namespace)
     assert {n for names in EXPORTED.values() for n in names} <= set(namespace)
+
+
+def referenced_names(node) -> Counter:
+    """Each name the code under node loads, reads as an attribute or
+    imports, counted once per occurrence."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name] += 1
+    return names
+
+
+def test_every_module_level_definition_is_used():
+    # a top-level function or class must be referenced somewhere in the
+    # package outside its own body, or be one of the exported names
+    exported = {name for names in cosetcft._EXPORTS.values() for name in names}
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted((SRC / "cosetcft").glob("*.py"))
+    }
+    everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{file}:{node.name}"
+        for file, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in exported
+        and everywhere[node.name] == referenced_names(node)[node.name]
+    ]
+    assert unused == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 from fractions import Fraction
@@ -22,10 +23,28 @@ from cosetcft import weights
 DESK = [(n, k) for n in (2, 3, 4) for k in range(1, 7)]
 
 
+def root_coordinates(entries, n):
+    """Coefficients of a weight-lattice vector on the simple roots: the
+    partial sums of its v-coordinates minus i * sum(v) / n."""
+    v = weights.v_vector(entries)
+    total = sum(v)
+    partial = itertools.accumulate(v[:-1])
+    return tuple(Fraction(n * p - i * total, n) for i, p in enumerate(partial, start=1))
+
+
+def add_labels(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def dominant_rep(labels):
+    """The dominant weight in the Weyl orbit of labels."""
+    return weights.labels_from_v(tuple(sorted(weights.v_vector(labels), reverse=True)))
+
+
 def in_root_lattice(entries, n):
     """Oracle independent of ``color``: a lattice vector lies in the root
     lattice exactly when its simple-root coordinates are all integers."""
-    return all(c.denominator == 1 for c in weights.root_coordinates(entries, n))
+    return all(c.denominator == 1 for c in root_coordinates(entries, n))
 
 
 def w(n, k, *labels):
@@ -296,7 +315,7 @@ def root_formula_dimension(n, lam):
     rho = (1,) * (n - 1)
     dim = Fraction(1)
     for alpha in weights.positive_roots(n):
-        shifted = weights.inner_product(weights.add_labels(lam, rho), alpha, n)
+        shifted = weights.inner_product(add_labels(lam, rho), alpha, n)
         dim *= shifted / weights.inner_product(rho, alpha, n)
     return dim
 
@@ -329,7 +348,7 @@ def box_walk_multiplicities(n, lam):
     every c in the box of root coordinates of lam + lam* for dominance, then
     the Freudenthal recursion: independent of the library's Gelfand-Tsetlin
     pattern counts."""
-    cmax = weights.root_coordinates(weights.add_labels(lam, lam[::-1]), n)
+    cmax = root_coordinates(add_labels(lam, lam[::-1]), n)
     box = np.indices([int(c) + 1 for c in cmax]).reshape(n - 1, -1).T
     simple = np.array([weights.root(n, i, i + 1) for i in range(n - 1)])
     points = np.array(lam) - box @ simple
@@ -346,8 +365,8 @@ def box_walk_multiplicities(n, lam):
         for alpha in weights.positive_roots(n):
             j = 1
             while True:
-                x = weights.add_labels(mu, tuple(j * a for a in alpha))
-                dom = weights.dominant_rep(x)
+                x = add_labels(mu, tuple(j * a for a in alpha))
+                dom = dominant_rep(x)
                 if dom not in support:
                     break
                 num += mult.get(dom, 0) * weights.inner_product(x, alpha, n)
@@ -360,6 +379,23 @@ def box_walk_multiplicities(n, lam):
 IRREP_RANGES = [(2, 12), (3, 6), (4, 4), (5, 3), (6, 2)]
 
 
+@functools.lru_cache(maxsize=None)
+def recursive_dominant_weights(row):
+    """Reference: the Gelfand-Tsetlin counts by recursion on the row below,
+    as the library counted them before its walk was made iterative."""
+    if row[0] == row[-1]:
+        return {row: 1}
+    out = {}
+    ranges = (range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))
+    for below in itertools.product(*ranges):
+        last = sum(row) - sum(below)
+        for w, m in recursive_dominant_weights(below).items():
+            if w[-1] >= last:
+                key = (*w, last)
+                out[key] = out.get(key, 0) + m
+    return out
+
+
 class TestDominantWalk:
     @pytest.mark.parametrize("n,bound", IRREP_RANGES)
     def test_matches_box_walk(self, n, bound):
@@ -367,6 +403,26 @@ class TestDominantWalk:
             table = weights.finite_weight_multiplicities(n, lam)
             dominant = {mu: m for mu, m in table.items() if min(mu) >= 0}
             assert dominant == box_walk_multiplicities(n, lam)
+
+    @pytest.mark.parametrize("n,bound", IRREP_RANGES)
+    def test_items_in_the_recursive_order(self, n, bound):
+        for lam in itertools.product(range(bound + 1), repeat=n - 1):
+            row = weights.v_vector(lam)
+            expected = list(recursive_dominant_weights(row).items())
+            assert list(weights._dominant_weights(row).items()) == expected
+            table = {}
+            for mu, m in expected:
+                for v in weights.distinct_permutations(mu):
+                    table[weights.labels_from_v(v)] = m
+            assert list(weights.finite_weight_multiplicities(n, lam).items()) == list(
+                table.items()
+            )
+
+    def test_a_long_row_needs_no_recursion(self):
+        # the vector of su(1200): 1,200 rows deep, past the recursion limit
+        table = weights.finite_weight_multiplicities(1200, (1,) + (0,) * 1198)
+        assert len(table) == 1200
+        assert set(table.values()) == {1}
 
 
 @st.composite
@@ -385,6 +441,6 @@ class TestGelfandTsetlin:
         n, lam = irrep
         table = weights.finite_weight_multiplicities(n, lam)
         assert sum(table.values()) == weights.weyl_dimension(n, lam)
-        assert all(m == table[weights.dominant_rep(mu)] for mu, m in table.items())
+        assert all(m == table[dominant_rep(mu)] for mu, m in table.items())
         dominant = {mu: m for mu, m in table.items() if min(mu) >= 0}
         assert dominant == box_walk_multiplicities(n, lam)
