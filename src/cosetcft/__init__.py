@@ -75,7 +75,6 @@ _EXPORTS = {
     ),
     "characters": (
         "BranchingFunction",
-        "GradedCharacter",
         "InconclusiveCutoff",
         "NegativeResidual",
         "WeightTable",

@@ -56,20 +56,13 @@ class NegativeResidual(ArithmeticError):
 
 @dataclass(frozen=True)
 class WeightTable:
-    """A grade-by-grade weight-multiplicity table without module bookkeeping;
-    keys live in the weight lattice of su(rank_param)."""
+    """Weight multiplicities per grade up to cutoff, of a module's character
+    or of a product or restriction of characters; keys live in the weight
+    lattice of su(rank_param)."""
 
     rank_param: int
     cutoff: int
     slices: tuple[Poly, ...]
-
-
-@dataclass(frozen=True)
-class GradedCharacter(WeightTable):
-    """Weight multiplicities of an integrable module, per grade up to cutoff."""
-
-    spec: AlgebraSpec
-    top: Weight
 
 
 MAX_CUTOFF = 40
@@ -202,7 +195,7 @@ def straighten_products(series, terms, cutoff: int) -> list[dict[Labels, int]]:
 
 
 @lru_cache(maxsize=None)
-def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharacter:
+def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> WeightTable:
     """Production engine: the Weyl-Kac numerator's terms times the
     Weyl-invariant series P, straightened into per-grade irrep
     coefficients, which expand into weight slices."""
@@ -222,22 +215,24 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharact
             if coeff < 0:
                 raise ArithmeticError(f"negative character multiplicity at grade {g}")
             if coeff:
-                for wlab, m in finite_weight_multiplicities(n, mu).items():
+                for wlab, m in finite_weight_multiplicities(mu).items():
                     out[wlab] = out.get(wlab, 0) + coeff * m
         slices.append(out)
 
-    if slices[0] != finite_weight_multiplicities(n, lam):
+    if slices[0] != finite_weight_multiplicities(lam):
         raise ArithmeticError("grade-0 slice disagrees with the finite irrep")
-    return GradedCharacter(n, cutoff, tuple(slices), spec, w)
+    return WeightTable(n, cutoff, tuple(slices))
 
 
 @lru_cache(maxsize=None)
-def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCharacter:
+def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> WeightTable:
     """Oracle engine: Freudenthal recursion on the extended algebra, in
     integers.  A weight x is held by its v-coordinates, its pairing with the
     root e_a - e_b is x_a - x_b, and squared lengths are scaled by n:
     n |x + rho|^2 = n sum(t^2) - sum(t)^2 with t = x + rho."""
     n, k = spec.n, spec.k
+    if w.spec != spec:
+        raise ValueError("weight bound to a different spec")
     lam = w.labels
     h = k + n
     rho = range(n - 1, -1, -1)
@@ -322,7 +317,7 @@ def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> GradedCh
     for (mu, g), m in dom_mult.items():
         for lab in weyl_orbit(mu):
             slices[g][lab] = m
-    return GradedCharacter(n, cutoff, tuple(slices), spec, w)
+    return WeightTable(n, cutoff, tuple(slices))
 
 
 # --- products, restriction, peeling ----------------------------------------

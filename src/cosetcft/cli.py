@@ -221,7 +221,7 @@ def cmd_verify(args, config: Config) -> tuple[dict, list[VerificationReport]]:
 # --- output -------------------------------------------------------------------
 
 def _emit(document: dict, runtimes: list, config: Config, args) -> None:
-    fmt = args.format or config.output_format
+    fmt = config.output_format
     if fmt == "json":
         texts = _json_batches(document)
     elif fmt == "csv":

@@ -1,9 +1,11 @@
 """Fusion rings from the Verlinde formula, and products of based rings.
 
 The structure constants are stored sparsely, as arrays of their nonzero
-positions and values (``SparseTensor``); construction fails hard if any
-pre-rounding residual exceeds the integrality tolerance, since a silently
-wrong integer would corrupt every coset ring built on top.
+positions and values (``SparseTensor``).  Construction fails hard if any
+pre-rounding residual exceeds the fixed guard ``INTEGRALITY_TOL``, since a
+silently wrong integer would corrupt every coset ring built on top; no run
+config reaches it.  ``fusion_ring`` builds one ring per spec, and the
+reports compare its residual with the configured tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .modular import SMatrix, quantum_dimension, s_matrix
-from .report import Config
 from .report import IntegralityViolation  # re-exported: raised here
 from .weights import (
     AlgebraSpec,
@@ -25,10 +26,9 @@ from .weights import (
     sigma_apply,
 )
 
-# the run config's default, so that `verify` (which passes the config's
-# tolerance) and coset and torus rings (which pass none) share each spec's
-# fusion_ring entry
-INTEGRALITY_TOL = Config.tolerance_integrality
+# a bug guard against a wrong S-matrix, not a physics threshold: real
+# Verlinde sums land within about 1e-13 of their integers
+INTEGRALITY_TOL = 1e-6
 KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
 ENTRY_CHUNK = 1 << 14  # entries per step of a pass over the whole tensor
 
@@ -177,9 +177,11 @@ class SparseTensor:
 
 
 def _round_verlinde(
-    raw: np.ndarray, tol: float, prefix: tuple[int, ...] = ()
+    raw: np.ndarray, prefix: tuple[int, ...] = ()
 ) -> tuple[np.ndarray, float]:
-    """Round Verlinde sums to nonnegative int64 under the integrality guards.
+    """Round Verlinde sums to nonnegative int64 under the integrality guards:
+    imaginary parts and distances from an integer within INTEGRALITY_TOL,
+    and no negative integer.
 
     Returns the integers and the worst pre-rounding distance.  A failure
     raises IntegralityViolation naming prefix + the position in ``raw``.
@@ -190,11 +192,11 @@ def _round_verlinde(
         return IntegralityViolation(float(value), *prefix, *map(int, at))
 
     worst_imag = np.abs(raw.imag).max()
-    if worst_imag > tol:
+    if worst_imag > INTEGRALITY_TOL:
         raise violation(worst_imag, np.abs(raw.imag).argmax())
     rounded = np.rint(raw.real)
     resid = np.abs(raw.real - rounded)
-    if resid.max() > tol:
+    if resid.max() > INTEGRALITY_TOL:
         raise violation(resid.max(), resid.argmax())
     ints = rounded.astype(np.int64)
     if ints.min() < 0:
@@ -210,9 +212,7 @@ def _row_nonzeros(block: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*(x.astype(np.int32) for x in nonzero), block[nonzero])
 
 
-def verlinde_constants(
-    mat: np.ndarray, tol: float = INTEGRALITY_TOL
-) -> tuple[SparseTensor, float]:
+def verlinde_constants(mat: np.ndarray) -> tuple[SparseTensor, float]:
     """Verlinde constants N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m of a
     unitary m x m matrix S whose row 0 is the vacuum's, as a SparseTensor,
     and the worst pre-rounding distance from an integer.
@@ -229,35 +229,27 @@ def verlinde_constants(
     worst = 0.0
     for i in range(m):
         block = (mat * (mat[i] / mat[0])) @ adjoint
-        ints, resid = _round_verlinde(block, tol, (i,))
+        ints, resid = _round_verlinde(block, (i,))
         worst = max(worst, resid)
         rows.append(_row_nonzeros(ints))
     return SparseTensor.from_rows(rows), worst
 
 
-def verlinde_tensor(s: SMatrix, tol: float = INTEGRALITY_TOL) -> FusionRing:
+def verlinde_tensor(s: SMatrix) -> FusionRing:
     """Fusion ring of the S-matrix's Verlinde constants, which
     ``verlinde_constants`` computes one row at a time."""
-    constants, worst = verlinde_constants(s.entries, tol)
+    constants, worst = verlinde_constants(s.entries)
     conj = tuple(s.index(conjugate_weight(w)) for w in s.basis)
     dims = {w: quantum_dimension(s, w) for w in s.basis}
     return FusionRing(s.basis, constants, conj, dims, s.spec, worst)
 
 
-def fusion_ring(spec: AlgebraSpec, tol: float = INTEGRALITY_TOL) -> FusionRing:
-    """Verlinde fusion ring of su(N) at level k, memoized like ``s_matrix``
-    on (spec, tol), whether tol is passed or left at its default: every
-    caller shares the returned ring, so it must not be mutated."""
-    return _verlinde_ring(spec, tol)
-
-
 @lru_cache(maxsize=None)
-def _verlinde_ring(spec: AlgebraSpec, tol: float) -> FusionRing:
-    return verlinde_tensor(s_matrix(spec), tol)
-
-
-fusion_ring.cache_clear = _verlinde_ring.cache_clear
-fusion_ring.cache_info = _verlinde_ring.cache_info
+def fusion_ring(spec: AlgebraSpec) -> FusionRing:
+    """Verlinde fusion ring of su(N) at level k, memoized like ``s_matrix``,
+    one ring per spec: every caller shares the returned ring, so it must not
+    be mutated."""
+    return verlinde_tensor(s_matrix(spec))
 
 
 def fuse(ring: BasedRing, i, j) -> list[tuple]:

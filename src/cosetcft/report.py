@@ -32,7 +32,8 @@ class NotFaithful(ValueError):
 
 
 class IntegralityViolation(ArithmeticError):
-    """A Verlinde sum failed to land on an integer within tolerance."""
+    """A Verlinde sum failed to land on an integer within the fixed guard
+    ``fusion.INTEGRALITY_TOL``: a wrong S-matrix, not a tight config."""
 
     def __init__(self, residual: float, i: int, j: int, k: int):
         self.residual = residual

@@ -291,9 +291,10 @@ def straighten(v) -> tuple[int, Labels] | None:
 
 
 @lru_cache(maxsize=None)
-def finite_weight_multiplicities(n: int, lam: Labels) -> dict[Labels, int]:
-    """Full weight system of the finite su(n) irrep with highest weight lam:
-    the Weyl orbit of each dominant weight, with its multiplicity."""
+def finite_weight_multiplicities(lam: Labels) -> dict[Labels, int]:
+    """Full weight system of the finite su(n) irrep with highest weight lam,
+    n = len(lam) + 1: the Weyl orbit of each dominant weight, with its
+    multiplicity."""
     table: dict[Labels, int] = {}
     for mu, m in _dominant_weights(v_vector(lam)).items():
         table.update(dict.fromkeys(map(labels_from_v, distinct_permutations(mu)), m))
@@ -352,9 +353,9 @@ def _rows_below(row: tuple[int, ...]):
     return itertools.product(*map(range, row[1:], (x + 1 for x in row)))
 
 
-def weyl_dimension(n: int, lam: Labels) -> int:
-    """Weyl dimension formula, exact: the product over a < b of
-    (t_a - t_b) / (b - a), t = shifted_v(lam)."""
+def weyl_dimension(lam: Labels) -> int:
+    """Weyl dimension formula for the su(len(lam) + 1) irrep lam, exact: the
+    product over a < b of (t_a - t_b) / (b - a), t = shifted_v(lam)."""
     return _dimension_within(lam, None)
 
 
@@ -418,7 +419,7 @@ def kac_walton(i: Weight, j: Weight) -> list[tuple[Weight, int]]:
         walked, other = j, i
     base = shifted_v(other.labels)
     out: dict[Labels, int] = {}
-    for x, mult in finite_weight_multiplicities(n, walked.labels).items():
+    for x, mult in finite_weight_multiplicities(walked.labels).items():
         quotients, residues = zip(*(divmod(a + b, h) for a, b in zip(base, v_vector(x))))
         hit = straighten(residues)
         if hit is None:

@@ -68,17 +68,17 @@ def w2(k, l):
 
 class TestFiniteCharacters:
     def test_su2_string(self):
-        assert finite_weight_multiplicities(2, (3,)) == {
+        assert finite_weight_multiplicities((3,)) == {
             (3,): 1, (1,): 1, (-1,): 1, (-3,): 1
         }
 
     def test_su3_adjoint(self):
-        table = finite_weight_multiplicities(3, (1, 1))
+        table = finite_weight_multiplicities((1, 1))
         assert table[(0, 0)] == 2
         assert sum(table.values()) == 8
 
     def test_su3_27(self):
-        table = finite_weight_multiplicities(3, (2, 2))
+        table = finite_weight_multiplicities((2, 2))
         assert sum(table.values()) == 27
         assert table[(0, 0)] == 3
 
@@ -87,11 +87,29 @@ class TestFiniteCharacters:
         [(2, (5,)), (3, (1, 0)), (3, (2, 1)), (4, (1, 0, 1)), (4, (0, 2, 0))],
     )
     def test_total_matches_weyl_dimension(self, n, lam):
-        table = finite_weight_multiplicities(n, lam)
-        assert sum(table.values()) == weyl_dimension(n, lam)
+        table = finite_weight_multiplicities(lam)
+        assert sum(table.values()) == weyl_dimension(lam)
+        assert {len(mu) for mu in table} == {n - 1}
 
 
 class TestGradedCharacterEngine:
+    @pytest.mark.parametrize(
+        "engine", [graded_character, freudenthal_character], ids=["alternant", "freudenthal"]
+    )
+    @pytest.mark.parametrize(
+        "spec,w",
+        [
+            # a weight of a higher level, which is not integrable at level 1,
+            # and an integrable weight of a lower level
+            (AlgebraSpec.su(2, 1), Weight(AlgebraSpec.su(2, 3), (3,))),
+            (AlgebraSpec.su(3, 4), Weight(AlgebraSpec.su(3, 1), (1, 0))),
+        ],
+        ids=["level-above", "level-below"],
+    )
+    def test_weight_of_another_spec_is_refused(self, engine, spec, w):
+        with pytest.raises(ValueError, match="different spec"):
+            engine(spec, w, 2)
+
     def test_su2_level1_vacuum_top_grades(self):
         g = graded_character(su2(1), w2(1, 0), 2)
         assert g.slices[0] == {(0,): 1}
@@ -155,8 +173,8 @@ class TestGradedCharacterEngine:
         spec = AlgebraSpec.su(3, 2)
         for x in integrable_weights(spec):
             g = graded_character(spec, x, 2)
-            assert g.slices[0] == finite_weight_multiplicities(3, x.labels)
-            assert sum(g.slices[0].values()) == weyl_dimension(3, x.labels)
+            assert g.slices[0] == finite_weight_multiplicities(x.labels)
+            assert sum(g.slices[0].values()) == weyl_dimension(x.labels)
 
     def test_slices_are_weyl_invariant(self):
         g = graded_character(AlgebraSpec.su(3, 1), AlgebraSpec.su(3, 1).vacuum(), 4)

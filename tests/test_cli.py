@@ -490,25 +490,55 @@ def test_constants_written_from_arrays(constants):
 
 
 class TestIntegralityViolation:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "fusion"],
-            ["verify", "simple-current"],
-        ],
-        ids=" ".join,
-    )
-    def test_error_document_without_traceback(self, tmp_path, argv):
-        # some float Verlinde sum misses its integer by more than 1e-300
+    def test_tight_tolerance_is_a_failed_report(self, tmp_path):
+        # the configured tolerance reaches the reports, not ring construction:
+        # under 1e-300 the fusion report fails beside the ten others, and the
+        # simple-current relation, which compares integers only, holds
         conf = tmp_path / "conf"
         conf.write_text("tolerance_integrality = 1e-300\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "cosetcft.cli", *argv, "--config", str(conf)],
-            capture_output=True, text=True, env=cli_env(), timeout=120,
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        result = json.loads(proc.stdout)["result"]
+
+        def run_verify(suite):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cosetcft.cli", "verify", suite, "--config", str(conf)],
+                capture_output=True, text=True, env=cli_env(), timeout=300,
+            )
+            assert "Traceback" not in proc.stderr
+            return proc.returncode, json.loads(proc.stdout)
+
+        code, doc = run_verify("all")
+        assert code == 1 and "error" not in doc["result"]
+        passed = {r["check"]: r["passed"] for r in doc["reports"]}
+        assert len(doc["reports"]) == len(passed) == 11
+        assert not passed["verlinde-fusion-rings"]
+        assert passed["simple-current-relation"]
+        code, doc = run_verify("simple-current")
+        assert code == 0 and doc["result"]["passed"]
+
+    @pytest.mark.parametrize("tolerance", [None, "0.4"], ids=["default", "loose"])
+    def test_corrupt_s_matrix_gives_the_error_document(
+        self, capsys, monkeypatch, tmp_path, tolerance
+    ):
+        # the integrality guard is fusion's own: no config loosens it
+        true_s_matrix = fusion.s_matrix
+
+        def corrupt(spec):
+            sm = true_s_matrix(spec)
+            return type(sm)(sm.spec, sm.basis, sm.entries + 0.01)
+
+        argv = ["verify", "fusion"]
+        if tolerance is not None:
+            conf = tmp_path / "conf"
+            conf.write_text(f"tolerance_integrality = {tolerance}\n")
+            argv += ["--config", str(conf)]
+        monkeypatch.setattr(fusion, "s_matrix", corrupt)
+        fusion.fusion_ring.cache_clear()
+        try:
+            code, out, err = run_with_err(capsys, *argv)
+        finally:
+            fusion.fusion_ring.cache_clear()  # no corrupt ring outlives the test
+        assert code == 1
+        assert "Traceback" not in err
+        result = json.loads(out)["result"]
         assert result["error"] == "IntegralityViolation"
         assert "off an integer" in result["message"]
         assert len(result["indices"]) == 3

@@ -152,13 +152,13 @@ def sparse_of(tensor):
     return SparseTensor(tensor.shape, *nonzero, tensor[nonzero])
 
 
-def one_shot_verlinde(sm, tol=fusion.INTEGRALITY_TOL):
+def one_shot_verlinde(sm):
     """Reference: the Verlinde sums as one complex m x m x m einsum, rounded
     as a whole, with the conjugates and dimensions read off the S-matrix."""
     mat = sm.entries
     weights = mat.conj() / mat[0][None, :]
     raw = np.einsum("im,jm,km->ijk", mat, mat, weights, optimize=True)
-    tensor, worst = fusion._round_verlinde(raw, tol)
+    tensor, worst = fusion._round_verlinde(raw)
     conj = tuple(sm.index(conjugate_weight(w)) for w in sm.basis)
     dims = {w: quantum_dimension(sm, w) for w in sm.basis}
     return sparse_of(tensor), conj, dims, worst
@@ -416,12 +416,12 @@ class TestFusePair:
         assert kac_walton(i, j) == fuse(verlinde_tensor(s_matrix(spec)), i, j)
 
     def test_tight_tolerance_names_the_pair(self):
-        # the float guard refuses the ring at 1e-300 and names an entry; the
-        # exact kernel fuses that entry's pair as the default ring does
+        # the float guard refuses a corrupt S-matrix's ring and names an
+        # entry; the exact kernel fuses that entry's pair as the true ring does
         spec = AlgebraSpec.su(3, 2)
         sm = s_matrix(spec)
         with pytest.raises(IntegralityViolation) as err:
-            verlinde_tensor(sm, tol=1e-300)
+            verlinde_tensor(SMatrix(spec, sm.basis, sm.entries + 0.01))
         a, b, k = err.value.indices
         assert all(0 <= x < len(sm.basis) for x in (a, b, k))
         i, j = sm.basis[a], sm.basis[b]
@@ -442,7 +442,7 @@ class TestFusePair:
             monkeypatch.setattr(weights, name, no_weights)
         spec = AlgebraSpec.su(4, 100)
         big, bar = Weight(spec, (100, 0, 0)), Weight(spec, (0, 0, 100))
-        assert weights.weyl_dimension(4, big.labels) == math.comb(103, 3)  # 176,851
+        assert weights.weyl_dimension(big.labels) == math.comb(103, 3)  # 176,851
         with pytest.raises(ValueError, match="over the budget"):
             kac_walton(big, bar)
 
@@ -463,9 +463,9 @@ class TestFusePair:
         walked = []
         original = weights.finite_weight_multiplicities
 
-        def recording(n, lam):
+        def recording(lam):
             walked.append(lam)
-            return original(n, lam)
+            return original(lam)
 
         monkeypatch.setattr(weights, "finite_weight_multiplicities", recording)
         spec = AlgebraSpec.su(3, 40)  # no channel meets the level
@@ -481,9 +481,23 @@ class TestSharedRings:
         spec = AlgebraSpec.su(3, 2)
         assert fusion_ring(spec) is fusion_ring(spec)
 
-    def test_default_and_explicit_tolerance_share_one_ring(self):
-        spec = AlgebraSpec.su(2, 2)
-        assert fusion_ring(spec) is fusion_ring(spec, fusion.INTEGRALITY_TOL)
+    def test_a_configured_tolerance_builds_no_second_ring(self, monkeypatch):
+        calls = []
+        original = fusion.verlinde_tensor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].spec)
+            return original(*args, **kwargs)
+
+        fusion_ring.cache_clear()
+        # fusion_ring looks verlinde_tensor up in `fusion` at call time
+        monkeypatch.setattr(fusion, "verlinde_tensor", counting)
+        coset = CosetSpec(3, 2, 1)
+        specs = list(coset.factor_specs())
+        config = Config(tolerance_integrality=1e-3)
+        assert verify.check_fusion(config, [(f.n, f.k) for f in specs]).passed
+        coset_ring(coset)
+        assert calls == specs
 
     def test_desk_suites_build_each_ring_once(self, monkeypatch):
         calls = []
@@ -499,8 +513,8 @@ class TestSharedRings:
         for name in ("fusion", "simple-current"):
             assert SUITES[name](Config(), True).passed
         assert len(calls) == 18
-        # the coset and torus suites ask for rings without a tolerance, and
-        # su(2)_1 and su(2)_2 among them are desk specs: no ring is rebuilt
+        # the coset and torus suites ask for the same rings, and su(2)_1 and
+        # su(2)_2 among them are desk specs: no ring is rebuilt
         for suite in SUITES.values():
             assert suite(Config(), True).passed
         assert len(calls) == len(set(calls)) == 18
@@ -914,7 +928,7 @@ def test_check_fusion_reports_broken_covariance(monkeypatch):
         ring, constants=constants, conj=tuple(conj), dims=dims
     )
     assert relabelled.axiom_failures() == []
-    monkeypatch.setattr(verify, "fusion_ring", lambda spec, tol: relabelled)
+    monkeypatch.setattr(verify, "fusion_ring", lambda spec: relabelled)
     report = verify.check_fusion(Config(), [(3, 2)])
     assert not report.passed
     assert report.counterexamples == ["su(3)_2: ['cyclic covariance fails at power 1']"]
@@ -944,7 +958,7 @@ def test_check_fusion_reports_a_changed_value(monkeypatch):
     assert not verify.sigma_covariant(changed, perm)
     tampered = dataclasses.replace(ring, constants=changed)
     assert "commutativity fails" not in tampered.axiom_failures()
-    monkeypatch.setattr(verify, "fusion_ring", lambda spec, tol: tampered)
+    monkeypatch.setattr(verify, "fusion_ring", lambda spec: tampered)
     report = verify.check_fusion(Config(), [(3, 2)])
     assert not report.passed
     assert "cyclic covariance fails at power 1" in report.counterexamples[0]
