@@ -130,15 +130,20 @@ def denominator_series(n: int, cutoff: int) -> tuple[tuple[tuple[Labels, int], .
     )
 
 
+def _require_cutoff(cutoff: int) -> None:
+    """Refuse (ValueError) a cutoff outside [0, MAX_CUTOFF]."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} beyond configured bound {MAX_CUTOFF}")
+
+
 def _box_radius(lam: Labels, n: int, h: int, cutoff: int) -> int:
     """Bound r on the v-coordinates of the root-lattice vectors beta whose
     alternant term (see ``alternant_terms``) has grade at most cutoff: such a
     grade needs |beta| <= (|t| + sqrt(|t|^2 + 2*h*cutoff)) / h, and
     |beta_i| < |beta|.  Checks the cutoff first."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    if cutoff > MAX_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} beyond configured bound {MAX_CUTOFF}")
+    _require_cutoff(cutoff)
     top_norm = float(norm2_shifted(lam, n))
     return int((top_norm**0.5 + (top_norm + 2 * h * cutoff) ** 0.5) / h)
 
@@ -230,6 +235,7 @@ def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> WeightTa
     integers.  A weight x is held by its v-coordinates, its pairing with the
     root e_a - e_b is x_a - x_b, and squared lengths are scaled by n:
     n |x + rho|^2 = n sum(t^2) - sum(t)^2 with t = x + rho."""
+    _require_cutoff(cutoff)
     n, k = spec.n, spec.k
     if w.spec != spec:
         raise ValueError("weight bound to a different spec")
@@ -487,7 +493,11 @@ def diagonal_branching(
     weight, with offsets h(num1) + h(num2) - h(den): ch(num1) times the
     numerator of num2 is the sum of b_den times the downstairs numerators
     (Kac-Peterson), read as in ``_read_branching``.  Both numerators'
-    alternants are held to ALTERNANT_BUDGET before any work."""
+    alternants are held to ALTERNANT_BUDGET before any work.  The
+    numerators must be weights of the coset's first two factors."""
+    factors = spec.factor_specs()[:2]
+    if (num1.spec, num2.spec) != factors:
+        raise ValueError(f"numerators of {spec} are weights of {factors}")
     n = spec.n
     for w in (num1, num2):
         require_alternant_budget(w.labels, n, w.spec.k + n, cutoff)

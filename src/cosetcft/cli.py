@@ -10,6 +10,7 @@ requested check passed, 1 on a check failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -45,8 +46,6 @@ from .report import (
 
 OUT_DIR_ENV = "COSETCFT_OUT_DIR"
 CSV_COMMANDS = ("weights", "branch")  # the only results _to_csv can render
-JSON_BATCH = 8192  # encoder pieces per write; one write per piece is slow
-ARRAY_MARKER = "\0array\0"  # stands in for a tensor or a matrix while encoding
 
 
 def _parse_algebra(text: str) -> int:
@@ -223,7 +222,7 @@ def cmd_verify(args, config: Config) -> tuple[dict, list[VerificationReport]]:
 def _emit(document: dict, runtimes: list, config: Config, args) -> None:
     fmt = config.output_format
     if fmt == "json":
-        texts = _json_batches(document)
+        texts = itertools.chain(_json_text(document), "\n")
     elif fmt == "csv":
         texts = [_to_csv(document)]
     else:
@@ -239,47 +238,33 @@ def _emit(document: dict, runtimes: list, config: Config, args) -> None:
         sys.stdout.writelines(texts)
 
 
-def _json_batches(document: dict):
-    """The text of ``json.dumps(document, indent=2, sort_keys=True)`` and a
-    newline, with each ``SparseTensor`` in the document written as its
-    ``{"a*b": {"c": N}}`` object and each complex array as the rows of
-    ``_entry_rows``.  The text is streamed in batches of JSON_BATCH encoder
-    pieces (tens of KiB), so neither the whole text nor its list of pieces
-    is held.
-
-    The encoder's ``default`` hook puts a marker string in such a value's
-    place; the marker's piece is replaced by the value's own writer, at the
-    indent of the line the encoder has reached."""
-    writers = []
-
-    def stand_in(obj):
+def _json_text(value, indent: str = ""):
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` on a line
+    indented by ``indent``, piece by piece, with each ``SparseTensor`` written
+    by ``_constants_json`` and each complex array by ``_entries_json``.  A
+    value with a shape is looked at last, and against numpy's array type, so
+    that no other value loads numpy and an array loads no ``fusion``."""
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = "\n" + indent + "  "
+        if isinstance(value, dict):
+            brackets = "{}"
+            items = ((f"{inner}{json.dumps(k)}: ", v) for k, v in sorted(value.items()))
+        else:
+            brackets = "[]"
+            items = ((inner, v) for v in value)
+        sep = brackets[0]
+        for head, item in items:
+            yield sep + head
+            yield from _json_text(item, indent + "  ")
+            sep = ","
+        yield "\n" + indent + brackets[1]
+    elif hasattr(value, "shape"):
         import numpy as np  # loaded already by the commands that reach here
 
-        if isinstance(obj, np.ndarray):
-            writers.append(lambda indent: _entries_json(obj, indent))
-        elif isinstance(obj, fusion.SparseTensor):
-            writers.append(lambda indent: _constants_json(obj, indent))
-        else:
-            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-        return ARRAY_MARKER
-
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=stand_in)
-    marker = encoder.encode(ARRAY_MARKER)
-    batch, indent = [], ""
-    for piece in encoder.iterencode(document):
-        if writers and piece == marker:
-            yield "".join(batch)
-            batch = []
-            yield from writers.pop()(indent)
-            continue
-        if "\n" in piece:
-            indent = piece.rpartition("\n")[2]
-        batch.append(piece)
-        if len(batch) == JSON_BATCH:
-            yield "".join(batch)
-            batch = []
-    batch.append("\n")
-    yield "".join(batch)
+        write = _entries_json if isinstance(value, np.ndarray) else _constants_json
+        yield from write(value, indent)
+    else:
+        yield json.dumps(value)
 
 
 def _entry_rows(entries):

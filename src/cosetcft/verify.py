@@ -38,16 +38,7 @@ from .fusion import (
     simple_current_check,
 )
 from .modular import s_matrix, unitarity_residual
-
-# re-exported: part of this module's interface
-from .report import (
-    Config,
-    VerificationReport,
-    coset_ring_reports,
-    format_real,
-    smatrix_report,
-    timed,
-)
+from .report import Config, VerificationReport
 from .torus import torus_classes, torus_exp, torus_kw_residual, torus_ring
 from .weights import AlgebraSpec, Weight, integrable_weights, require_s_matrix_budget
 

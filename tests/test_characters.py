@@ -521,6 +521,25 @@ class TestAlternantBranching:
             alternant_terms((0,), 2, 3, cutoff)
         with pytest.raises(ValueError, match="cutoff"):
             diagonal_branching(ISING, vac, vac, cutoff)
+        # both character engines, before any work
+        for engine in (graded_character, freudenthal_character):
+            with pytest.raises(ValueError, match="cutoff"):
+                engine(vac.spec, vac, cutoff)
+
+    @pytest.mark.parametrize("num1,num2", [((3, 1), (2, 1)), ((2, 1), (2, 2))],
+                             ids=["su3_1-numerator", "su2_2-numerator"])
+    def test_numerators_of_other_factors_are_refused(self, num1, num2):
+        # ISING's numerators are su(2)_1 weights; the branching entry points
+        # refuse others before the budget check
+        x1, x2 = (AlgebraSpec.su(n, k).vacuum() for n, k in (num1, num2))
+        sector = CosetSector(x1, x2, AlgebraSpec.su(2, 2).vacuum())
+        for call in (
+            lambda: diagonal_branching(ISING, x1, x2, 4),
+            lambda: sector_branching(ISING, sector, 4),
+            lambda: vacuum_membership(ISING, sector, 4),
+        ):
+            with pytest.raises(ValueError, match="numerators"):
+                call()
 
 
 class TestEnergiesAndRatios:

@@ -431,6 +431,30 @@ def test_smatrix_document_memory(monkeypatch):
     assert peak < 2 * 2**20
 
 
+# JSON documents of the kinds the writer meets: string keys (sorted, so
+# escapes and non-ASCII order too), containers empty or not, and scalars
+JSON_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'), st.characters()))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), JSON_STRINGS,
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_DOCUMENTS)
+def test_json_text_is_the_encoders_text(document):
+    text = "".join(cli._json_text(document)) + "\n"
+    assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
 DUST = [0.0, -0.0, 1e-14, -1e-14, 9.99e-14, 1e-13, -1e-13, 0.5, -0.5]
 
 
@@ -449,7 +473,7 @@ def test_smatrix_entries_written_from_the_array(entries):
     # nested as in an smatrix document, with keys on either side
     kept = entries.copy()
     result = {"algebra": "su2", "entries": entries, "level": 1}
-    text = "".join(cli._json_batches({"reports": [], "result": result}))
+    text = "".join(cli._json_text({"reports": [], "result": result})) + "\n"
     oracle = {**result, "entries": nested_entries(entries)}
     assert text == json.dumps({"reports": [], "result": oracle}, indent=2, sort_keys=True) + "\n"
     table = cli._to_table({"reports": [], "result": result}, [])
@@ -479,7 +503,7 @@ def test_constants_written_from_arrays(constants):
         result = {"dgh": "1", "structure_constants": value, "tail": [1]}
         return {"reports": [], "result": result}
 
-    text = "".join(cli._json_batches(document(constants)))
+    text = "".join(cli._json_text(document(constants))) + "\n"
     oracle = document(materialised(constants))
     assert text == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
     # the table view prints the dict in its insertion order, which is the

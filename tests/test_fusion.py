@@ -31,7 +31,8 @@ from cosetcft import (
     verlinde_tensor,
 )
 from cosetcft import fusion, modular, verify, weights
-from cosetcft.verify import DESK_SPECS, SUITES, Config, coset_ring_reports
+from cosetcft.report import coset_ring_reports
+from cosetcft.verify import DESK_SPECS, SUITES, Config
 from cosetcft.coset import coset_ring
 from cosetcft.maverick import build_maverick_ring
 from cosetcft.torus import _class_ring, torus_ring

@@ -4,6 +4,7 @@ on first access, and each CLI command runs only the modules on its path."""
 import ast
 import json
 import os
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -14,6 +15,7 @@ import pytest
 import cosetcft
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TRACE_RUNNER = SRC.parent / "perfbench" / "trace_runner.py"
 
 # every name the package exported before its modules were loaded lazily
 EXPORTED = {
@@ -136,10 +138,24 @@ def referenced_names(node) -> Counter:
     return names
 
 
+def package_imports(tree) -> list[str]:
+    """The names bound by the relative imports (from the package) under tree."""
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+
+
 def test_every_module_level_definition_is_used():
     # a top-level function or class must be referenced somewhere in the
-    # package outside its own body, or be one of the exported names
+    # package outside its own body, or be one of the exported names; a name
+    # a module imports from the package must be loaded in that module, be
+    # exported from it, or be a function the benchmark's trace runner
+    # rebinds there (TRACED, read without writing bytecode)
     exported = {name for names in cosetcft._EXPORTS.values() for name in names}
+    traced = set(runpy.run_path(str(TRACE_RUNNER))["TRACED"])
     trees = {
         path.name: ast.parse(path.read_text())
         for path in sorted((SRC / "cosetcft").glob("*.py"))
@@ -154,6 +170,19 @@ def test_every_module_level_definition_is_used():
         and node.name not in exported
         and everywhere[node.name] == referenced_names(node)[node.name]
     ]
+    for file, tree in trees.items():
+        module = file.removesuffix(".py")
+        loaded = {
+            sub.id for sub in ast.walk(tree)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        unused += [
+            f"{file}:import {name}"
+            for name in package_imports(tree)
+            if name not in loaded
+            and name not in cosetcft._EXPORTS.get(module, ())
+            and f"{module}.{name}" not in traced
+        ]
     assert unused == []
 
 
