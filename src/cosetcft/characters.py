@@ -513,6 +513,11 @@ def diagonal_branching(
 
 
 def sector_branching(spec: CosetSpec, sector: CosetSector, cutoff: int) -> BranchingFunction:
+    """The sector's branching function; its denominator must be a weight of
+    the coset's third factor (``diagonal_branching`` checks the numerators)."""
+    down = spec.factor_specs()[2]
+    if sector.den.spec != down:
+        raise ValueError(f"denominators of {spec} are weights of {down}")
     return diagonal_branching(spec, sector.num1, sector.num2, cutoff)[sector.den]
 
 

@@ -97,7 +97,9 @@ class SectorOrbit:
 
 def in_exp(spec: CosetSpec, s: CosetSector) -> bool:
     """The selection rule: num1 + num2 - den lies in the root lattice, i.e.
-    color(num1) + color(num2) = color(den) mod n."""
+    color(num1) + color(num2) = color(den) mod n.  The sector's weights
+    must be of the spec's factors."""
+    _require_factor_specs(spec, s)
     return (color(s.num1) + color(s.num2) - color(s.den)) % spec.n == 0
 
 
@@ -273,9 +275,17 @@ def formula_31_residual(spec: CosetSpec) -> float:
 
 
 def vacuum_orbit_membership(spec: CosetSpec, s: CosetSector) -> bool:
-    """True iff the sector is a cyclic image of the vacuum triple."""
+    """True iff the sector is a cyclic image of the vacuum triple; its
+    weights must be of the spec's factors."""
+    _require_factor_specs(spec, s)
     vac = spec.vacuum_sector()
     return any(sector_sigma(vac, t) == s for t in range(spec.n))
+
+
+def _require_factor_specs(spec: CosetSpec, s: CosetSector) -> None:
+    factors = spec.factor_specs()
+    if (s.num1.spec, s.num2.spec, s.den.spec) != factors:
+        raise ValueError(f"sectors of {spec} are weight triples of {factors}")
 
 
 def _require_in_exp(spec: CosetSpec, s: CosetSector) -> None:

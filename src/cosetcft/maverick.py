@@ -1,12 +1,15 @@
 """The six-sector ring of the level-8 su(2) inside level-2 su(3) coset.
 
 This coset identifies more sectors than the cyclic-current rule accounts
-for, so its ring is generated here by reducing with the quoted relations
-(x*x = 1 + x, z**3 = 1, y = x*z, with y*ybar = 1 + x as an independent
-consistency constraint) rather than by the orbit construction.  The
-branching check then corroborates the extra identification numerically:
-three distinct sector labels all reach coset energy zero with
-multiplicity one, while only two of them are cyclic images of the vacuum.
+for, so its ring is not the ring on its cyclic orbits.  The quoted
+relations x*x = 1 + x, z**3 = 1 and y = x*z define the product of the
+Fibonacci ring and the group ring of Z3: the ring is built by that product
+construction, one basis element per word x^a z^b, and then checked against
+the quoted products, y*ybar = 1 + x among them as an independent
+consistency constraint.  The branching check corroborates the extra
+identification numerically: three distinct sector labels all reach coset
+energy zero with multiplicity one, while only two of them are cyclic
+images of the vacuum.
 """
 
 from __future__ import annotations
@@ -39,52 +42,36 @@ INDEX4_PROJECTION = ((2, 2),)
 SU3_LEVEL2 = AlgebraSpec.su(3, 2)
 SU2_LEVEL8 = AlgebraSpec.su(2, 8)
 
+# the identification line: the sectors (su(3) label, su(2) label) that the
+# check expects at coset energy zero with multiplicity one, like the vacuum
+VACUUM_LINE = (((0, 0), 0), ((0, 0), 8), ((1, 1), 4))
+# the cyclic rule's prediction: the order-2 diagram flip of level-8 su(2),
+# paired with the trivial su(3) current
+ORBIT_PREDICTED = (((0, 0), 0), ((0, 0), 8))
+
 # each basis element as the word x^a z^b, in basis order
 _WORDS = {"1": (0, 0), "x": (1, 0), "y": (1, 1), "ybar": (1, 2), "z": (0, 1), "zbar": (0, 2)}
 BASIS_NAMES = tuple(_WORDS)
-_CONJUGATE = {"1": "1", "x": "x", "y": "ybar", "ybar": "y", "z": "zbar", "zbar": "z"}
 
 
 class InconsistentRelations(ArithmeticError):
-    """The relations failed to reduce into a consistent 6-element ring."""
-
-
-def _reduce(word: tuple[int, int]) -> dict[tuple[int, int], int]:
-    """Rewrite x^a z^b into the 6-word basis using x^2 -> 1 + x, z^3 -> 1."""
-    pending = {(word[0], word[1] % 3): 1}
-    done: dict[tuple[int, int], int] = {}
-    while pending:
-        (a, b), c = pending.popitem()
-        if a <= 1:
-            done[(a, b)] = done.get((a, b), 0) + c
-            continue
-        for wa in ((a - 2, b), (a - 1, b)):
-            pending[wa] = pending.get(wa, 0) + c
-    return done
+    """The relations failed to give a consistent 6-element ring."""
 
 
 def build_maverick_ring() -> BasedRing:
-    """Reduce every product of two basis words into structure constants and
-    verify every independently quoted property of the result."""
-    import numpy as np
+    """The product of the Fibonacci ring on (1, x) and the group ring of Z3
+    on the powers 0, 1, 2 of z, with word x^a z^b the pair (a, b), and
+    every independently quoted property of the result verified."""
+    from .fusion import BasedRing, SparseTensor, orbit_ring
 
-    from .fusion import BasedRing, SparseTensor
-
-    index = {w: i for i, w in enumerate(_WORDS.values())}
-    entries = []
-    for i, (a1, b1) in enumerate(_WORDS.values()):
-        for j, (a2, b2) in enumerate(_WORDS.values()):
-            prod = _reduce((a1 + a2, b1 + b2))
-            if not prod.keys() <= index.keys():
-                raise InconsistentRelations(
-                    f"{BASIS_NAMES[i]}*{BASIS_NAMES[j]} = {prod} leaves the six words"
-                )
-            entries.extend((i, j, index[w], c) for w, c in prod.items())
-
-    conj = tuple(BASIS_NAMES.index(_CONJUGATE[name]) for name in BASIS_NAMES)
+    fib_entries = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+    fib_constants = SparseTensor.from_entries(2, *zip(*fib_entries), [1] * 5)
+    fib = BasedRing(("1", "x"), fib_constants, (0, 1), {"1": 1.0, "x": GOLDEN})
+    z3_entries = [(a, b, (a + b) % 3) for a in range(3) for b in range(3)]
+    z3_constants = SparseTensor.from_entries(3, *zip(*z3_entries), [1] * 9)
+    z3 = BasedRing((0, 1, 2), z3_constants, (0, 2, 1), dict.fromkeys(range(3), 1.0))
     dims = dict(zip(BASIS_NAMES, (1.0, GOLDEN, GOLDEN, GOLDEN, 1.0, 1.0)))
-    constants = SparseTensor.from_entries(len(BASIS_NAMES), *np.array(entries).T)
-    ring = BasedRing(BASIS_NAMES, constants, conj, dims)
+    ring = orbit_ring([fib, z3], [[w] for w in _WORDS.values()], BASIS_NAMES, dims)
     _verify(ring)
     return ring
 
@@ -150,13 +137,8 @@ class MaverickBranchingReport:
 
     @property
     def passed(self) -> bool:
-        want = {((0, 0), 0), ((0, 0), 8), ((1, 1), 4)}
-        hit = {
-            s
-            for s in self.vacuum_energy_sectors
-            if self.multiplicities[s] == 1
-        }
-        return want <= hit and self.violates_orbit_rule
+        hit = {s for s in self.vacuum_energy_sectors if self.multiplicities[s] == 1}
+        return set(VACUUM_LINE) <= hit and self.violates_orbit_rule
 
 
 def maverick_branching_check(cutoff: int) -> MaverickBranchingReport:
@@ -164,21 +146,13 @@ def maverick_branching_check(cutoff: int) -> MaverickBranchingReport:
     ground truth, and that the cyclic orbit rule misses one of the three."""
     if cutoff < 4:
         raise ValueError("cutoff must be at least 4 for a conclusive check")
-    sectors = [((0, 0), 0), ((0, 0), 8), ((1, 1), 4)]
-    energies = {}
-    mults = {}
-    cache: dict[tuple[int, int], dict[int, BranchingFunction]] = {}
-    for pq, l in sectors:
-        if pq not in cache:
-            cache[pq] = maverick_branching(pq, cutoff)
-        bf = cache[pq][l]
-        energies[(pq, l)] = bf.energy()
-        mults[(pq, l)] = bf.multiplicity_at_min()
-    vacuum_sectors = tuple(s for s in sectors if energies[s] == 0)
-    # cyclic-rule predictor: the order-2 diagram flip of level-8 su(2),
-    # paired with the trivial su(3) current
-    orbit = (((0, 0), 0), ((0, 0), 8))
-    violates = any(s not in orbit for s in vacuum_sectors)
+    modules = dict.fromkeys(pq for pq, _ in VACUUM_LINE)
+    tables = {pq: maverick_branching(pq, cutoff) for pq in modules}
+    found = {(pq, l): tables[pq][l] for pq, l in VACUUM_LINE}
+    energies = {s: bf.energy() for s, bf in found.items()}
+    mults = {s: bf.multiplicity_at_min() for s, bf in found.items()}
+    vacuum_sectors = tuple(s for s in VACUUM_LINE if energies[s] == 0)
+    violates = any(s not in ORBIT_PREDICTED for s in vacuum_sectors)
     return MaverickBranchingReport(
-        cutoff, energies, mults, orbit, vacuum_sectors, violates
+        cutoff, energies, mults, ORBIT_PREDICTED, vacuum_sectors, violates
     )

@@ -541,6 +541,13 @@ class TestAlternantBranching:
             with pytest.raises(ValueError, match="numerators"):
                 call()
 
+    def test_denominator_of_another_factor_is_refused(self):
+        # ISING's denominator is an su(2)_2 weight, not one of su(2)_3
+        vac = AlgebraSpec.su(2, 1).vacuum()
+        sector = CosetSector(vac, vac, AlgebraSpec.su(2, 3).vacuum())
+        with pytest.raises(ValueError, match="denominators"):
+            sector_branching(ISING, sector, 4)
+
 
 class TestEnergiesAndRatios:
     def test_vacuum_sector_energy(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetcft import (
+    AlgebraSpec,
     CosetSector,
     CosetSpec,
     NotFaithful,
@@ -407,6 +408,21 @@ class TestDimensionsAndIdentities:
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_index_sum_rule(self, spec):
         assert formula_31_residual(spec) < 1e-6
+
+
+# vacua of su(2)_5, su(2)_1 and su(2)_3: not a sector of ISING, whose
+# factors are su(2)_1, su(2)_1 and su(2)_2
+FOREIGN_SECTOR = CosetSector(*(AlgebraSpec.su(2, k).vacuum() for k in (5, 1, 3)))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [in_exp, coset_statistical_dimension, kw_identity_check, vacuum_orbit_membership],
+    ids=lambda f: f.__name__,
+)
+def test_sector_of_other_factors_is_refused(check):
+    with pytest.raises(ValueError, match="weight triples"):
+        check(ISING, FOREIGN_SECTOR)
 
 
 class TestVacuumOrbit:

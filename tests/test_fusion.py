@@ -742,6 +742,26 @@ class TestRingProperties:
             ring.index(tuple(map(conjugate_weight, x))) for x in ring.basis
         ]
 
+    @settings(deadline=None)
+    @given(small_spec_pairs(), st.data())
+    def test_single_member_orbits_in_any_order(self, pair, data):
+        # every product tuple its own orbit, listed in a drawn order with the
+        # unit tuple first, as the Maverick ring lists its words
+        rings = [fusion_ring(AlgebraSpec.su(*nk)) for nk in pair]
+        tuples = list(itertools.product(*(range(len(r.basis)) for r in rings)))
+        order = [tuples[0], *data.draw(st.permutations(tuples[1:]))]
+        ring = fusion.orbit_ring(
+            rings, [[t] for t in order], tuple(order), dict.fromkeys(order, 1.0)
+        )
+        a, b = (r.constants.dense() for r in rings)
+        m = len(order)
+        flat = [tuples.index(t) for t in order]
+        expected = np.einsum("ijk,lmn->iljmkn", a, b).reshape(m, m, m)
+        assert np.array_equal(ring.constants.dense(), expected[np.ix_(flat, flat, flat)])
+        assert list(ring.conj) == [
+            order.index(tuple(r.conj[x] for r, x in zip(rings, t))) for t in order
+        ]
+
 
 class TestSimpleCurrents:
     @pytest.mark.parametrize("n,k", DESK)

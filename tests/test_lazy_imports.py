@@ -148,12 +148,31 @@ def package_imports(tree) -> list[str]:
     ]
 
 
+def module_level_names(tree) -> list[tuple[str, ast.AST]]:
+    """Each name a top-level function, class or assignment under tree binds,
+    with the statement that binds it."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [
+                (sub.id, node)
+                for target in targets
+                for sub in ast.walk(target)
+                if isinstance(sub, ast.Name)
+            ]
+    return bound
+
+
 def test_every_module_level_definition_is_used():
-    # a top-level function or class must be referenced somewhere in the
-    # package outside its own body, or be one of the exported names; a name
-    # a module imports from the package must be loaded in that module, be
-    # exported from it, or be a function the benchmark's trace runner
-    # rebinds there (TRACED, read without writing bytecode)
+    # a top-level function, class or assigned name (dunders aside) must be
+    # referenced somewhere in the package outside its own statement, or be
+    # one of the exported names; a name a module imports from the package
+    # must be loaded in that module, be exported from it, or be a function
+    # the benchmark's trace runner rebinds there (TRACED, read without
+    # writing bytecode)
     exported = {name for names in cosetcft._EXPORTS.values() for name in names}
     traced = set(runpy.run_path(str(TRACE_RUNNER))["TRACED"])
     trees = {
@@ -162,13 +181,12 @@ def test_every_module_level_definition_is_used():
     }
     everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
     unused = [
-        f"{file}:{node.name}"
+        f"{file}:{name}"
         for file, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in exported
-        and everywhere[node.name] == referenced_names(node)[node.name]
+        for name, node in module_level_names(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in exported
+        and everywhere[name] == referenced_names(node)[name]
     ]
     for file, tree in trees.items():
         module = file.removesuffix(".py")
