@@ -34,6 +34,7 @@ from .weights import (
     finite_weight_multiplicities,
     integrable_weights,
     norm2_shifted,
+    require_budget,
     shifted_v,
     straighten,
     v_vector,
@@ -134,8 +135,7 @@ def _require_cutoff(cutoff: int) -> None:
     """Refuse (ValueError) a cutoff outside [0, MAX_CUTOFF]."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    if cutoff > MAX_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} beyond configured bound {MAX_CUTOFF}")
+    require_budget(cutoff, MAX_CUTOFF, "the cutoff")
 
 
 def _box_radius(lam: Labels, n: int, h: int, cutoff: int) -> int:
@@ -157,11 +157,8 @@ def require_alternant_budget(lam: Labels, n: int, h: int, cutoff: int) -> None:
     of P; it overstates P's entries most at high rank."""
     r = _box_radius(lam, n, h, cutoff)
     cost = (2 * r + 1) ** (n - 1) * (cutoff + 1) * (2 * cutoff + 1) ** (n - 1)
-    if cost > ALTERNANT_BUDGET:
-        raise ValueError(
-            f"an su({n}) alternant at cutoff {cutoff} is over the budget of "
-            f"{ALTERNANT_BUDGET} box points times series entries"
-        )
+    what = f"the su({n}) alternant's box points times series entries at cutoff {cutoff}"
+    require_budget(cost, ALTERNANT_BUDGET, what)
 
 
 def alternant_terms(lam: Labels, n: int, h: int, cutoff: int) -> list[tuple[int, Labels]]:

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from . import fusion, modular
 from .report import NotFaithful  # re-exported: raised here
 from .weights import (
+    DENSE_BUDGET,
     WEIGHT_BUDGET,
     AlgebraSpec,
     Weight,
     color,
     integrable_weights,
-    require_dense_budget,
+    require_budget,
     require_s_matrix_budget,
     sigma_apply,
 )
@@ -119,9 +120,8 @@ def exp_set(spec: CosetSpec) -> list[CosetSector]:
     ``CosetSector.sort_key`` order: the product of three lexicographic
     weight lists.  A count above WEIGHT_BUDGET is refused before any sector
     is built."""
-    count = sector_count(spec)
-    if count > WEIGHT_BUDGET:
-        raise ValueError(f"{spec} has {count} sectors, over the budget of {WEIGHT_BUDGET}")
+    what = f"the number of sectors of the coset ({spec.n},{spec.m1},{spec.m2})"
+    require_budget(sector_count(spec), WEIGHT_BUDGET, what)
     s1, s2, sh = spec.factor_specs()
     out = []
     for w1, w2 in itertools.product(integrable_weights(s1), integrable_weights(s2)):
@@ -189,14 +189,15 @@ def coset_ring(spec: CosetSpec) -> fusion.BasedRing:
     ``fusion.orbit_ring`` over the three factor rings, with every orbit's
     n members as weight-index triples.
 
-    Before any sector is enumerated, the m^3 constants are held to
-    DENSE_BUDGET (every orbit of the ``sector_count`` sectors has at most n
-    members), and so is each factor's S-matrix.  The basis is the orbits,
-    each with the statistical dimension of its representative.  Refuses
-    with NotFaithful when any sector has a nontrivial stabilizer.
+    Cost model: before any sector is enumerated, the m^3 orbit products, m
+    at least ceil(``sector_count`` / n), are held to DENSE_BUDGET, and each
+    factor's S-matrix to its budget; no m^3 array is built.  The basis is
+    the orbits, each with the statistical dimension of its representative.
+    Refuses with NotFaithful when any sector has a nontrivial stabilizer.
     """
     least = -(-sector_count(spec) // spec.n)
-    require_dense_budget(least**3, f"a coset ring of at least {least} orbits")
+    what = f"the number of orbit products of the coset ({spec.n},{spec.m1},{spec.m2})"
+    require_budget(least**3, DENSE_BUDGET, what, at_least=True)
     for f in spec.factor_specs():
         require_s_matrix_budget(f)
     orbits, faithful, fixed = identification_orbits(spec)

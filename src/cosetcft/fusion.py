@@ -20,9 +20,10 @@ import numpy as np
 from .modular import SMatrix, quantum_dimension, s_matrix
 from .report import IntegralityViolation  # re-exported: raised here
 from .weights import (
+    DENSE_BUDGET,
     AlgebraSpec,
     conjugate_weight,
-    require_dense_budget,
+    require_budget,
     sigma_apply,
 )
 
@@ -161,8 +162,10 @@ class SparseTensor:
         }
 
     def dense(self) -> np.ndarray:
+        """The m x m x m array, held to DENSE_BUDGET before it is allocated."""
         m = self.shape[0]
-        require_dense_budget(m**3, f"a ring of {m} basis elements")
+        what = f"the size of the dense array of a ring of {m} basis elements"
+        require_budget(m**3, DENSE_BUDGET, what)
         t = np.zeros(self.shape, dtype=np.int64)
         t[self.i, self.j, self.k] = self.v
         return t
@@ -220,10 +223,10 @@ def verlinde_constants(mat: np.ndarray) -> tuple[SparseTensor, float]:
     Row i's m x m block over (j, k) is one matrix product,
     (S * (S_i / S_0)) @ S^dagger, rounded under ``_round_verlinde``'s
     guards; the first row that fails raises IntegralityViolation at its
-    worst entry.  No m^3 array is held, but DENSE_BUDGET still bounds the
-    m^3 sums, as work, before any is made."""
+    worst entry.  No m^3 array is held.  Cost model: the m^3 sums are held
+    to DENSE_BUDGET, as work, before any is made."""
     m = len(mat)
-    require_dense_budget(m**3, f"the Verlinde tensor of {m} weights")
+    require_budget(m**3, DENSE_BUDGET, f"the number of Verlinde sums of {m} weights")
     adjoint = mat.conj().T
     rows: list[tuple[np.ndarray, ...]] = []
     worst = 0.0

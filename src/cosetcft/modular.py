@@ -56,8 +56,7 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
 
     The Weyl characters are determinants of N x N phase matrices, built a
     few rows of m at a time (PHASE_BATCH), so no (m, m, N, N) array is held
-    beyond that size; DENSE_BUDGET still bounds the m^2 N^2 phases, as work,
-    before any is built."""
+    beyond that size; ``vacuum_row`` holds the phases to their budget."""
     n, k = spec.n, spec.k
     h = k + n
     s0 = np.array(vacuum_row(spec))  # refuses a spec over the budget

@@ -15,7 +15,8 @@ import numpy as np
 
 from .fusion import BasedRing, SparseTensor, fusion_ring, orbit_ring
 from .modular import asymptotic_dimension, quantum_dimension, s_matrix
-from .weights import AlgebraSpec, Weight, color, integrable_weights, require_dense_budget
+from .weights import DENSE_BUDGET, AlgebraSpec, Weight, color, integrable_weights
+from .weights import require_budget, weight_count
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,7 @@ def torus_exp(l: int, m: int) -> list[TorusSector]:
 
 def _class_ring(l: int, m: int) -> BasedRing:
     """Group ring of the charge classes: [n] x [n'] = [n + n'], each class
-    of dimension 1.  The dense array of its constants, which ``orbit_ring``
-    builds, is held to DENSE_BUDGET before any class is listed: more than
-    256 classes are refused."""
-    count = l * m ** (l - 1)
-    require_dense_budget(count**3, f"the group ring of {count} charge classes")
+    of dimension 1."""
     classes = torus_classes(l, m)
     index = {c: i for i, c in enumerate(classes)}
     i, j = np.divmod(np.arange(len(classes) ** 2), len(classes))
@@ -120,7 +117,14 @@ def torus_ring(l: int, m: int) -> BasedRing:
     product in the sector set.
 
     A sector's dimension is its weight's: every charge class has dimension 1.
+    Cost model: the (sector count)^3 orbit products, each weight with
+    m^(l-1) classes, are held to DENSE_BUDGET before any class or sector is
+    listed.  Classes never outnumber sectors, so this also bounds the dense
+    class ring that ``orbit_ring`` gathers from.
     """
+    count = weight_count(AlgebraSpec.su(l, m)) * m ** (l - 1)
+    what = f"the number of orbit products of the torus ring of su({l})_{m}"
+    require_budget(count**3, DENSE_BUDGET, what)
     classes = _class_ring(l, m)
     sectors = torus_exp(l, m)
     weights = fusion_ring(AlgebraSpec.su(l, m))

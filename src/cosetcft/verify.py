@@ -205,9 +205,9 @@ def check_parafermion(config: Config) -> VerificationReport:
 def check_maverick(config: Config) -> VerificationReport:
     bad = []
     ring = maverick_mod.build_maverick_ring()
-    resid = abs(ring.dims["x"] - maverick_mod.GOLDEN)
-    if resid > 1e-9:
-        bad.append("x dimension")
+    resid = dimension_homomorphism_residual(ring)
+    if resid > config.tolerance_integrality:
+        bad.append(f"dimension residual {resid}")
     report = maverick_mod.maverick_branching_check(max(4, config.grade_cutoff // 2))
     if not report.passed:
         bad.append("branching identification check failed")

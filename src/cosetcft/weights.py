@@ -20,19 +20,17 @@ from operator import sub
 
 # size budget for one weight basis, checked before enumerating it
 WEIGHT_BUDGET = 100_000
-# elements of the largest dense array built (256 MiB as complex128)
+# budget for m^3-sized work or dense arrays (256 MiB as complex128)
 DENSE_BUDGET = 2**24
 
 
-def require_dense_budget(elements: int, what: str) -> None:
-    """Refuse, before any work, a dense array of more than DENSE_BUDGET
-    elements, or a computation that sweeps that many, such as the S-matrix
-    phases and the Verlinde sums, which are built a few rows at a time."""
-    if elements > DENSE_BUDGET:
-        raise ValueError(
-            f"{what} needs a dense array of {elements} elements, "
-            f"over the budget of {DENSE_BUDGET}"
-        )
+def require_budget(count: int, budget: int, what: str, at_least: bool = False) -> None:
+    """The package's one size refusal: ValueError for a count over its
+    budget, before the work or allocation counted.  ``what`` names what is
+    counted; ``at_least`` marks a count that stopped early, a lower bound."""
+    if count > budget:
+        bound = "at least " if at_least else ""
+        raise ValueError(f"{what} is {bound}{count}, over the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -83,33 +81,33 @@ class Weight:
 def integrable_weights(spec: AlgebraSpec) -> list[Weight]:
     """All integrable weights of su(N) at level k, in lexicographic label
     order.  A count above WEIGHT_BUDGET is refused before any enumeration."""
-    _weight_count(spec)
+    weight_count(spec)
     return [Weight(spec, lab) for lab in _bounded_labels(spec.n - 1, spec.k)]
 
 
-def _weight_count(spec: AlgebraSpec) -> int:
+def weight_count(spec: AlgebraSpec) -> int:
     """The number C(k+N-1, r) of integrable weights, r = min(k, N-1),
     refused above WEIGHT_BUDGET."""
     n, k = spec.n, spec.k
-    # the partial counts C(k+N-1-r+i, i) only grow: refuse at the first one
+    # the partial counts C(k+N-1-r+i, i) only grow: stop at the first one
     # over the budget, before a binomial of 600,000 digits at N = k = 10^6
     r = min(k, n - 1)
     count = 1
     for i in range(1, r + 1):
         count = count * (k + n - 1 - r + i) // i
         if count > WEIGHT_BUDGET:
-            raise ValueError(
-                f"su({n}) at level {k} has more than {WEIGHT_BUDGET} "
-                "integrable weights, over the budget"
-            )
+            break
+    what = f"the number of integrable weights of su({n}) at level {k}"
+    require_budget(count, WEIGHT_BUDGET, what, at_least=i < r)
     return count
 
 
 def require_s_matrix_budget(spec: AlgebraSpec) -> None:
     """Refuse, from the weight count alone, a spec whose m^2 N^2 S-matrix
-    phases would exceed DENSE_BUDGET."""
+    phases, work that ``modular.s_matrix`` batches, exceed DENSE_BUDGET."""
     n, k = spec.n, spec.k
-    require_dense_budget(_weight_count(spec) ** 2 * n * n, f"the S-matrix of su({n})_{k}")
+    what = f"the S-matrix of su({n})_{k} phase count"
+    require_budget(weight_count(spec) ** 2 * n * n, DENSE_BUDGET, what)
 
 
 def _bounded_labels(length: int, bound: int):
@@ -399,8 +397,8 @@ def kac_walton(i: Weight, j: Weight) -> list[tuple[Weight, int]]:
     The result's labels are the sorted residues' affine labels (k - sum,
     then the labels) read cyclically from position t + 1.
 
-    The walked irrep's dimension is held to WEIGHT_BUDGET, and its
-    dimension times N^2, the coordinate comparisons of ``straighten``, to
+    Cost model: the walked irrep's dimension is held to WEIGHT_BUDGET, and
+    it times N^2, the coordinate comparisons of ``straighten``, to
     DENSE_BUDGET, before any weight is built."""
     spec = i.spec
     if j.spec != spec:
@@ -409,14 +407,12 @@ def kac_walton(i: Weight, j: Weight) -> list[tuple[Weight, int]]:
     h = k + n
     cap = min(WEIGHT_BUDGET, DENSE_BUDGET // (n * n))
     dims = [_dimension_within(w.labels, cap) for w in (i, j)]
-    if dims == [None, None]:
-        raise ValueError(
-            f"fusing in su({n}) needs the weights of an irrep of dimension at "
-            f"most {cap}, over the budget"
-        )
     walked, other = i, j
     if dims[1] is not None and (dims[0] is None or dims[1] < dims[0]):
         walked, other = j, i
+    least = min((d for d in dims if d is not None), default=cap + 1)
+    what = f"the number of weights walked to fuse {i} x {j} in su({n})_{k}"
+    require_budget(least, cap, what, at_least=True)
     base = shifted_v(other.labels)
     out: dict[Labels, int] = {}
     for x, mult in finite_weight_multiplicities(walked.labels).items():

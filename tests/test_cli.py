@@ -619,7 +619,9 @@ class TestBranchCommand:
 
     # the branch runs that expand the most finite su(N) weight systems,
     # su(5) to grade 9 and su(3) to grade 30; digests taken with the
-    # Freudenthal recursion
+    # Freudenthal recursion.  The level-1 row (4,1,1) at cutoff 20 was
+    # taken with the P-based characters, to hold its output when that
+    # path changes
     @pytest.mark.parametrize(
         "coset,sector,cutoff,digest",
         [
@@ -627,6 +629,8 @@ class TestBranchCommand:
              "2b3b35f1244ce61bf3210268ffd222451f3067dd691d38a6ac05127624e22047"),
             ("3,4,4", "0,0;0,0;0,0", "30",
              "eb99766e8a71708c0695d12a9a5bc160c763488c92dfd7a84357326c119dfb29"),
+            ("4,1,1", "0,0,0;0,0,0;0,0,0", "20",
+             "b9dc92ad8bc91b45a8829785a4eecc341c4cae549c6cf22682564c2a2ba632af"),
         ],
     )
     def test_vacuum_digest(self, capsys, coset, sector, cutoff, digest):

@@ -320,7 +320,7 @@ class TestCosetRing:
     def test_budget_bound_counts_every_sector(self, spec, monkeypatch):
         # ceil(sectors / n) orbits at least, and exactly when none is fixed
         asked = []
-        monkeypatch.setattr(coset, "require_dense_budget", lambda n, _: asked.append(n))
+        monkeypatch.setattr(coset, "require_budget", lambda *a, **_: asked.append(a[:2]))
         orbits, faithful, _ = identification_orbits(spec)
         if faithful:
             coset_ring(spec)
@@ -328,7 +328,8 @@ class TestCosetRing:
             with pytest.raises(NotFaithful):
                 coset_ring(spec)
         least = -(-len(exp_set(spec)) // spec.n)
-        assert asked == [least**3]
+        # exp_set's sector counts go through the same helper
+        assert [n for n, budget in asked if budget == coset.DENSE_BUDGET] == [least**3]
         assert least == len(orbits) or not faithful
 
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)

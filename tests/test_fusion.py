@@ -533,9 +533,10 @@ def forbid(monkeypatch, *names):
 
 class TestDenseBudget:
     def test_boundary(self):
-        weights.require_dense_budget(weights.DENSE_BUDGET, "an array")
+        budget = weights.DENSE_BUDGET
+        weights.require_budget(budget, budget, "an array")
         with pytest.raises(ValueError, match="budget"):
-            weights.require_dense_budget(weights.DENSE_BUDGET + 1, "an array")
+            weights.require_budget(budget + 1, budget, "an array")
 
     def test_s_matrix_phases_refused(self, monkeypatch):
         forbid(monkeypatch, "exp")

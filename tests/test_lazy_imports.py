@@ -204,6 +204,39 @@ def test_every_module_level_definition_is_used():
     assert unused == []
 
 
+def budget_refusals(tree) -> list[str]:
+    """The innermost function around each `raise ValueError(...)` under tree
+    whose message mentions a budget, in its text or by a budget's name."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "ValueError"
+            and "budget" in ast.unparse(node.exc).lower()
+        ):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_size_refusal_goes_through_one_helper():
+    # one helper words every budget refusal, so each names what it counts,
+    # the count and the budget the same way
+    refusals = [
+        f"{path.stem}.{owner}"
+        for path in sorted((SRC / "cosetcft").glob("*.py"))
+        for owner in budget_refusals(ast.parse(path.read_text()))
+    ]
+    assert refusals == ["weights.require_budget"]
+
+
 def unread_parameters(tree) -> list[str]:
     """The parameters of each function and lambda under tree that its body
     never loads, as "line:function(parameter)"."""

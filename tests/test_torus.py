@@ -198,6 +198,18 @@ class TestRing:
         with pytest.raises(ValueError, match="budget"):
             torus_ring(7, 2)  # 448 classes, 1,792 sectors
 
+    def test_sector_budget_boundary(self, monkeypatch):
+        # 240 sectors cubed fit 2^24, 272 cubed do not
+        assert len(torus_ring(2, 15).basis) == 240
+
+        def refuse(l, m):
+            raise AssertionError("classes or sectors listed before the budget check")
+
+        monkeypatch.setattr(torus, "torus_classes", refuse)
+        monkeypatch.setattr(torus, "torus_exp", refuse)
+        with pytest.raises(ValueError, match="over the budget"):
+            torus_ring(2, 16)  # 272 sectors
+
     @pytest.mark.parametrize("l,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_kw_ratio_matches_dimension(self, l, m):
         assert torus_kw_residual(l, m) < 1e-9
