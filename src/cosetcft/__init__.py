@@ -36,7 +36,6 @@ _EXPORTS = {
     "fusion": (
         "BasedRing",
         "FusionRing",
-        "IntegralityViolation",
         "SimpleCurrentReport",
         "SparseTensor",
         "dimension_homomorphism_residual",

@@ -492,9 +492,9 @@ def diagonal_branching(
     (Kac-Peterson), read as in ``_read_branching``.  Both numerators'
     alternants are held to ALTERNANT_BUDGET before any work.  The
     numerators must be weights of the coset's first two factors."""
-    factors = spec.factor_specs()[:2]
-    if (num1.spec, num2.spec) != factors:
-        raise ValueError(f"numerators of {spec} are weights of {factors}")
+    s1, s2, _ = spec.factor_specs()
+    if (num1.spec, num2.spec) != (s1, s2):
+        raise ValueError(f"numerators of {spec.name} are weights of {s1.name} and {s2.name}")
     n = spec.n
     for w in (num1, num2):
         require_alternant_budget(w.labels, n, w.spec.k + n, cutoff)
@@ -514,7 +514,7 @@ def sector_branching(spec: CosetSpec, sector: CosetSector, cutoff: int) -> Branc
     the coset's third factor (``diagonal_branching`` checks the numerators)."""
     down = spec.factor_specs()[2]
     if sector.den.spec != down:
-        raise ValueError(f"denominators of {spec} are weights of {down}")
+        raise ValueError(f"denominators of {spec.name} are weights of {down.name}")
     return diagonal_branching(spec, sector.num1, sector.num2, cutoff)[sector.den]
 
 

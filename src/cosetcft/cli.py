@@ -35,7 +35,6 @@ from .report import (
     SUITE_NAMES,
     Config,
     InconclusiveCutoff,
-    IntegralityViolation,
     NotFaithful,
     VerificationReport,
     coset_ring_reports,
@@ -472,13 +471,6 @@ def main(argv=None) -> int:
             "error": "NotFaithful",
             "message": str(err),
             "fixed_points": [str(s) for s, _ in err.fixed_points],
-        }
-        reports, code = [], 1
-    except IntegralityViolation as err:
-        result = {
-            "error": "IntegralityViolation",
-            "message": str(err),
-            "indices": list(err.indices),
         }
         reports, code = [], 1
     except (ValueError, KeyError, InconclusiveCutoff) as err:

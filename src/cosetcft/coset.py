@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import fusion, modular
 from .report import NotFaithful  # re-exported: raised here
@@ -45,6 +45,10 @@ class CosetSpec:
             raise ValueError("n must be >= 2")
         if self.m1 < 1 or self.m2 < 1:
             raise ValueError("both levels must be >= 1")
+
+    @property
+    def name(self) -> str:  # as messages name it
+        return f"the coset ({self.n},{self.m1},{self.m2})"
 
     @property
     def diagonal_level(self) -> int:
@@ -104,15 +108,20 @@ def in_exp(spec: CosetSpec, s: CosetSector) -> bool:
     return (color(s.num1) + color(s.num2) - color(s.den)) % spec.n == 0
 
 
+@lru_cache(maxsize=None)
+def _weights_by_color(spec: AlgebraSpec) -> tuple[list[Weight], ...]:
+    """The weights of each color, in lexicographic order, listed once."""
+    groups: tuple[list[Weight], ...] = tuple([] for _ in range(spec.n))
+    for w in integrable_weights(spec):
+        groups[color(w)].append(w)
+    return groups
+
+
 def sector_count(spec: CosetSpec) -> int:
     """Number of sectors passing the selection rule, counted from the colors
     of the factor weights without building any sector."""
-    n1, n2, nh = (
-        Counter(map(color, integrable_weights(f))) for f in spec.factor_specs()
-    )
-    return sum(
-        n1[c1] * n2[c2] * nh[(c1 + c2) % spec.n] for c1 in n1 for c2 in n2
-    )
+    n1, n2, nh = ([len(g) for g in _weights_by_color(f)] for f in spec.factor_specs())
+    return sum(a * b * nh[(c1 + c2) % spec.n] for c1, a in enumerate(n1) for c2, b in enumerate(n2))
 
 
 def exp_set(spec: CosetSpec) -> list[CosetSector]:
@@ -120,16 +129,14 @@ def exp_set(spec: CosetSpec) -> list[CosetSector]:
     ``CosetSector.sort_key`` order: the product of three lexicographic
     weight lists.  A count above WEIGHT_BUDGET is refused before any sector
     is built."""
-    what = f"the number of sectors of the coset ({spec.n},{spec.m1},{spec.m2})"
-    require_budget(sector_count(spec), WEIGHT_BUDGET, what)
+    require_budget(sector_count(spec), WEIGHT_BUDGET, f"the number of sectors of {spec.name}")
     s1, s2, sh = spec.factor_specs()
-    out = []
-    for w1, w2 in itertools.product(integrable_weights(s1), integrable_weights(s2)):
-        c = (color(w1) + color(w2)) % spec.n
-        for wh in integrable_weights(sh):
-            if color(wh) == c:
-                out.append(CosetSector(w1, w2, wh))
-    return out
+    downstairs = _weights_by_color(sh)
+    return [
+        CosetSector(w1, w2, wh)
+        for w1, w2 in itertools.product(integrable_weights(s1), integrable_weights(s2))
+        for wh in downstairs[(color(w1) + color(w2)) % spec.n]
+    ]
 
 
 def sector_sigma(sector: CosetSector, power: int) -> CosetSector:
@@ -196,7 +203,7 @@ def coset_ring(spec: CosetSpec) -> fusion.BasedRing:
     Refuses with NotFaithful when any sector has a nontrivial stabilizer.
     """
     least = -(-sector_count(spec) // spec.n)
-    what = f"the number of orbit products of the coset ({spec.n},{spec.m1},{spec.m2})"
+    what = f"the number of orbit products of {spec.name}"
     require_budget(least**3, DENSE_BUDGET, what, at_least=True)
     for f in spec.factor_specs():
         require_s_matrix_budget(f)
@@ -261,17 +268,14 @@ def formula_31_residual(spec: CosetSpec) -> float:
     s1, s2, sh = spec.factor_specs()
     m1, m2, mh = map(modular.s_matrix, (s1, s2, sh))
     d2 = dgh(spec) ** 2
+    dims = [[modular.quantum_dimension(mh, w) for w in g] for g in _weights_by_color(sh)]
     worst = 0.0
-    for w1 in integrable_weights(s1):
-        for w2 in integrable_weights(s2):
-            d_i = modular.quantum_dimension(m1, w1) * modular.quantum_dimension(m2, w2)
-            c = (color(w1) + color(w2)) % spec.n
-            total = 0.0
-            for wh in integrable_weights(sh):
-                if color(wh) == c:
-                    d_alpha = modular.quantum_dimension(mh, wh)
-                    total += (d_i * d_alpha) * d_alpha
-            worst = max(worst, abs(d_i * d2 - total))
+    for w1, w2 in itertools.product(integrable_weights(s1), integrable_weights(s2)):
+        d_i = modular.quantum_dimension(m1, w1) * modular.quantum_dimension(m2, w2)
+        total = 0.0
+        for d_alpha in dims[(color(w1) + color(w2)) % spec.n]:
+            total += (d_i * d_alpha) * d_alpha
+        worst = max(worst, abs(d_i * d2 - total))
     return worst
 
 
@@ -284,9 +288,11 @@ def vacuum_orbit_membership(spec: CosetSpec, s: CosetSector) -> bool:
 
 
 def _require_factor_specs(spec: CosetSpec, s: CosetSector) -> None:
-    factors = spec.factor_specs()
-    if (s.num1.spec, s.num2.spec, s.den.spec) != factors:
-        raise ValueError(f"sectors of {spec} are weight triples of {factors}")
+    s1, s2, sh = spec.factor_specs()
+    if (s.num1.spec, s.num2.spec, s.den.spec) != (s1, s2, sh):
+        raise ValueError(
+            f"sectors of {spec.name} are weight triples of {s1.name}, {s2.name} and {sh.name}"
+        )
 
 
 def _require_in_exp(spec: CosetSpec, s: CosetSector) -> None:

@@ -1,11 +1,9 @@
 """Fusion rings from the Verlinde formula, and products of based rings.
 
 The structure constants are stored sparsely, as arrays of their nonzero
-positions and values (``SparseTensor``).  Construction fails hard if any
-pre-rounding residual exceeds the fixed guard ``INTEGRALITY_TOL``, since a
-silently wrong integer would corrupt every coset ring built on top; no run
-config reaches it.  ``fusion_ring`` builds one ring per spec, and the
-reports compare its residual with the configured tolerance.
+positions and values (``SparseTensor``).  ``verlinde_constants`` sums the
+Verlinde formula exactly, in a prime field: no constant is rounded from a
+float.  ``fusion_ring`` builds one ring per spec.
 """
 
 from __future__ import annotations
@@ -17,19 +15,17 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .modular import SMatrix, quantum_dimension, s_matrix
-from .report import IntegralityViolation  # re-exported: raised here
+from .modular import PHASE_BATCH, SMatrix, quantum_dimension, s_matrix
 from .weights import (
     DENSE_BUDGET,
     AlgebraSpec,
     conjugate_weight,
     require_budget,
+    require_s_matrix_budget,
+    shifted_v,
     sigma_apply,
 )
 
-# a bug guard against a wrong S-matrix, not a physics threshold: real
-# Verlinde sums land within about 1e-13 of their integers
-INTEGRALITY_TOL = 1e-6
 KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
 ENTRY_CHUNK = 1 << 14  # entries per step of a pass over the whole tensor
 
@@ -83,7 +79,6 @@ class FusionRing(BasedRing):
     """Verlinde ring over the integrable weights of su(N) at level k."""
 
     spec: AlgebraSpec
-    integrality_residual: float = 0.0  # worst pre-rounding distance seen
 
     def sigma_permutation(self, power: int) -> list[int]:
         """Basis permutation of the cyclic automorphism."""
@@ -179,72 +174,107 @@ class SparseTensor:
         return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
 
 
-def _round_verlinde(
-    raw: np.ndarray, prefix: tuple[int, ...] = ()
-) -> tuple[np.ndarray, float]:
-    """Round Verlinde sums to nonnegative int64 under the integrality guards:
-    imaginary parts and distances from an integer within INTEGRALITY_TOL,
-    and no negative integer.
-
-    Returns the integers and the worst pre-rounding distance.  A failure
-    raises IntegralityViolation naming prefix + the position in ``raw``.
-    """
-
-    def violation(value, flat_index) -> IntegralityViolation:
-        at = np.unravel_index(flat_index, raw.shape)
-        return IntegralityViolation(float(value), *prefix, *map(int, at))
-
-    worst_imag = np.abs(raw.imag).max()
-    if worst_imag > INTEGRALITY_TOL:
-        raise violation(worst_imag, np.abs(raw.imag).argmax())
-    rounded = np.rint(raw.real)
-    resid = np.abs(raw.real - rounded)
-    if resid.max() > INTEGRALITY_TOL:
-        raise violation(resid.max(), resid.argmax())
-    ints = rounded.astype(np.int64)
-    if ints.min() < 0:
-        raise violation(ints.min(), ints.argmin())
-    return ints, float(max(resid.max(), worst_imag))
+def _row_nonzeros(block: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """``SparseTensor.from_rows`` rows, int32 j, k and values, of a block (rows, m, m)."""
+    i, j, k = np.nonzero(block)
+    fields = (j.astype(np.int32), k.astype(np.int32), block[i, j, k])
+    ends = np.searchsorted(i, np.arange(len(block) + 1)).tolist()
+    return [tuple(x[a:b] for x in fields) for a, b in zip(ends, ends[1:])]
 
 
-def _row_nonzeros(block: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The nonzeros of an m x m block over (j, k) as a row of
-    ``SparseTensor.from_rows``: int32 ``j``, ``k`` and the values, in C
-    order, which is (j, k) order."""
-    nonzero = np.nonzero(block)
-    return (*(x.astype(np.int32) for x in nonzero), block[nonzero])
+def verlinde_constants(basis: tuple, conj) -> SparseTensor:
+    """Verlinde constants N_ij^k = sum_mu S_i,mu S_j,mu conj(S_k,mu) / S_0,mu
+    over ``basis`` (one spec's weights, vacuum first), ``conj[k]`` indexing
+    k's conjugate.  Summed in F_p, p = 1 mod N h, omega of exact order N h
+    standing for exp(2 pi i / (N h)), zeta = omega^N: N_ij^k = sum_mu w_mu
+    chi_i chi_j chi_conj(k), with chi_lam(mu) = S_lam,mu / S_0,mu, ``s_matrix``'s
+    alternant ratio with its trace fix on row 0, and w = S_0,mu^2, the square
+    of ``weights.vacuum_row``'s product, (2 sin(pi c / h))^2 read as
+    2 - zeta^c - zeta^-c.  Row i's block is one float64 GEMM, (chi w chi_i) @ chi[conj]^T.
 
-
-def verlinde_constants(mat: np.ndarray) -> tuple[SparseTensor, float]:
-    """Verlinde constants N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m of a
-    unitary m x m matrix S whose row 0 is the vacuum's, as a SparseTensor,
-    and the worst pre-rounding distance from an integer.
-
-    Row i's m x m block over (j, k) is one matrix product,
-    (S * (S_i / S_0)) @ S^dagger, rounded under ``_round_verlinde``'s
-    guards; the first row that fails raises IntegralityViolation at its
-    worst entry.  No m^3 array is held.  Cost model: the m^3 sums are held
-    to DENSE_BUDGET, as work, before any is made."""
-    m = len(mat)
+    Exact: the map to F_p is a ring homomorphism on the cyclotomic integers,
+    and no divisor maps to 0: the alternants' denominators multiply
+    zeta^-t_a - zeta^-t_b, 2 - zeta^c - zeta^-c = -zeta^-c (1 - zeta^c)^2
+    with 0 < c < h, and p divides no N h^(N-1).  0 <= N_ij^k <= max d^2 < p,
+    as sum_k N_ij^k d_k = d_i d_j with d_k >= 1 (ArithmeticError otherwise),
+    and m <= 256, p < 2^21 keep every float64 partial sum below 2^53.  The
+    m^3 sums and m^2 N^2 phases (PHASE_BATCH a batch) are held to budget."""
+    spec, m = basis[0].spec, len(basis)
+    n, h = spec.n, spec.k + spec.n
     require_budget(m**3, DENSE_BUDGET, f"the number of Verlinde sums of {m} weights")
-    adjoint = mat.conj().T
+    require_s_matrix_budget(spec)
+    p, powers = _prime_field(n * h)
+    t = np.array([shifted_v(w.labels) for w in basis])
+    c = np.stack([t[:, a] - t[:, b] for a, b in itertools.combinations(range(n), 2)])
+    sines = np.sin(np.pi / h * c)  # their ratios to the vacuum's multiply to d
+    w = np.full(m, pow(n * h ** (n - 1), -1, p))
+    for factor in 2 - powers[n * c % (n * h)] - powers[-n * c % (n * h)]:
+        w = w * factor % p
+    if (sines / sines[:, :1]).prod(axis=0).max() ** 2 >= p or not w.all():
+        raise ArithmeticError(f"the Verlinde sums of {spec.name} are not exact mod {p}")
+    s, step = t.sum(axis=1), max(1, PHASE_BATCH // (m * n * n))
+    num, den = np.empty((2, m, m), dtype=np.int64)
+    for start in range(0, m, step):
+        lam = slice(start, start + step)
+        phases = t[lam].T[:, None, :, None] * (-n * t.T)[None, :, None, :]
+        phases[0] += np.outer(s[lam] - s[0], s)  # over (a, b, lam, mu)
+        dets = _determinants(powers[phases % (n * h)].reshape(n, n, -1), p)
+        num[lam], den[lam] = (x.reshape(-1, m) for x in dets)
+    x, inverse = den * num[0] % p, 1  # inverse = x^(p - 2), by square and multiply
+    for bit in bin(p - 2)[2:]:
+        inverse = inverse * inverse % p * x % p if bit == "1" else inverse * inverse % p
+    chi = num * den[0] % p * inverse % p
+    del phases, num, den, x, inverse  # the row loop and the join hold the most
+    right = chi[list(conj)].T.astype(np.float64)
     rows: list[tuple[np.ndarray, ...]] = []
-    worst = 0.0
-    for i in range(m):
-        block = (mat * (mat[i] / mat[0])) @ adjoint
-        ints, resid = _round_verlinde(block, (i,))
-        worst = max(worst, resid)
-        rows.append(_row_nonzeros(ints))
-    return SparseTensor.from_rows(rows), worst
+    step = max(1, ENTRY_CHUNK // (m * m))  # rows a step: one, or all of a small ring's
+    for start in range(0, m, step):
+        left = _mod(chi * (chi[start : start + step, None, :] * w % p), p).astype(np.float64)
+        rows += _row_nonzeros(_mod((left @ right).astype(np.int64), p))
+    del chi, right, left  # before the join, which holds the most
+    return SparseTensor.from_rows(rows)
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    x -= x // p * p  # in place: numpy divides faster than it takes remainders
+    return x
+
+
+def _determinants(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants num / den mod p < 2^31 of mats[:, :, x], by fraction-free elimination."""
+    num, den = np.ones((2, mats.shape[2]), dtype=np.int64)
+    while len(mats) > 1:
+        zero = np.flatnonzero(mats[0, 0] == 0)
+        if zero.size:  # add the first row below with a nonzero in the pivot's column
+            below = 1 + (mats[1:, 0, zero] != 0).argmax(axis=0)
+            mats[0][:, zero] = (mats[0][:, zero] + mats[below, :, zero].T) % p
+        pivot = mats[0, 0]
+        num = num * pivot % p
+        den = den * num % p  # each pivot, once per row below it
+        rest = mats[1:, 1:] * pivot
+        rest -= mats[1:, :1] * mats[:1, 1:]
+        mats = _mod(rest, p)
+    return num * mats[0, 0] % p, den
+
+
+@lru_cache(maxsize=None)
+def _prime_field(order: int) -> tuple[int, np.ndarray]:
+    """The largest prime p < 2^21, p = 1 mod order (a gcd with the primes below
+    29 screens trial division), and omega^e, e < order, omega of exact order ``order``."""
+    p = (2**21 - 2) // order * order + 1
+    while math.gcd(p, 223_092_870) != 1 or not (p % np.arange(3, math.isqrt(p) + 1, 2)).all():
+        p -= order
+    for a in itertools.count(2):
+        omega = pow(a, (p - 1) // order, p)
+        if all(pow(omega, order // q, p) != 1 for q in range(2, order + 1) if order % q == 0):
+            return p, np.array([pow(omega, e, p) for e in range(order)])
 
 
 def verlinde_tensor(s: SMatrix) -> FusionRing:
-    """Fusion ring of the S-matrix's Verlinde constants, which
-    ``verlinde_constants`` computes one row at a time."""
-    constants, worst = verlinde_constants(s.entries)
+    """The exact ``verlinde_constants`` ring, conjugates and dimensions read off ``s``."""
     conj = tuple(s.index(conjugate_weight(w)) for w in s.basis)
     dims = {w: quantum_dimension(s, w) for w in s.basis}
-    return FusionRing(s.basis, constants, conj, dims, s.spec, worst)
+    return FusionRing(s.basis, verlinde_constants(s.basis, conj), conj, dims, s.spec)
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +344,7 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
         for block in blocks:
             slab *= block
         slab = slab.reshape(m, size, m).sum(axis=1)
-        rows.append(_row_nonzeros(slab))
+        rows += _row_nonzeros(slab[None])
     del slab
     constants = SparseTensor.from_rows(rows)
     orbit_of = {s: o for o, orbit in enumerate(orbits) for s in orbit}
@@ -495,24 +525,7 @@ def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool
         krylov[row] = vec
         vec = vec @ a % p
     del a
-    return _full_rank_mod(krylov, p)
-
-
-def _full_rank_mod(mat: np.ndarray, p: int) -> bool:
-    """Gaussian elimination over GF(p), in place, on a square int64 matrix
-    of residues."""
-    m = len(mat)
-    for col in range(m):
-        nonzero = np.flatnonzero(mat[col:, col])
-        if nonzero.size == 0:
-            return False
-        pivot = col + int(nonzero[0])
-        mat[[col, pivot]] = mat[[pivot, col]]
-        multipliers = mat[col + 1 :, col] * pow(int(mat[col, col]), -1, p) % p
-        rest = mat[col + 1 :, col:]
-        rest -= np.multiply.outer(multipliers, mat[col, col:])
-        rest %= p
-    return True
+    return bool(_determinants(krylov[:, :, None], p)[0][0])  # full rank mod p
 
 
 def _first_nonassociative_row(tensor: SparseTensor) -> int | None:

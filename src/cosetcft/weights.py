@@ -57,6 +57,10 @@ class AlgebraSpec:
     def vacuum(self) -> "Weight":
         return Weight(self, (0,) * (self.n - 1))
 
+    @property
+    def name(self) -> str:  # as messages name it
+        return f"su({self.n})_{self.k}"
+
 
 @dataclass(frozen=True)
 class Weight:

@@ -538,15 +538,20 @@ class TestAlternantBranching:
             lambda: sector_branching(ISING, sector, 4),
             lambda: vacuum_membership(ISING, sector, 4),
         ):
-            with pytest.raises(ValueError, match="numerators"):
+            with pytest.raises(ValueError, match="numerators") as err:
                 call()
+            # worded as the budget messages are, with no dataclass repr
+            message = str(err.value)
+            assert "the coset (2,1,1)" in message and "su(2)_1 and su(2)_1" in message
+            assert "CosetSpec(" not in message and "AlgebraSpec(" not in message
 
     def test_denominator_of_another_factor_is_refused(self):
         # ISING's denominator is an su(2)_2 weight, not one of su(2)_3
         vac = AlgebraSpec.su(2, 1).vacuum()
         sector = CosetSector(vac, vac, AlgebraSpec.su(2, 3).vacuum())
-        with pytest.raises(ValueError, match="denominators"):
+        with pytest.raises(ValueError, match="denominators") as err:
             sector_branching(ISING, sector, 4)
+        assert str(err.value) == "denominators of the coset (2,1,1) are weights of su(2)_2"
 
 
 class TestEnergiesAndRatios:

@@ -514,6 +514,9 @@ def test_constants_written_from_arrays(constants):
 
 
 class TestIntegralityViolation:
+    """No CLI input raises an integrality error: fusion constants are exact,
+    and ``tolerance_integrality`` reaches only the reports."""
+
     def test_tight_tolerance_is_a_failed_report(self, tmp_path):
         # the configured tolerance reaches the reports, not ring construction:
         # under 1e-300 the fusion report fails beside the ten others, and the
@@ -539,10 +542,12 @@ class TestIntegralityViolation:
         assert code == 0 and doc["result"]["passed"]
 
     @pytest.mark.parametrize("tolerance", [None, "0.4"], ids=["default", "loose"])
-    def test_corrupt_s_matrix_gives_the_error_document(
+    def test_corrupt_s_matrix_fails_the_dimension_residual(
         self, capsys, monkeypatch, tmp_path, tolerance
     ):
-        # the integrality guard is fusion's own: no config loosens it
+        # the ring's constants are exact whatever S-matrix it is given; the
+        # corrupt entries reach its dimensions, and the fusion report fails
+        # through the dimension residual (1.25 at su(3)_4), not an error
         true_s_matrix = fusion.s_matrix
 
         def corrupt(spec):
@@ -562,10 +567,12 @@ class TestIntegralityViolation:
             fusion.fusion_ring.cache_clear()  # no corrupt ring outlives the test
         assert code == 1
         assert "Traceback" not in err
-        result = json.loads(out)["result"]
-        assert result["error"] == "IntegralityViolation"
-        assert "off an integer" in result["message"]
-        assert len(result["indices"]) == 3
+        doc = json.loads(out)
+        assert "error" not in doc["result"] and not doc["result"]["passed"]
+        [report] = doc["reports"]
+        assert report["check"] == "verlinde-fusion-rings" and not report["passed"]
+        assert float(report["worst_residual"]) > 0.4
+        assert any("dimension residual" in c for c in report["counterexamples"])
 
     def test_fuse_is_exact_under_any_tolerance(self, capsys, tmp_path):
         # fuse sums no floats, so the integrality tolerance does not reach it

@@ -422,8 +422,14 @@ FOREIGN_SECTOR = CosetSector(*(AlgebraSpec.su(2, k).vacuum() for k in (5, 1, 3))
     ids=lambda f: f.__name__,
 )
 def test_sector_of_other_factors_is_refused(check):
-    with pytest.raises(ValueError, match="weight triples"):
+    with pytest.raises(ValueError, match="weight triples") as err:
         check(ISING, FOREIGN_SECTOR)
+    # worded as the budget messages are, with no dataclass repr
+    message = str(err.value)
+    assert message == (
+        "sectors of the coset (2,1,1) are weight triples of su(2)_1, su(2)_1 and su(2)_2"
+    )
+    assert "CosetSpec(" not in message and "AlgebraSpec(" not in message
 
 
 class TestVacuumOrbit:
