@@ -28,6 +28,7 @@ from .weights import (
 
 KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
 ENTRY_CHUNK = 1 << 14  # entries per step of a pass over the whole tensor
+VALUE_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))  # narrowest first
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,19 @@ class FusionRing(BasedRing):
 @dataclass(frozen=True, eq=False)
 class SparseTensor:
     """The nonzero entries of an m x m x m integer tensor: int32 arrays
-    ``i``, ``j``, ``k`` of distinct positions and an int64 array ``v`` of
-    values, 20 bytes a nonzero, in increasing (i, j, k) order.  Each (i, j)
-    pair's payload is therefore one contiguous run, ordered by k.  Both
-    constructors store these dtypes whatever they are given."""
+    ``i``, ``j``, ``k`` of distinct positions and an array ``v`` of values
+    in the narrowest signed integer type that holds them, in increasing
+    (i, j, k) order.  Each (i, j) pair's payload is therefore one contiguous
+    run, ordered by k.  Both constructors store these dtypes whatever they
+    are given.  Fusion multiplicities are small (at most 14 on su(5)_5
+    and 4 on the coset (3,3,2)), so values are int8 and a nonzero takes 13
+    bytes; code doing arithmetic on ``v`` widens it to int64 or float64
+    first.
+
+    The int32 widths rest on one budget: the builders hold their m^3 work
+    to DENSE_BUDGET = 2^24 before building, so pair indices i * m + j < m^2
+    and the nnz <= m^3 run offsets of ``pair_ptr`` stay below 2^31, which
+    ``pair_ptr`` asserts."""
 
     shape: tuple[int, int, int]
     i: np.ndarray
@@ -109,6 +119,7 @@ class SparseTensor:
         nonzero = v != 0
         if not nonzero.all():
             i, j, k, v = i[nonzero], j[nonzero], k[nonzero], v[nonzero]
+        v = v.astype(_value_dtype(v))
         key = i.astype(np.int64)
         key *= m
         key += j
@@ -121,25 +132,29 @@ class SparseTensor:
     def from_rows(cls, rows: list[tuple[np.ndarray, ...]]) -> "SparseTensor":
         """Join the rows i = 0, 1, ... of an m x m x m tensor, row i given
         as its (j, k, v) arrays in (j, k) order: the entries arrive in
-        (i, j, k) order with no sort.  The list is emptied, and each field
-        is joined and its row arrays dropped before the next, so the rows
-        and the joined tensor are not held in full at once."""
+        (i, j, k) order with no sort.  The values are joined in the widest
+        of the rows' narrowest dtypes, so rows already narrowed by their
+        builder are never widened.  The list is emptied, and each field is
+        joined and its row arrays dropped before the next, so the rows and
+        the joined tensor are not held in full at once."""
         m = len(rows)
         i = np.repeat(np.arange(m, dtype=np.int32), [len(row[0]) for row in rows])
         fields = [list(x) for x in zip(*rows)]
         rows.clear()
+        value_dtype = max(map(_value_dtype, fields[2]), key=lambda d: d.itemsize)
         j, k, v = (
             np.concatenate(fields.pop(0), dtype=dtype)
-            for dtype in (np.int32, np.int32, np.int64)
+            for dtype in (np.int32, np.int32, value_dtype)
         )
         return cls((m, m, m), i, j, k, v)
 
     @cached_property
     def pair_ptr(self) -> np.ndarray:
-        """Run offsets: pair p = i * m + j holds entries ptr[p] to ptr[p + 1]."""
+        """Run offsets, int32: pair p = i * m + j holds entries ptr[p] to ptr[p + 1]."""
+        assert self.v.size < 2**31, "run offsets are int32"
         m = self.shape[0]
         pair = self.i * m + self.j  # increasing, as the entries are ordered
-        return np.searchsorted(pair, np.arange(m * m + 1, dtype=pair.dtype))
+        return np.searchsorted(pair, np.arange(m * m + 1, dtype=pair.dtype)).astype(np.int32)
 
     def run(self, i: int, j: int) -> slice:
         """The entries of pair (i, j), ordered by k."""
@@ -175,11 +190,24 @@ class SparseTensor:
 
 
 def _row_nonzeros(block: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """``SparseTensor.from_rows`` rows, int32 j, k and values, of a block (rows, m, m)."""
+    """``SparseTensor.from_rows`` rows of a block (rows, m, m): int32 j and k,
+    and the values in their narrowest dtype."""
     i, j, k = np.nonzero(block)
-    fields = (j.astype(np.int32), k.astype(np.int32), block[i, j, k])
+    values = block[i, j, k]
+    fields = (j.astype(np.int32), k.astype(np.int32), values.astype(_value_dtype(values)))
     ends = np.searchsorted(i, np.arange(len(block) + 1)).tolist()
     return [tuple(x[a:b] for x in fields) for a, b in zip(ends, ends[1:])]
+
+
+def _value_dtype(values: np.ndarray) -> np.dtype:
+    """The narrowest signed integer dtype holding every value (int8 when there are none)."""
+    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    return next(d for d in VALUE_DTYPES if np.iinfo(d).min <= low and high <= np.iinfo(d).max)
+
+
+def _largest_magnitude(values: np.ndarray) -> int:
+    """max |v| as a Python int: no dtype's minimum wraps, as np.abs would make it."""
+    return max(-int(values.min()), int(values.max())) if values.size else 0
 
 
 def verlinde_constants(basis: tuple, conj) -> SparseTensor:
@@ -328,13 +356,20 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
     conjugate is the orbit holding its representative's factorwise
     conjugate.  ``basis`` names the orbits and ``dims`` maps each name to
     its dimension.
+
+    Every slab entry is a sum of n products, so it is at most
+    n * prod_f max |D_f|; when that is below 2^31 the blocks are gathered,
+    multiplied and summed in int32, else in int64.  Each slab's values are
+    narrowed before the join, as ``SparseTensor`` stores them.
     """
     m, size = len(orbits), len(orbits[0])
     members = np.array(orbits, dtype=np.int64)  # (orbit, position, factor)
     reps = members[:, 0]
     by_position = members.transpose(1, 0, 2).reshape(m * size, len(factors))
+    top = size * math.prod(_largest_magnitude(ring.constants.v) for ring in factors)
+    dtype = np.int32 if top < 2**31 else np.int64
     gathers = [
-        (ring.constants.dense(), reps[:, f], by_position[:, f])
+        (ring.constants.dense().astype(dtype, copy=False), reps[:, f], by_position[:, f])
         for f, ring in enumerate(factors)
     ]
     rows: list[tuple[np.ndarray, ...]] = []
@@ -343,7 +378,7 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
         slab = next(blocks)
         for block in blocks:
             slab *= block
-        slab = slab.reshape(m, size, m).sum(axis=1)
+        slab = slab.reshape(m, size, m).sum(axis=1, dtype=dtype)
         rows += _row_nonzeros(slab[None])
     del slab
     constants = SparseTensor.from_rows(rows)
@@ -451,7 +486,7 @@ def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
         run = slice(start, start + ENTRY_CHUNK)
         rows, cols = i[run], j[run]
         mirror = ptr[cols * m + rows] - ptr[rows * m + cols]
-        mirror += np.arange(start, start + len(rows))
+        mirror += np.arange(start, start + len(rows), dtype=mirror.dtype)
         if not (np.array_equal(k[mirror], k[run]) and np.array_equal(v[mirror], v[run])):
             commutative = False
             break
@@ -463,14 +498,11 @@ def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
         out.append("conjugation axiom N_ij^0 = delta(j, conj i) fails")
     if not commutative:
         return out
-    magnitude = np.abs(v) if negative else v
-    nonempty = pair_sizes.ravel() > 0
-    row_sums = np.zeros(m * m, dtype=np.int64)
-    if v.size:
-        row_sums[nonempty] = np.add.reduceat(magnitude, ptr[:-1][nonempty])
-    row_sums = row_sums.reshape(m, m)
-    largest = int(magnitude.max()) if v.size else 0
-    if int(row_sums.max()) * largest >= 2**53:
+    # every row sum is at least the largest magnitude, so from 2^26.5 on the
+    # bound fails unsummed; below it, the int64 row sums cannot wrap
+    largest = _largest_magnitude(v)
+    row_sums = _magnitude_row_sums(tensor) if largest**2 < 2**53 else None
+    if row_sums is None or int(row_sums.max()) * largest >= 2**53:
         out.append("structure constants too large for an exact associativity check")
         return out
     if _fusion_matrices_commute(tensor, row_sums):
@@ -479,6 +511,24 @@ def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
     if row is not None:
         out.append(f"associativity fails for left factor index {row}")
     return out
+
+
+def _magnitude_row_sums(tensor: SparseTensor) -> np.ndarray:
+    """The m x m int64 sums sum_k |N_ij^k|, taken whole runs at a time,
+    about ENTRY_CHUNK entries a step, each step's values widened to int64
+    before |.|, so that no dtype's minimum wraps and no full-width copy of
+    the values is made."""
+    m = tensor.shape[0]
+    ptr = tensor.pair_ptr
+    sums = np.zeros(m * m, dtype=np.int64)
+    # the first pair starting at or after each chunk's first entry
+    cuts = np.searchsorted(ptr, np.arange(0, tensor.v.size, ENTRY_CHUNK)).tolist()
+    for p, q in zip(cuts, cuts[1:] + [m * m]):
+        live = np.diff(ptr[p : q + 1]) > 0
+        if live.any():
+            magnitude = np.abs(tensor.v[ptr[p] : ptr[q]], dtype=np.int64)
+            sums[p:q][live] = np.add.reduceat(magnitude, ptr[p:q][live] - ptr[p])
+    return sums.reshape(m, m)
 
 
 def _ones_exactly_at(rows, cols, values, want_rows, want_cols) -> bool:
@@ -505,7 +555,7 @@ def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool
     a = np.zeros(m * m, dtype=np.int64)
     for start in range(0, v.size, ENTRY_CHUNK):
         run = slice(start, start + ENTRY_CHUNK)
-        np.add.at(a, j[run] * m + k[run], coeffs[i[run]] * v[run])
+        np.add.at(a, j[run] * m + k[run], np.multiply(coeffs[i[run]], v[run], dtype=np.int64))
     a = a.reshape(m, m)
     a_float = a.astype(np.float64)
     row_starts = tensor.pair_ptr[::m]  # row i is entries row_starts[i] on
@@ -548,12 +598,12 @@ def dimension_homomorphism_residual(ring: BasedRing) -> float:
     numpy would group a reduction."""
     t = ring.constants
     d = np.array([ring.dims[b] for b in ring.basis], dtype=float)
-    terms = t.v * d[t.k]
     starts = t.pair_ptr[:-1]
     sizes = np.diff(t.pair_ptr)
     totals = np.zeros(len(sizes))
     for r in range(int(sizes.max(initial=0))):
         live = np.flatnonzero(sizes > r)
-        totals[live] += terms[starts[live] + r]
+        at = starts[live] + r
+        totals[live] += np.multiply(t.v[at], d[t.k[at]], dtype=np.float64)
     residuals = np.abs(totals - np.outer(d, d).ravel())
     return float(residuals.max(initial=0.0))

@@ -29,7 +29,7 @@ from cosetcft import (
     simple_current_check,
     verlinde_tensor,
 )
-from cosetcft import fusion, modular, verify, weights
+from cosetcft import cli, fusion, modular, verify, weights
 from cosetcft.report import coset_ring_reports
 from cosetcft.verify import DESK_SPECS, SUITES, Config
 from cosetcft.coset import coset_ring
@@ -98,7 +98,7 @@ class TestRingAxioms:
     @pytest.mark.parametrize("n,k", DESK)
     def test_axioms_and_integrality(self, n, k):
         ring = verlinde_tensor(s_matrix(AlgebraSpec.su(n, k)))
-        assert ring.constants.v.dtype == np.int64 and ring.constants.v.min() > 0
+        assert ring.constants.v.dtype == np.int8 and ring.constants.v.min() > 0
         assert ring.axiom_failures() == []
 
     @pytest.mark.parametrize("n,k", DESK)
@@ -153,21 +153,20 @@ def sparse_of(tensor):
     return SparseTensor(tensor.shape, *nonzero, tensor[nonzero])
 
 
-def one_shot_verlinde(sm):
-    """Float reference: the Verlinde sums as one complex m x m x m einsum
-    over the S-matrix's entries, rounded as a whole where every sum lies
-    within 1e-6 of a nonnegative integer, with the conjugates and dimensions
-    read off the S-matrix."""
+def verlinde_rows(sm):
+    """Float reference: the Verlinde sums over the S-matrix's entries, as the
+    nonzero (j, k, N_ij^k) of each row i in turn, in (j, k) order.  Row i's
+    m x m complex block is rounded where every sum lies within 1e-6 of a
+    nonnegative integer; no m x m x m array is held."""
     mat = sm.entries
     weights = mat.conj() / mat[0][None, :]
-    raw = np.einsum("im,jm,km->ijk", mat, mat, weights, optimize=True)
-    tensor = np.rint(raw.real)
-    raw.real -= tensor  # in place: su(2)_200's sums alone take 130 MB
-    assert np.abs(raw).max() < 1e-6 and tensor.min() >= 0
-    del raw
-    conj = tuple(sm.index(conjugate_weight(w)) for w in sm.basis)
-    dims = {w: quantum_dimension(sm, w) for w in sm.basis}
-    return sparse_of(tensor.astype(np.int64)), conj, dims
+    for i in range(len(mat)):
+        raw = (mat * mat[i]) @ weights.T  # sum_mu S_i,mu S_j,mu w_k,mu over (j, k)
+        block = np.rint(raw.real)
+        raw.real -= block
+        assert np.abs(raw).max() < 1e-6 and block.min() >= 0, f"row {i}"
+        j, k = np.nonzero(block)
+        yield j, k, block[j, k].astype(np.int64)
 
 
 def admitted_specs():
@@ -243,10 +242,14 @@ class TestRowByRow:
     def test_matches_one_shot_einsum(self, n, k):
         sm = s_matrix(AlgebraSpec.su(n, k))
         ring = verlinde_tensor(sm)
-        constants, conj, dims = one_shot_verlinde(sm)
-        assert ring.constants == constants
-        assert ring.conj == conj
-        assert ring.dims == dims
+        t = ring.constants
+        row_ptr = t.pair_ptr[:: len(sm.basis)].tolist()
+        for i, want in enumerate(verlinde_rows(sm)):
+            run = slice(row_ptr[i], row_ptr[i + 1])
+            assert all(map(np.array_equal, (t.j[run], t.k[run], t.v[run]), want)), i
+        assert row_ptr[-1] == t.v.size
+        assert ring.conj == tuple(sm.index(conjugate_weight(w)) for w in sm.basis)
+        assert ring.dims == {w: quantum_dimension(sm, w) for w in sm.basis}
 
     def test_memory_below_the_tensor(self):
         sm = s_matrix(AlgebraSpec.su(4, 6))
@@ -1148,11 +1151,15 @@ RING_CONSTRUCTORS = {
 
 
 class TestDtypeContract:
+    """int32 positions, and values in the narrowest signed integer type that
+    holds them: int8 on each ring below, 13 bytes a nonzero."""
+
     @pytest.mark.parametrize("name", RING_CONSTRUCTORS)
     def test_int32_positions_int64_values(self, name):
         t = RING_CONSTRUCTORS[name]().constants
-        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int64]
-        assert t.v.size and t.i.nbytes + t.j.nbytes + t.k.nbytes + t.v.nbytes == 20 * t.v.size
+        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int8]
+        assert t.v.size and t.i.nbytes + t.j.nbytes + t.k.nbytes + t.v.nbytes == 13 * t.v.size
+        assert t.pair_ptr.dtype == np.int32
 
     def test_from_entries_sorts_on_int64_keys(self):
         # (i m + j) m + k passes 2^31 for most of these: int32 keys would wrap
@@ -1164,7 +1171,7 @@ class TestDtypeContract:
         assert (537 * m) * m > 2**31 > (536 * m) * m + 5
         i, j, k, v = (np.array(x, dtype=np.int64) for x in zip(*entries))
         t = SparseTensor.from_entries(m, i, j, k, v)
-        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int64]
+        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int8]
         got = list(zip(*(x.tolist() for x in (t.i, t.j, t.k, t.v))))
         assert got == sorted(entries)
         assert t.to_table()[(537, 0)] == {0: 2, 1: 7}
@@ -1172,7 +1179,158 @@ class TestDtypeContract:
     def test_from_rows_stores_the_contract_dtypes(self):
         rows = [(np.array([0]), np.array([0]), np.array([1], dtype=np.int32))] * 2
         t = SparseTensor.from_rows(rows)
-        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int64]
+        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int8]
+        # the joined values take the widest row's narrowest dtype
+        rows = [
+            (np.array([0]), np.array([1]), np.array([-129], dtype=np.int64)),
+            (np.array([], dtype=np.int64),) * 3,
+        ]
+        t = SparseTensor.from_rows(rows)
+        assert t.v.dtype == np.int16 and t.v.tolist() == [-129]
+
+
+# values on both sides of each width's limits, and the dtype each needs
+WIDTH_BOUNDARIES = [
+    (127, np.int8), (128, np.int16), (-128, np.int8), (-129, np.int16),
+    (32767, np.int16), (32768, np.int32), (-32768, np.int16), (-32769, np.int32),
+    (2**31 - 1, np.int32), (2**31, np.int64), (-(2**31), np.int32),
+    (-(2**31) - 1, np.int64), (2**63 - 1, np.int64), (-(2**63), np.int64),
+]
+
+
+def narrowest_dtype(v):
+    """The narrowest of int8, int16, int32 and int64 holding every value."""
+    low, high = (int(v.min()), int(v.max())) if v.size else (0, 0)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max:
+            return dtype
+
+
+def widened(t: SparseTensor) -> SparseTensor:
+    """The same entries with their values forced to int64."""
+    return SparseTensor(t.shape, t.i, t.j, t.k, t.v.astype(np.int64))
+
+
+def consumer_outputs(t: SparseTensor, conj, perm) -> list:
+    """What every reader of the values makes of a tensor."""
+    m = t.shape[0]
+    ring = fusion.BasedRing(tuple(range(m)), t, tuple(conj), {b: 1 + b / 3 for b in range(m)})
+    coeffs = [ring.coeff(*x) for x in itertools.product(range(m), repeat=3)]
+    return [
+        ring_axiom_failures(t, conj),
+        dimension_homomorphism_residual(ring),
+        verify.sigma_covariant(t, np.asarray(perm, dtype=np.int32)),
+        t.to_table(),
+        coeffs,
+        "".join(cli._constants_json(t, "  ")),
+    ]
+
+
+@st.composite
+def narrow_cases(draw):
+    """A tensor from the ring strategies above, stored at its narrowest
+    width, with a conjugation and a basis permutation."""
+    kind = draw(st.sampled_from(["small", "commutative", "verlinde", "covariance"]))
+    if kind == "covariance":
+        t, perm = draw(covariance_cases())
+        m = t.shape[0]
+        return t, draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)), perm
+    if kind == "small":
+        tensor, conj = draw(small_tensors())
+    elif kind == "commutative":
+        tensor = draw(commutative_tensors())
+        conj = list(range(len(tensor)))
+    else:
+        tensor, conj = draw(permuted_verlinde_rings())
+    m = len(tensor)
+    nonzero = np.nonzero(tensor)
+    t = SparseTensor.from_entries(m, *nonzero, tensor[nonzero])
+    return t, conj, draw(st.permutations(range(m)))
+
+
+class TestNarrowValues:
+    """A tensor stored at its narrowest width reads the same, to every
+    consumer of its values, as the same entries held in int64."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(narrow_cases())
+    def test_every_consumer_matches_int64(self, case):
+        t, conj, perm = case
+        assert t.v.dtype == narrowest_dtype(t.v)
+        assert consumer_outputs(t, conj, perm) == consumer_outputs(widened(t), conj, perm)
+
+    @pytest.mark.parametrize(
+        "value,dtype", WIDTH_BOUNDARIES, ids=[str(value) for value, _ in WIDTH_BOUNDARIES]
+    )
+    def test_width_boundaries(self, value, dtype):
+        # su(3)_2's constants with one diagonal value and one off-diagonal
+        # pair replaced, so that commutativity holds and the covariance
+        # and axiom checks reach the values
+        ring = fusion_ring(AlgebraSpec.su(3, 2))
+        table = ring.constants.to_table()
+        table[(1, 1)] = {**table[(1, 1)], 2: value}
+        table[(1, 2)] = {**table[(1, 2)], 0: value}
+        table[(2, 1)] = {**table[(2, 1)], 0: value}
+        t = tensor_of(table, len(ring.basis))
+        assert t.v.dtype == dtype
+        perm = ring.sigma_permutation(1)
+        want = consumer_outputs(widened(t), ring.conj, perm)
+        assert consumer_outputs(t, ring.conj, perm) == want
+
+
+def z2_ring(square, dtype=np.int64) -> SparseTensor:
+    """Z2's group ring with N_11^0 = ``square`` in place of 1, its values
+    stored as ``dtype``."""
+    i, j, k = np.array([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], dtype=np.int32).T
+    return SparseTensor((2, 2, 2), i, j, k, np.array([1, 1, 1, square], dtype=dtype))
+
+
+class TestMagnitudes:
+    """|N| is taken where no dtype's minimum can wrap: np.abs keeps -2^63 in
+    int64, and -128 in int8, negative."""
+
+    TOO_LARGE = [
+        "negative structure constant",
+        "conjugation axiom N_ij^0 = delta(j, conj i) fails",
+        "structure constants too large for an exact associativity check",
+    ]
+
+    @pytest.mark.parametrize("square", [-(2**62), -(2**63)], ids=["-2^62", "-2^63"])
+    def test_int64_minimum_is_too_large(self, monkeypatch, square):
+        forbid_scan(monkeypatch)
+
+        def no_certificate(tensor, row_sums):
+            raise AssertionError(f"certificate ran on row sums {row_sums.tolist()}")
+
+        monkeypatch.setattr(fusion, "_fusion_matrices_commute", no_certificate)
+        assert ring_axiom_failures(z2_ring(square), [0, 1]) == self.TOO_LARGE
+
+    def test_int8_minimum_sums_as_128(self, monkeypatch):
+        seen = []
+        certificate = fusion._fusion_matrices_commute
+
+        def spy(tensor, row_sums):
+            seen.append(row_sums.tolist())
+            return certificate(tensor, row_sums)
+
+        monkeypatch.setattr(fusion, "_fusion_matrices_commute", spy)
+        narrow = z2_ring(-128, np.int8)
+        assert ring_axiom_failures(narrow, [0, 1]) == ring_axiom_failures(
+            widened(narrow), [0, 1]
+        )
+        assert seen == [[[1, 1], [1, 128]]] * 2
+
+    def test_row_sums_across_chunks(self):
+        # the coset (3,3,2)'s positions, more than six ENTRY_CHUNK steps,
+        # with every third target's value set to -128 in int8
+        t = coset_ring(CosetSpec(3, 3, 2)).constants
+        m = t.shape[0]
+        assert t.v.size > 6 * fusion.ENTRY_CHUNK
+        v = np.where(t.k % 3 == 0, -128, t.v).astype(np.int8)
+        want = np.zeros(m * m, dtype=np.int64)
+        np.add.at(want, t.i.astype(np.int64) * m + t.j, np.abs(v.astype(np.int64)))
+        got = fusion._magnitude_row_sums(SparseTensor(t.shape, t.i, t.j, t.k, v))
+        assert np.array_equal(got, want.reshape(m, m))
 
 
 def traced_peak(run) -> int:
@@ -1185,11 +1343,14 @@ def traced_peak(run) -> int:
 
 
 class TestMemoryBounds:
-    """Traced peaks (numpy reports its allocations to tracemalloc), with
-    bounds that int64 positions and whole-tensor temporaries would pass."""
+    """Traced peaks (numpy reports its allocations to tracemalloc).  The
+    bounds on the rings and their checks sit about 16% over the peaks
+    measured with int8 values and numpy 2.4, and below the peaks with int64
+    values noted beside them."""
 
     def test_check_fusion_desk_sweep(self):
-        # 6.89 MiB with int64 positions and a sorted second tensor per power
+        # 2.24 MiB; 2.78 MiB with int64 values, 6.89 MiB with int64
+        # positions and a sorted second tensor per power
         for n, k in DESK_SPECS:
             s_matrix(AlgebraSpec.su(n, k))
         fusion_ring.cache_clear()
@@ -1199,11 +1360,12 @@ class TestMemoryBounds:
             nonlocal report
             report = verify.check_fusion(Config(), DESK_SPECS)
 
-        assert traced_peak(run) < 4.5 * 2**20
+        assert traced_peak(run) < 2.6 * 2**20
         assert report.passed
 
     def test_coset_ring_and_axioms(self):
-        # 7.6 MiB with int64 positions and whole-tensor mirror indices
+        # 2.76 MiB; 3.70 MiB with int64 values and offsets, 7.6 MiB with
+        # int64 positions and whole-tensor mirror indices
         for spec in CosetSpec(3, 3, 2).factor_specs():
             s_matrix(spec)
         fusion_ring.cache_clear()
@@ -1211,14 +1373,14 @@ class TestMemoryBounds:
         def run():
             assert coset_ring(CosetSpec(3, 3, 2)).axiom_failures() == []
 
-        assert traced_peak(run) < 6 * 2**20
+        assert traced_peak(run) < 3.2 * 2**20
 
     def test_coset_ring_build_holds_its_constants_once(self):
-        # 4.70 MiB while the row arrays and the whole joined tensor were
-        # held together
+        # 2.28 MiB; 3.62 MiB with int64 values and gather blocks, 4.70 MiB
+        # while the row arrays and the whole joined tensor were held together
         spec = CosetSpec(3, 3, 2)
         coset_ring(spec)  # the factor rings stay cached
-        assert traced_peak(lambda: coset_ring(spec)) < 4.2 * 2**20
+        assert traced_peak(lambda: coset_ring(spec)) < 2.65 * 2**20
 
     def test_commuting_certificate(self):
         # 1.26 MiB while the float copies lived through the Krylov step and
