@@ -312,7 +312,7 @@ def _constants_json(t: fusion.SparseTensor, indent: str):
     head = "{" + pair_line
     for a in order:
         run = slice(row_ptr[a], row_ptr[a + 1])
-        j, k = t.j[run], t.k[run]
+        j, k = t.positions(run.start, run.stop)[1], t.k[run]
         by_name = np.argsort(rank[j] * m + rank[k])
         parts, last = [], None
         for b, c, v in zip(*(x[by_name].tolist() for x in (j, k, t.v[run]))):

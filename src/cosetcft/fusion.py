@@ -1,9 +1,10 @@
 """Fusion rings from the Verlinde formula, and products of based rings.
 
-The structure constants are stored sparsely, as arrays of their nonzero
-positions and values (``SparseTensor``).  ``verlinde_constants`` sums the
-Verlinde formula exactly, in a prime field: no constant is rounded from a
-float.  ``fusion_ring`` builds one ring per spec.
+The structure constants are stored sparsely, as runs over the (i, j)
+pairs of their nonzero targets and values (``SparseTensor``).
+``verlinde_constants`` sums the Verlinde formula exactly, in a prime field:
+no constant is rounded from a float.  ``fusion_ring`` builds one ring per
+spec.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .weights import (
 KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
 ENTRY_CHUNK = 1 << 14  # entries per step of a pass over the whole tensor
 VALUE_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))  # narrowest first
+POSITION_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16)))  # narrowest first
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ class BasedRing:
     def coeff(self, i: int, j: int, k: int) -> int:
         t = self.constants
         run = t.run(i, j)
+        if not 0 <= k < t.shape[0]:
+            raise IndexError(f"target {k} outside a ring of {t.shape[0]} basis elements")
         at = run.start + int(np.searchsorted(t.k[run], k))
         return int(t.v[at]) if at < run.stop and t.k[at] == k else 0
 
@@ -88,77 +92,111 @@ class FusionRing(BasedRing):
 
 @dataclass(frozen=True, eq=False)
 class SparseTensor:
-    """The nonzero entries of an m x m x m integer tensor: int32 arrays
-    ``i``, ``j``, ``k`` of distinct positions and an array ``v`` of values
-    in the narrowest signed integer type that holds them, in increasing
-    (i, j, k) order.  Each (i, j) pair's payload is therefore one contiguous
-    run, ordered by k.  Both constructors store these dtypes whatever they
-    are given.  Fusion multiplicities are small (at most 14 on su(5)_5
-    and 4 on the coset (3,3,2)), so values are int8 and a nonzero takes 13
-    bytes; code doing arithmetic on ``v`` widens it to int64 or float64
-    first.
+    """The nonzero entries of an m x m x m integer tensor, as runs over the
+    (i, j) pairs: pair p = i * m + j holds entries ``pair_ptr[p]`` to
+    ``pair_ptr[p + 1]`` (int32, m^2 + 1 offsets), whose targets ``k`` are
+    distinct and increasing and whose values are ``v``.  The entries are
+    therefore in increasing (i, j, k) order, and the positions i and j of
+    an entry are implied by its run: ``positions`` gives them for a range
+    of entries.  ``k`` is stored in the narrowest unsigned type that holds
+    m - 1 (uint8 or uint16: past 2^16 elements the constructors refuse, as
+    the int32 pair indices would wrap), and ``v`` in the narrowest signed
+    type that holds the values; both constructors store these dtypes
+    whatever they are given.  Every builder holds m^3 <= DENSE_BUDGET =
+    2^24, so m <= 256 and ``k`` is uint8; fusion multiplicities are small
+    (at most 14 on su(5)_5 and 4 on the coset (3,3,2)), so values are int8
+    and a nonzero takes 2 bytes beside the 4 (m^2 + 1) bytes of offsets.  Code doing arithmetic on
+    ``k`` or ``v`` widens it first (``j * m + k``, ``perm[k]``, int64 or
+    float64 values): uint8 arithmetic with a Python int wraps silently.
 
-    The int32 widths rest on one budget: the builders hold their m^3 work
-    to DENSE_BUDGET = 2^24 before building, so pair indices i * m + j < m^2
-    and the nnz <= m^3 run offsets of ``pair_ptr`` stay below 2^31, which
-    ``pair_ptr`` asserts."""
+    The offsets are int32 because nnz <= m^3 <= 2^24 < 2^31, which
+    ``from_rows`` asserts."""
 
     shape: tuple[int, int, int]
-    i: np.ndarray
-    j: np.ndarray
+    pair_ptr: np.ndarray
     k: np.ndarray
     v: np.ndarray
 
     @classmethod
     def from_entries(cls, m: int, i, j, k, v) -> "SparseTensor":
-        """Drop zero values and sort the entries.  The sort key
-        (i * m + j) * m + k is taken in int64: from m = 1291 on it passes
-        2^31."""
-        i, j, k = (np.asarray(x, dtype=np.int32) for x in (i, j, k))
+        """Drop zero values and sort the entries, refusing any position
+        outside [0, m).  The sort key (i * m + j) * m + k is taken in int64:
+        from m = 1291 on it passes 2^31."""
+        i, j, k = (np.asarray(x, dtype=np.int64) for x in (i, j, k))
+        for name, x in zip("ijk", (i, j, k)):
+            if x.size and not (0 <= x.min() and x.max() < m):
+                raise ValueError(f"{name} positions outside [0, {m}): {x.min()} to {x.max()}")
         v = np.asarray(v, dtype=np.int64)
         nonzero = v != 0
         if not nonzero.all():
             i, j, k, v = i[nonzero], j[nonzero], k[nonzero], v[nonzero]
-        v = v.astype(_value_dtype(v))
-        key = i.astype(np.int64)
-        key *= m
-        key += j
-        key *= m
-        key += k
+        pair = i * m + j
+        key = pair * m + k
         order = np.argsort(key)
-        return cls((m, m, m), i[order], j[order], k[order], v[order])
+        ptr = np.searchsorted(pair[order], np.arange(m * m + 1)).astype(np.int32)
+        k = k[order].astype(_position_dtype(m))
+        return cls((m, m, m), ptr, k, v[order].astype(_value_dtype(v)))
 
     @classmethod
     def from_rows(cls, rows: list[tuple[np.ndarray, ...]]) -> "SparseTensor":
         """Join the rows i = 0, 1, ... of an m x m x m tensor, row i given
-        as its (j, k, v) arrays in (j, k) order: the entries arrive in
-        (i, j, k) order with no sort.  The values are joined in the widest
-        of the rows' narrowest dtypes, so rows already narrowed by their
-        builder are never widened.  The list is emptied, and each field is
-        joined and its row arrays dropped before the next, so the rows and
-        the joined tensor are not held in full at once."""
+        as its m pair counts (entries of each pair (i, j), j = 0, 1, ...)
+        and its k and v arrays in (j, k) order: the entries arrive in
+        (i, j, k) order with no sort, and one cumulative sum of the counts
+        gives the run offsets.  The values are joined in the widest of the
+        rows' narrowest dtypes, so rows already narrowed by their builder
+        are never widened.  The list is emptied, and each field is joined
+        and its row arrays dropped before the next, so the rows and the
+        joined tensor are not held in full at once."""
         m = len(rows)
-        i = np.repeat(np.arange(m, dtype=np.int32), [len(row[0]) for row in rows])
         fields = [list(x) for x in zip(*rows)]
         rows.clear()
-        value_dtype = max(map(_value_dtype, fields[2]), key=lambda d: d.itemsize)
-        j, k, v = (
-            np.concatenate(fields.pop(0), dtype=dtype)
-            for dtype in (np.int32, np.int32, value_dtype)
-        )
-        return cls((m, m, m), i, j, k, v)
+        ptr = np.zeros(m * m + 1, dtype=np.int32)
+        np.cumsum(np.concatenate(fields.pop(0)), out=ptr[1:])
+        # unchecked: a row of a block (rows, m, m) has its targets below m
+        k = np.concatenate(fields.pop(0), dtype=_position_dtype(m), casting="unsafe")
+        value_dtype = max(map(_value_dtype, fields[0]), key=lambda d: d.itemsize)
+        v = np.concatenate(fields.pop(0), dtype=value_dtype)
+        assert int(ptr[-1]) == v.size < 2**31, "run offsets are int32"
+        return cls((m, m, m), ptr, k, v)
 
-    @cached_property
-    def pair_ptr(self) -> np.ndarray:
-        """Run offsets, int32: pair p = i * m + j holds entries ptr[p] to ptr[p + 1]."""
-        assert self.v.size < 2**31, "run offsets are int32"
-        m = self.shape[0]
-        pair = self.i * m + self.j  # increasing, as the entries are ordered
-        return np.searchsorted(pair, np.arange(m * m + 1, dtype=pair.dtype)).astype(np.int32)
+    def positions(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The int32 positions i and j of entries ``start`` to ``stop``: each
+        pair's run, clipped to the range, repeats its pair index."""
+        if start >= stop:
+            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+        ptr = self.pair_ptr
+        entry = ptr.dtype.type  # searching for a Python int costs ~8x more
+        first = int(ptr.searchsorted(entry(start), "right")) - 1  # holds entry start
+        end = int(ptr.searchsorted(entry(stop)))  # one past the pair holding entry stop - 1
+        bounds = ptr[first : end + 1].copy()
+        bounds[0], bounds[-1] = start, stop  # only the end runs reach past the range
+        pair = np.arange(first, end, dtype=np.int32).repeat(bounds[1:] - bounds[:-1])
+        return np.divmod(pair, np.int32(self.shape[0]))
+
+    def pair_steps(self):
+        """(p, q) for each step of a pass over the tensor: the pairs p to q,
+        whose whole runs hold at least one entry, cut at the first run
+        starting at or after each multiple of ENTRY_CHUNK."""
+        ptr = self.pair_ptr
+        cuts = ptr.searchsorted(np.arange(0, self.v.size, ENTRY_CHUNK)).tolist()
+        for p, q in zip(cuts, cuts[1:] + [len(ptr) - 1]):
+            if ptr[p] < ptr[q]:
+                yield p, q
+
+    def chunks(self):
+        """(entries, i, j) for each of the ``pair_steps``: the slice of its
+        entries and their positions."""
+        for p, q in self.pair_steps():
+            start, stop = int(self.pair_ptr[p]), int(self.pair_ptr[q])
+            yield (slice(start, stop), *self.positions(start, stop))
 
     def run(self, i: int, j: int) -> slice:
         """The entries of pair (i, j), ordered by k."""
-        p = i * self.shape[0] + j
+        m = self.shape[0]
+        if not (0 <= i < m and 0 <= j < m):
+            raise IndexError(f"pair ({i}, {j}) outside a tensor of {m} basis elements")
+        p = i * m + j
         return slice(int(self.pair_ptr[p]), int(self.pair_ptr[p + 1]))
 
     def to_table(self) -> dict[tuple[int, int], dict[int, int]]:
@@ -177,26 +215,50 @@ class SparseTensor:
         what = f"the size of the dense array of a ring of {m} basis elements"
         require_budget(m**3, DENSE_BUDGET, what)
         t = np.zeros(self.shape, dtype=np.int64)
-        t[self.i, self.j, self.k] = self.v
+        for run, i, j in self.chunks():
+            t[i, j, self.k[run]] = self.v[run]
         return t
 
     # rings holding equal constants compare equal
     def __eq__(self, other):
         if not isinstance(other, SparseTensor):
             return NotImplemented
-        mine = (self.i, self.j, self.k, self.v)
-        theirs = (other.i, other.j, other.k, other.v)
+        mine = (self.pair_ptr, self.k, self.v)
+        theirs = (other.pair_ptr, other.k, other.v)
         return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
 
 
+def _entry_pairs(tensor: SparseTensor, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions i and j of the entries at the increasing indices ``entries``."""
+    pair = np.searchsorted(tensor.pair_ptr, entries, side="right") - 1
+    return np.divmod(pair, tensor.shape[0])
+
+
 def _row_nonzeros(block: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """``SparseTensor.from_rows`` rows of a block (rows, m, m): int32 j and k,
-    and the values in their narrowest dtype."""
-    i, j, k = np.nonzero(block)
-    values = block[i, j, k]
-    fields = (j.astype(np.int32), k.astype(np.int32), values.astype(_value_dtype(values)))
-    ends = np.searchsorted(i, np.arange(len(block) + 1)).tolist()
-    return [tuple(x[a:b] for x in fields) for a, b in zip(ends, ends[1:])]
+    """``SparseTensor.from_rows`` rows of a block (rows, m, m): int32 pair
+    counts, k in the narrowest unsigned dtype and the values in theirs."""
+    m = block.shape[1]
+    nonzero = block != 0
+    counts = nonzero.sum(axis=2, dtype=np.int32)
+    flat = np.flatnonzero(nonzero)
+    del nonzero
+    values = block.reshape(-1)[flat]
+    k = (flat % m).astype(_position_dtype(m))
+    values = values.astype(_value_dtype(values))
+    ends = [0, *np.cumsum(counts.sum(axis=1)).tolist()]
+    return [
+        (counts[r], k[a:b], values[a:b]) for r, (a, b) in enumerate(zip(ends, ends[1:]))
+    ]
+
+
+def _position_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned integer dtype holding every index below m.
+    Past 2^16 elements none is offered: the int32 pair indices i * m + j
+    wrap from m = 46341 on."""
+    for dtype in POSITION_DTYPES:
+        if m - 1 <= np.iinfo(dtype).max:
+            return dtype
+    raise ValueError(f"a tensor of {m} basis elements: its pair indices pass int32")
 
 
 def _value_dtype(values: np.ndarray) -> np.dtype:
@@ -350,9 +412,10 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
     lists one column per (member position j, orbit c), at j*m + c.  For
     each first index a, every factor gives an m x n*m block, its rows
     x_f(a), x_f(b) gathered before its columns; the blocks' product, summed
-    over j, is the slab C_[a]..^..  Each slab's nonzeros are read in C order
-    and the slabs are joined in order of a, so the entries arrive in
-    (a, b, c) order with no sort and no per-entry Python work.  An orbit's
+    over j, is the slab C_[a]..^..  Each slab's nonzero count per b gives
+    row a's pair counts, its nonzeros are read in C order as targets c and
+    values, and the slabs are joined in order of a, so the entries arrive
+    in (a, b, c) order with no sort and no per-entry Python work.  An orbit's
     conjugate is the orbit holding its representative's factorwise
     conjugate.  ``basis`` names the orbits and ``dims`` maps each name to
     its dimension.
@@ -360,7 +423,8 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
     Every slab entry is a sum of n products, so it is at most
     n * prod_f max |D_f|; when that is below 2^31 the blocks are gathered,
     multiplied and summed in int32, else in int64.  Each slab's values are
-    narrowed before the join, as ``SparseTensor`` stores them.
+    narrowed before the join, as ``SparseTensor`` stores them (targets
+    too: uint8 below 257 orbits).
     """
     m, size = len(orbits), len(orbits[0])
     members = np.array(orbits, dtype=np.int64)  # (orbit, position, factor)
@@ -410,9 +474,9 @@ def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     failures = []
     for t in range(ring.spec.n):
         perm = ring.sigma_permutation(t)
-        at = c.k == perm[0]
+        at = np.flatnonzero(c.k == perm[0])
         coeffs = np.zeros((m, m), dtype=np.int64)
-        coeffs[c.i[at], c.j[at]] = c.v[at]
+        coeffs[_entry_pairs(c, at)] = c.v[at]
         expected = np.zeros((m, m), dtype=np.int64)
         expected[np.arange(m), perm] = 1
         wrong = np.argwhere(coeffs[conj] != expected).tolist()
@@ -468,33 +532,30 @@ def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
     """
     out = []
     m = tensor.shape[0]
-    i, j, k, v = tensor.i, tensor.j, tensor.k, tensor.v
+    ptr, k, v = tensor.pair_ptr, tensor.k, tensor.v
     negative = v.size > 0 and v.min() < 0
     if negative:
         out.append("negative structure constant")
     basis = np.arange(m)
-    unit_row = slice(0, np.searchsorted(i, 1))  # the entries with i = 0
-    if not _ones_exactly_at(j[unit_row], k[unit_row], v[unit_row], basis, basis):
+    unit_row = slice(0, int(ptr[m]))  # the entries with i = 0
+    unit_cols = tensor.positions(0, unit_row.stop)[1]
+    if not _ones_exactly_at(unit_cols, k[unit_row], v[unit_row], basis, basis):
         out.append("unit row is not the identity permutation")
-    # the run of pair p = i * m + j is entries ptr[p] to ptr[p + 1]
-    ptr = tensor.pair_ptr
     pair_sizes = np.diff(ptr).reshape(m, m)
     commutative = np.array_equal(pair_sizes, pair_sizes.T)
     # equal run lengths: entry r of run (i, j) must equal entry r of (j, i),
     # compared ENTRY_CHUNK entries at a time
-    for start in range(0, v.size if commutative else 0, ENTRY_CHUNK):
-        run = slice(start, start + ENTRY_CHUNK)
-        rows, cols = i[run], j[run]
+    for run, rows, cols in tensor.chunks() if commutative else ():
         mirror = ptr[cols * m + rows] - ptr[rows * m + cols]
-        mirror += np.arange(start, start + len(rows), dtype=mirror.dtype)
+        mirror += np.arange(run.start, run.stop, dtype=mirror.dtype)
         if not (np.array_equal(k[mirror], k[run]) and np.array_equal(v[mirror], v[run])):
             commutative = False
             break
     if not commutative:
         out.append("commutativity fails")
-    to_unit = k == 0
+    to_unit = np.flatnonzero(k == 0)
     conj_rows = np.arange(len(conj_perm))
-    if not _ones_exactly_at(i[to_unit], j[to_unit], v[to_unit], conj_rows, conj_perm):
+    if not _ones_exactly_at(*_entry_pairs(tensor, to_unit), v[to_unit], conj_rows, conj_perm):
         out.append("conjugation axiom N_ij^0 = delta(j, conj i) fails")
     if not commutative:
         return out
@@ -521,13 +582,10 @@ def _magnitude_row_sums(tensor: SparseTensor) -> np.ndarray:
     m = tensor.shape[0]
     ptr = tensor.pair_ptr
     sums = np.zeros(m * m, dtype=np.int64)
-    # the first pair starting at or after each chunk's first entry
-    cuts = np.searchsorted(ptr, np.arange(0, tensor.v.size, ENTRY_CHUNK)).tolist()
-    for p, q in zip(cuts, cuts[1:] + [m * m]):
+    for p, q in tensor.pair_steps():
         live = np.diff(ptr[p : q + 1]) > 0
-        if live.any():
-            magnitude = np.abs(tensor.v[ptr[p] : ptr[q]], dtype=np.int64)
-            sums[p:q][live] = np.add.reduceat(magnitude, ptr[p:q][live] - ptr[p])
+        magnitude = np.abs(tensor.v[ptr[p] : ptr[q]], dtype=np.int64)
+        sums[p:q][live] = np.add.reduceat(magnitude, ptr[p:q][live] - ptr[p])
     return sums.reshape(m, m)
 
 
@@ -545,7 +603,7 @@ def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool
     """True when the commuting-matrix certificate proves that all fusion
     matrices of the commutative tensor commute; False means undecided."""
     m = tensor.shape[0]
-    i, j, k, v = tensor.i, tensor.j, tensor.k, tensor.v
+    ptr, k, v = tensor.pair_ptr, tensor.k, tensor.v
     # a linear sequence such as 1..m makes A derogatory on symmetric rings
     coeffs = np.arange(1, m + 1) ** 3 % 65521 + 1
     # Python ints: m row sums, each below 2^53, can pass 2^63 in int64
@@ -553,16 +611,15 @@ def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool
     if int(coeffs.max()) * slice_total * int(row_sums.max()) >= 2**53:
         return False
     a = np.zeros(m * m, dtype=np.int64)
-    for start in range(0, v.size, ENTRY_CHUNK):
-        run = slice(start, start + ENTRY_CHUNK)
-        np.add.at(a, j[run] * m + k[run], np.multiply(coeffs[i[run]], v[run], dtype=np.int64))
+    for run, i, j in tensor.chunks():
+        np.add.at(a, j * m + k[run], np.multiply(coeffs[i], v[run], dtype=np.int64))
     a = a.reshape(m, m)
     a_float = a.astype(np.float64)
-    row_starts = tensor.pair_ptr[::m]  # row i is entries row_starts[i] on
+    row_starts = ptr[::m].tolist()  # row i is entries row_starts[i] on
     n_k = np.zeros((m, m))
     for start, stop in zip(row_starts[:-1], row_starts[1:]):
         n_k[:] = 0
-        n_k[j[start:stop], k[start:stop]] = v[start:stop]
+        n_k[tensor.positions(start, stop)[1], k[start:stop]] = v[start:stop]
         if not np.array_equal(a_float @ n_k, n_k @ a_float):
             return False
     del a_float, n_k

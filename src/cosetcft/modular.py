@@ -56,7 +56,10 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
 
     The Weyl characters are determinants of N x N phase matrices, built a
     few rows of m at a time (PHASE_BATCH), so no (m, m, N, N) array is held
-    beyond that size; ``vacuum_row`` holds the phases to their budget."""
+    beyond that size; ``vacuum_row`` holds the phases to their budget.  The
+    characters and then the entries are formed in place in the determinants'
+    m x m buffer, so the matrix is built in one buffer beside the m x m
+    trace fix."""
     n, k = spec.n, spec.k
     h = k + n
     s0 = np.array(vacuum_row(spec))  # refuses a spec over the budget
@@ -82,11 +85,14 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
         dets[start : start + step] = np.linalg.det(table[exponents])
     vac = 0  # lexicographic enumeration puts the zero labels first
     sums = tvecs.sum(axis=1)
-    trace_fix = np.exp(
-        (2j * np.pi / (n * h)) * np.outer(sums - sums[vac], sums)
-    )
-    chars = dets / dets[vac][None, :] * trace_fix
-    entries = s0[None, :] * chars
+    trace_fix = (2j * np.pi / (n * h)) * np.outer(sums - sums[vac], sums)
+    np.exp(trace_fix, out=trace_fix)
+    # characters, then entries, formed in the one buffer
+    dets /= dets[vac].copy()
+    dets *= trace_fix
+    del trace_fix
+    dets *= s0
+    entries = dets
 
     if unitarity_residual(entries) > UNITARY_TOL:
         raise ArithmeticError(f"S-matrix for su({n})_{k} failed unitarity")
@@ -100,7 +106,9 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
 
 def unitarity_residual(entries: np.ndarray) -> float:
     """Largest entry of |S S^dagger - 1| for a square complex matrix S."""
-    return float(np.abs(entries @ entries.conj().T - np.eye(len(entries))).max())
+    product = entries @ entries.conj().T
+    product.flat[:: len(entries) + 1] -= 1  # the diagonal, in place
+    return float(np.abs(product).max())
 
 
 def asymptotic_dimension(s: SMatrix, w: Weight) -> float:

@@ -67,25 +67,34 @@ def sigma_covariant(tensor: SparseTensor, perm: np.ndarray) -> bool:
     keeps the entries: the entries (perm[i], j, perm[k], v) are the entries
     (i, j, k, v).
 
-    The moved positions' int64 keys (perm[i] m + j) m + perm[k], put in
-    increasing order, must be the unmoved keys, which the (i, j, k) order
-    already sorts, and the values must come along in the same order.  The
-    positions are distinct, so that order is unique, whatever the values."""
+    Row i's entries move to row perm[i], whose pair sizes must be row i's;
+    then entry e of row i moves to entry e + shift[i] of row perm[i].  The
+    check goes a step of whole pair runs at a time: the step's moved keys
+    (i m + j) m + perm[k], put in increasing order, must be the keys
+    (i m + j) m + k of the entries they move to, which the (j, k) order of
+    each row already sorts, and the values must come along in the same
+    order.  The positions are distinct, so that order is unique, whatever
+    the values.  The int64 keys are one step long, never nnz long."""
     m = tensor.shape[0]
-    i, j, k, v = tensor.i, tensor.j, tensor.k, tensor.v
-
-    def keys(rows, cols):
-        key = rows.astype(np.int64)
+    ptr, k, v = tensor.pair_ptr, tensor.k, tensor.v
+    sizes = np.diff(ptr).reshape(m, m)
+    if not np.array_equal(sizes[perm], sizes):
+        return False
+    row_ptr = ptr[::m]
+    shift = row_ptr[perm] - row_ptr[:-1]
+    for run, i, j in tensor.chunks():
+        key = i.astype(np.int64)
         key *= m
         key += j
         key *= m
-        key += cols
-        return key
-
-    moved = keys(perm[i], perm[k])
-    order = moved.argsort()
-    moved = moved[order]
-    return np.array_equal(moved, keys(i, k)) and np.array_equal(v[order], v)
+        moved = perm[k[run]] + key
+        order = moved.argsort()
+        there = np.arange(run.start, run.stop) + shift[i]
+        if not (
+            np.array_equal(moved[order], k[there] + key) and np.array_equal(v[run][order], v[there])
+        ):
+            return False
+    return True
 
 
 def check_fusion(config: Config, specs) -> VerificationReport:

@@ -355,7 +355,10 @@ def materialised(constants):
     """Oracle: the structure constants as the {"a*b": {"c": N}} dict that
     the JSON document names, filled one entry at a time."""
     out = {}
-    entries = zip(*(x.tolist() for x in (constants.i, constants.j, constants.k)))
+    m = constants.shape[0]
+    # each entry's pair, from the run lengths alone
+    pair = np.repeat(np.arange(m * m), np.diff(constants.pair_ptr))
+    entries = zip(*(x.tolist() for x in (*np.divmod(pair, m), constants.k)))
     for (a, b, c), v in zip(entries, constants.v.tolist()):
         out.setdefault(f"{a}*{b}", {})[str(c)] = v
     return out

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosetcft import (
@@ -147,10 +148,20 @@ class TestRingAxioms:
             assert fuse(phased, i, j) == fuse(fusion_ring(sm.spec), i, j)
 
 def sparse_of(tensor):
-    """The nonzero entries of a dense m x m x m tensor as a SparseTensor;
-    np.nonzero lists them in C order, which is (i, j, k) order."""
-    nonzero = np.nonzero(tensor)
-    return SparseTensor(tensor.shape, *nonzero, tensor[nonzero])
+    """The nonzero entries of a dense m x m x m tensor as a SparseTensor with
+    int64 targets and values; np.nonzero lists them in C order, which is
+    (i, j, k) order."""
+    m = len(tensor)
+    i, j, k = np.nonzero(tensor)
+    ptr = np.searchsorted(i * m + j, np.arange(m * m + 1)).astype(np.int32)
+    return SparseTensor(tensor.shape, ptr, k, tensor[i, j, k])
+
+
+def entry_pairs(t: SparseTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Reference positions, independent of ``SparseTensor.positions``: each
+    entry's pair index, repeated from the run lengths, split into (i, j)."""
+    m = t.shape[0]
+    return np.divmod(np.repeat(np.arange(m * m), np.diff(t.pair_ptr)), m)
 
 
 def verlinde_rows(sm):
@@ -244,9 +255,10 @@ class TestRowByRow:
         ring = verlinde_tensor(sm)
         t = ring.constants
         row_ptr = t.pair_ptr[:: len(sm.basis)].tolist()
+        cols = entry_pairs(t)[1]
         for i, want in enumerate(verlinde_rows(sm)):
             run = slice(row_ptr[i], row_ptr[i + 1])
-            assert all(map(np.array_equal, (t.j[run], t.k[run], t.v[run]), want)), i
+            assert all(map(np.array_equal, (cols[run], t.k[run], t.v[run]), want)), i
         assert row_ptr[-1] == t.v.size
         assert ring.conj == tuple(sm.index(conjugate_weight(w)) for w in sm.basis)
         assert ring.dims == {w: quantum_dimension(sm, w) for w in sm.basis}
@@ -988,7 +1000,8 @@ class TestSparseTensor:
         assert np.array_equal(sparse.dense(), loop_dense(ring.table, m))
         again = sparse_of(sparse.dense())
         assert again == sparse
-        key = (sparse.i * m + sparse.j) * m + sparse.k
+        i, j = entry_pairs(sparse)
+        key = (i.astype(np.int64) * m + j) * m + sparse.k
         assert (np.diff(key) > 0).all()
         # rings built twice hold equal constants and compare equal
         assert build() == ring
@@ -1002,6 +1015,93 @@ class TestSparseTensor:
         sparse = tensor_of(table, len(ring.basis))
         assert sparse == sparse_of(ring.constants.dense())
         assert (sparse.v != 0).all()
+
+
+@st.composite
+def pair_runs(draw):
+    """Run offsets of up to 5 x 5 pairs, most runs empty (so whole rows and
+    the first or last pair often are), and a range of entries, each end
+    either a run start or anywhere from 0 to nnz."""
+    m = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=m * m, max_size=m * m))
+    ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
+    nnz = int(ptr[-1])
+    end = st.one_of(st.sampled_from(ptr.tolist()), st.integers(0, nnz))
+    start, stop = sorted((draw(end), draw(end)))
+    tensor = SparseTensor((m, m, m), ptr, np.zeros(nnz, dtype=np.uint8), np.ones(nnz, np.int8))
+    return tensor, start, stop
+
+
+class TestPositions:
+    @settings(max_examples=300, deadline=None)
+    @given(pair_runs())
+    def test_matches_the_repeated_pair_indices(self, case):
+        t, start, stop = case
+        m = t.shape[0]
+        want_i, want_j = entry_pairs(t)
+        i, j = t.positions(start, stop)
+        assert i.dtype == j.dtype == np.int32
+        assert np.array_equal(i, want_i[start:stop]) and np.array_equal(j, want_j[start:stop])
+
+    @pytest.mark.parametrize(
+        "sizes,start,stop",
+        [
+            ([0] * 9, 0, 0),  # the empty tensor
+            ([0, 0, 0, 2, 1, 0, 0, 0, 0], 0, 3),  # empty first and last rows
+            ([0, 2, 0, 0, 0, 0, 0, 3, 0], 1, 4),  # empty first and last pairs, cut mid-run
+            ([1, 2, 1, 0, 0, 0, 0, 0, 1], 3, 3),  # start == stop
+            ([1, 2, 1, 0, 0, 0, 0, 0, 1], 1, 4),  # cut at run starts
+            ([1, 2, 1, 0, 0, 0, 0, 0, 1], 2, 5),  # from mid-run to the end
+        ],
+    )
+    def test_edges(self, sizes, start, stop):
+        ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
+        t = SparseTensor((3, 3, 3), ptr, np.zeros(ptr[-1], np.uint8), np.ones(ptr[-1], np.int8))
+        pair = np.repeat(np.arange(9), sizes)[start:stop]
+        i, j = t.positions(start, stop)
+        assert i.tolist() == (pair // 3).tolist() and j.tolist() == (pair % 3).tolist()
+
+
+    def test_chunks_are_whole_runs_covering_the_entries(self):
+        t = coset_ring(CosetSpec(3, 3, 2)).constants
+        m, run_starts = t.shape[0], set(t.pair_ptr.tolist())
+        pair = np.repeat(np.arange(m * m), np.diff(t.pair_ptr))
+        covered = 0
+        for run, i, j in t.chunks():
+            assert run.start == covered < run.stop and run.stop in run_starts
+            assert run.stop - run.start < fusion.ENTRY_CHUNK + m
+            assert np.array_equal(i * m + j, pair[run])
+            covered = run.stop
+        assert covered == t.v.size > 6 * fusion.ENTRY_CHUNK
+
+
+class TestIndexChecks:
+    """su(3)_2 has 6 weights: no index may alias another pair or target."""
+
+    @pytest.mark.parametrize(
+        "i,j,k", [(0, 6, 1), (-1, 0, 3), (5, 6, 0)], ids=["j=m", "i=-1", "past-the-end"]
+    )
+    def test_coeff_refuses_a_pair_outside_the_ring(self, i, j, k):
+        ring = fusion_ring(AlgebraSpec.su(3, 2))
+        with pytest.raises(IndexError, match=rf"pair \({i}, {j}\) outside"):
+            ring.coeff(i, j, k)
+        with pytest.raises(IndexError, match=rf"pair \({i}, {j}\) outside"):
+            ring.constants.run(i, j)
+
+    @pytest.mark.parametrize("k", [6, -1])
+    def test_coeff_refuses_a_target_outside_the_ring(self, k):
+        ring = fusion_ring(AlgebraSpec.su(3, 2))
+        with pytest.raises(IndexError, match=f"target {k} outside"):
+            ring.coeff(1, 1, k)
+
+    @pytest.mark.parametrize(
+        "i,j,k",
+        [([0, 0], [0, 5], [0, 1]), ([0, -1], [0, 0], [0, 1]), ([0], [0], [256])],
+        ids=["j=5", "i=-1", "k=256"],
+    )
+    def test_from_entries_refuses_a_position_outside_the_ring(self, i, j, k):
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            SparseTensor.from_entries(3, i, j, k, [1] * len(i))
 
 
 def test_check_fusion_reports_broken_covariance(monkeypatch):
@@ -1036,7 +1136,7 @@ def covariance_case(values=None):
     ring = fusion_ring(AlgebraSpec.su(3, 2))
     t = ring.constants
     if values is not None:
-        t = SparseTensor(t.shape, t.i, t.j, t.k, np.asarray(values, dtype=np.int64))
+        t = SparseTensor(t.shape, t.pair_ptr, t.k, np.asarray(values, dtype=np.int64))
     return t, np.array(ring.sigma_permutation(1), dtype=np.int32)
 
 
@@ -1046,7 +1146,8 @@ def test_check_fusion_reports_a_changed_value(monkeypatch):
     # the moved entries from the unmoved ones
     ring = fusion_ring(AlgebraSpec.su(3, 2))
     t = ring.constants
-    at = int(np.flatnonzero((t.i == t.j) & (t.i > 0))[0])
+    i, j = t.positions(0, t.v.size)
+    at = int(np.flatnonzero((i == j) & (i > 0))[0])
     values = t.v.copy()
     values[at] = 2
     changed, perm = covariance_case(values)
@@ -1094,6 +1195,26 @@ class TestCovariance:
         assert verify.sigma_covariant(t, perm) == np.array_equal(
             dense[perm][:, :, perm], dense
         )
+
+
+    def test_across_chunks(self):
+        # su(4)_6 takes three steps of whole pair runs: every sigma power
+        # keeps its entries, a swap of two weights does not, and a value
+        # changed in the last step is seen
+        ring = fusion_ring(AlgebraSpec.su(4, 6))
+        t, m = ring.constants, len(ring.basis)
+        assert len(list(t.chunks())) == 3
+        swap = np.arange(m, dtype=np.int32)
+        swap[[1, 2]] = swap[[2, 1]]
+        sigma = [np.array(ring.sigma_permutation(p), dtype=np.int32) for p in (1, 2, 3)]
+        values = t.v.copy()
+        values[-1] += 1
+        changed = SparseTensor(t.shape, t.pair_ptr, t.k, values)
+        for tensor, perm in [(t, p) for p in sigma] + [(t, swap), (changed, sigma[0])]:
+            dense = tensor.dense()
+            want = np.array_equal(dense[perm][:, :, perm], dense)
+            assert verify.sigma_covariant(tensor, perm) == want
+            assert want == (tensor is t and perm is not swap)
 
 
 class TestCovarianceGuard:
@@ -1151,15 +1272,26 @@ RING_CONSTRUCTORS = {
 
 
 class TestDtypeContract:
-    """int32 positions, and values in the narrowest signed integer type that
-    holds them: int8 on each ring below, 13 bytes a nonzero."""
+    """Runs over the (i, j) pairs: int32 offsets, targets in the narrowest
+    unsigned type that holds m - 1, and values in the narrowest signed type
+    that holds them: uint8 and int8 on each ring below, 2 bytes a nonzero
+    beside 4 (m^2 + 1) bytes of offsets."""
 
     @pytest.mark.parametrize("name", RING_CONSTRUCTORS)
     def test_int32_positions_int64_values(self, name):
         t = RING_CONSTRUCTORS[name]().constants
-        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int8]
-        assert t.v.size and t.i.nbytes + t.j.nbytes + t.k.nbytes + t.v.nbytes == 13 * t.v.size
-        assert t.pair_ptr.dtype == np.int32
+        m = t.shape[0]
+        assert [x.dtype for x in (t.pair_ptr, t.k, t.v)] == [np.int32, np.uint8, np.int8]
+        assert t.pair_ptr.shape == (m * m + 1,) and t.pair_ptr[-1] == t.v.size > 0
+        assert t.k.nbytes + t.v.nbytes == 2 * t.v.size
+        assert [f.name for f in dataclasses.fields(t)] == ["shape", "pair_ptr", "k", "v"]
+
+    def test_targets_take_the_narrowest_unsigned_dtype(self):
+        assert fusion._position_dtype(256) == np.uint8
+        assert fusion._position_dtype(257) == fusion._position_dtype(2**16) == np.uint16
+        # beyond 2^16 elements the int32 pair indices would wrap long before
+        with pytest.raises(ValueError, match="pass int32"):
+            fusion._position_dtype(2**16 + 1)
 
     def test_from_entries_sorts_on_int64_keys(self):
         # (i m + j) m + k passes 2^31 for most of these: int32 keys would wrap
@@ -1171,22 +1303,25 @@ class TestDtypeContract:
         assert (537 * m) * m > 2**31 > (536 * m) * m + 5
         i, j, k, v = (np.array(x, dtype=np.int64) for x in zip(*entries))
         t = SparseTensor.from_entries(m, i, j, k, v)
-        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int8]
-        got = list(zip(*(x.tolist() for x in (t.i, t.j, t.k, t.v))))
+        assert [x.dtype for x in (t.pair_ptr, t.k, t.v)] == [np.int32, np.uint16, np.int8]
+        got = list(zip(*(x.tolist() for x in (*entry_pairs(t), t.k, t.v))))
         assert got == sorted(entries)
         assert t.to_table()[(537, 0)] == {0: 2, 1: 7}
 
     def test_from_rows_stores_the_contract_dtypes(self):
-        rows = [(np.array([0]), np.array([0]), np.array([1], dtype=np.int32))] * 2
+        counts = np.array([1, 0])
+        rows = [(counts, np.array([0]), np.array([1], dtype=np.int32))] * 2
         t = SparseTensor.from_rows(rows)
-        assert [x.dtype for x in (t.i, t.j, t.k, t.v)] == [np.int32] * 3 + [np.int8]
+        assert [x.dtype for x in (t.pair_ptr, t.k, t.v)] == [np.int32, np.uint8, np.int8]
+        assert t.pair_ptr.tolist() == [0, 1, 1, 2, 2]
         # the joined values take the widest row's narrowest dtype
         rows = [
-            (np.array([0]), np.array([1]), np.array([-129], dtype=np.int64)),
-            (np.array([], dtype=np.int64),) * 3,
+            (np.array([0, 1]), np.array([1]), np.array([-129], dtype=np.int64)),
+            (np.array([0, 0]),) + (np.array([], dtype=np.int64),) * 2,
         ]
         t = SparseTensor.from_rows(rows)
         assert t.v.dtype == np.int16 and t.v.tolist() == [-129]
+        assert t.to_table() == {(0, 1): {1: -129}}
 
 
 # values on both sides of each width's limits, and the dtype each needs
@@ -1207,34 +1342,63 @@ def narrowest_dtype(v):
 
 
 def widened(t: SparseTensor) -> SparseTensor:
-    """The same entries with their values forced to int64."""
-    return SparseTensor(t.shape, t.i, t.j, t.k, t.v.astype(np.int64))
+    """The same entries with their targets forced to int32 and their values
+    to int64."""
+    return SparseTensor(t.shape, t.pair_ptr, t.k.astype(np.int32), t.v.astype(np.int64))
 
 
-def consumer_outputs(t: SparseTensor, conj, perm) -> list:
-    """What every reader of the values makes of a tensor."""
-    m = t.shape[0]
-    ring = fusion.BasedRing(tuple(range(m)), t, tuple(conj), {b: 1 + b / 3 for b in range(m)})
-    coeffs = [ring.coeff(*x) for x in itertools.product(range(m), repeat=3)]
-    return [
-        ring_axiom_failures(t, conj),
+def consumer_outputs(ring: fusion.BasedRing, perm, whole: bool = True) -> list:
+    """What every reader of the targets and values makes of a ring's
+    constants: its fusion ring's simple-current check too, when it is one.
+    The JSON text and the table lines are compared by digest.  With
+    ``whole`` false, as for a ring of 256 elements (2.8 million nonzeros),
+    the coefficients are read only at every target of the pairs of its
+    first two and last two elements, and the table is read only as its
+    lines, never built as one dict."""
+    t, m = ring.constants, len(ring.basis)
+    edges = range(m) if whole else (0, 1, m - 2, m - 1)
+    coeffs = [ring.coeff(i, j, k) for i in edges for j in edges for k in range(m)]
+    digests = []
+    for pieces in (cli._constants_json(t, "  "), cli._constants_lines(t)):
+        digest = hashlib.sha256()
+        for piece in pieces:
+            digest.update(piece.encode())
+        digests.append(digest.hexdigest())
+    largest = fusion._largest_magnitude(t.v)
+    outputs = [
+        ring_axiom_failures(t, ring.conj),
+        largest**2 < 2**53 and fusion._fusion_matrices_commute(t, fusion._magnitude_row_sums(t)),
         dimension_homomorphism_residual(ring),
         verify.sigma_covariant(t, np.asarray(perm, dtype=np.int32)),
-        t.to_table(),
         coeffs,
-        "".join(cli._constants_json(t, "  ")),
+        *digests,
     ]
+    if whole:
+        outputs.append(t.to_table())
+    if isinstance(ring, fusion.FusionRing):
+        outputs.append(simple_current_check(ring))
+    return outputs
+
+
+def narrow_ring(t: SparseTensor, conj) -> fusion.BasedRing:
+    """A based ring on 0, 1, ... holding ``t``, with dimensions 1 + b / 3."""
+    m = t.shape[0]
+    return fusion.BasedRing(tuple(range(m)), t, tuple(conj), {b: 1 + b / 3 for b in range(m)})
+
+
+def widened_ring(ring: fusion.BasedRing) -> fusion.BasedRing:
+    return dataclasses.replace(ring, constants=widened(ring.constants))
 
 
 @st.composite
 def narrow_cases(draw):
-    """A tensor from the ring strategies above, stored at its narrowest
-    width, with a conjugation and a basis permutation."""
+    """A ring on a tensor from the ring strategies above, stored at its
+    narrowest width, and a basis permutation."""
     kind = draw(st.sampled_from(["small", "commutative", "verlinde", "covariance"]))
     if kind == "covariance":
         t, perm = draw(covariance_cases())
         m = t.shape[0]
-        return t, draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)), perm
+        return narrow_ring(t, draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))), perm
     if kind == "small":
         tensor, conj = draw(small_tensors())
     elif kind == "commutative":
@@ -1245,19 +1409,33 @@ def narrow_cases(draw):
     m = len(tensor)
     nonzero = np.nonzero(tensor)
     t = SparseTensor.from_entries(m, *nonzero, tensor[nonzero])
-    return t, conj, draw(st.permutations(range(m)))
+    return narrow_ring(t, conj), draw(st.permutations(range(m)))
+
+
+# su(2)_255: 256 weights, the largest basis any builder admits (m^3 =
+# DENSE_BUDGET), so its targets reach 255, the top of uint8
+LARGEST_RING = AlgebraSpec.su(2, 255)
 
 
 class TestNarrowValues:
     """A tensor stored at its narrowest width reads the same, to every
-    consumer of its values, as the same entries held in int64."""
+    consumer of its targets and values, as the same entries held with int32
+    targets and int64 values."""
 
     @settings(max_examples=150, deadline=None)
     @given(narrow_cases())
+    @example(case=LARGEST_RING)
     def test_every_consumer_matches_int64(self, case):
-        t, conj, perm = case
-        assert t.v.dtype == narrowest_dtype(t.v)
-        assert consumer_outputs(t, conj, perm) == consumer_outputs(widened(t), conj, perm)
+        # a spec stands for its fusion ring, permuted by sigma
+        whole = not isinstance(case, AlgebraSpec)
+        if not whole:
+            ring = fusion_ring(case)
+            case = ring, ring.sigma_permutation(1)
+            assert ring.constants.k.dtype == np.uint8 and ring.constants.k.max() == 255
+        ring, perm = case
+        assert ring.constants.v.dtype == narrowest_dtype(ring.constants.v)
+        narrow = consumer_outputs(ring, perm, whole)
+        assert narrow == consumer_outputs(widened_ring(ring), perm, whole)
 
     @pytest.mark.parametrize(
         "value,dtype", WIDTH_BOUNDARIES, ids=[str(value) for value, _ in WIDTH_BOUNDARIES]
@@ -1274,15 +1452,15 @@ class TestNarrowValues:
         t = tensor_of(table, len(ring.basis))
         assert t.v.dtype == dtype
         perm = ring.sigma_permutation(1)
-        want = consumer_outputs(widened(t), ring.conj, perm)
-        assert consumer_outputs(t, ring.conj, perm) == want
+        changed = dataclasses.replace(ring, constants=t)
+        assert consumer_outputs(changed, perm) == consumer_outputs(widened_ring(changed), perm)
 
 
 def z2_ring(square, dtype=np.int64) -> SparseTensor:
     """Z2's group ring with N_11^0 = ``square`` in place of 1, its values
     stored as ``dtype``."""
-    i, j, k = np.array([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)], dtype=np.int32).T
-    return SparseTensor((2, 2, 2), i, j, k, np.array([1, 1, 1, square], dtype=dtype))
+    ptr, k = np.array([0, 1, 2, 3, 4], dtype=np.int32), np.array([0, 1, 1, 0], dtype=np.uint8)
+    return SparseTensor((2, 2, 2), ptr, k, np.array([1, 1, 1, square], dtype=dtype))
 
 
 class TestMagnitudes:
@@ -1328,8 +1506,9 @@ class TestMagnitudes:
         assert t.v.size > 6 * fusion.ENTRY_CHUNK
         v = np.where(t.k % 3 == 0, -128, t.v).astype(np.int8)
         want = np.zeros(m * m, dtype=np.int64)
-        np.add.at(want, t.i.astype(np.int64) * m + t.j, np.abs(v.astype(np.int64)))
-        got = fusion._magnitude_row_sums(SparseTensor(t.shape, t.i, t.j, t.k, v))
+        i, j = entry_pairs(t)
+        np.add.at(want, i.astype(np.int64) * m + j, np.abs(v.astype(np.int64)))
+        got = fusion._magnitude_row_sums(SparseTensor(t.shape, t.pair_ptr, t.k, v))
         assert np.array_equal(got, want.reshape(m, m))
 
 
@@ -1345,12 +1524,14 @@ def traced_peak(run) -> int:
 class TestMemoryBounds:
     """Traced peaks (numpy reports its allocations to tracemalloc).  The
     bounds on the rings and their checks sit about 16% over the peaks
-    measured with int8 values and numpy 2.4, and below the peaks with int64
-    values noted beside them."""
+    measured with runs over pairs (uint8 targets, int8 values) and numpy
+    2.4, and below the peaks with int32 positions i, j, k noted beside
+    them."""
 
     def test_check_fusion_desk_sweep(self):
-        # 2.24 MiB; 2.78 MiB with int64 values, 6.89 MiB with int64
-        # positions and a sorted second tensor per power
+        # 1.25 MiB; 2.24 MiB with int32 positions and int64 position keys
+        # for the covariance check, 2.78 MiB with int64 values as well,
+        # 6.89 MiB with int64 positions and a sorted second tensor per power
         for n, k in DESK_SPECS:
             s_matrix(AlgebraSpec.su(n, k))
         fusion_ring.cache_clear()
@@ -1360,12 +1541,13 @@ class TestMemoryBounds:
             nonlocal report
             report = verify.check_fusion(Config(), DESK_SPECS)
 
-        assert traced_peak(run) < 2.6 * 2**20
+        assert traced_peak(run) < 1.45 * 2**20
         assert report.passed
 
     def test_coset_ring_and_axioms(self):
-        # 2.76 MiB; 3.70 MiB with int64 values and offsets, 7.6 MiB with
-        # int64 positions and whole-tensor mirror indices
+        # 1.66 MiB; 2.76 MiB with int32 positions, 3.70 MiB with int64
+        # values and offsets as well, 7.6 MiB with int64 positions and
+        # whole-tensor mirror indices
         for spec in CosetSpec(3, 3, 2).factor_specs():
             s_matrix(spec)
         fusion_ring.cache_clear()
@@ -1373,23 +1555,26 @@ class TestMemoryBounds:
         def run():
             assert coset_ring(CosetSpec(3, 3, 2)).axiom_failures() == []
 
-        assert traced_peak(run) < 3.2 * 2**20
+        assert traced_peak(run) < 1.95 * 2**20
 
     def test_coset_ring_build_holds_its_constants_once(self):
-        # 2.28 MiB; 3.62 MiB with int64 values and gather blocks, 4.70 MiB
-        # while the row arrays and the whole joined tensor were held together
+        # 1.26 MiB; 2.28 MiB with int32 positions and int64 np.nonzero
+        # indices per slab, 3.62 MiB with int64 values and gather blocks as
+        # well, 4.70 MiB while the row arrays and the whole joined tensor
+        # were held together
         spec = CosetSpec(3, 3, 2)
         coset_ring(spec)  # the factor rings stay cached
-        assert traced_peak(lambda: coset_ring(spec)) < 2.65 * 2**20
+        assert traced_peak(lambda: coset_ring(spec)) < 1.46 * 2**20
 
     def test_commuting_certificate(self):
-        # 1.26 MiB while the float copies lived through the Krylov step and
-        # the elimination worked on a copy
+        # 0.85 MiB (0.94 MiB with int32 positions); 1.26 MiB while the float
+        # copies lived through the Krylov step and the elimination worked
+        # on a copy
         tensor = coset_ring(CosetSpec(3, 3, 2)).constants
         m = tensor.shape[0]
         row_sums = np.zeros(m * m, dtype=np.int64)
-        np.add.at(row_sums, tensor.i.astype(np.int64) * m + tensor.j, tensor.v)
-        tensor.pair_ptr  # cached before tracing
+        i, j = tensor.positions(0, tensor.v.size)
+        np.add.at(row_sums, i.astype(np.int64) * m + j, tensor.v)
         assert traced_peak(
             lambda: fusion._fusion_matrices_commute(tensor, row_sums.reshape(m, m))
         ) < 2**20

@@ -96,6 +96,21 @@ class TestRowByRow:
             tracemalloc.stop()
         assert peak < m * m * spec.n**2 * 16  # the complex (m, m, N, N) phases
 
+    def test_warm_build_holds_one_matrix_and_its_trace_fix(self):
+        # 1.47 MiB with numpy 2.4: the characters and entries formed in the
+        # determinants' buffer, 1 subtracted on the diagonal of S S^dagger
+        # in place; 2.71 MiB with a new array per step, np.eye and the
+        # difference matrix
+        spec = AlgebraSpec.su(4, 8)
+        s_matrix(spec)  # the weights and the vacuum row stay cached
+        tracemalloc.start()
+        try:
+            s_matrix.__wrapped__(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 2**20
+
 
 class TestDimensions:
     def test_vacuum_asymptotic(self):
