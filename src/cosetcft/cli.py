@@ -298,46 +298,41 @@ def _constants_json(t: fusion.SparseTensor, indent: str):
     the decimal-string order of (a, b) and each payload in that of c."""
     import numpy as np
 
-    if not t.v.size:
-        yield "{}"
-        return
     m = t.shape[0]
     names = [str(x) for x in range(m)]
     order = sorted(range(m), key=str)
     rank = np.empty(m, dtype=np.int64)  # each index's place in that order
     rank[order] = np.arange(m)
-    row_ptr = t.pair_ptr[::m].tolist()  # row a is entries row_ptr[a] to row_ptr[a + 1]
     pair_line = "\n" + indent + "  "
     entry_line = ",\n" + indent + "    "
     head = "{" + pair_line
     for a in order:
-        run = slice(row_ptr[a], row_ptr[a + 1])
-        j, k = t.positions(run.start, run.stop)[1], t.k[run]
+        j, k, v = t.row(a)
         by_name = np.argsort(rank[j] * m + rank[k])
         parts, last = [], None
-        for b, c, v in zip(*(x[by_name].tolist() for x in (j, k, t.v[run]))):
+        for b, c, x in zip(*(y[by_name].tolist() for y in (j, k, v))):
             if b != last:
                 parts.append(f'{head}"{names[a]}*{names[b]}": {{{entry_line[1:]}')
                 head, last = pair_line + "}," + pair_line, b
             else:
                 parts.append(entry_line)
-            parts.append(f'"{names[c]}": {v}')
+            parts.append(f'"{names[c]}": {x}')
         yield "".join(parts)
-    yield pair_line + "}\n" + indent + "}"
+    # head still opens the object when no row held an entry
+    yield "{}" if head[0] == "{" else pair_line + "}\n" + indent + "}"
 
 
 def _constants_lines(t: fusion.SparseTensor):
     """The table lines "a*b: {'c': N, ...}" of the nonzero pairs, in numeric
-    order."""
+    order, read one row at a time."""
     import numpy as np
 
-    m = t.shape[0]
-    ptr = t.pair_ptr.tolist()
-    k, v = t.k.tolist(), t.v.tolist()
-    for p in np.flatnonzero(np.diff(t.pair_ptr)).tolist():
-        run = range(ptr[p], ptr[p + 1])
-        payload = ", ".join(f"'{k[e]}': {v[e]}" for e in run)
-        yield f"{p // m}*{p % m}: {{{payload}}}"
+    for a in range(t.shape[0]):
+        j, k, v = t.row(a)
+        items = [f"'{c}': {x}" for c, x in zip(k.tolist(), v.tolist())]
+        pairs, starts = (x.tolist() for x in np.unique(j, return_index=True))
+        for b, lo, hi in zip(pairs, starts, [*starts[1:], len(items)]):
+            yield f"{a}*{b}: {{{', '.join(items[lo:hi])}}}"
 
 
 def _to_csv(document: dict) -> str:

@@ -97,17 +97,18 @@ class SparseTensor:
     ``pair_ptr[p + 1]`` (int32, m^2 + 1 offsets), whose targets ``k`` are
     distinct and increasing and whose values are ``v``.  The entries are
     therefore in increasing (i, j, k) order, and the positions i and j of
-    an entry are implied by its run: ``positions`` gives them for a range
-    of entries.  ``k`` is stored in the narrowest unsigned type that holds
-    m - 1 (uint8 or uint16: past 2^16 elements the constructors refuse, as
-    the int32 pair indices would wrap), and ``v`` in the narrowest signed
-    type that holds the values; both constructors store these dtypes
-    whatever they are given.  Every builder holds m^3 <= DENSE_BUDGET =
-    2^24, so m <= 256 and ``k`` is uint8; fusion multiplicities are small
-    (at most 14 on su(5)_5 and 4 on the coset (3,3,2)), so values are int8
-    and a nonzero takes 2 bytes beside the 4 (m^2 + 1) bytes of offsets.  Code doing arithmetic on
-    ``k`` or ``v`` widens it first (``j * m + k``, ``perm[k]``, int64 or
-    float64 values): uint8 arithmetic with a Python int wraps silently.
+    an entry are implied by its run.  ``k`` is stored in the narrowest
+    unsigned type that holds m - 1 (uint8 or uint16: past 2^16 elements the
+    constructors refuse, as the int32 pair indices would wrap), and ``v`` in
+    the narrowest signed type that holds the values; both constructors
+    store these dtypes whatever they are given.  Every ring constructor
+    holds m^3 <= DENSE_BUDGET = 2^24, so m <= 256 and ``k`` is uint8; fusion
+    multiplicities are small (at most 14 on su(5)_5 and 4 on the coset
+    (3,3,2)), so values are int8 and a nonzero takes 2 bytes beside the
+    4 (m^2 + 1) bytes of offsets.  The layout is this module's own: other
+    modules read the entries through ``run``, ``row``, ``dense`` and
+    ``to_table``, and code here widens ``k`` or ``v`` before arithmetic
+    (uint8 arithmetic with a Python int wraps silently).
 
     The offsets are int32 because nnz <= m^3 <= 2^24 < 2^31, which
     ``from_rows`` asserts."""
@@ -160,7 +161,7 @@ class SparseTensor:
         assert int(ptr[-1]) == v.size < 2**31, "run offsets are int32"
         return cls((m, m, m), ptr, k, v)
 
-    def positions(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def _positions(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """The int32 positions i and j of entries ``start`` to ``stop``: each
         pair's run, clipped to the range, repeats its pair index."""
         if start >= stop:
@@ -174,7 +175,7 @@ class SparseTensor:
         pair = np.arange(first, end, dtype=np.int32).repeat(bounds[1:] - bounds[:-1])
         return np.divmod(pair, np.int32(self.shape[0]))
 
-    def pair_steps(self):
+    def _pair_steps(self):
         """(p, q) for each step of a pass over the tensor: the pairs p to q,
         whose whole runs hold at least one entry, cut at the first run
         starting at or after each multiple of ENTRY_CHUNK."""
@@ -184,12 +185,12 @@ class SparseTensor:
             if ptr[p] < ptr[q]:
                 yield p, q
 
-    def chunks(self):
-        """(entries, i, j) for each of the ``pair_steps``: the slice of its
+    def _chunks(self):
+        """(entries, i, j) for each of the ``_pair_steps``: the slice of its
         entries and their positions."""
-        for p, q in self.pair_steps():
+        for p, q in self._pair_steps():
             start, stop = int(self.pair_ptr[p]), int(self.pair_ptr[q])
-            yield (slice(start, stop), *self.positions(start, stop))
+            yield (slice(start, stop), *self._positions(start, stop))
 
     def run(self, i: int, j: int) -> slice:
         """The entries of pair (i, j), ordered by k."""
@@ -199,15 +200,26 @@ class SparseTensor:
         p = i * m + j
         return slice(int(self.pair_ptr[p]), int(self.pair_ptr[p + 1]))
 
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row i's entries as (j, k, v) in (j, k) order: int32 j, each j
+        repeated over its pair's run, and int64 k and v, so that arithmetic
+        with a Python int cannot wrap."""
+        m = self.shape[0]
+        if not 0 <= i < m:
+            raise IndexError(f"row {i} outside a tensor of {m} basis elements")
+        ptr = self.pair_ptr[i * m : (i + 1) * m + 1]
+        run = slice(int(ptr[0]), int(ptr[-1]))
+        j = np.arange(m, dtype=np.int32).repeat(np.diff(ptr))
+        return j, self.k[run].astype(np.int64), self.v[run].astype(np.int64)
+
     def to_table(self) -> dict[tuple[int, int], dict[int, int]]:
         """The entries as {(i, j): {k: value}}, in (i, j, k) order."""
-        m = self.shape[0]
-        ptr = self.pair_ptr.tolist()
-        k, v = self.k.tolist(), self.v.tolist()
-        return {
-            divmod(p, m): dict(zip(k[ptr[p] : ptr[p + 1]], v[ptr[p] : ptr[p + 1]]))
-            for p in np.flatnonzero(np.diff(self.pair_ptr)).tolist()
-        }
+        table = {}
+        for i in range(self.shape[0]):
+            entries = zip(*(x.tolist() for x in self.row(i)))
+            for j, pair in itertools.groupby(entries, key=lambda entry: entry[0]):
+                table[i, j] = {k: v for _, k, v in pair}
+        return table
 
     def dense(self) -> np.ndarray:
         """The m x m x m array, held to DENSE_BUDGET before it is allocated."""
@@ -215,7 +227,7 @@ class SparseTensor:
         what = f"the size of the dense array of a ring of {m} basis elements"
         require_budget(m**3, DENSE_BUDGET, what)
         t = np.zeros(self.shape, dtype=np.int64)
-        for run, i, j in self.chunks():
+        for run, i, j in self._chunks():
             t[i, j, self.k[run]] = self.v[run]
         return t
 
@@ -226,12 +238,6 @@ class SparseTensor:
         mine = (self.pair_ptr, self.k, self.v)
         theirs = (other.pair_ptr, other.k, other.v)
         return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
-
-
-def _entry_pairs(tensor: SparseTensor, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions i and j of the entries at the increasing indices ``entries``."""
-    pair = np.searchsorted(tensor.pair_ptr, entries, side="right") - 1
-    return np.divmod(pair, tensor.shape[0])
 
 
 def _row_nonzeros(block: np.ndarray) -> list[tuple[np.ndarray, ...]]:
@@ -426,6 +432,8 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
     narrowed before the join, as ``SparseTensor`` stores them (targets
     too: uint8 below 257 orbits).
     """
+    if not orbits:
+        raise ValueError("need at least one orbit: every ring keeps its unit at index 0")
     m, size = len(orbits), len(orbits[0])
     members = np.array(orbits, dtype=np.int64)  # (orbit, position, factor)
     reps = members[:, 0]
@@ -476,10 +484,8 @@ def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
         perm = ring.sigma_permutation(t)
         at = np.flatnonzero(c.k == perm[0])
         coeffs = np.zeros((m, m), dtype=np.int64)
-        coeffs[_entry_pairs(c, at)] = c.v[at]
-        expected = np.zeros((m, m), dtype=np.int64)
-        expected[np.arange(m), perm] = 1
-        wrong = np.argwhere(coeffs[conj] != expected).tolist()
+        coeffs.reshape(-1)[np.searchsorted(c.pair_ptr, at, side="right") - 1] = c.v[at]
+        wrong = np.argwhere(coeffs[conj] != np.eye(m, dtype=np.int64)[perm]).tolist()
         failures.extend((t, i, ip) for i, ip in wrong)
     return SimpleCurrentReport(not failures, ring.spec.n * m * m, failures)
 
@@ -525,27 +531,39 @@ def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
     every entry is at most max_ij sum_m |N_ij^m| * max |N|, and when that
     bound reaches 2^53 the check reports a failure instead of contracting.
 
-    The unit, commutativity and conjugation checks compare the nonzero
-    entries as arrays, and the certificate builds one m x m fusion matrix at
-    a time, so memory is O(nnz + m^2).  Only the scan makes an m x m x m
+    The unit and conjugation axioms are read off the m^2 run starts, as a
+    target 0 is always the first entry of its run: each pair (0, j) holds
+    one entry, j valued 1, and each pair (i, conj i) starts with 0 valued 1,
+    with exactly m runs starting at 0.  Commutativity compares the nonzero
+    entries as arrays, and the certificate builds one m x m fusion matrix
+    at a time, so memory is O(nnz + m^2).  Only the scan makes an m x m x m
     array, held to DENSE_BUDGET.
     """
     out = []
     m = tensor.shape[0]
+    if not m:
+        raise ValueError("need at least one basis element: every ring keeps its unit at index 0")
     ptr, k, v = tensor.pair_ptr, tensor.k, tensor.v
-    negative = v.size > 0 and v.min() < 0
-    if negative:
+    if v.size and v.min() < 0:
         out.append("negative structure constant")
     basis = np.arange(m)
-    unit_row = slice(0, int(ptr[m]))  # the entries with i = 0
-    unit_cols = tensor.positions(0, unit_row.stop)[1]
-    if not _ones_exactly_at(unit_cols, k[unit_row], v[unit_row], basis, basis):
+    unit = np.array_equal(ptr[: m + 1], np.arange(m + 1))  # one entry a pair (0, j)
+    if not (unit and np.array_equal(k[:m], basis) and (v[:m] == 1).all()):
         out.append("unit row is not the identity permutation")
-    pair_sizes = np.diff(ptr).reshape(m, m)
+    pair_sizes = np.diff(ptr)
+    own = np.arange(len(conj_perm)) * m + np.asarray(conj_perm, dtype=np.int64)
+    conjugate = (
+        np.array_equal(own // m, basis)  # the pairs (i, conj i), i and conj i < m
+        and (pair_sizes[own] > 0).all()
+        and (k[ptr[own]] == 0).all()
+        and (v[ptr[own]] == 1).all()
+        and np.count_nonzero(k[ptr[:-1][pair_sizes > 0]] == 0) == m
+    )
+    pair_sizes = pair_sizes.reshape(m, m)
     commutative = np.array_equal(pair_sizes, pair_sizes.T)
     # equal run lengths: entry r of run (i, j) must equal entry r of (j, i),
     # compared ENTRY_CHUNK entries at a time
-    for run, rows, cols in tensor.chunks() if commutative else ():
+    for run, rows, cols in tensor._chunks() if commutative else ():
         mirror = ptr[cols * m + rows] - ptr[rows * m + cols]
         mirror += np.arange(run.start, run.stop, dtype=mirror.dtype)
         if not (np.array_equal(k[mirror], k[run]) and np.array_equal(v[mirror], v[run])):
@@ -553,9 +571,7 @@ def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
             break
     if not commutative:
         out.append("commutativity fails")
-    to_unit = np.flatnonzero(k == 0)
-    conj_rows = np.arange(len(conj_perm))
-    if not _ones_exactly_at(*_entry_pairs(tensor, to_unit), v[to_unit], conj_rows, conj_perm):
+    if not conjugate:
         out.append("conjugation axiom N_ij^0 = delta(j, conj i) fails")
     if not commutative:
         return out
@@ -574,6 +590,42 @@ def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
     return out
 
 
+def sigma_covariant(tensor: SparseTensor, perm: np.ndarray) -> bool:
+    """True when relabelling rows and targets by the basis permutation perm
+    keeps the entries: the entries (perm[i], j, perm[k], v) are the entries
+    (i, j, k, v).
+
+    Row i's entries move to row perm[i], whose pair sizes must be row i's;
+    then entry e of row i moves to entry e + shift[i] of row perm[i].  The
+    check goes a step of whole pair runs at a time, as the mirror check
+    does: the step's moved keys (i m + j) m + perm[k], put in increasing
+    order, must be the keys (i m + j) m + k of the entries they move to,
+    which the (j, k) order of each row already sorts, and the values must
+    come along in the same order.  The positions are distinct, so that
+    order is unique, whatever the values.  The int64 keys are one step
+    long, never nnz long."""
+    m = tensor.shape[0]
+    ptr, k, v = tensor.pair_ptr, tensor.k, tensor.v
+    sizes = np.diff(ptr).reshape(m, m)
+    if not np.array_equal(sizes[perm], sizes):
+        return False
+    row_ptr = ptr[::m]
+    shift = row_ptr[perm] - row_ptr[:-1]
+    for run, i, j in tensor._chunks():
+        key = i.astype(np.int64)
+        key *= m
+        key += j
+        key *= m
+        moved = perm[k[run]] + key
+        order = moved.argsort()
+        there = np.arange(run.start, run.stop) + shift[i]
+        if not (
+            np.array_equal(moved[order], k[there] + key) and np.array_equal(v[run][order], v[there])
+        ):
+            return False
+    return True
+
+
 def _magnitude_row_sums(tensor: SparseTensor) -> np.ndarray:
     """The m x m int64 sums sum_k |N_ij^k|, taken whole runs at a time,
     about ENTRY_CHUNK entries a step, each step's values widened to int64
@@ -582,28 +634,17 @@ def _magnitude_row_sums(tensor: SparseTensor) -> np.ndarray:
     m = tensor.shape[0]
     ptr = tensor.pair_ptr
     sums = np.zeros(m * m, dtype=np.int64)
-    for p, q in tensor.pair_steps():
+    for p, q in tensor._pair_steps():
         live = np.diff(ptr[p : q + 1]) > 0
         magnitude = np.abs(tensor.v[ptr[p] : ptr[q]], dtype=np.int64)
         sums[p:q][live] = np.add.reduceat(magnitude, ptr[p:q][live] - ptr[p])
     return sums.reshape(m, m)
 
 
-def _ones_exactly_at(rows, cols, values, want_rows, want_cols) -> bool:
-    """True when the entries at (rows, cols) are exactly ones at (want_rows,
-    want_cols), in the same order."""
-    return (
-        np.array_equal(rows, want_rows)
-        and np.array_equal(cols, want_cols)
-        and bool((values == 1).all())
-    )
-
-
 def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool:
     """True when the commuting-matrix certificate proves that all fusion
     matrices of the commutative tensor commute; False means undecided."""
     m = tensor.shape[0]
-    ptr, k, v = tensor.pair_ptr, tensor.k, tensor.v
     # a linear sequence such as 1..m makes A derogatory on symmetric rings
     coeffs = np.arange(1, m + 1) ** 3 % 65521 + 1
     # Python ints: m row sums, each below 2^53, can pass 2^63 in int64
@@ -611,15 +652,15 @@ def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool
     if int(coeffs.max()) * slice_total * int(row_sums.max()) >= 2**53:
         return False
     a = np.zeros(m * m, dtype=np.int64)
-    for run, i, j in tensor.chunks():
-        np.add.at(a, j * m + k[run], np.multiply(coeffs[i], v[run], dtype=np.int64))
+    for run, i, j in tensor._chunks():
+        np.add.at(a, j * m + tensor.k[run], np.multiply(coeffs[i], tensor.v[run], dtype=np.int64))
     a = a.reshape(m, m)
     a_float = a.astype(np.float64)
-    row_starts = ptr[::m].tolist()  # row i is entries row_starts[i] on
     n_k = np.zeros((m, m))
-    for start, stop in zip(row_starts[:-1], row_starts[1:]):
+    for i in range(m):
+        j, targets, values = tensor.row(i)
         n_k[:] = 0
-        n_k[tensor.positions(start, stop)[1], k[start:stop]] = v[start:stop]
+        n_k[j, targets] = values
         if not np.array_equal(a_float @ n_k, n_k @ a_float):
             return False
     del a_float, n_k

@@ -106,10 +106,15 @@ class TestRingAxioms:
     def test_cyclic_covariance(self, n, k):
         ring = verlinde_tensor(s_matrix(AlgebraSpec.su(n, k)))
         tensor = ring.constants.dense()
+        sigma = np.array(ring.sigma_permutation(1))
+        power = np.arange(len(sigma))
         for t in range(1, n):
             perm = np.array(ring.sigma_permutation(t))
             moved = tensor[np.ix_(perm, range(len(perm)), perm)]
             assert np.array_equal(moved, tensor)
+            # sigma^t is sigma applied t times, which lets check_fusion test sigma alone
+            power = sigma[power]
+            assert np.array_equal(perm, power)
 
     @pytest.mark.parametrize("n,k", DESK)
     def test_dimension_homomorphism(self, n, k):
@@ -158,7 +163,7 @@ def sparse_of(tensor):
 
 
 def entry_pairs(t: SparseTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Reference positions, independent of ``SparseTensor.positions``: each
+    """Reference positions, independent of ``SparseTensor._positions``: each
     entry's pair index, repeated from the run lengths, split into (i, j)."""
     m = t.shape[0]
     return np.divmod(np.repeat(np.arange(m * m), np.diff(t.pair_ptr)), m)
@@ -971,9 +976,23 @@ def small_tensors(draw):
     return tensor, conj
 
 
+def dense_of(m, entries):
+    """The m x m x m int64 tensor holding the {(i, j, k): value} entries."""
+    tensor = np.zeros((m, m, m), dtype=np.int64)
+    for position, value in entries.items():
+        tensor[position] = value
+    return tensor
+
+
 class TestSparseTensor:
     @settings(max_examples=300, deadline=None)
     @given(small_tensors())
+    # pair (0, conj 0) is empty, and the next pair's run starts with target 0
+    # valued 1: read without its size, pair (0, 0) would seem to hold it
+    @example(case=(dense_of(2, {(0, 1, 0): 1, (1, 1, 0): 1}), [0, 1]))
+    # pair (0, 0) holds two entries and pair (0, 1) none: the first m entries
+    # of row 0 still have targets 0, 1 and values 1
+    @example(case=(dense_of(2, {(0, 0, 0): 1, (0, 0, 1): 1}), [0, 1]))
     def test_array_checks_match_dense_reference(self, case):
         tensor, conj = case
         reference = dense_reference_messages(tensor, conj)
@@ -1039,7 +1058,7 @@ class TestPositions:
         t, start, stop = case
         m = t.shape[0]
         want_i, want_j = entry_pairs(t)
-        i, j = t.positions(start, stop)
+        i, j = t._positions(start, stop)
         assert i.dtype == j.dtype == np.int32
         assert np.array_equal(i, want_i[start:stop]) and np.array_equal(j, want_j[start:stop])
 
@@ -1058,16 +1077,34 @@ class TestPositions:
         ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
         t = SparseTensor((3, 3, 3), ptr, np.zeros(ptr[-1], np.uint8), np.ones(ptr[-1], np.int8))
         pair = np.repeat(np.arange(9), sizes)[start:stop]
-        i, j = t.positions(start, stop)
+        i, j = t._positions(start, stop)
         assert i.tolist() == (pair // 3).tolist() and j.tolist() == (pair % 3).tolist()
 
+    @settings(max_examples=300, deadline=None)
+    @given(pair_runs())
+    def test_rows_match_the_repeated_pair_indices(self, case):
+        # the drawn runs with distinct targets and values, negative ones too
+        t = case[0]
+        m, nnz = t.shape[0], int(t.pair_ptr[-1])
+        k = (np.arange(nnz) % m).astype(np.uint8)
+        t = SparseTensor(t.shape, t.pair_ptr, k, np.arange(nnz, dtype=np.int16) - 40)
+        want_i, want_j = entry_pairs(t)
+        for i in range(m):
+            j, k, v = t.row(i)
+            assert (j.dtype, k.dtype, v.dtype) == (np.int32, np.int64, np.int64)
+            mine = want_i == i
+            assert np.array_equal(j, want_j[mine])
+            assert np.array_equal(k, t.k[mine]) and np.array_equal(v, t.v[mine])
+        for i in (-1, m):
+            with pytest.raises(IndexError, match=f"row {i} outside"):
+                t.row(i)
 
     def test_chunks_are_whole_runs_covering_the_entries(self):
         t = coset_ring(CosetSpec(3, 3, 2)).constants
         m, run_starts = t.shape[0], set(t.pair_ptr.tolist())
         pair = np.repeat(np.arange(m * m), np.diff(t.pair_ptr))
         covered = 0
-        for run, i, j in t.chunks():
+        for run, i, j in t._chunks():
             assert run.start == covered < run.stop and run.stop in run_starts
             assert run.stop - run.start < fusion.ENTRY_CHUNK + m
             assert np.array_equal(i * m + j, pair[run])
@@ -1102,6 +1139,21 @@ class TestIndexChecks:
     def test_from_entries_refuses_a_position_outside_the_ring(self, i, j, k):
         with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
             SparseTensor.from_entries(3, i, j, k, [1] * len(i))
+
+
+class TestZeroElements:
+    """Every ring keeps its unit at basis index 0, so a ring with no basis
+    elements is refused, as ``product_ring([])`` is."""
+
+    def test_axiom_check_refuses_an_empty_tensor(self):
+        t = SparseTensor.from_entries(0, [], [], [], [])
+        with pytest.raises(ValueError, match="at least one basis element"):
+            ring_axiom_failures(t, ())
+
+    def test_orbit_ring_refuses_no_orbits(self):
+        factors = [fusion_ring(AlgebraSpec.su(2, 1))]
+        with pytest.raises(ValueError, match="at least one orbit"):
+            fusion.orbit_ring(factors, [], (), {})
 
 
 def test_check_fusion_reports_broken_covariance(monkeypatch):
@@ -1146,13 +1198,13 @@ def test_check_fusion_reports_a_changed_value(monkeypatch):
     # the moved entries from the unmoved ones
     ring = fusion_ring(AlgebraSpec.su(3, 2))
     t = ring.constants
-    i, j = t.positions(0, t.v.size)
+    i, j = entry_pairs(t)
     at = int(np.flatnonzero((i == j) & (i > 0))[0])
     values = t.v.copy()
     values[at] = 2
     changed, perm = covariance_case(values)
-    assert verify.sigma_covariant(covariance_case()[0], perm)
-    assert not verify.sigma_covariant(changed, perm)
+    assert fusion.sigma_covariant(covariance_case()[0], perm)
+    assert not fusion.sigma_covariant(changed, perm)
     tampered = dataclasses.replace(ring, constants=changed)
     assert "commutativity fails" not in tampered.axiom_failures()
     monkeypatch.setattr(verify, "fusion_ring", lambda spec: tampered)
@@ -1192,7 +1244,7 @@ class TestCovariance:
     def test_matches_the_dense_relabelling(self, case):
         t, perm = case
         dense = t.dense()
-        assert verify.sigma_covariant(t, perm) == np.array_equal(
+        assert fusion.sigma_covariant(t, perm) == np.array_equal(
             dense[perm][:, :, perm], dense
         )
 
@@ -1203,7 +1255,7 @@ class TestCovariance:
         # changed in the last step is seen
         ring = fusion_ring(AlgebraSpec.su(4, 6))
         t, m = ring.constants, len(ring.basis)
-        assert len(list(t.chunks())) == 3
+        assert len(list(t._chunks())) == 3
         swap = np.arange(m, dtype=np.int32)
         swap[[1, 2]] = swap[[2, 1]]
         sigma = [np.array(ring.sigma_permutation(p), dtype=np.int32) for p in (1, 2, 3)]
@@ -1213,7 +1265,7 @@ class TestCovariance:
         for tensor, perm in [(t, p) for p in sigma] + [(t, swap), (changed, sigma[0])]:
             dense = tensor.dense()
             want = np.array_equal(dense[perm][:, :, perm], dense)
-            assert verify.sigma_covariant(tensor, perm) == want
+            assert fusion.sigma_covariant(tensor, perm) == want
             assert want == (tensor is t and perm is not swap)
 
 
@@ -1246,18 +1298,18 @@ class TestCovarianceGuard:
     def test_both_paths_agree(self, sorts, top):
         t, perm = covariance_case()
         same = np.full(t.v.size, top)
-        assert verify.sigma_covariant(covariance_case(same)[0], perm)
+        assert fusion.sigma_covariant(covariance_case(same)[0], perm)
         one_off = same.copy()
         one_off[t.v.size // 2] = top - 1
-        assert not verify.sigma_covariant(covariance_case(one_off)[0], perm)
+        assert not fusion.sigma_covariant(covariance_case(one_off)[0], perm)
         assert sorts == []
 
     def test_negative_value_falls_back(self, sorts):
         t, perm = covariance_case()
-        assert verify.sigma_covariant(covariance_case(-t.v)[0], perm)
+        assert fusion.sigma_covariant(covariance_case(-t.v)[0], perm)
         one_off = -t.v
         one_off[t.v.size // 2] -= 1
-        assert not verify.sigma_covariant(covariance_case(one_off)[0], perm)
+        assert not fusion.sigma_covariant(covariance_case(one_off)[0], perm)
         assert sorts == []
 
 
@@ -1369,7 +1421,7 @@ def consumer_outputs(ring: fusion.BasedRing, perm, whole: bool = True) -> list:
         ring_axiom_failures(t, ring.conj),
         largest**2 < 2**53 and fusion._fusion_matrices_commute(t, fusion._magnitude_row_sums(t)),
         dimension_homomorphism_residual(ring),
-        verify.sigma_covariant(t, np.asarray(perm, dtype=np.int32)),
+        fusion.sigma_covariant(t, np.asarray(perm, dtype=np.int32)),
         coeffs,
         *digests,
     ]
@@ -1573,7 +1625,7 @@ class TestMemoryBounds:
         tensor = coset_ring(CosetSpec(3, 3, 2)).constants
         m = tensor.shape[0]
         row_sums = np.zeros(m * m, dtype=np.int64)
-        i, j = tensor.positions(0, tensor.v.size)
+        i, j = entry_pairs(tensor)
         np.add.at(row_sums, i.astype(np.int64) * m + j, tensor.v)
         assert traced_peak(
             lambda: fusion._fusion_matrices_commute(tensor, row_sums.reshape(m, m))

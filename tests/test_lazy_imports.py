@@ -237,6 +237,42 @@ def test_every_size_refusal_goes_through_one_helper():
     assert refusals == ["weights.require_budget"]
 
 
+# the run layout of a SparseTensor, whose attributes only fusion reads
+LAYOUT = {"pair_ptr", "positions", "pair_steps", "chunks"}
+
+
+def reads_layout(tree) -> bool:
+    """True when the code under tree reads an attribute of the run layout,
+    with or without a leading underscore."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr.lstrip("_") in LAYOUT
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_fusion_reads_the_ring_layout():
+    # every other module reads a ring's constants through SparseTensor's
+    # public readers, so the layout can change in fusion alone
+    readers = [
+        path.stem
+        for path in sorted((SRC / "cosetcft").glob("*.py"))
+        if reads_layout(ast.parse(path.read_text()))
+    ]
+    assert readers == ["fusion"]
+
+
+def test_readme_library_sketch_runs():
+    # the README's example code names the public API: a name moved or
+    # renamed fails here, not only in the docs
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    sketch = sketch.split("```", 1)[0]
+    run = subprocess.run(
+        [sys.executable, "-c", sketch], env=cli_env(), capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+
+
 def unread_parameters(tree) -> list[str]:
     """The parameters of each function and lambda under tree that its body
     never loads, as "line:function(parameter)"."""
