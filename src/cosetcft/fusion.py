@@ -28,7 +28,7 @@ from .weights import (
 )
 
 KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
-ENTRY_CHUNK = 1 << 14  # entries per step of a pass over the whole tensor
+ENTRY_CHUNK = 1 << 14  # a pass over the tensor steps by whole rows, cut past each multiple
 VALUE_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))  # narrowest first
 POSITION_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16)))  # narrowest first
 
@@ -85,9 +85,17 @@ class FusionRing(BasedRing):
 
     spec: AlgebraSpec
 
+    @cached_property
+    def _sigma(self) -> np.ndarray:
+        return np.array([self.index(sigma_apply(1, w)) for w in self.basis])
+
     def sigma_permutation(self, power: int) -> list[int]:
-        """Basis permutation of the cyclic automorphism."""
-        return [self.index(sigma_apply(power, w)) for w in self.basis]
+        """Basis permutation of the cyclic automorphism applied ``power``
+        times: sigma's own permutation, composed power mod N times."""
+        perm = np.arange(len(self.basis))
+        for _ in range(power % self.spec.n):
+            perm = self._sigma[perm]
+        return perm.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +119,9 @@ class SparseTensor:
     (uint8 arithmetic with a Python int wraps silently).
 
     The offsets are int32 because nnz <= m^3 <= 2^24 < 2^31, which
-    ``from_rows`` asserts."""
+    ``from_rows`` asserts.  The constructor refuses offsets that are not
+    m^2 + 1, starting at 0, non-decreasing and ending at the length of
+    ``k`` and ``v``: the readers trust them."""
 
     shape: tuple[int, int, int]
     pair_ptr: np.ndarray
@@ -161,36 +171,37 @@ class SparseTensor:
         assert int(ptr[-1]) == v.size < 2**31, "run offsets are int32"
         return cls((m, m, m), ptr, k, v)
 
-    def _positions(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The int32 positions i and j of entries ``start`` to ``stop``: each
-        pair's run, clipped to the range, repeats its pair index."""
-        if start >= stop:
-            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
-        ptr = self.pair_ptr
-        entry = ptr.dtype.type  # searching for a Python int costs ~8x more
-        first = int(ptr.searchsorted(entry(start), "right")) - 1  # holds entry start
-        end = int(ptr.searchsorted(entry(stop)))  # one past the pair holding entry stop - 1
-        bounds = ptr[first : end + 1].copy()
-        bounds[0], bounds[-1] = start, stop  # only the end runs reach past the range
-        pair = np.arange(first, end, dtype=np.int32).repeat(bounds[1:] - bounds[:-1])
-        return np.divmod(pair, np.int32(self.shape[0]))
+    def __post_init__(self):
+        m, ptr = self.shape[0], self.pair_ptr
+        if len(ptr) != m * m + 1:
+            raise ValueError(f"{len(ptr)} run offsets for {m} basis elements, not {m * m + 1}")
+        if ptr[0] != 0:
+            raise ValueError(f"the first run offset is {ptr[0]}, not 0")
+        if (ptr[1:] < ptr[:-1]).any():
+            raise ValueError("the run offsets decrease")
+        if not ptr[-1] == len(self.k) == len(self.v):
+            raise ValueError(f"the last run offset {ptr[-1]} is not the length of k and v")
 
-    def _pair_steps(self):
-        """(p, q) for each step of a pass over the tensor: the pairs p to q,
-        whose whole runs hold at least one entry, cut at the first run
-        starting at or after each multiple of ENTRY_CHUNK."""
-        ptr = self.pair_ptr
-        cuts = ptr.searchsorted(np.arange(0, self.v.size, ENTRY_CHUNK)).tolist()
-        for p, q in zip(cuts, cuts[1:] + [len(ptr) - 1]):
-            if ptr[p] < ptr[q]:
-                yield p, q
+    def _rows(self, a: int, b: int) -> tuple[slice, np.ndarray, np.ndarray]:
+        """Rows a to b - 1: the slice of their entries and the int32
+        positions i and j of each, its pair index repeated over its run."""
+        m = self.shape[0]
+        ptr = self.pair_ptr[a * m : b * m + 1]
+        j = np.arange(a * m, b * m, dtype=np.int32).repeat(ptr[1:] - ptr[:-1])
+        i = j // m  # 3x faster than np.divmod, whose remainder is slow
+        j -= i * m
+        return slice(int(ptr[0]), int(ptr[-1])), i, j
 
-    def _chunks(self):
-        """(entries, i, j) for each of the ``_pair_steps``: the slice of its
-        entries and their positions."""
-        for p, q in self._pair_steps():
-            start, stop = int(self.pair_ptr[p]), int(self.pair_ptr[q])
-            yield (slice(start, stop), *self._positions(start, stop))
+    def _blocks(self):
+        """``_rows`` for each step of a pass over the tensor: whole rows, cut
+        at the first row starting at or after each multiple of ENTRY_CHUNK,
+        and holding at least one entry."""
+        m = self.shape[0]
+        row_ptr = self.pair_ptr[::m]
+        cuts = row_ptr.searchsorted(np.arange(0, self.v.size, ENTRY_CHUNK)).tolist()
+        for a, b in zip(cuts, cuts[1:] + [m]):
+            if row_ptr[a] < row_ptr[b]:
+                yield self._rows(a, b)
 
     def run(self, i: int, j: int) -> slice:
         """The entries of pair (i, j), ordered by k."""
@@ -227,7 +238,7 @@ class SparseTensor:
         what = f"the size of the dense array of a ring of {m} basis elements"
         require_budget(m**3, DENSE_BUDGET, what)
         t = np.zeros(self.shape, dtype=np.int64)
-        for run, i, j in self._chunks():
+        for run, i, j in self._blocks():
             t[i, j, self.k[run]] = self.v[run]
         return t
 
@@ -286,7 +297,8 @@ def verlinde_constants(basis: tuple, conj) -> SparseTensor:
     chi_i chi_j chi_conj(k), with chi_lam(mu) = S_lam,mu / S_0,mu, ``s_matrix``'s
     alternant ratio with its trace fix on row 0, and w = S_0,mu^2, the square
     of ``weights.vacuum_row``'s product, (2 sin(pi c / h))^2 read as
-    2 - zeta^c - zeta^-c.  Row i's block is one float64 GEMM, (chi w chi_i) @ chi[conj]^T.
+    2 - zeta^c - zeta^-c.  Each step of max(1, ENTRY_CHUNK // m^2) rows i is
+    one float64 GEMM, (chi w chi_i) @ chi[conj]^T.
 
     Exact: the map to F_p is a ring homomorphism on the cyclotomic integers,
     and no divisor maps to 0: the alternants' denominators multiply
@@ -562,8 +574,8 @@ def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
     pair_sizes = pair_sizes.reshape(m, m)
     commutative = np.array_equal(pair_sizes, pair_sizes.T)
     # equal run lengths: entry r of run (i, j) must equal entry r of (j, i),
-    # compared ENTRY_CHUNK entries at a time
-    for run, rows, cols in tensor._chunks() if commutative else ():
+    # compared a block of whole rows at a time
+    for run, rows, cols in tensor._blocks() if commutative else ():
         mirror = ptr[cols * m + rows] - ptr[rows * m + cols]
         mirror += np.arange(run.start, run.stop, dtype=mirror.dtype)
         if not (np.array_equal(k[mirror], k[run]) and np.array_equal(v[mirror], v[run])):
@@ -597,12 +609,12 @@ def sigma_covariant(tensor: SparseTensor, perm: np.ndarray) -> bool:
 
     Row i's entries move to row perm[i], whose pair sizes must be row i's;
     then entry e of row i moves to entry e + shift[i] of row perm[i].  The
-    check goes a step of whole pair runs at a time, as the mirror check
-    does: the step's moved keys (i m + j) m + perm[k], put in increasing
+    check goes a block of whole rows at a time, as the mirror check
+    does: the block's moved keys (i m + j) m + perm[k], put in increasing
     order, must be the keys (i m + j) m + k of the entries they move to,
     which the (j, k) order of each row already sorts, and the values must
     come along in the same order.  The positions are distinct, so that
-    order is unique, whatever the values.  The int64 keys are one step
+    order is unique, whatever the values.  The int64 keys are one block
     long, never nnz long."""
     m = tensor.shape[0]
     ptr, k, v = tensor.pair_ptr, tensor.k, tensor.v
@@ -611,7 +623,7 @@ def sigma_covariant(tensor: SparseTensor, perm: np.ndarray) -> bool:
         return False
     row_ptr = ptr[::m]
     shift = row_ptr[perm] - row_ptr[:-1]
-    for run, i, j in tensor._chunks():
+    for run, i, j in tensor._blocks():
         key = i.astype(np.int64)
         key *= m
         key += j
@@ -627,17 +639,17 @@ def sigma_covariant(tensor: SparseTensor, perm: np.ndarray) -> bool:
 
 
 def _magnitude_row_sums(tensor: SparseTensor) -> np.ndarray:
-    """The m x m int64 sums sum_k |N_ij^k|, taken whole runs at a time,
-    about ENTRY_CHUNK entries a step, each step's values widened to int64
-    before |.|, so that no dtype's minimum wraps and no full-width copy of
-    the values is made."""
+    """The m x m int64 sums sum_k |N_ij^k|, taken a block of whole rows at
+    a time, each block's values widened to int64 before |.|, so that no
+    dtype's minimum wraps and no full-width copy of the values is made."""
     m = tensor.shape[0]
     ptr = tensor.pair_ptr
     sums = np.zeros(m * m, dtype=np.int64)
-    for p, q in tensor._pair_steps():
+    for run, i, _ in tensor._blocks():
+        p, q = int(i[0]) * m, (int(i[-1]) + 1) * m  # its first to last row holding entries
         live = np.diff(ptr[p : q + 1]) > 0
-        magnitude = np.abs(tensor.v[ptr[p] : ptr[q]], dtype=np.int64)
-        sums[p:q][live] = np.add.reduceat(magnitude, ptr[p:q][live] - ptr[p])
+        magnitude = np.abs(tensor.v[run], dtype=np.int64)
+        sums[p:q][live] = np.add.reduceat(magnitude, ptr[p:q][live] - run.start)
     return sums.reshape(m, m)
 
 
@@ -652,7 +664,7 @@ def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool
     if int(coeffs.max()) * slice_total * int(row_sums.max()) >= 2**53:
         return False
     a = np.zeros(m * m, dtype=np.int64)
-    for run, i, j in tensor._chunks():
+    for run, i, j in tensor._blocks():
         np.add.at(a, j * m + tensor.k[run], np.multiply(coeffs[i], tensor.v[run], dtype=np.int64))
     a = a.reshape(m, m)
     a_float = a.astype(np.float64)
@@ -693,15 +705,14 @@ def dimension_homomorphism_residual(ring: BasedRing) -> float:
     """Worst |sum_k N_ij^k d_k - d_i d_j| over all basis pairs (i, j), with
     the dimensions d the ring carries.  Each pair's sum is added left to
     right over its run, in k order, so the result does not depend on how
-    numpy would group a reduction."""
+    numpy would group a reduction: a block of whole rows holds the pair's
+    whole run, and ``np.bincount`` adds its weights in entry order."""
     t = ring.constants
+    m = t.shape[0]
     d = np.array([ring.dims[b] for b in ring.basis], dtype=float)
-    starts = t.pair_ptr[:-1]
-    sizes = np.diff(t.pair_ptr)
-    totals = np.zeros(len(sizes))
-    for r in range(int(sizes.max(initial=0))):
-        live = np.flatnonzero(sizes > r)
-        at = starts[live] + r
-        totals[live] += np.multiply(t.v[at], d[t.k[at]], dtype=np.float64)
+    totals = np.zeros(m * m)
+    for run, i, j in t._blocks():
+        terms = t.v[run].astype(np.float64) * d[t.k[run]]
+        totals += np.bincount(i * m + j, terms, minlength=m * m)
     residuals = np.abs(totals - np.outer(d, d).ravel())
     return float(residuals.max(initial=0.0))

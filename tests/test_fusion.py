@@ -106,15 +106,15 @@ class TestRingAxioms:
     def test_cyclic_covariance(self, n, k):
         ring = verlinde_tensor(s_matrix(AlgebraSpec.su(n, k)))
         tensor = ring.constants.dense()
-        sigma = np.array(ring.sigma_permutation(1))
-        power = np.arange(len(sigma))
         for t in range(1, n):
             perm = np.array(ring.sigma_permutation(t))
             moved = tensor[np.ix_(perm, range(len(perm)), perm)]
             assert np.array_equal(moved, tensor)
-            # sigma^t is sigma applied t times, which lets check_fusion test sigma alone
-            power = sigma[power]
-            assert np.array_equal(perm, power)
+        # sigma_permutation composes sigma's permutation power mod N times,
+        # which must be the automorphism applied to each weight that often
+        for t in range(-1, 2 * n + 1):
+            want = [ring.index(weights.sigma_apply(t, w)) for w in ring.basis]
+            assert ring.sigma_permutation(t) == want
 
     @pytest.mark.parametrize("n,k", DESK)
     def test_dimension_homomorphism(self, n, k):
@@ -163,7 +163,7 @@ def sparse_of(tensor):
 
 
 def entry_pairs(t: SparseTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Reference positions, independent of ``SparseTensor._positions``: each
+    """Reference positions, independent of ``SparseTensor._rows``: each
     entry's pair index, repeated from the run lengths, split into (i, j)."""
     m = t.shape[0]
     return np.divmod(np.repeat(np.arange(m * m), np.diff(t.pair_ptr)), m)
@@ -700,6 +700,31 @@ def test_dimension_residual_of_every_ring_kind(build):
     assert dimension_homomorphism_residual(broken) > 1e-6
 
 
+def residual_reference(ring) -> float:
+    """The dimension residual summed in pure Python: float(v) * d[k] added
+    left to right over each pair's run, in k order."""
+    d = [float(ring.dims[b]) for b in ring.basis]
+    table = ring.constants.to_table()
+    worst = 0.0
+    for i, j in itertools.product(range(len(d)), repeat=2):
+        total = 0.0
+        for k, v in table.get((i, j), {}).items():
+            total += float(v) * d[k]
+        worst = max(worst, abs(total - d[i] * d[j]))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda n=n, k=k: fusion_ring(AlgebraSpec.su(n, k)) for n, k in DESK]
+    + [lambda: coset_ring(CosetSpec(3, 3, 2)), lambda: torus_ring(2, 2), build_maverick_ring],
+    ids=[f"su{n}_{k}" for n, k in DESK] + ["coset-3,3,2", "torus-2,2", "maverick"],
+)
+def test_dimension_residual_matches_the_python_sum(build):
+    ring = build()
+    assert dimension_homomorphism_residual(ring) == residual_reference(ring)
+
+
 def test_dense_of_empty_table():
     assert not tensor_of({}, 3).dense().any()
 
@@ -1025,6 +1050,24 @@ class TestSparseTensor:
         # rings built twice hold equal constants and compare equal
         assert build() == ring
 
+    @pytest.mark.parametrize(
+        "ptr,nk,nv,fault",
+        [
+            ([0, 1, 2], 2, 2, "3 run offsets for 2 basis elements, not 5"),
+            ([1, 1, 2, 3, 4], 4, 4, "the first run offset is 1, not 0"),
+            ([0, 2, 1, 3, 4], 4, 4, "the run offsets decrease"),
+            ([0, 1, 2, 3, 4], 3, 4, "the last run offset 4 is not the length of k and v"),
+            ([0, 1, 2, 3, 4], 4, 5, "the last run offset 4 is not the length of k and v"),
+        ],
+        ids=["offset-count", "first-offset", "decreasing", "k-length", "v-length"],
+    )
+    def test_constructor_refuses_bad_offsets(self, ptr, nk, nv, fault):
+        # the readers trust the offsets, so a bad one is refused where the
+        # tensor is made, not as a broadcast or index error in a reader
+        ptr = np.array(ptr, dtype=np.int32)
+        with pytest.raises(ValueError, match=fault):
+            SparseTensor((2, 2, 2), ptr, np.zeros(nk, np.uint8), np.ones(nv, np.int8))
+
     def test_unordered_table_is_sorted_and_zeros_dropped(self):
         # a product ring's table with its pairs listed in reverse (i, j) order
         ring = product_of((2, 2), (3, 1))
@@ -1039,45 +1082,46 @@ class TestSparseTensor:
 @st.composite
 def pair_runs(draw):
     """Run offsets of up to 5 x 5 pairs, most runs empty (so whole rows and
-    the first or last pair often are), and a range of entries, each end
-    either a run start or anywhere from 0 to nnz."""
+    the first or last pair often are), and a range of rows a <= b."""
     m = draw(st.integers(1, 5))
     sizes = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=m * m, max_size=m * m))
     ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
     nnz = int(ptr[-1])
-    end = st.one_of(st.sampled_from(ptr.tolist()), st.integers(0, nnz))
-    start, stop = sorted((draw(end), draw(end)))
+    a, b = sorted((draw(st.integers(0, m)), draw(st.integers(0, m))))
     tensor = SparseTensor((m, m, m), ptr, np.zeros(nnz, dtype=np.uint8), np.ones(nnz, np.int8))
-    return tensor, start, stop
+    return tensor, a, b
 
 
 class TestPositions:
     @settings(max_examples=300, deadline=None)
     @given(pair_runs())
     def test_matches_the_repeated_pair_indices(self, case):
-        t, start, stop = case
+        t, a, b = case
         m = t.shape[0]
         want_i, want_j = entry_pairs(t)
-        i, j = t._positions(start, stop)
+        run, i, j = t._rows(a, b)
         assert i.dtype == j.dtype == np.int32
-        assert np.array_equal(i, want_i[start:stop]) and np.array_equal(j, want_j[start:stop])
+        assert run == slice(int(t.pair_ptr[a * m]), int(t.pair_ptr[b * m]))
+        assert np.array_equal(i, want_i[run]) and np.array_equal(j, want_j[run])
 
     @pytest.mark.parametrize(
-        "sizes,start,stop",
+        "sizes,a,b",
         [
             ([0] * 9, 0, 0),  # the empty tensor
             ([0, 0, 0, 2, 1, 0, 0, 0, 0], 0, 3),  # empty first and last rows
-            ([0, 2, 0, 0, 0, 0, 0, 3, 0], 1, 4),  # empty first and last pairs, cut mid-run
-            ([1, 2, 1, 0, 0, 0, 0, 0, 1], 3, 3),  # start == stop
-            ([1, 2, 1, 0, 0, 0, 0, 0, 1], 1, 4),  # cut at run starts
-            ([1, 2, 1, 0, 0, 0, 0, 0, 1], 2, 5),  # from mid-run to the end
+            ([0, 2, 0, 0, 0, 0, 0, 3, 0], 0, 3),  # empty first and last pairs
+            ([1, 2, 1, 0, 0, 0, 0, 0, 1], 3, 3),  # a == b, past the last row
+            ([1, 2, 1, 0, 0, 0, 0, 0, 1], 1, 2),  # one empty row
+            ([1, 2, 1, 0, 0, 0, 0, 0, 1], 1, 3),  # from an empty row to the end
         ],
     )
-    def test_edges(self, sizes, start, stop):
+    def test_edges(self, sizes, a, b):
         ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
         t = SparseTensor((3, 3, 3), ptr, np.zeros(ptr[-1], np.uint8), np.ones(ptr[-1], np.int8))
-        pair = np.repeat(np.arange(9), sizes)[start:stop]
-        i, j = t._positions(start, stop)
+        pair = np.repeat(np.arange(9), sizes)
+        pair = pair[(a * 3 <= pair) & (pair < b * 3)]
+        run, i, j = t._rows(a, b)
+        assert run == slice(int(ptr[a * 3]), int(ptr[b * 3]))
         assert i.tolist() == (pair // 3).tolist() and j.tolist() == (pair % 3).tolist()
 
     @settings(max_examples=300, deadline=None)
@@ -1099,14 +1143,15 @@ class TestPositions:
             with pytest.raises(IndexError, match=f"row {i} outside"):
                 t.row(i)
 
-    def test_chunks_are_whole_runs_covering_the_entries(self):
+    def test_blocks_are_whole_rows_covering_the_entries(self):
         t = coset_ring(CosetSpec(3, 3, 2)).constants
-        m, run_starts = t.shape[0], set(t.pair_ptr.tolist())
+        m = t.shape[0]
+        row_starts = set(t.pair_ptr[::m].tolist())
         pair = np.repeat(np.arange(m * m), np.diff(t.pair_ptr))
         covered = 0
-        for run, i, j in t._chunks():
-            assert run.start == covered < run.stop and run.stop in run_starts
-            assert run.stop - run.start < fusion.ENTRY_CHUNK + m
+        for run, i, j in t._blocks():
+            assert run.start == covered < run.stop and run.stop in row_starts
+            assert run.stop - run.start < fusion.ENTRY_CHUNK + m * m
             assert np.array_equal(i * m + j, pair[run])
             covered = run.stop
         assert covered == t.v.size > 6 * fusion.ENTRY_CHUNK
@@ -1250,12 +1295,12 @@ class TestCovariance:
 
 
     def test_across_chunks(self):
-        # su(4)_6 takes three steps of whole pair runs: every sigma power
+        # su(4)_6 takes three blocks of whole rows: every sigma power
         # keeps its entries, a swap of two weights does not, and a value
-        # changed in the last step is seen
+        # changed in the last block is seen
         ring = fusion_ring(AlgebraSpec.su(4, 6))
         t, m = ring.constants, len(ring.basis)
-        assert len(list(t._chunks())) == 3
+        assert len(list(t._blocks())) == 3
         swap = np.arange(m, dtype=np.int32)
         swap[[1, 2]] = swap[[2, 1]]
         sigma = [np.array(ring.sigma_permutation(p), dtype=np.int32) for p in (1, 2, 3)]
