@@ -118,10 +118,10 @@ class SparseTensor:
     ``to_table``, and code here widens ``k`` or ``v`` before arithmetic
     (uint8 arithmetic with a Python int wraps silently).
 
-    The offsets are int32 because nnz <= m^3 <= 2^24 < 2^31, which
-    ``from_rows`` asserts.  The constructor refuses offsets that are not
-    m^2 + 1, starting at 0, non-decreasing and ending at the length of
-    ``k`` and ``v``: the readers trust them."""
+    The offsets are int32 because nnz <= m^3 <= 2^24 < 2^31.  The
+    constructor refuses offsets that are not m^2 + 1, starting at 0,
+    non-decreasing and ending at the length of ``k`` and ``v``: the readers
+    trust them."""
 
     shape: tuple[int, int, int]
     pair_ptr: np.ndarray
@@ -142,34 +142,50 @@ class SparseTensor:
         if not nonzero.all():
             i, j, k, v = i[nonzero], j[nonzero], k[nonzero], v[nonzero]
         pair = i * m + j
-        key = pair * m + k
-        order = np.argsort(key)
-        ptr = np.searchsorted(pair[order], np.arange(m * m + 1)).astype(np.int32)
-        k = k[order].astype(_position_dtype(m))
-        return cls((m, m, m), ptr, k, v[order].astype(_value_dtype(v)))
+        order = np.argsort(pair * m + k)
+        k, v = k[order].astype(_position_dtype(m)), v[order].astype(_value_dtype(v))
+        return cls._join(m, [np.bincount(pair, minlength=m * m)], [k], [v])
 
     @classmethod
-    def from_rows(cls, rows: list[tuple[np.ndarray, ...]]) -> "SparseTensor":
-        """Join the rows i = 0, 1, ... of an m x m x m tensor, row i given
-        as its m pair counts (entries of each pair (i, j), j = 0, 1, ...)
-        and its k and v arrays in (j, k) order: the entries arrive in
-        (i, j, k) order with no sort, and one cumulative sum of the counts
-        gives the run offsets.  The values are joined in the widest of the
-        rows' narrowest dtypes, so rows already narrowed by their builder
-        are never widened.  The list is emptied, and each field is joined
-        and its row arrays dropped before the next, so the rows and the
-        joined tensor are not held in full at once."""
-        m = len(rows)
-        fields = [list(x) for x in zip(*rows)]
-        rows.clear()
-        ptr = np.zeros(m * m + 1, dtype=np.int32)
-        np.cumsum(np.concatenate(fields.pop(0)), out=ptr[1:])
-        # unchecked: a row of a block (rows, m, m) has its targets below m
-        k = np.concatenate(fields.pop(0), dtype=_position_dtype(m), casting="unsafe")
-        value_dtype = max(map(_value_dtype, fields[0]), key=lambda d: d.itemsize)
-        v = np.concatenate(fields.pop(0), dtype=value_dtype)
-        assert int(ptr[-1]) == v.size < 2**31, "run offsets are int32"
-        return cls((m, m, m), ptr, k, v)
+    def from_blocks(cls, m: int, blocks) -> "SparseTensor":
+        """Join the dense integer blocks (rows, m, m) that hold rows 0, 1, ...
+        of an m x m x m tensor, in order.  Each block's nonzeros, read in C
+        order, are its entries in (i, j, k) order, so nothing is sorted;
+        their targets and values are narrowed as each block arrives, so the
+        blocks need not be held at once.  A block of another shape is
+        refused, so no target reaches m."""
+        counts, k, v = [], [], []
+        for block in blocks:
+            if block.shape[1:] != (m, m):
+                raise ValueError(f"a block of shape {block.shape}, not (rows, {m}, {m})")
+            nonzero = block != 0
+            counts.append(nonzero.sum(axis=2, dtype=np.int32).ravel())
+            flat = np.flatnonzero(nonzero)
+            del nonzero
+            values = block.reshape(-1)[flat]
+            k.append((flat % m).astype(_position_dtype(m)))
+            v.append(values.astype(_value_dtype(values)))
+            del block, flat, values  # before the next block is made
+        return cls._join(m, counts, k, v)
+
+    @classmethod
+    def _join(cls, m: int, counts: list, k: list, v: list) -> "SparseTensor":
+        """The tensor whose entries are the parts' in order, each part's
+        targets in ``_position_dtype(m)`` and values in their narrowest
+        dtype: the pair counts turn into int32 offsets by one cumulative
+        sum, and the values are joined in the widest of the parts' dtypes.
+        Each list is emptied, and each field joined and its parts dropped
+        before the next, so the parts and the joined tensor are not held in
+        full at once."""
+        ptr = np.empty(sum(map(len, counts)) + 1, dtype=np.int32)
+        ptr[0] = 0
+        np.cumsum(np.concatenate(counts), out=ptr[1:])
+        counts.clear()
+        targets = np.concatenate(k)
+        k.clear()
+        values = np.concatenate(v)  # promoted to the widest part's dtype
+        v.clear()
+        return cls((m, m, m), ptr, targets, values)
 
     def __post_init__(self):
         m, ptr = self.shape[0], self.pair_ptr
@@ -192,16 +208,20 @@ class SparseTensor:
         j -= i * m
         return slice(int(ptr[0]), int(ptr[-1])), i, j
 
-    def _blocks(self):
-        """``_rows`` for each step of a pass over the tensor: whole rows, cut
-        at the first row starting at or after each multiple of ENTRY_CHUNK,
-        and holding at least one entry."""
+    def _row_cuts(self):
+        """The rows a to b - 1 of each step of a pass over the tensor: whole
+        rows, cut at the first row starting at or after each multiple of
+        ENTRY_CHUNK, and holding at least one entry."""
         m = self.shape[0]
         row_ptr = self.pair_ptr[::m]
         cuts = row_ptr.searchsorted(np.arange(0, self.v.size, ENTRY_CHUNK)).tolist()
         for a, b in zip(cuts, cuts[1:] + [m]):
             if row_ptr[a] < row_ptr[b]:
-                yield self._rows(a, b)
+                yield a, b
+
+    def _blocks(self):
+        """``_rows`` for each step of ``_row_cuts``."""
+        return (self._rows(a, b) for a, b in self._row_cuts())
 
     def run(self, i: int, j: int) -> slice:
         """The entries of pair (i, j), ordered by k."""
@@ -218,9 +238,7 @@ class SparseTensor:
         m = self.shape[0]
         if not 0 <= i < m:
             raise IndexError(f"row {i} outside a tensor of {m} basis elements")
-        ptr = self.pair_ptr[i * m : (i + 1) * m + 1]
-        run = slice(int(ptr[0]), int(ptr[-1]))
-        j = np.arange(m, dtype=np.int32).repeat(np.diff(ptr))
+        run, _, j = self._rows(i, i + 1)
         return j, self.k[run].astype(np.int64), self.v[run].astype(np.int64)
 
     def to_table(self) -> dict[tuple[int, int], dict[int, int]]:
@@ -249,23 +267,6 @@ class SparseTensor:
         mine = (self.pair_ptr, self.k, self.v)
         theirs = (other.pair_ptr, other.k, other.v)
         return self.shape == other.shape and all(map(np.array_equal, mine, theirs))
-
-
-def _row_nonzeros(block: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """``SparseTensor.from_rows`` rows of a block (rows, m, m): int32 pair
-    counts, k in the narrowest unsigned dtype and the values in theirs."""
-    m = block.shape[1]
-    nonzero = block != 0
-    counts = nonzero.sum(axis=2, dtype=np.int32)
-    flat = np.flatnonzero(nonzero)
-    del nonzero
-    values = block.reshape(-1)[flat]
-    k = (flat % m).astype(_position_dtype(m))
-    values = values.astype(_value_dtype(values))
-    ends = [0, *np.cumsum(counts.sum(axis=1)).tolist()]
-    return [
-        (counts[r], k[a:b], values[a:b]) for r, (a, b) in enumerate(zip(ends, ends[1:]))
-    ]
 
 
 def _position_dtype(m: int) -> np.dtype:
@@ -331,16 +332,21 @@ def verlinde_constants(basis: tuple, conj) -> SparseTensor:
     x, inverse = den * num[0] % p, 1  # inverse = x^(p - 2), by square and multiply
     for bit in bin(p - 2)[2:]:
         inverse = inverse * inverse % p * x % p if bit == "1" else inverse * inverse % p
-    chi = num * den[0] % p * inverse % p
-    del phases, num, den, x, inverse  # the row loop and the join hold the most
+    blocks = _verlinde_blocks(num * den[0] % p * inverse % p, w, conj, p)
+    del phases, num, den, x, inverse  # the blocks and the join hold the most
+    return SparseTensor.from_blocks(m, blocks)
+
+
+def _verlinde_blocks(chi: np.ndarray, w: np.ndarray, conj, p: int):
+    """The blocks (rows, m, m) of ``verlinde_constants``, one GEMM each, in
+    order of i.  The generator owns chi and the GEMM factors, so they are
+    freed when it ends, before the join."""
+    m = len(chi)
     right = chi[list(conj)].T.astype(np.float64)
-    rows: list[tuple[np.ndarray, ...]] = []
     step = max(1, ENTRY_CHUNK // (m * m))  # rows a step: one, or all of a small ring's
     for start in range(0, m, step):
         left = _mod(chi * (chi[start : start + step, None, :] * w % p), p).astype(np.float64)
-        rows += _row_nonzeros(_mod((left @ right).astype(np.int64), p))
-    del chi, right, left  # before the join, which holds the most
-    return SparseTensor.from_rows(rows)
+        yield _mod((left @ right).astype(np.int64), p)
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -430,24 +436,34 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
     lists one column per (member position j, orbit c), at j*m + c.  For
     each first index a, every factor gives an m x n*m block, its rows
     x_f(a), x_f(b) gathered before its columns; the blocks' product, summed
-    over j, is the slab C_[a]..^..  Each slab's nonzero count per b gives
-    row a's pair counts, its nonzeros are read in C order as targets c and
-    values, and the slabs are joined in order of a, so the entries arrive
-    in (a, b, c) order with no sort and no per-entry Python work.  An orbit's
-    conjugate is the orbit holding its representative's factorwise
-    conjugate.  ``basis`` names the orbits and ``dims`` maps each name to
-    its dimension.
+    over j, is the slab C_[a]..^.., which ``SparseTensor.from_blocks``
+    joins in order of a, so the entries arrive in (a, b, c) order with no
+    sort and no per-entry Python work.  An orbit's conjugate is the orbit
+    holding its representative's factorwise conjugate.  ``basis`` names the
+    orbits and ``dims`` maps each name to its dimension.
 
     Every slab entry is a sum of n products, so it is at most
     n * prod_f max |D_f|; when that is below 2^31 the blocks are gathered,
-    multiplied and summed in int32, else in int64.  Each slab's values are
-    narrowed before the join, as ``SparseTensor`` stores them (targets
-    too: uint8 below 257 orbits).
+    multiplied and summed in int32, else in int64.
     """
     if not orbits:
         raise ValueError("need at least one orbit: every ring keeps its unit at index 0")
-    m, size = len(orbits), len(orbits[0])
-    members = np.array(orbits, dtype=np.int64)  # (orbit, position, factor)
+    slabs = _orbit_slabs(factors, np.array(orbits, dtype=np.int64))
+    constants = SparseTensor.from_blocks(len(orbits), slabs)
+    orbit_of = {s: o for o, orbit in enumerate(orbits) for s in orbit}
+    conj = tuple(
+        orbit_of[tuple(ring.conj[x] for ring, x in zip(factors, orbit[0]))]
+        for orbit in orbits
+    )
+    return BasedRing(tuple(basis), constants, conj, dims)
+
+
+def _orbit_slabs(factors: list[BasedRing], members: np.ndarray):
+    """The slabs of ``orbit_ring``, as blocks (1, m, m) in order of a, from
+    the orbits' members (orbit, position, factor).  The generator owns the
+    dense factor tensors and their gathers, so they are freed when it ends,
+    before the join."""
+    m, size = members.shape[:2]
     reps = members[:, 0]
     by_position = members.transpose(1, 0, 2).reshape(m * size, len(factors))
     top = size * math.prod(_largest_magnitude(ring.constants.v) for ring in factors)
@@ -456,22 +472,13 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
         (ring.constants.dense().astype(dtype, copy=False), reps[:, f], by_position[:, f])
         for f, ring in enumerate(factors)
     ]
-    rows: list[tuple[np.ndarray, ...]] = []
     for a in range(m):
         blocks = (dense[idx[a], idx][:, cols] for dense, idx, cols in gathers)
         slab = next(blocks)
         for block in blocks:
             slab *= block
         slab = slab.reshape(m, size, m).sum(axis=1, dtype=dtype)
-        rows += _row_nonzeros(slab[None])
-    del slab
-    constants = SparseTensor.from_rows(rows)
-    orbit_of = {s: o for o, orbit in enumerate(orbits) for s in orbit}
-    conj = tuple(
-        orbit_of[tuple(ring.conj[x] for ring, x in zip(factors, orbit[0]))]
-        for orbit in orbits
-    )
-    return BasedRing(tuple(basis), constants, conj, dims)
+        yield slab[None]
 
 
 @dataclass
@@ -639,17 +646,17 @@ def sigma_covariant(tensor: SparseTensor, perm: np.ndarray) -> bool:
 
 
 def _magnitude_row_sums(tensor: SparseTensor) -> np.ndarray:
-    """The m x m int64 sums sum_k |N_ij^k|, taken a block of whole rows at
-    a time, each block's values widened to int64 before |.|, so that no
-    dtype's minimum wraps and no full-width copy of the values is made."""
+    """The m x m int64 sums sum_k |N_ij^k|, taken over the rows of each
+    ``_row_cuts`` step at a time, which need no entry positions: each
+    step's values are widened to int64 before |.|, so that no dtype's
+    minimum wraps and no full-width copy of the values is made."""
     m = tensor.shape[0]
-    ptr = tensor.pair_ptr
     sums = np.zeros(m * m, dtype=np.int64)
-    for run, i, _ in tensor._blocks():
-        p, q = int(i[0]) * m, (int(i[-1]) + 1) * m  # its first to last row holding entries
-        live = np.diff(ptr[p : q + 1]) > 0
-        magnitude = np.abs(tensor.v[run], dtype=np.int64)
-        sums[p:q][live] = np.add.reduceat(magnitude, ptr[p:q][live] - run.start)
+    for a, b in tensor._row_cuts():
+        ptr = tensor.pair_ptr[a * m : b * m + 1]
+        live = ptr[1:] > ptr[:-1]
+        magnitude = np.abs(tensor.v[ptr[0] : ptr[-1]], dtype=np.int64)
+        sums[a * m : b * m][live] = np.add.reduceat(magnitude, ptr[:-1][live] - ptr[0])
     return sums.reshape(m, m)
 
 

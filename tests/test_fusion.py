@@ -1368,6 +1368,28 @@ RING_CONSTRUCTORS = {
 }
 
 
+@st.composite
+def block_splits(draw):
+    """m from 1 to 12, nonzeros {(i, j, k): value} with values that are
+    negative or cross the int8, int16 and int32 limits, and the row bounds
+    0 = b_0 < b_1 < ... = m of blocks drawn at random."""
+    m = draw(st.integers(1, 12))
+    value = st.one_of(st.integers(-3, 3), st.sampled_from([v for v, _ in WIDTH_BOUNDARIES]))
+    entries = draw(st.dictionaries(st.tuples(*[st.integers(0, m - 1)] * 3), value, max_size=40))
+    return m, entries, sorted({0, m} | draw(st.sets(st.integers(0, m))))
+
+
+def dense_blocks(m, entries, bounds):
+    """The int64 blocks (b - a, m, m) of rows a to b - 1 of the entries,
+    made one at a time."""
+    for a, b in zip(bounds, bounds[1:]):
+        block = np.zeros((b - a, m, m), dtype=np.int64)
+        for (i, j, k), v in entries.items():
+            if a <= i < b:
+                block[i - a, j, k] = v
+        yield block
+
+
 class TestDtypeContract:
     """Runs over the (i, j) pairs: int32 offsets, targets in the narrowest
     unsigned type that holds m - 1, and values in the narrowest signed type
@@ -1405,20 +1427,50 @@ class TestDtypeContract:
         assert got == sorted(entries)
         assert t.to_table()[(537, 0)] == {0: 2, 1: 7}
 
-    def test_from_rows_stores_the_contract_dtypes(self):
-        counts = np.array([1, 0])
-        rows = [(counts, np.array([0]), np.array([1], dtype=np.int32))] * 2
-        t = SparseTensor.from_rows(rows)
+    def test_from_blocks_stores_the_contract_dtypes(self):
+        block = np.zeros((2, 2, 2), dtype=np.int32)
+        block[:, 0, 0] = 1
+        t = SparseTensor.from_blocks(2, [block])
         assert [x.dtype for x in (t.pair_ptr, t.k, t.v)] == [np.int32, np.uint8, np.int8]
         assert t.pair_ptr.tolist() == [0, 1, 1, 2, 2]
-        # the joined values take the widest row's narrowest dtype
-        rows = [
-            (np.array([0, 1]), np.array([1]), np.array([-129], dtype=np.int64)),
-            (np.array([0, 0]),) + (np.array([], dtype=np.int64),) * 2,
-        ]
-        t = SparseTensor.from_rows(rows)
-        assert t.v.dtype == np.int16 and t.v.tolist() == [-129]
-        assert t.to_table() == {(0, 1): {1: -129}}
+        # the joined values take the widest block's narrowest dtype
+        wide, narrow = np.zeros((1, 2, 2), dtype=np.int64), np.zeros((1, 2, 2), dtype=np.int8)
+        wide[0, 1, 1], narrow[0, 0, 0] = -129, 5
+        t = SparseTensor.from_blocks(2, [wide, narrow])
+        assert t.v.dtype == np.int16 and t.v.tolist() == [-129, 5]
+        assert t.to_table() == {(0, 1): {1: -129}, (1, 0): {0: 5}}
+
+    @pytest.mark.parametrize(
+        "shapes,match",
+        [
+            ([(2, 2, 3)], r"shape \(2, 2, 3\), not \(rows, 2, 2\)"),
+            ([(1, 2, 2)], "3 run offsets for 2 basis elements"),
+            ([(1, 2, 2), (2, 2, 2)], "7 run offsets for 2 basis elements"),
+        ],
+        ids=["columns", "too-few-rows", "too-many-rows"],
+    )
+    def test_from_blocks_refuses_blocks_that_are_not_the_rows(self, shapes, match):
+        with pytest.raises(ValueError, match=match):
+            SparseTensor.from_blocks(2, [np.ones(shape, dtype=np.int8) for shape in shapes])
+
+    @settings(deadline=None)
+    @given(block_splits())
+    # 257 elements: uint16 targets, and blocks of 1 to 16 rows, most all zero
+    @example(
+        case=(
+            257,
+            {(0, 0, 0): 1, (0, 256, 255): -129, (1, 3, 256): 2**31, (255, 255, 256): -(2**63)},
+            [0, 1, 2, *range(10, 257, 16), 257],
+        )
+    )
+    def test_from_blocks_matches_from_entries(self, case):
+        m, entries, bounds = case
+        positions = np.array(list(entries), dtype=np.int64).reshape(-1, 3)
+        want = SparseTensor.from_entries(m, *positions.T, list(entries.values()))
+        got = SparseTensor.from_blocks(m, dense_blocks(m, entries, bounds))
+        assert got.shape == want.shape
+        for mine, theirs in zip((got.pair_ptr, got.k, got.v), (want.pair_ptr, want.k, want.v)):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
 
 
 # values on both sides of each width's limits, and the dtype each needs

@@ -238,7 +238,7 @@ def test_every_size_refusal_goes_through_one_helper():
 
 
 # the run layout of a SparseTensor, whose attributes only fusion reads
-LAYOUT = {"pair_ptr", "rows", "blocks"}
+LAYOUT = {"pair_ptr", "rows", "row_cuts", "blocks"}
 
 
 def reads_layout(tree) -> bool:
