@@ -106,10 +106,11 @@ class SparseTensor:
     distinct and increasing and whose values are ``v``.  The entries are
     therefore in increasing (i, j, k) order, and the positions i and j of
     an entry are implied by its run.  ``k`` is stored in the narrowest
-    unsigned type that holds m - 1 (uint8 or uint16: past 2^16 elements the
-    constructors refuse, as the int32 pair indices would wrap), and ``v`` in
-    the narrowest signed type that holds the values; both constructors
-    store these dtypes whatever they are given.  Every ring constructor
+    unsigned type that holds m - 1 (uint8 or uint16: past 2^16 elements
+    ``from_blocks`` refuses, as the int32 pair indices would wrap), and
+    ``v`` in the narrowest signed type that holds the values; ``from_blocks``,
+    the one constructor every builder calls, stores these dtypes whatever
+    its blocks hold.  Every ring builder
     holds m^3 <= DENSE_BUDGET = 2^24, so m <= 256 and ``k`` is uint8; fusion
     multiplicities are small (at most 14 on su(5)_5 and 4 on the coset
     (3,3,2)), so values are int8 and a nonzero takes 2 bytes beside the
@@ -129,62 +130,41 @@ class SparseTensor:
     v: np.ndarray
 
     @classmethod
-    def from_entries(cls, m: int, i, j, k, v) -> "SparseTensor":
-        """Drop zero values and sort the entries, refusing any position
-        outside [0, m).  The sort key (i * m + j) * m + k is taken in int64:
-        from m = 1291 on it passes 2^31."""
-        i, j, k = (np.asarray(x, dtype=np.int64) for x in (i, j, k))
-        for name, x in zip("ijk", (i, j, k)):
-            if x.size and not (0 <= x.min() and x.max() < m):
-                raise ValueError(f"{name} positions outside [0, {m}): {x.min()} to {x.max()}")
-        v = np.asarray(v, dtype=np.int64)
-        nonzero = v != 0
-        if not nonzero.all():
-            i, j, k, v = i[nonzero], j[nonzero], k[nonzero], v[nonzero]
-        pair = i * m + j
-        order = np.argsort(pair * m + k)
-        k, v = k[order].astype(_position_dtype(m)), v[order].astype(_value_dtype(v))
-        return cls._join(m, [np.bincount(pair, minlength=m * m)], [k], [v])
-
-    @classmethod
     def from_blocks(cls, m: int, blocks) -> "SparseTensor":
-        """Join the dense integer blocks (rows, m, m) that hold rows 0, 1, ...
-        of an m x m x m tensor, in order.  Each block's nonzeros, read in C
-        order, are its entries in (i, j, k) order, so nothing is sorted;
-        their targets and values are narrowed as each block arrives, so the
-        blocks need not be held at once.  A block of another shape is
-        refused, so no target reaches m."""
-        counts, k, v = [], [], []
+        """The one constructor: join the dense integer blocks (rows, m, m)
+        that hold rows 0, 1, ... of an m x m x m tensor, in order.  Each
+        block's nonzeros, read in C order, are its entries in (i, j, k)
+        order, so nothing is sorted; their targets and values are narrowed
+        as each block arrives, so the blocks need not be held at once.  The
+        pair counts turn into int32 offsets by one cumulative sum, the
+        values are joined in the widest of the blocks' dtypes, and each
+        field's parts are dropped before the next field is joined.  A block
+        of another shape or of a dtype that is not integer is refused, so no
+        target reaches m and no value is truncated."""
+        position = _position_dtype(m)
+        # an empty part of each field first, so that no blocks join to no entries
+        counts, k, v = [np.zeros(0, np.int32)], [np.zeros(0, position)], [np.zeros(0, np.int8)]
         for block in blocks:
             if block.shape[1:] != (m, m):
                 raise ValueError(f"a block of shape {block.shape}, not (rows, {m}, {m})")
+            if block.dtype.kind not in "iu":
+                raise ValueError(f"a block of dtype {block.dtype}, not integer")
             nonzero = block != 0
             counts.append(nonzero.sum(axis=2, dtype=np.int32).ravel())
             flat = np.flatnonzero(nonzero)
             del nonzero
             values = block.reshape(-1)[flat]
-            k.append((flat % m).astype(_position_dtype(m)))
+            k.append((flat % m).astype(position))
             v.append(values.astype(_value_dtype(values)))
             del block, flat, values  # before the next block is made
-        return cls._join(m, counts, k, v)
-
-    @classmethod
-    def _join(cls, m: int, counts: list, k: list, v: list) -> "SparseTensor":
-        """The tensor whose entries are the parts' in order, each part's
-        targets in ``_position_dtype(m)`` and values in their narrowest
-        dtype: the pair counts turn into int32 offsets by one cumulative
-        sum, and the values are joined in the widest of the parts' dtypes.
-        Each list is emptied, and each field joined and its parts dropped
-        before the next, so the parts and the joined tensor are not held in
-        full at once."""
         ptr = np.empty(sum(map(len, counts)) + 1, dtype=np.int32)
         ptr[0] = 0
         np.cumsum(np.concatenate(counts), out=ptr[1:])
-        counts.clear()
+        del counts
         targets = np.concatenate(k)
-        k.clear()
+        del k
         values = np.concatenate(v)  # promoted to the widest part's dtype
-        v.clear()
+        del v
         return cls((m, m, m), ptr, targets, values)
 
     def __post_init__(self):
@@ -282,7 +262,10 @@ def _position_dtype(m: int) -> np.dtype:
 def _value_dtype(values: np.ndarray) -> np.dtype:
     """The narrowest signed integer dtype holding every value (int8 when there are none)."""
     low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
-    return next(d for d in VALUE_DTYPES if np.iinfo(d).min <= low and high <= np.iinfo(d).max)
+    for dtype in VALUE_DTYPES:
+        if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max:
+            return dtype
+    raise ValueError(f"values from {low} to {high}: they pass int64")
 
 
 def _largest_magnitude(values: np.ndarray) -> int:
@@ -493,20 +476,24 @@ def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     sigma-image of the vacuum exactly when i' is the sigma-image of i.
 
     For each power t the m x m slice N_ab^(sigma^t(0)) is read off the
-    sparse entries; its rows taken at conj(i) must be the permutation
-    matrix of sigma^t.  Failures are listed in (t, i, i') order."""
+    entries, a block of whole rows at a time; its rows taken at conj(i)
+    must be the permutation matrix of sigma^t.  Failures are listed in
+    (t, i, i') order."""
     c = ring.constants
-    m = len(ring.basis)
+    m, n = len(ring.basis), ring.spec.n
+    perms = [ring.sigma_permutation(t) for t in range(n)]
+    coeffs = np.zeros((n, m, m), dtype=np.int64)
+    for run, i, j in c._blocks():
+        k, v = c.k[run], c.v[run]
+        for t, perm in enumerate(perms):
+            at = np.flatnonzero(k == perm[0])
+            coeffs[t, i[at], j[at]] = v[at]
     conj = np.array(ring.conj)
     failures = []
-    for t in range(ring.spec.n):
-        perm = ring.sigma_permutation(t)
-        at = np.flatnonzero(c.k == perm[0])
-        coeffs = np.zeros((m, m), dtype=np.int64)
-        coeffs.reshape(-1)[np.searchsorted(c.pair_ptr, at, side="right") - 1] = c.v[at]
-        wrong = np.argwhere(coeffs[conj] != np.eye(m, dtype=np.int64)[perm]).tolist()
+    for t, perm in enumerate(perms):
+        wrong = np.argwhere(coeffs[t, conj] != np.eye(m, dtype=np.int64)[perm]).tolist()
         failures.extend((t, i, ip) for i, ip in wrong)
-    return SimpleCurrentReport(not failures, ring.spec.n * m * m, failures)
+    return SimpleCurrentReport(not failures, n * m * m, failures)
 
 
 def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:

@@ -62,13 +62,16 @@ def build_maverick_ring() -> BasedRing:
     """The product of the Fibonacci ring on (1, x) and the group ring of Z3
     on the powers 0, 1, 2 of z, with word x^a z^b the pair (a, b), and
     every independently quoted property of the result verified."""
+    import numpy as np
+
     from .fusion import BasedRing, SparseTensor, orbit_ring
 
-    fib_entries = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
-    fib_constants = SparseTensor.from_entries(2, *zip(*fib_entries), [1] * 5)
+    # N_ab^c as [a][b][c]: 1 x = x 1 = x and x x = 1 + x; z^a z^b = z^(a + b mod 3)
+    fib_table = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 1]]], dtype=np.int8)
+    fib_constants = SparseTensor.from_blocks(2, [fib_table])
     fib = BasedRing(("1", "x"), fib_constants, (0, 1), {"1": 1.0, "x": GOLDEN})
-    z3_entries = [(a, b, (a + b) % 3) for a in range(3) for b in range(3)]
-    z3_constants = SparseTensor.from_entries(3, *zip(*z3_entries), [1] * 9)
+    z3_table = np.eye(3, dtype=np.int8)[np.add.outer(range(3), range(3)) % 3]
+    z3_constants = SparseTensor.from_blocks(3, [z3_table])
     z3 = BasedRing((0, 1, 2), z3_constants, (0, 2, 1), dict.fromkeys(range(3), 1.0))
     dims = dict(zip(BASIS_NAMES, (1.0, GOLDEN, GOLDEN, GOLDEN, 1.0, 1.0)))
     ring = orbit_ring([fib, z3], [[w] for w in _WORDS.values()], BASIS_NAMES, dims)

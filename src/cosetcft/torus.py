@@ -103,9 +103,9 @@ def _class_ring(l: int, m: int) -> BasedRing:
     of dimension 1."""
     classes = torus_classes(l, m)
     index = {c: i for i, c in enumerate(classes)}
-    i, j = np.divmod(np.arange(len(classes) ** 2), len(classes))
-    k = np.array([index[class_add(a, b)] for a in classes for b in classes])
-    constants = SparseTensor.from_entries(len(classes), i, j, k, np.ones_like(k))
+    one_hot = np.eye(len(classes), dtype=np.int8)
+    rows = (one_hot[[index[class_add(a, b)] for b in classes]][None] for a in classes)
+    constants = SparseTensor.from_blocks(len(classes), rows)
     conj = tuple(index[class_neg(c)] for c in classes)
     return BasedRing(tuple(classes), constants, conj, dict.fromkeys(classes, 1.0))
 

@@ -493,9 +493,10 @@ def sparse_constants(draw):
     index = st.integers(0, m - 1)
     positions = st.tuples(index, index, index)
     entries = draw(st.dictionaries(positions, st.integers(1, 10**6), max_size=60))
-    i, j, k = (np.array([e[x] for e in entries], dtype=np.int64) for x in range(3))
-    v = np.array(list(entries.values()), dtype=np.int64)
-    return fusion.SparseTensor.from_entries(m, i, j, k, v)
+    dense = np.zeros((m, m, m), dtype=np.int64)
+    for position, value in entries.items():
+        dense[position] = value
+    return fusion.SparseTensor.from_blocks(m, [dense])
 
 
 @settings(max_examples=200, deadline=None)

@@ -641,17 +641,18 @@ class TestDenseBudget:
             verlinde_tensor(sm)
 
     def test_dense_refused(self, monkeypatch):
+        empty = tensor_of({}, 257)
         forbid(monkeypatch, "zeros")
         with pytest.raises(ValueError, match="budget"):
-            tensor_of({}, 257).dense()
+            empty.dense()
 
 
 def tensor_of(table, m):
-    """The entries of {(i, j): {k: value}}, listed in the table's order, as
-    a SparseTensor of m basis elements."""
-    entries = [(i, j, k, c) for (i, j), row in table.items() for k, c in row.items()]
-    i, j, k, v = np.array(entries, dtype=np.int64).reshape(-1, 4).T
-    return SparseTensor.from_entries(m, i, j, k, v)
+    """The entries of {(i, j): {k: value}}, in any order, as a SparseTensor
+    of m basis elements: scattered into int64 row blocks (1, m, m), which
+    ``from_blocks`` joins."""
+    entries = {(i, j, k): c for (i, j), row in table.items() for k, c in row.items()}
+    return SparseTensor.from_blocks(m, dense_blocks(m, entries, range(m + 1)))
 
 
 def loop_dense(table, m):
@@ -942,6 +943,27 @@ def test_simple_current_check_of_tampered_ring():
     assert report == coeff_loop_simple_current(tampered)
 
 
+def test_simple_current_check_of_a_ring_tampered_across_chunks():
+    # su(4)_6 takes three blocks of whole rows; one translation channel is
+    # changed in each: a stray channel in row 0, one removed in a middle
+    # row and one doubled in the last row, each for its own power
+    ring = fusion_ring(AlgebraSpec.su(4, 6))
+    m, conj = len(ring.basis), ring.conj
+    cuts = list(ring.constants._row_cuts())
+    assert len(cuts) == 3
+    rows = (0, m // 2, m - 1)
+    assert [[a <= r < b for a, b in cuts].index(True) for r in rows] == [0, 1, 2]
+    table = {pair: dict(payload) for pair, payload in ring.table.items()}
+    perms = [ring.sigma_permutation(t) for t in (1, 2, 3)]
+    table[(0, perms[0][1])][perms[0][0]] = 1
+    del table[(m // 2, perms[1][conj[m // 2]])][perms[1][0]]
+    table[(m - 1, perms[2][conj[m - 1]])][perms[2][0]] = 2
+    tampered = dataclasses.replace(ring, constants=tensor_of(table, m))
+    report = simple_current_check(tampered)
+    assert [(t, conj[i]) for t, i, _ in report.failures] == [(1, 0), (2, m // 2), (3, m - 1)]
+    assert report == coeff_loop_simple_current(tampered)
+
+
 def test_reports_memory():
     # neither report of a coset ring holds an m^3 array
     ring = coset_ring(CosetSpec(3, 3, 2))
@@ -1176,14 +1198,6 @@ class TestIndexChecks:
         with pytest.raises(IndexError, match=f"target {k} outside"):
             ring.coeff(1, 1, k)
 
-    @pytest.mark.parametrize(
-        "i,j,k",
-        [([0, 0], [0, 5], [0, 1]), ([0, -1], [0, 0], [0, 1]), ([0], [0], [256])],
-        ids=["j=5", "i=-1", "k=256"],
-    )
-    def test_from_entries_refuses_a_position_outside_the_ring(self, i, j, k):
-        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-            SparseTensor.from_entries(3, i, j, k, [1] * len(i))
 
 
 class TestZeroElements:
@@ -1191,7 +1205,7 @@ class TestZeroElements:
     elements is refused, as ``product_ring([])`` is."""
 
     def test_axiom_check_refuses_an_empty_tensor(self):
-        t = SparseTensor.from_entries(0, [], [], [], [])
+        t = SparseTensor.from_blocks(0, [])
         with pytest.raises(ValueError, match="at least one basis element"):
             ring_axiom_failures(t, ())
 
@@ -1278,9 +1292,7 @@ def covariance_cases(draw):
         entries = closed
         if entries and draw(st.booleans()):
             entries[draw(st.sampled_from(sorted(entries)))] = draw(values)
-    i, j, k = np.array(list(entries) or np.empty((0, 3)), dtype=np.int64).T
-    v = np.array(list(entries.values()), dtype=np.int64)
-    return SparseTensor.from_entries(m, i, j, k, v), np.array(perm, dtype=np.int32)
+    return SparseTensor.from_blocks(m, [dense_of(m, entries)]), np.array(perm, dtype=np.int32)
 
 
 class TestCovariance:
@@ -1324,15 +1336,15 @@ class TestCovarianceGuard:
     LARGEST_PACKED = (2**63 - 1) // M3 - 1
 
     @pytest.fixture
-    def sorts(self, monkeypatch):
+    def builds(self, monkeypatch):
         calls = []
-        original = SparseTensor.from_entries.__func__
+        original = SparseTensor.from_blocks.__func__
 
         def spy(cls, *args):
             calls.append(args[0])
             return original(cls, *args)
 
-        monkeypatch.setattr(SparseTensor, "from_entries", classmethod(spy))
+        monkeypatch.setattr(SparseTensor, "from_blocks", classmethod(spy))
         return calls
 
     @pytest.mark.parametrize(
@@ -1340,22 +1352,22 @@ class TestCovarianceGuard:
         [LARGEST_PACKED, LARGEST_PACKED + 1, 2**62],
         ids=["largest-packed", "smallest-fallback", "far-past"],
     )
-    def test_both_paths_agree(self, sorts, top):
+    def test_both_paths_agree(self, builds, top):
         t, perm = covariance_case()
         same = np.full(t.v.size, top)
         assert fusion.sigma_covariant(covariance_case(same)[0], perm)
         one_off = same.copy()
         one_off[t.v.size // 2] = top - 1
         assert not fusion.sigma_covariant(covariance_case(one_off)[0], perm)
-        assert sorts == []
+        assert builds == []
 
-    def test_negative_value_falls_back(self, sorts):
+    def test_negative_value_falls_back(self, builds):
         t, perm = covariance_case()
         assert fusion.sigma_covariant(covariance_case(-t.v)[0], perm)
         one_off = -t.v
         one_off[t.v.size // 2] -= 1
         assert not fusion.sigma_covariant(covariance_case(one_off)[0], perm)
-        assert sorts == []
+        assert builds == []
 
 
 RING_CONSTRUCTORS = {
@@ -1380,14 +1392,35 @@ def block_splits(draw):
 
 
 def dense_blocks(m, entries, bounds):
-    """The int64 blocks (b - a, m, m) of rows a to b - 1 of the entries,
-    made one at a time."""
+    """The int64 blocks (b - a, m, m) of rows a to b - 1 of the entries
+    {(i, j, k): value}, made one at a time."""
+    positions = np.array(list(entries), dtype=np.int64).reshape(-1, 3)
+    values = np.array(list(entries.values()), dtype=np.int64)
     for a, b in zip(bounds, bounds[1:]):
         block = np.zeros((b - a, m, m), dtype=np.int64)
-        for (i, j, k), v in entries.items():
-            if a <= i < b:
-                block[i - a, j, k] = v
+        at = (a <= positions[:, 0]) & (positions[:, 0] < b)
+        i, j, k = positions[at].T
+        block[i - a, j, k] = values[at]
         yield block
+
+
+def python_tensor(m, entries):
+    """Reference fields, sharing no code with ``from_blocks``: the nonzeros
+    of {(i, j, k): value} sorted in Python, the pair offsets counted in
+    Python, uint8 targets up to 256 elements (uint16 past that) and the
+    narrowest signed width that holds every value."""
+    nonzero = sorted((position, v) for position, v in entries.items() if v)
+    counts = [0] * (m * m)
+    for (i, j, _), _ in nonzero:
+        counts[i * m + j] += 1
+    values = [v for _, v in nonzero]
+    widths = (np.int8, np.int16, np.int32, np.int64)
+    width = next(w for w in widths if all(np.iinfo(w).min <= v <= np.iinfo(w).max for v in values))
+    return (
+        np.array([0, *itertools.accumulate(counts)], dtype=np.int32),
+        np.array([k for (_, _, k), _ in nonzero], dtype=np.uint8 if m <= 256 else np.uint16),
+        np.array(values, dtype=width),
+    )
 
 
 class TestDtypeContract:
@@ -1412,21 +1445,6 @@ class TestDtypeContract:
         with pytest.raises(ValueError, match="pass int32"):
             fusion._position_dtype(2**16 + 1)
 
-    def test_from_entries_sorts_on_int64_keys(self):
-        # (i m + j) m + k passes 2^31 for most of these: int32 keys would wrap
-        m = 2000
-        entries = [
-            (1999, 1999, 1999, 1), (537, 0, 0, 2), (536, 0, 5, 3),
-            (1000, 5, 7, 4), (0, 1999, 1999, 5), (1000, 5, 6, 6), (537, 0, 1, 7),
-        ]
-        assert (537 * m) * m > 2**31 > (536 * m) * m + 5
-        i, j, k, v = (np.array(x, dtype=np.int64) for x in zip(*entries))
-        t = SparseTensor.from_entries(m, i, j, k, v)
-        assert [x.dtype for x in (t.pair_ptr, t.k, t.v)] == [np.int32, np.uint16, np.int8]
-        got = list(zip(*(x.tolist() for x in (*entry_pairs(t), t.k, t.v))))
-        assert got == sorted(entries)
-        assert t.to_table()[(537, 0)] == {0: 2, 1: 7}
-
     def test_from_blocks_stores_the_contract_dtypes(self):
         block = np.zeros((2, 2, 2), dtype=np.int32)
         block[:, 0, 0] = 1
@@ -1446,12 +1464,27 @@ class TestDtypeContract:
             ([(2, 2, 3)], r"shape \(2, 2, 3\), not \(rows, 2, 2\)"),
             ([(1, 2, 2)], "3 run offsets for 2 basis elements"),
             ([(1, 2, 2), (2, 2, 2)], "7 run offsets for 2 basis elements"),
+            ([], "1 run offsets for 2 basis elements"),
         ],
-        ids=["columns", "too-few-rows", "too-many-rows"],
+        ids=["columns", "too-few-rows", "too-many-rows", "no-blocks"],
     )
     def test_from_blocks_refuses_blocks_that_are_not_the_rows(self, shapes, match):
         with pytest.raises(ValueError, match=match):
             SparseTensor.from_blocks(2, [np.ones(shape, dtype=np.int8) for shape in shapes])
+
+    def test_from_blocks_refuses_values_it_cannot_store(self):
+        # a float block was truncated (1.7 -> 1, and 0.25 stored as an
+        # explicit zero), and a uint64 value from 2^63 on fits no width
+        fractions = np.zeros((2, 2, 2))
+        fractions[0, 0, 0], fractions[0, 1, 1], fractions[1, 1, 0] = 1, 0.25, 1.7
+        with pytest.raises(ValueError, match="a block of dtype float64, not integer"):
+            SparseTensor.from_blocks(2, [fractions])
+        top = np.zeros((2, 2, 2), dtype=np.uint64)
+        top[1, 1, 1] = 2**63 - 1
+        assert SparseTensor.from_blocks(2, [top]).v.tolist() == [2**63 - 1]
+        top[1, 1, 1] = 2**63
+        with pytest.raises(ValueError, match=f"values from {2**63} to {2**63}: they pass int64"):
+            SparseTensor.from_blocks(2, [top])
 
     @settings(deadline=None)
     @given(block_splits())
@@ -1463,13 +1496,11 @@ class TestDtypeContract:
             [0, 1, 2, *range(10, 257, 16), 257],
         )
     )
-    def test_from_blocks_matches_from_entries(self, case):
+    def test_from_blocks_matches_a_python_reference(self, case):
         m, entries, bounds = case
-        positions = np.array(list(entries), dtype=np.int64).reshape(-1, 3)
-        want = SparseTensor.from_entries(m, *positions.T, list(entries.values()))
         got = SparseTensor.from_blocks(m, dense_blocks(m, entries, bounds))
-        assert got.shape == want.shape
-        for mine, theirs in zip((got.pair_ptr, got.k, got.v), (want.pair_ptr, want.k, want.v)):
+        assert got.shape == (m, m, m)
+        for mine, theirs in zip((got.pair_ptr, got.k, got.v), python_tensor(m, entries)):
             assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
 
 
@@ -1556,8 +1587,7 @@ def narrow_cases(draw):
     else:
         tensor, conj = draw(permuted_verlinde_rings())
     m = len(tensor)
-    nonzero = np.nonzero(tensor)
-    t = SparseTensor.from_entries(m, *nonzero, tensor[nonzero])
+    t = SparseTensor.from_blocks(m, [tensor])
     return narrow_ring(t, conj), draw(st.permutations(range(m)))
 
 

@@ -261,6 +261,35 @@ def test_only_fusion_reads_the_ring_layout():
     assert readers == ["fusion"]
 
 
+def tensor_builds(tree) -> set[str]:
+    """How the code under tree can make a SparseTensor: each classmethod
+    the class defines, as "@classmethod name", and each call of the class
+    or of one of its attributes, as "SparseTensor" or "SparseTensor.name",
+    whatever module prefix it is called through."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "SparseTensor":
+            found |= {
+                f"@classmethod {f.name}"
+                for f in node.body
+                if isinstance(f, ast.FunctionDef) and "classmethod" in map(ast.unparse, f.decorator_list)
+            }
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func).split(".")
+            if "SparseTensor" in name:
+                found.add(".".join(name[name.index("SparseTensor") :]))
+    return found
+
+
+def test_every_ring_tensor_is_built_by_from_blocks():
+    # one constructor narrows and joins every ring's constants, so no
+    # module builds a tensor by another path, such as a sort of entries
+    builds = set().union(
+        *(tensor_builds(ast.parse(path.read_text())) for path in (SRC / "cosetcft").glob("*.py"))
+    )
+    assert builds == {"@classmethod from_blocks", "SparseTensor.from_blocks"}
+
+
 def test_readme_library_sketch_runs():
     # the README's example code names the public API: a name moved or
     # renamed fails here, not only in the docs

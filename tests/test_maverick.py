@@ -100,10 +100,11 @@ class TestRingStructure:
             _verify(broken)
 
     def test_table_corruption_detected(self, ring):
-        table = {k: dict(v) for k, v in ring.table.items()}
-        table[(ring.index("z"), ring.index("z"))] = {ring.index("z"): 1}
-        entries = [(i, j, k, c) for (i, j), row in table.items() for k, c in row.items()]
-        constants = SparseTensor.from_entries(len(ring.basis), *np.array(entries).T)
+        dense = ring.constants.dense()
+        z = ring.index("z")
+        dense[z, z] = 0
+        dense[z, z, z] = 1  # z * z = z in place of zbar
+        constants = SparseTensor.from_blocks(len(ring.basis), [dense])
         with pytest.raises(InconsistentRelations):
             _verify(dataclasses.replace(ring, constants=constants))
 

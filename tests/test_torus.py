@@ -228,14 +228,16 @@ def pair_loop_torus_ring(l, m):
     sectors = torus_exp(l, m)
     ring = fusion_ring(AlgebraSpec.su(l, m))
     index = {s: i for i, s in enumerate(sectors)}
-    entries = []
+    rows = []
     for a, sa in enumerate(sectors):
+        row = np.zeros((1, len(sectors), len(sectors)), dtype=np.int64)
         for b, sb in enumerate(sectors):
             cls = class_add(sa.cls, sb.cls)
             pair = (ring.index(sa.weight), ring.index(sb.weight))
             for k, c in ring.table.get(pair, {}).items():
-                entries.append((a, b, index[TorusSector(ring.basis[k], cls)], c))
-    constants = SparseTensor.from_entries(len(sectors), *np.array(entries).T)
+                row[0, b, index[TorusSector(ring.basis[k], cls)]] = c
+        rows.append(row)
+    constants = SparseTensor.from_blocks(len(sectors), rows)
     conj = tuple(
         index[TorusSector(conjugate_weight(s.weight), class_neg(s.cls))]
         for s in sectors
