@@ -27,7 +27,6 @@ from .weights import (
     sigma_apply,
 )
 
-KRYLOV_PRIME = 33_554_393  # below 2^25: residue products stay below 2^50
 ENTRY_CHUNK = 1 << 14  # a pass over the tensor steps by whole rows, cut past each multiple
 VALUE_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))  # narrowest first
 POSITION_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16)))  # narrowest first
@@ -155,7 +154,8 @@ class SparseTensor:
             del nonzero
             values = block.reshape(-1)[flat]
             k.append((flat % m).astype(position))
-            v.append(values.astype(_value_dtype(values)))
+            low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+            v.append(values.astype(_value_dtype(low, high)))
             del block, flat, values  # before the next block is made
         ptr = np.empty(sum(map(len, counts)) + 1, dtype=np.int32)
         ptr[0] = 0
@@ -259,9 +259,9 @@ def _position_dtype(m: int) -> np.dtype:
     raise ValueError(f"a tensor of {m} basis elements: its pair indices pass int32")
 
 
-def _value_dtype(values: np.ndarray) -> np.dtype:
-    """The narrowest signed integer dtype holding every value (int8 when there are none)."""
-    low, high = (int(values.min()), int(values.max())) if values.size else (0, 0)
+def _value_dtype(low: int, high: int) -> np.dtype:
+    """The narrowest signed integer dtype holding every integer from low to
+    high: the one width rule for what this module stores or multiplies."""
     for dtype in VALUE_DTYPES:
         if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max:
             return dtype
@@ -425,9 +425,12 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
     holding its representative's factorwise conjugate.  ``basis`` names the
     orbits and ``dims`` maps each name to its dimension.
 
-    Every slab entry is a sum of n products, so it is at most
-    n * prod_f max |D_f|; when that is below 2^31 the blocks are gathered,
-    multiplied and summed in int32, else in int64.
+    Every slab entry is a sum of n products, so its magnitude is at most
+    top = n * prod_f max |D_f|.  The blocks are gathered, multiplied and
+    summed in ``_value_dtype(-top, top)``, the narrowest width that holds
+    every product and sum (int8 on the benchmark's cosets); a top past
+    int64 is refused with ValueError before any factor is gathered, where
+    the products would wrap.
     """
     if not orbits:
         raise ValueError("need at least one orbit: every ring keeps its unit at index 0")
@@ -450,7 +453,7 @@ def _orbit_slabs(factors: list[BasedRing], members: np.ndarray):
     reps = members[:, 0]
     by_position = members.transpose(1, 0, 2).reshape(m * size, len(factors))
     top = size * math.prod(_largest_magnitude(ring.constants.v) for ring in factors)
-    dtype = np.int32 if top < 2**31 else np.int64
+    dtype = _value_dtype(-top, top)
     gathers = [
         (ring.constants.dense().astype(dtype, copy=False), reps[:, f], by_position[:, f])
         for f, ring in enumerate(factors)
@@ -476,18 +479,17 @@ def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     sigma-image of the vacuum exactly when i' is the sigma-image of i.
 
     For each power t the m x m slice N_ab^(sigma^t(0)) is read off the
-    entries, a block of whole rows at a time; its rows taken at conj(i)
-    must be the permutation matrix of sigma^t.  Failures are listed in
-    (t, i, i') order."""
+    entries whose target is sigma^t(0): only those are placed in their
+    pair's run.  Its rows taken at conj(i) must be the permutation matrix
+    of sigma^t.  Failures are listed in (t, i, i') order."""
     c = ring.constants
     m, n = len(ring.basis), ring.spec.n
     perms = [ring.sigma_permutation(t) for t in range(n)]
     coeffs = np.zeros((n, m, m), dtype=np.int64)
-    for run, i, j in c._blocks():
-        k, v = c.k[run], c.v[run]
-        for t, perm in enumerate(perms):
-            at = np.flatnonzero(k == perm[0])
-            coeffs[t, i[at], j[at]] = v[at]
+    for t, perm in enumerate(perms):
+        at = np.flatnonzero(c.k == perm[0])
+        # each hit's pair is the last run starting at or before it
+        coeffs[t].flat[c.pair_ptr.searchsorted(at, side="right") - 1] = c.v[at]
     conj = np.array(ring.conj)
     failures = []
     for t, perm in enumerate(perms):
@@ -513,19 +515,21 @@ def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:
     A pass is certified in O(m^4) by one integer combination A = sum_i c_i N_i
     with fixed coefficients: if A commutes with every N_k and is
     nonderogatory, every N_k lies in the commutant of A, which is Q[A], so
-    all N_k commute.  The certificate is exact on three counts:
+    all N_k commute.  The certificate is exact on two counts:
 
-    * A is scatter-added in int64; A N_k and N_k A are float64 products, one
-      k at a time, whose partial sums are bounded by max c * max_x
-      sum_ij |N_xi^j| * max_ij sum_l |N_ij^l|; the certificate declines
-      unless that bound is below 2^53, where float64 arithmetic on integers
-      is exact.
+    * A is summed by one float64 ``np.bincount`` a block of whole rows, as
+      ``dimension_homomorphism_residual`` sums; A N_k and N_k A are float64
+      products, one k at a time.  Every partial sum of A or the products is
+      bounded by max c * max_x sum_ij |N_xi^j| * max_ij sum_l |N_ij^l|; the
+      certificate declines unless that bound is below 2^53, where float64
+      arithmetic on integers is exact.
     * A is nonderogatory when the Krylov matrix with rows e_0, e_0 A, ...,
       e_0 A^(m-1) has full rank (for a unital ring, the coordinates of the
-      powers of sum_i c_i b_i).  The rank is taken modulo a prime p, and a
-      determinant that is nonzero mod p is nonzero over the integers.
-    * Residues are below p < 2^25, so each int64 product is below 2^50 and a
-      sum of m of them stays below 2^50 * m, far from overflow.
+      powers of sum_i c_i b_i).  The rank is taken modulo the prime p < 2^21
+      of ``_prime_field(1)``, the Verlinde sums' own field, and a
+      determinant that is nonzero mod p is nonzero over the integers.  Each
+      int64 residue product is below 2^42, and a sum of m <= 2^16 of them
+      below 2^58, so none wraps at any m the layout admits.
 
     The certificate can only confirm a pass.  When it declines, a per-row
     scan decides and names the failing row: row i passes when lhs_i[j,k,l] =
@@ -657,21 +661,22 @@ def _fusion_matrices_commute(tensor: SparseTensor, row_sums: np.ndarray) -> bool
     slice_total = int(row_sums.sum(axis=1, dtype=object).max())
     if int(coeffs.max()) * slice_total * int(row_sums.max()) >= 2**53:
         return False
-    a = np.zeros(m * m, dtype=np.int64)
+    a = np.zeros(m * m)  # A_jl = sum_i c_i N_ij^l
     for run, i, j in tensor._blocks():
-        np.add.at(a, j * m + tensor.k[run], np.multiply(coeffs[i], tensor.v[run], dtype=np.int64))
+        a += np.bincount(j * m + tensor.k[run], coeffs[i] * tensor.v[run], minlength=m * m)
     a = a.reshape(m, m)
-    a_float = a.astype(np.float64)
-    n_k = np.zeros((m, m))
+    # the products go to buffers made once: a fresh m x m result each GEMM
+    # would be mapped and faulted in anew whenever it passes malloc's mmap threshold
+    n_k, left, right = np.zeros((3, m, m))
     for i in range(m):
         j, targets, values = tensor.row(i)
         n_k[:] = 0
         n_k[j, targets] = values
-        if not np.array_equal(a_float @ n_k, n_k @ a_float):
+        if not np.array_equal(np.matmul(a, n_k, out=left), np.matmul(n_k, a, out=right)):
             return False
-    del a_float, n_k
-    p = KRYLOV_PRIME
-    a %= p
+    del n_k, left, right
+    p = _prime_field(1)[0]
+    a = a.astype(np.int64) % p
     krylov = np.empty((m, m), dtype=np.int64)
     vec = np.zeros(m, dtype=np.int64)
     vec[0] = 1

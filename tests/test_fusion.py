@@ -449,6 +449,14 @@ class TestCommutingCertificate:
         ring = BENCHMARK_RINGS[name]()
         assert ring.axiom_failures() == []
 
+    def test_decides_coset_4_3_1_without_scan(self, monkeypatch):
+        # m = 175, the largest coset ring whose output is pinned: a smaller
+        # Krylov prime is what could make A look derogatory
+        forbid_scan(monkeypatch)
+        ring = coset_ring(CosetSpec(4, 3, 1))
+        assert len(ring.basis) == 175
+        assert ring.axiom_failures() == []
+
     def test_derogatory_ring_falls_back_to_scan(self, monkeypatch):
         # Z[x,y]/(x^2, y^2, xy) on basis 1, x, y: commutative and associative,
         # but every A = a + b x + c y has (A - a)^2 = 0, so A is derogatory
@@ -479,14 +487,16 @@ class TestCommutingCertificate:
         def full_rank(mat):
             return fusion._determinants(np.array(mat)[:, :, None], p)[0][0] != 0
 
-        p = fusion.KRYLOV_PRIME
+        p = fusion._prime_field(1)[0]
         assert full_rank([[0, 1, 0], [1, 0, 0], [0, 0, p - 1]])  # a zero pivot
         assert not full_rank([[1, 2], [2, 4]])
         assert not full_rank([[0, 0], [0, 1]])
+        assert not full_rank([[1, 1], [p + 1, 1]])  # singular mod p only
 
-    def test_krylov_modulus_is_a_prime_below_2_25(self):
-        p = fusion.KRYLOV_PRIME
-        assert p < 2**25
+    def test_krylov_modulus_is_a_prime_below_2_21(self):
+        # the Verlinde sums' field: residue products stay below 2^42
+        p = fusion._prime_field(1)[0]
+        assert p < 2**21
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
@@ -749,7 +759,49 @@ def product_of(*pairs):
     return product_ring([fusion_ring(AlgebraSpec.su(n, k)) for n, k in pairs])
 
 
+def two_element_ring(top: int) -> fusion.BasedRing:
+    """Z[x]/(x^2 - top x) on the basis 1, x: N_xx^x = top, and x has dimension top."""
+    block = np.zeros((2, 2, 2), dtype=np.int64)
+    block[0, 0, 0] = block[0, 1, 1] = block[1, 0, 1] = 1
+    block[1, 1, 1] = top
+    constants = SparseTensor.from_blocks(2, [block])
+    return fusion.BasedRing(("1", "x"), constants, (0, 1), {"1": 1.0, "x": float(top)})
+
+
+def forbid_gathers(monkeypatch):
+    def no_gather(tensor):
+        raise AssertionError(f"a factor of {tensor.shape[0]} elements was gathered")
+
+    monkeypatch.setattr(SparseTensor, "dense", no_gather)
+
+
 class TestProducts:
+    def test_product_past_int64_is_refused_before_any_gather(self, monkeypatch):
+        # ((x,x),(x,x)) -> (x,x) is 2^40 * 2^40 = 2^80, which int64 slab
+        # products wrapped to 0, dropping the entry
+        ring = two_element_ring(2**40)
+        forbid_gathers(monkeypatch)
+        with pytest.raises(ValueError, match=f"values from {-(2**80)} to {2**80}: they pass int64"):
+            product_ring([ring, ring])
+
+    def test_product_below_int64_is_exact(self):
+        ring = two_element_ring(2**20)
+        prod = product_ring([ring, ring])
+        x = prod.index(("x", "x"))
+        assert prod.coeff(x, x, x) == 2**40 and prod.constants.v.dtype == np.int64
+        assert prod.constants.dense().tolist() == np.einsum(
+            "ijk,lmn->iljmkn", *[ring.constants.dense()] * 2
+        ).reshape(4, 4, 4).tolist()
+
+    def test_orbit_sum_past_int64_is_refused(self, monkeypatch):
+        # each product is 2^31 * 2^31 = 2^62, but a sum over two-member
+        # orbits can reach 2^63, one past int64's largest value
+        ring = two_element_ring(2**31)
+        orbits = [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
+        forbid_gathers(monkeypatch)
+        with pytest.raises(ValueError, match="they pass int64"):
+            fusion.orbit_ring([ring, ring], orbits, ("a", "b"), {"a": 1.0, "b": 1.0})
+
     def test_single_factor_unchanged(self):
         ring = verlinde_tensor(s_matrix(AlgebraSpec.su(2, 2)))
         assert product_ring([ring]) is ring
@@ -1437,6 +1489,20 @@ class TestDtypeContract:
         assert t.pair_ptr.shape == (m * m + 1,) and t.pair_ptr[-1] == t.v.size > 0
         assert t.k.nbytes + t.v.nbytes == 2 * t.v.size
         assert [f.name for f in dataclasses.fields(t)] == ["shape", "pair_ptr", "k", "v"]
+
+    def test_coset_slabs_take_the_narrowest_width(self, monkeypatch):
+        # n * prod_f max |D_f| = 12 at (3,3,2): the factor gathers, their
+        # products and the orbit sums are all int8
+        slabs, dtypes = fusion._orbit_slabs, []
+
+        def spy(factors, members):
+            for slab in slabs(factors, members):
+                dtypes.append(slab.dtype)
+                yield slab
+
+        monkeypatch.setattr(fusion, "_orbit_slabs", spy)
+        ring = coset_ring(CosetSpec(3, 3, 2))
+        assert len(dtypes) == len(ring.basis) == 140 and set(dtypes) == {np.dtype(np.int8)}
 
     def test_targets_take_the_narrowest_unsigned_dtype(self):
         assert fusion._position_dtype(256) == np.uint8
