@@ -6,41 +6,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from . import maverick as maverick_mod
-from .characters import (
-    diagonal_branching,
-    freudenthal_character,
-    graded_character,
-    kw_numeric_ratio,
-    reconstitute,
-    sector_branching,
-    tensor_characters,
-)
-from .coset import (
-    CosetSector,
-    CosetSpec,
-    NotFaithful,
-    class_dimension_sums,
-    coset_ring,
-    exp_set,
-    formula_31_residual,
-    identification_orbits,
-    in_exp,
-    kw_identity_check,
-    vacuum_orbit_membership,
-)
-from .fusion import (
-    dimension_homomorphism_residual,
-    fusion_ring,
-    sigma_covariant,
-    simple_current_check,
-)
-from .modular import s_matrix, unitarity_residual
-from .report import Config, VerificationReport
-from .torus import torus_classes, torus_exp, torus_kw_residual, torus_ring
-from .weights import AlgebraSpec, Weight, integrable_weights, require_s_matrix_budget
+# Library modules are the package's lazy submodules, as in cli: each runs on
+# first use, so a suite runs only the modules it calls, and numpy loads only
+# in the suites that use arrays.  `from .x import name` would run x at once.
+from . import characters, coset, fusion, maverick, modular, torus, weights
+from .report import Config, NotFaithful, VerificationReport
 
 
 # --- verification suites -----------------------------------------------------
@@ -51,11 +21,13 @@ COSET_SPECS = [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1)]
 
 
 def check_unitarity(config: Config, specs) -> VerificationReport:
+    import numpy as np
+
     worst = 0.0
     bad = []
     for n, k in specs:
-        m = s_matrix(AlgebraSpec.su(n, k)).entries
-        resid = max(unitarity_residual(m), float(np.abs(m - m.T).max()))
+        m = modular.s_matrix(weights.AlgebraSpec.su(n, k)).entries
+        resid = max(modular.unitarity_residual(m), float(np.abs(m - m.T).max()))
         worst = max(worst, resid)
         if resid > config.tolerance_unitary:
             bad.append(f"su({n})_{k}")
@@ -63,16 +35,18 @@ def check_unitarity(config: Config, specs) -> VerificationReport:
 
 
 def check_fusion(config: Config, specs) -> VerificationReport:
+    import numpy as np
+
     worst = 0.0
     bad = []
     for n, k in specs:
-        ring = fusion_ring(AlgebraSpec.su(n, k))
+        ring = fusion.fusion_ring(weights.AlgebraSpec.su(n, k))
         failures = ring.axiom_failures()
         # sigma^t is sigma applied t times, so sigma alone decides covariance
         perm = np.array(ring.sigma_permutation(1), dtype=np.int32)
-        if not sigma_covariant(ring.constants, perm):
+        if not fusion.sigma_covariant(ring.constants, perm):
             failures.append("cyclic covariance fails at power 1")
-        res = dimension_homomorphism_residual(ring)
+        res = fusion.dimension_homomorphism_residual(ring)
         worst = max(worst, res)
         if failures or res > config.tolerance_integrality:
             bad.append(f"su({n})_{k}: {failures or 'dimension residual'}")
@@ -82,7 +56,7 @@ def check_fusion(config: Config, specs) -> VerificationReport:
 def check_simple_current(config: Config, specs) -> VerificationReport:
     bad = []
     for n, k in specs:
-        report = simple_current_check(fusion_ring(AlgebraSpec.su(n, k)))
+        report = fusion.simple_current_check(fusion.fusion_ring(weights.AlgebraSpec.su(n, k)))
         if not report.passed:
             bad.append(f"su({n})_{k}: {report.failures[:3]}")
     return VerificationReport("simple-current-relation", not bad, 0.0, bad)
@@ -92,11 +66,11 @@ def check_kw(config: Config, coset_specs) -> VerificationReport:
     worst = 0.0
     bad = []
     for n, m1, m2 in coset_specs:
-        spec = CosetSpec(n, m1, m2)
+        spec = coset.CosetSpec(n, m1, m2)
         for f in spec.factor_specs():
-            require_s_matrix_budget(f)
-        for sector in exp_set(spec):
-            r = kw_identity_check(spec, sector)
+            weights.require_s_matrix_budget(f)
+        for sector in coset.exp_set(spec):
+            r = coset.kw_identity_check(spec, sector)
             worst = max(worst, r)
             if r >= 1e-9:
                 bad.append(f"{spec.n},{spec.m1},{spec.m2}:{sector}")
@@ -107,9 +81,9 @@ def check_formula31(config: Config, coset_specs) -> VerificationReport:
     worst = 0.0
     bad = []
     for n, m1, m2 in coset_specs:
-        spec = CosetSpec(n, m1, m2)
-        r = formula_31_residual(spec)
-        sums = class_dimension_sums(spec)
+        spec = coset.CosetSpec(n, m1, m2)
+        r = coset.formula_31_residual(spec)
+        sums = coset.class_dimension_sums(spec)
         spread = max(sums.values()) - min(sums.values())
         worst = max(worst, r, spread)
         if r > config.tolerance_integrality or spread > config.tolerance_integrality:
@@ -118,15 +92,15 @@ def check_formula31(config: Config, coset_specs) -> VerificationReport:
 
 
 def check_ising(config: Config) -> VerificationReport:
-    spec = CosetSpec(2, 1, 1)
+    spec = coset.CosetSpec(2, 1, 1)
     bad = []
-    sectors = exp_set(spec)
+    sectors = coset.exp_set(spec)
     if len(sectors) != 6:
         bad.append(f"exp size {len(sectors)} != 6")
-    orbits, faithful, _ = identification_orbits(spec)
+    orbits, faithful, _ = coset.identification_orbits(spec)
     if len(orbits) != 3 or not faithful:
         bad.append("orbit structure wrong")
-    ring = coset_ring(spec)
+    ring = coset.coset_ring(spec)
     expected = {
         (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
         (1, 0): {1: 1}, (1, 1): {0: 1}, (1, 2): {2: 1},
@@ -141,9 +115,9 @@ def check_ising(config: Config) -> VerificationReport:
 
 
 def check_fixed_point_refusal(config: Config) -> VerificationReport:
-    spec = CosetSpec(2, 2, 2)
+    spec = coset.CosetSpec(2, 2, 2)
     try:
-        coset_ring(spec)
+        coset.coset_ring(spec)
     except NotFaithful as err:
         named = bool(err.fixed_points)
         return VerificationReport(
@@ -159,14 +133,14 @@ def check_parafermion(config: Config) -> VerificationReport:
     bad = []
     for l in (2, 3):
         for m in range(1, 5):
-            if len(torus_classes(l, m)) != l * m ** (l - 1):
+            if len(torus.torus_classes(l, m)) != l * m ** (l - 1):
                 bad.append(f"class count l={l} m={m}")
-    sectors = torus_exp(2, 2)
+    sectors = torus.torus_exp(2, 2)
     if len(sectors) != 6:
         bad.append(f"l=2,m=2 sector count {len(sectors)}")
-    ring = torus_ring(2, 2)
+    ring = torus.torus_ring(2, 2)
     bad.extend(ring.axiom_failures())
-    worst = max(torus_kw_residual(2, 2), dimension_homomorphism_residual(ring))
+    worst = max(torus.torus_kw_residual(2, 2), fusion.dimension_homomorphism_residual(ring))
     if worst > config.tolerance_integrality:
         bad.append(f"dimension residual {worst}")
     return VerificationReport("parafermion-torus-ring", not bad, worst, bad)
@@ -174,11 +148,11 @@ def check_parafermion(config: Config) -> VerificationReport:
 
 def check_maverick(config: Config) -> VerificationReport:
     bad = []
-    ring = maverick_mod.build_maverick_ring()
-    resid = dimension_homomorphism_residual(ring)
+    ring = maverick.build_maverick_ring()
+    resid = fusion.dimension_homomorphism_residual(ring)
     if resid > config.tolerance_integrality:
         bad.append(f"dimension residual {resid}")
-    report = maverick_mod.maverick_branching_check(max(4, config.grade_cutoff // 2))
+    report = maverick.maverick_branching_check(max(4, config.grade_cutoff // 2))
     if not report.passed:
         bad.append("branching identification check failed")
     return VerificationReport("maverick-ring", not bad, resid, bad)
@@ -192,53 +166,53 @@ def check_branching(config: Config, quick: bool = False) -> VerificationReport:
     if quick:
         engine_cases = [(2, 1, 6), (3, 1, 3)]
     for n, k, depth in engine_cases:
-        spec = AlgebraSpec.su(n, k)
-        for w in integrable_weights(spec):
-            a = graded_character(spec, w, depth)
-            b = freudenthal_character(spec, w, depth)
+        spec = weights.AlgebraSpec.su(n, k)
+        for w in weights.integrable_weights(spec):
+            a = characters.graded_character(spec, w, depth)
+            b = characters.freudenthal_character(spec, w, depth)
             if a.slices != b.slices:
                 bad.append(f"engines disagree su({n})_{k} {w}")
     # coset branching against the selection rule, reconstruction, vacuum
     for n, m1, m2 in ([(2, 1, 1)] if quick else [(2, 1, 1), (3, 1, 1)]):
-        spec = CosetSpec(n, m1, m2)
+        spec = coset.CosetSpec(n, m1, m2)
         s1, s2, _ = spec.factor_specs()
-        down = AlgebraSpec.su(spec.n, spec.diagonal_level)
-        for w1 in integrable_weights(s1):
-            for w2 in integrable_weights(s2):
-                table = diagonal_branching(spec, w1, w2, cutoff)
+        down = weights.AlgebraSpec.su(spec.n, spec.diagonal_level)
+        for w1 in weights.integrable_weights(s1):
+            for w2 in weights.integrable_weights(s2):
+                table = characters.diagonal_branching(spec, w1, w2, cutoff)
                 for wh, bf in table.items():
-                    if bf.is_zero == in_exp(spec, CosetSector(w1, w2, wh)):
+                    if bf.is_zero == coset.in_exp(spec, coset.CosetSector(w1, w2, wh)):
                         bad.append(f"selection mismatch {w1},{w2};{wh}")
                     if any(c < 0 for c in bf.coeffs):
                         bad.append(f"negative coefficient {w1},{w2};{wh}")
-                rebuilt = reconstitute(table, down, cutoff)
-                product = tensor_characters(
-                    graded_character(s1, w1, cutoff),
-                    graded_character(s2, w2, cutoff),
+                rebuilt = characters.reconstitute(table, down, cutoff)
+                product = characters.tensor_characters(
+                    characters.graded_character(s1, w1, cutoff),
+                    characters.graded_character(s2, w2, cutoff),
                 )
                 if rebuilt.slices != product.slices[: cutoff + 1]:
                     bad.append(f"reconstitution failed {w1},{w2}")
                 for wh, bf in table.items():
                     if bf.is_zero:
                         continue
-                    sector = CosetSector(w1, w2, wh)
+                    sector = coset.CosetSector(w1, w2, wh)
                     via_branching = bf.energy() == 0 and bf.multiplicity_at_min() == 1
-                    via_orbit = vacuum_orbit_membership(spec, sector)
+                    via_orbit = coset.vacuum_orbit_membership(spec, sector)
                     if via_branching != via_orbit:
                         bad.append(f"vacuum criterion mismatch {sector}")
     return VerificationReport("branching-functions", not bad, 0.0, bad)
 
 
 def check_kw_numeric(config: Config) -> VerificationReport:
-    spec = CosetSpec(2, 1, 1)
+    spec = coset.CosetSpec(2, 1, 1)
     cutoff = max(10, config.grade_cutoff)
     s1, s2, sh = spec.factor_specs()
-    sig = CosetSector(s1.vacuum(), Weight(s2, (1,)), Weight(sh, (1,)))
-    num = sector_branching(spec, sig, cutoff)
-    den = sector_branching(spec, spec.vacuum_sector(), cutoff)
+    sig = coset.CosetSector(s1.vacuum(), weights.Weight(s2, (1,)), weights.Weight(sh, (1,)))
+    num = characters.sector_branching(spec, sig, cutoff)
+    den = characters.sector_branching(spec, spec.vacuum_sector(), cutoff)
     target = math.sqrt(2)
-    r5 = kw_numeric_ratio(num, den, 0.5, config.beta_floor)
-    r4 = kw_numeric_ratio(num, den, 0.4, config.beta_floor)
+    r5 = characters.kw_numeric_ratio(num, den, 0.5, config.beta_floor)
+    r4 = characters.kw_numeric_ratio(num, den, 0.4, config.beta_floor)
     monotone = abs(r4 - target) < abs(r5 - target)
     close = abs(r4 - target) / target < 0.25
     bad = []

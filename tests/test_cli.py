@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -349,6 +350,9 @@ class DigestSink:
     def writelines(self, texts):
         for text in texts:
             self.write(text)
+
+    def flush(self):
+        pass
 
 
 def materialised(constants):
@@ -854,6 +858,99 @@ class TestOutputRouting:
         )
         assert code == 0
         json.loads(out)  # format flag wins
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+# one command for each exit code: a result, a refused ring, a usage error
+EXIT_CASES = [
+    ("fuse su2 2 1 1", 0),
+    ("coset-ring 2 2 2", 1),
+    ("weights --algebra so3 --level 1", 2),
+]
+
+# Registers an atexit hook first, so that it runs last, then runs the CLI
+# the way argv[1] names: "module" as `python -m cosetcft.cli` does, or
+# "script" as the installed command calls its [project.scripts] target
+# argv[2].  The hook prints the heap's frozen object count on stderr.
+FREEZE_PROBE = """
+import atexit, gc, importlib, runpy, sys
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count()}", file=sys.stderr))
+launch, target, *argv = sys.argv[1:]
+sys.argv = ["cosetcft", *argv]
+if launch == "module":
+    runpy.run_module("cosetcft.cli", run_name="__main__", alter_sys=True)
+else:
+    module, _, name = target.partition(":")
+    sys.exit(getattr(importlib.import_module(module), name)())
+"""
+
+
+def script_target() -> str:
+    """The `cosetcft` command's target in pyproject.toml's [project.scripts]
+    (read as text: Python 3.10 has no tomllib)."""
+    (target,) = re.findall(r'^cosetcft = "([^"]+)"$', PYPROJECT.read_text(), re.M)
+    return target
+
+
+class TestProcessExit:
+    """The process entry freezes the heap before the interpreter finalizes,
+    on every exit path; `main` in process freezes nothing.  A failed write
+    to stdout is a usage error on each kind of sink."""
+
+    @pytest.mark.parametrize("launch", ["module", "script"])
+    @pytest.mark.parametrize("argv,code", EXIT_CASES, ids=[a for a, _ in EXIT_CASES])
+    def test_entry_freezes_the_heap_on_every_exit(self, launch, argv, code):
+        proc = subprocess.run(
+            [sys.executable, "-c", FREEZE_PROBE, launch, script_target(), *argv.split()],
+            capture_output=True, text=True, env=cli_env(), timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("frozen ") and int(last.split()[1]) > 0, proc.stderr
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        for argv, code in EXIT_CASES:
+            assert run(capsys, *argv.split())[0] == code
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize(
+        "sink,argv",
+        [
+            ("/dev/full", "weights --algebra su3 --level 6"),
+            ("/dev/full", "fuse su2 1 1 1"),
+            ("closed pipe", "fuse su2 1 1 1"),
+            ("closed fd 1", "fuse su2 1 1 1"),
+        ],
+    )
+    def test_failed_write_is_one_usage_error(self, sink, argv):
+        # under default buffering an output smaller than the buffer fails
+        # only when flushed, and its bytes stay buffered for the final
+        # flush, so the child runs without PYTHONUNBUFFERED
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        cmd = [sys.executable, "-m", "cosetcft.cli", *argv.split()]
+        if sink == "/dev/full":
+            if not os.path.exists(sink):
+                pytest.skip("no /dev/full")
+            with open(sink, "wb") as full:
+                proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE,
+                                      text=True, env=env, timeout=120)
+        elif sink == "closed pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # no reader, so every write fails with EPIPE
+            try:
+                proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE,
+                                      text=True, env=env, timeout=120)
+            finally:
+                os.close(write_end)
+        else:
+            proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *cmd],
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "cannot write output" in line]
+        assert len(errors) == 1, proc.stderr
 
 
 class TestUnsupportedCsv:

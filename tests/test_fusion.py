@@ -1287,7 +1287,7 @@ def test_check_fusion_reports_broken_covariance(monkeypatch):
         ring, constants=constants, conj=tuple(conj), dims=dims
     )
     assert relabelled.axiom_failures() == []
-    monkeypatch.setattr(verify, "fusion_ring", lambda spec: relabelled)
+    monkeypatch.setattr(fusion, "fusion_ring", lambda spec: relabelled)
     report = verify.check_fusion(Config(), [(3, 2)])
     assert not report.passed
     assert report.counterexamples == ["su(3)_2: ['cyclic covariance fails at power 1']"]
@@ -1318,7 +1318,7 @@ def test_check_fusion_reports_a_changed_value(monkeypatch):
     assert not fusion.sigma_covariant(changed, perm)
     tampered = dataclasses.replace(ring, constants=changed)
     assert "commutativity fails" not in tampered.axiom_failures()
-    monkeypatch.setattr(verify, "fusion_ring", lambda spec: tampered)
+    monkeypatch.setattr(fusion, "fusion_ring", lambda spec: tampered)
     report = verify.check_fusion(Config(), [(3, 2)])
     assert not report.passed
     assert "cyclic covariance fails at power 1" in report.counterexamples[0]

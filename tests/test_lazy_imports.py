@@ -367,6 +367,16 @@ def test_module_run_prints_nothing_on_stderr():
             ["characters", "coset", "report", "weights"],
             False,
         ),
+        (
+            "verify kw --n 3 --m1 2 --m2 1",
+            ["coset", "modular", "report", "verify", "weights"],
+            True,
+        ),
+        (
+            "verify branching",
+            ["characters", "coset", "report", "verify", "weights"],
+            False,
+        ),
     ],
     ids=lambda x: x if isinstance(x, str) else None,
 )
