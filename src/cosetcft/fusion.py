@@ -25,6 +25,7 @@ from .weights import (
     require_s_matrix_budget,
     shifted_v,
     sigma_apply,
+    vacuum_row,
 )
 
 ENTRY_CHUNK = 1 << 14  # a pass over the tensor steps by whole rows, cut past each multiple
@@ -63,14 +64,6 @@ class BasedRing:
             return self._index[b]
         except KeyError:
             raise KeyError(f"{b} not in the ring basis") from None
-
-    def coeff(self, i: int, j: int, k: int) -> int:
-        t = self.constants
-        run = t.run(i, j)
-        if not 0 <= k < t.shape[0]:
-            raise IndexError(f"target {k} outside a ring of {t.shape[0]} basis elements")
-        at = run.start + int(np.searchsorted(t.k[run], k))
-        return int(t.v[at]) if at < run.stop and t.k[at] == k else 0
 
     def axiom_failures(self) -> list[str]:
         """Based-ring axiom failures of this ring's constants, as
@@ -298,11 +291,11 @@ def verlinde_constants(basis: tuple, conj) -> SparseTensor:
     p, powers = _prime_field(n * h)
     t = np.array([shifted_v(w.labels) for w in basis])
     c = np.stack([t[:, a] - t[:, b] for a, b in itertools.combinations(range(n), 2)])
-    sines = np.sin(np.pi / h * c)  # their ratios to the vacuum's multiply to d
     w = np.full(m, pow(n * h ** (n - 1), -1, p))
     for factor in 2 - powers[n * c % (n * h)] - powers[-n * c % (n * h)]:
         w = w * factor % p
-    if (sines / sines[:, :1]).prod(axis=0).max() ** 2 >= p or not w.all():
+    row = vacuum_row(spec)
+    if (max(row) / row[0]) ** 2 >= p or not w.all():
         raise ArithmeticError(f"the Verlinde sums of {spec.name} are not exact mod {p}")
     s, step = t.sum(axis=1), max(1, PHASE_BATCH // (m * n * n))
     num, den = np.empty((2, m, m), dtype=np.int64)
@@ -469,9 +462,11 @@ def _orbit_slabs(factors: list[BasedRing], members: np.ndarray):
 
 @dataclass
 class SimpleCurrentReport:
-    passed: bool
-    checked: int
     failures: list[tuple[int, int, int]]  # (power, i, i') with wrong coefficient
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
@@ -495,7 +490,7 @@ def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     for t, perm in enumerate(perms):
         wrong = np.argwhere(coeffs[t, conj] != np.eye(m, dtype=np.int64)[perm]).tolist()
         failures.extend((t, i, ip) for i, ip in wrong)
-    return SimpleCurrentReport(not failures, n * m * m, failures)
+    return SimpleCurrentReport(failures)
 
 
 def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:

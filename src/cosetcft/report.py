@@ -98,10 +98,14 @@ class Config:
 @dataclass
 class VerificationReport:
     check: str
-    passed: bool
     worst_residual: float = 0.0
     counterexamples: list = field(default_factory=list)
     runtime: float | None = None  # seconds, set where the check is timed
+
+    @property
+    def passed(self) -> bool:
+        """A check passes exactly when it found no counterexample."""
+        return not self.counterexamples
 
     def as_dict(self) -> dict:
         # runtime stays out of the JSON document: identical inputs must
@@ -126,17 +130,15 @@ def timed(check, *args) -> VerificationReport:
 
 def smatrix_report(sm: modular.SMatrix, config: Config) -> VerificationReport:
     resid = modular.unitarity_residual(sm.entries)
-    return VerificationReport(
-        "s-matrix-unitarity", resid < config.tolerance_unitary, resid
-    )
+    bad = [sm.spec.name] if resid > config.tolerance_unitary else []
+    return VerificationReport("s-matrix-unitarity", resid, bad)
 
 
 def coset_ring_reports(ring: fusion.BasedRing, config: Config) -> list[VerificationReport]:
     failures = ring.axiom_failures()
     worst = fusion.dimension_homomorphism_residual(ring)
+    bad = ["dimension residual"] if worst > config.tolerance_integrality else []
     return [
-        VerificationReport("coset-ring-axioms", not failures, 0.0, failures),
-        VerificationReport(
-            "coset-dimension-homomorphism", worst < config.tolerance_integrality, worst
-        ),
+        VerificationReport("coset-ring-axioms", 0.0, failures),
+        VerificationReport("coset-dimension-homomorphism", worst, bad),
     ]

@@ -77,16 +77,13 @@ class TorusSector:
                 f"charge sum mismatch: {self.cls.rep} vs color {color(self.weight)}"
             )
 
-    def sort_key(self):
-        return (self.weight.labels, self.cls.rep)
-
     def __str__(self):
         return f"({self.weight},[{','.join(map(str, self.cls.rep))}])"
 
 
 def torus_exp(l: int, m: int) -> list[TorusSector]:
-    """All sectors: pairs with sum(n) = color(weight) mod l, in
-    ``TorusSector.sort_key`` order."""
+    """All sectors: pairs with sum(n) = color(weight) mod l, ordered by
+    weight labels, then by class representative."""
     spec = AlgebraSpec.su(l, m)
     classes = torus_classes(l, m)
     out = []

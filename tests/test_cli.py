@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -594,6 +595,70 @@ class TestIntegralityViolation:
         default = json.loads(run(capsys, *argv)[1])
         assert doc["result"] == default["result"]
         assert [ch["weight"] for ch in doc["result"]["channels"]] == [[[0, 0, 0]], [[1, 0, 1]]]
+
+
+# each command whose residual a configured tolerance judges: the config key
+# and the check of the report that it judges
+RESIDUAL_CHECKS = {
+    "smatrix --algebra su2 --level 1": ("tolerance_unitary", "s-matrix-unitarity"),
+    "coset-ring 2 1 1": ("tolerance_integrality", "coset-dimension-homomorphism"),
+    "verify unitarity": ("tolerance_unitary", "s-matrix-unitarity"),
+    "verify fusion": ("tolerance_integrality", "verlinde-fusion-rings"),
+}
+
+
+class TestOneResidualRule:
+    """Every report fails a residual above its tolerance and passes one at
+    it, and a report passes exactly when it names no counterexample."""
+
+    @staticmethod
+    def residual(argv, check):
+        # the unrounded worst residual, from the reports the command builds
+        args = cli._build_parser().parse_args(argv.split())
+        _, reports = args.run(args, Config())
+        [found] = [r for r in reports if r.check == check]
+        assert found.worst_residual > 0
+        return found.worst_residual
+
+    @staticmethod
+    def run_at(capsys, tmp_path, argv, key, tolerance):
+        conf = tmp_path / "conf"
+        conf.write_text(f"{key} = {tolerance!r}\n")
+        code, out = run(capsys, *argv.split(), "--config", str(conf))
+        return code, json.loads(out)["reports"]
+
+    @pytest.mark.parametrize("argv", RESIDUAL_CHECKS)
+    def test_a_residual_at_its_tolerance_passes(self, capsys, tmp_path, argv):
+        key, check = RESIDUAL_CHECKS[argv]
+        tolerance = self.residual(argv, check)
+        code, reports = self.run_at(capsys, tmp_path, argv, key, tolerance)
+        assert code == 0
+        [found] = [r for r in reports if r["check"] == check]
+        assert found["passed"] and found["counterexamples"] == []
+
+    @pytest.mark.parametrize("argv", RESIDUAL_CHECKS)
+    def test_a_residual_above_its_tolerance_names_a_counterexample(
+        self, capsys, tmp_path, argv
+    ):
+        key, check = RESIDUAL_CHECKS[argv]
+        tolerance = math.nextafter(self.residual(argv, check), 0)
+        code, reports = self.run_at(capsys, tmp_path, argv, key, tolerance)
+        assert code == 1
+        [found] = [r for r in reports if r["check"] == check]
+        assert not found["passed"] and found["counterexamples"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["smatrix --algebra su2 --level 1", "smatrix --algebra su3 --level 2",
+         "coset-ring 2 1 1", "verify all"],
+    )
+    def test_a_report_passes_exactly_without_counterexamples(self, capsys, tmp_path, argv):
+        conf = tmp_path / "conf"
+        conf.write_text("tolerance_unitary = 1e-300\ntolerance_integrality = 1e-300\n")
+        code, out = run(capsys, *argv.split(), "--config", str(conf))
+        reports = json.loads(out)["reports"]
+        assert code == 1 and reports
+        assert all(r["passed"] == (r["counterexamples"] == []) for r in reports)
 
 
 class TestBranchCommand:

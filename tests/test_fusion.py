@@ -40,6 +40,13 @@ from cosetcft.torus import _class_ring, torus_ring
 DESK = [(n, k) for n in (2, 3, 4) for k in range(1, 7)]
 
 
+def coeff(ring, i, j, k):
+    """N_ij^k read off the run of pair (i, j): 0 where no entry targets k."""
+    t = ring.constants
+    run = t.run(i, j)
+    return dict(zip(t.k[run].tolist(), t.v[run].tolist())).get(k, 0)
+
+
 def su2_oracle(k, i, j, l):
     """Brute-force sine sum for level-k su(2) fusion coefficients."""
     total = 0.0
@@ -59,13 +66,13 @@ class TestAgainstOracles:
         for i in range(k + 1):
             for j in range(k + 1):
                 for l in range(k + 1):
-                    assert ring.coeff(i, j, l) == su2_oracle(k, i, j, l)
+                    assert coeff(ring, i, j, l) == su2_oracle(k, i, j, l)
 
     def test_su2_level1(self):
         spec = AlgebraSpec.su(2, 1)
         ring = verlinde_tensor(s_matrix(spec))
-        assert ring.coeff(1, 1, 0) == 1
-        assert ring.coeff(1, 1, 1) == 0
+        assert coeff(ring, 1, 1, 0) == 1
+        assert coeff(ring, 1, 1, 1) == 0
 
     def test_su2_level2_middle_square(self):
         spec = AlgebraSpec.su(2, 2)
@@ -788,7 +795,7 @@ class TestProducts:
         ring = two_element_ring(2**20)
         prod = product_ring([ring, ring])
         x = prod.index(("x", "x"))
-        assert prod.coeff(x, x, x) == 2**40 and prod.constants.v.dtype == np.int64
+        assert coeff(prod, x, x, x) == 2**40 and prod.constants.v.dtype == np.int64
         assert prod.constants.dense().tolist() == np.einsum(
             "ijk,lmn->iljmkn", *[ring.constants.dense()] * 2
         ).reshape(4, 4, 4).tolist()
@@ -844,9 +851,9 @@ class TestProducts:
             for (i2, j2) in itertools.product(range(2), repeat=2):
                 for k1 in range(3):
                     for k2 in range(2):
-                        assert prod.coeff(
-                            i1 * 2 + i2, j1 * 2 + j2, k1 * 2 + k2
-                        ) == r1.coeff(i1, j1, k1) * r2.coeff(i2, j2, k2)
+                        assert coeff(
+                            prod, i1 * 2 + i2, j1 * 2 + j2, k1 * 2 + k2
+                        ) == coeff(r1, i1, j1, k1) * coeff(r2, i2, j2, k2)
 
 
 # every (N, k) whose Verlinde ring has at most 60 weights, C(k+N-1, N-1)
@@ -939,13 +946,12 @@ class TestSimpleCurrents:
         ring = verlinde_tensor(s_matrix(AlgebraSpec.su(n, k)))
         report = simple_current_check(ring)
         assert report.passed, report.failures[:5]
-        assert report.checked == n * len(ring.basis) ** 2
 
     def test_su2_level2_example(self):
         # fusing the middle weight with itself hits sigma(vacuum) = 2,
         # matching sigma(1) = 1
         ring = verlinde_tensor(s_matrix(AlgebraSpec.su(2, 2)))
-        assert ring.coeff(1, 1, 2) == 1
+        assert coeff(ring, 1, 1, 2) == 1
         assert ring.sigma_permutation(1)[1] == 1
 
     def test_su3_level1_is_cyclic_group_ring(self):
@@ -962,16 +968,14 @@ def coeff_loop_simple_current(ring):
     """Reference: the translation rule checked one coefficient at a time."""
     m = len(ring.basis)
     failures = []
-    checked = 0
     for t in range(ring.spec.n):
         perm = ring.sigma_permutation(t)
         for i in range(m):
             for ip in range(m):
                 expected = 1 if perm[i] == ip else 0
-                if ring.coeff(ring.conj[i], ip, perm[0]) != expected:
+                if coeff(ring, ring.conj[i], ip, perm[0]) != expected:
                     failures.append((t, i, ip))
-                checked += 1
-    return SimpleCurrentReport(not failures, checked, failures)
+    return SimpleCurrentReport(failures)
 
 
 @pytest.mark.parametrize("n,k", DESK_SPECS)
@@ -1232,7 +1236,7 @@ class TestPositions:
 
 
 class TestIndexChecks:
-    """su(3)_2 has 6 weights: no index may alias another pair or target."""
+    """su(3)_2 has 6 weights: no pair index may alias another pair."""
 
     @pytest.mark.parametrize(
         "i,j,k", [(0, 6, 1), (-1, 0, 3), (5, 6, 0)], ids=["j=m", "i=-1", "past-the-end"]
@@ -1240,16 +1244,9 @@ class TestIndexChecks:
     def test_coeff_refuses_a_pair_outside_the_ring(self, i, j, k):
         ring = fusion_ring(AlgebraSpec.su(3, 2))
         with pytest.raises(IndexError, match=rf"pair \({i}, {j}\) outside"):
-            ring.coeff(i, j, k)
+            coeff(ring, i, j, k)
         with pytest.raises(IndexError, match=rf"pair \({i}, {j}\) outside"):
             ring.constants.run(i, j)
-
-    @pytest.mark.parametrize("k", [6, -1])
-    def test_coeff_refuses_a_target_outside_the_ring(self, k):
-        ring = fusion_ring(AlgebraSpec.su(3, 2))
-        with pytest.raises(IndexError, match=f"target {k} outside"):
-            ring.coeff(1, 1, k)
-
 
 
 class TestZeroElements:
@@ -1603,7 +1600,7 @@ def consumer_outputs(ring: fusion.BasedRing, perm, whole: bool = True) -> list:
     lines, never built as one dict."""
     t, m = ring.constants, len(ring.basis)
     edges = range(m) if whole else (0, 1, m - 2, m - 1)
-    coeffs = [ring.coeff(i, j, k) for i in edges for j in edges for k in range(m)]
+    coeffs = [coeff(ring, i, j, k) for i in edges for j in edges for k in range(m)]
     digests = []
     for pieces in (cli._constants_json(t, "  "), cli._constants_lines(t)):
         digest = hashlib.sha256()

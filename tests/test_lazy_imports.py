@@ -377,6 +377,12 @@ def test_module_run_prints_nothing_on_stderr():
             ["characters", "coset", "report", "verify", "weights"],
             False,
         ),
+        (
+            "verify kw-numeric",
+            ["characters", "coset", "report", "verify", "weights"],
+            False,
+        ),
+        ("verify fixed-point", ["coset", "report", "verify", "weights"], False),
     ],
     ids=lambda x: x if isinstance(x, str) else None,
 )

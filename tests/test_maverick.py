@@ -49,7 +49,10 @@ def ring():
 
 
 def coeff(ring, a, b, c):
-    return ring.coeff(*map(ring.index, (a, b, c)))
+    """N_ab^c read off the run of pair (a, b): 0 where no entry targets c."""
+    t = ring.constants
+    run = t.run(ring.index(a), ring.index(b))
+    return dict(zip(t.k[run].tolist(), t.v[run].tolist())).get(ring.index(c), 0)
 
 
 class TestRingStructure:
