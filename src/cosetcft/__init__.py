@@ -36,7 +36,6 @@ _EXPORTS = {
     "fusion": (
         "BasedRing",
         "FusionRing",
-        "SimpleCurrentReport",
         "SparseTensor",
         "dimension_homomorphism_residual",
         "fuse",

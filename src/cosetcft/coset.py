@@ -150,11 +150,12 @@ def sector_sigma(sector: CosetSector, power: int) -> CosetSector:
 
 def identification_orbits(
     spec: CosetSpec,
-) -> tuple[list[SectorOrbit], bool, list[tuple[CosetSector, int]]]:
+) -> tuple[list[SectorOrbit], list[tuple[CosetSector, int]]]:
     """Partition the sector set into orbits of the diagonal cyclic action.
 
-    Returns (orbits, faithful, fixed_points); fixed_points lists pairs
-    (sector, power) with a nontrivial stabilizing power, in sector order.
+    Returns (orbits, fixed_points); fixed_points lists pairs (sector,
+    power) with a nontrivial stabilizing power, in sector order, and the
+    action is faithful exactly when there is none.
     Sectors arrive in order, so each orbit is found from its smallest
     member and the orbits come out in order of it.  An orbit of size d is
     fixed exactly by the powers d, 2d, ... below n.
@@ -179,7 +180,7 @@ def identification_orbits(
         orbits.append(SectorOrbit(tuple(members)))
         seen.update(members)
     fixed.sort(key=lambda p: (p[0].sort_key(), p[1]))
-    return orbits, not fixed, fixed
+    return orbits, fixed
 
 
 def factor_rings(
@@ -207,8 +208,8 @@ def coset_ring(spec: CosetSpec) -> fusion.BasedRing:
     require_budget(least**3, DENSE_BUDGET, what, at_least=True)
     for f in spec.factor_specs():
         require_s_matrix_budget(f)
-    orbits, faithful, fixed = identification_orbits(spec)
-    if not faithful:
+    orbits, fixed = identification_orbits(spec)
+    if fixed:
         raise NotFaithful(fixed)
     r1, r2, rh = rings = factor_rings(spec)
     members = [

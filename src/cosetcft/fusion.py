@@ -460,23 +460,15 @@ def _orbit_slabs(factors: list[BasedRing], members: np.ndarray):
         yield slab[None]
 
 
-@dataclass
-class SimpleCurrentReport:
-    failures: list[tuple[int, int, int]]  # (power, i, i') with wrong coefficient
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
+def simple_current_check(ring: FusionRing) -> list[tuple[int, int, int]]:
     """Verify the translation rule: fusing conj(i) with i' hits the
     sigma-image of the vacuum exactly when i' is the sigma-image of i.
 
     For each power t the m x m slice N_ab^(sigma^t(0)) is read off the
     entries whose target is sigma^t(0): only those are placed in their
     pair's run.  Its rows taken at conj(i) must be the permutation matrix
-    of sigma^t.  Failures are listed in (t, i, i') order."""
+    of sigma^t.  Returns the failures, each (t, i, i') with a wrong
+    coefficient, in that order; the rule holds exactly when there is none."""
     c = ring.constants
     m, n = len(ring.basis), ring.spec.n
     perms = [ring.sigma_permutation(t) for t in range(n)]
@@ -490,7 +482,7 @@ def simple_current_check(ring: FusionRing) -> SimpleCurrentReport:
     for t, perm in enumerate(perms):
         wrong = np.argwhere(coeffs[t, conj] != np.eye(m, dtype=np.int64)[perm]).tolist()
         failures.extend((t, i, ip) for i, ip in wrong)
-    return SimpleCurrentReport(failures)
+    return failures
 
 
 def ring_axiom_failures(tensor: SparseTensor, conj_perm) -> list[str]:

@@ -23,22 +23,20 @@ COSET_SPECS = [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1)]
 def check_unitarity(config: Config, specs) -> VerificationReport:
     import numpy as np
 
-    worst = 0.0
-    bad = []
+    report = VerificationReport("s-matrix-unitarity")
     for n, k in specs:
         m = modular.s_matrix(weights.AlgebraSpec.su(n, k)).entries
-        resid = max(modular.unitarity_residual(m), float(np.abs(m - m.T).max()))
-        worst = max(worst, resid)
-        if resid > config.tolerance_unitary:
-            bad.append(f"su({n})_{k}")
-    return VerificationReport("s-matrix-unitarity", worst, bad)
+        report.judge(
+            f"su({n})_{k}", config.tolerance_unitary,
+            modular.unitarity_residual(m), float(np.abs(m - m.T).max()),
+        )
+    return report
 
 
 def check_fusion(config: Config, specs) -> VerificationReport:
     import numpy as np
 
-    worst = 0.0
-    bad = []
+    report = VerificationReport("verlinde-fusion-rings")
     for n, k in specs:
         ring = fusion.fusion_ring(weights.AlgebraSpec.su(n, k))
         failures = ring.axiom_failures()
@@ -46,60 +44,55 @@ def check_fusion(config: Config, specs) -> VerificationReport:
         perm = np.array(ring.sigma_permutation(1), dtype=np.int32)
         if not fusion.sigma_covariant(ring.constants, perm):
             failures.append("cyclic covariance fails at power 1")
-        res = fusion.dimension_homomorphism_residual(ring)
-        worst = max(worst, res)
-        if failures or res > config.tolerance_integrality:
-            bad.append(f"su({n})_{k}: {failures or 'dimension residual'}")
-    return VerificationReport("verlinde-fusion-rings", worst, bad)
+        if failures:
+            report.counterexamples.append(f"su({n})_{k}: {failures}")
+        report.judge(
+            f"su({n})_{k}: dimension residual", config.tolerance_integrality,
+            fusion.dimension_homomorphism_residual(ring),
+        )
+    return report
 
 
 def check_simple_current(config: Config, specs) -> VerificationReport:
     bad = []
     for n, k in specs:
-        report = fusion.simple_current_check(fusion.fusion_ring(weights.AlgebraSpec.su(n, k)))
-        if not report.passed:
-            bad.append(f"su({n})_{k}: {report.failures[:3]}")
+        failures = fusion.simple_current_check(fusion.fusion_ring(weights.AlgebraSpec.su(n, k)))
+        if failures:
+            bad.append(f"su({n})_{k}: {failures[:3]}")
     return VerificationReport("simple-current-relation", 0.0, bad)
 
 
 def check_kw(config: Config, coset_specs) -> VerificationReport:
-    worst = 0.0
-    bad = []
+    report = VerificationReport("kac-wakimoto-identity")
     for n, m1, m2 in coset_specs:
         spec = coset.CosetSpec(n, m1, m2)
         for f in spec.factor_specs():
             weights.require_s_matrix_budget(f)
         for sector in coset.exp_set(spec):
-            r = coset.kw_identity_check(spec, sector)
-            worst = max(worst, r)
-            if r > 1e-9:
-                bad.append(f"{spec.n},{spec.m1},{spec.m2}:{sector}")
-    return VerificationReport("kac-wakimoto-identity", worst, bad)
+            report.judge(f"{n},{m1},{m2}:{sector}", 1e-9, coset.kw_identity_check(spec, sector))
+    return report
 
 
 def check_formula31(config: Config, coset_specs) -> VerificationReport:
-    worst = 0.0
-    bad = []
+    report = VerificationReport("index-sum-rule")
     for n, m1, m2 in coset_specs:
         spec = coset.CosetSpec(n, m1, m2)
         r = coset.formula_31_residual(spec)
         sums = coset.class_dimension_sums(spec)
         spread = max(sums.values()) - min(sums.values())
-        worst = max(worst, r, spread)
-        if r > config.tolerance_integrality or spread > config.tolerance_integrality:
-            bad.append(f"{n},{m1},{m2}")
-    return VerificationReport("index-sum-rule", worst, bad)
+        report.judge(f"{n},{m1},{m2}", config.tolerance_integrality, r, spread)
+    return report
 
 
 def check_ising(config: Config) -> VerificationReport:
     spec = coset.CosetSpec(2, 1, 1)
-    bad = []
+    report = VerificationReport("ising-coset-ring")
     sectors = coset.exp_set(spec)
     if len(sectors) != 6:
-        bad.append(f"exp size {len(sectors)} != 6")
-    orbits, faithful, _ = coset.identification_orbits(spec)
-    if len(orbits) != 3 or not faithful:
-        bad.append("orbit structure wrong")
+        report.counterexamples.append(f"exp size {len(sectors)} != 6")
+    orbits, fixed = coset.identification_orbits(spec)
+    if len(orbits) != 3 or fixed:
+        report.counterexamples.append("orbit structure wrong")
     ring = coset.coset_ring(spec)
     expected = {
         (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
@@ -107,11 +100,10 @@ def check_ising(config: Config) -> VerificationReport:
         (2, 0): {2: 1}, (2, 1): {2: 1}, (2, 2): {0: 1, 1: 1},
     }
     if ring.table != expected:
-        bad.append(f"ring table {ring.table}")
+        report.counterexamples.append(f"ring table {ring.table}")
     resid = abs(ring.dims[ring.basis[2]] - math.sqrt(2))
-    if resid > 1e-9:
-        bad.append(f"sigma dimension residual {resid}")
-    return VerificationReport("ising-coset-ring", resid, bad)
+    report.judge(f"sigma dimension residual {resid}", 1e-9, resid)
+    return report
 
 
 def check_fixed_point_refusal(config: Config) -> VerificationReport:
@@ -125,32 +117,30 @@ def check_fixed_point_refusal(config: Config) -> VerificationReport:
 
 
 def check_parafermion(config: Config) -> VerificationReport:
-    bad = []
+    report = VerificationReport("parafermion-torus-ring")
     for l in (2, 3):
         for m in range(1, 5):
             if len(torus.torus_classes(l, m)) != l * m ** (l - 1):
-                bad.append(f"class count l={l} m={m}")
+                report.counterexamples.append(f"class count l={l} m={m}")
     sectors = torus.torus_exp(2, 2)
     if len(sectors) != 6:
-        bad.append(f"l=2,m=2 sector count {len(sectors)}")
+        report.counterexamples.append(f"l=2,m=2 sector count {len(sectors)}")
     ring = torus.torus_ring(2, 2)
-    bad.extend(ring.axiom_failures())
-    worst = max(torus.torus_kw_residual(2, 2), fusion.dimension_homomorphism_residual(ring))
-    if worst > config.tolerance_integrality:
-        bad.append(f"dimension residual {worst}")
-    return VerificationReport("parafermion-torus-ring", worst, bad)
+    report.counterexamples.extend(ring.axiom_failures())
+    report.judge(
+        "dimension residual", config.tolerance_integrality,
+        torus.torus_kw_residual(2, 2), fusion.dimension_homomorphism_residual(ring),
+    )
+    return report
 
 
 def check_maverick(config: Config) -> VerificationReport:
-    bad = []
-    ring = maverick.build_maverick_ring()
-    resid = fusion.dimension_homomorphism_residual(ring)
-    if resid > config.tolerance_integrality:
-        bad.append(f"dimension residual {resid}")
-    report = maverick.maverick_branching_check(max(4, config.grade_cutoff // 2))
-    if not report.passed:
-        bad.append("branching identification check failed")
-    return VerificationReport("maverick-ring", resid, bad)
+    report = VerificationReport("maverick-ring")
+    resid = fusion.dimension_homomorphism_residual(maverick.build_maverick_ring())
+    report.judge(f"dimension residual {resid}", config.tolerance_integrality, resid)
+    if not maverick.maverick_branching_check(max(4, config.grade_cutoff // 2)).passed:
+        report.counterexamples.append("branching identification check failed")
+    return report
 
 
 def check_branching(config: Config, quick: bool = False) -> VerificationReport:

@@ -606,10 +606,31 @@ RESIDUAL_CHECKS = {
     "verify fusion": ("tolerance_integrality", "verlinde-fusion-rings"),
 }
 
+# each command whose residual a corrupt input could make NaN: the module and
+# function that compute it, and the check of the report that judges it
+NAN_RESIDUALS = {
+    "smatrix --algebra su2 --level 1": ("modular", "unitarity_residual", "s-matrix-unitarity"),
+    "coset-ring 2 1 1": (
+        "fusion", "dimension_homomorphism_residual", "coset-dimension-homomorphism",
+    ),
+    "verify fusion": ("fusion", "dimension_homomorphism_residual", "verlinde-fusion-rings"),
+    "verify parafermion": (
+        "fusion", "dimension_homomorphism_residual", "parafermion-torus-ring",
+    ),
+}
+
+# residuals as a corrupt input could give them: any float, with NaN, the
+# infinities, both zeros and the subnormals drawn often
+RESIDUALS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-308]),
+    st.floats(),
+)
+
 
 class TestOneResidualRule:
     """Every report fails a residual above its tolerance and passes one at
-    it, and a report passes exactly when it names no counterexample."""
+    it, a NaN residual fails, and a report passes exactly when it names no
+    counterexample."""
 
     @staticmethod
     def residual(argv, check):
@@ -659,6 +680,37 @@ class TestOneResidualRule:
         reports = json.loads(out)["reports"]
         assert code == 1 and reports
         assert all(r["passed"] == (r["counterexamples"] == []) for r in reports)
+
+    @pytest.mark.parametrize("argv", NAN_RESIDUALS)
+    def test_a_nan_residual_fails(self, capsys, monkeypatch, argv):
+        module, name, check = NAN_RESIDUALS[argv]
+        monkeypatch.setattr(getattr(cosetcft, module), name, lambda *_: math.nan)
+        code, out = run(capsys, *argv.split())
+        assert code == 1
+        [found] = [r for r in json.loads(out)["reports"] if r["check"] == check]
+        assert found["worst_residual"] == "nan"
+        assert not found["passed"] and found["counterexamples"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(RESIDUALS, max_size=4), max_size=4),
+        st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+    )
+    def test_judge_is_the_one_rule(self, calls, tolerance):
+        checked = report.VerificationReport("judged")
+        for label, residuals in enumerate(calls):
+            checked.judge(label, tolerance, *residuals)
+        # each call lists its label once, exactly when a residual fails
+        assert checked.counterexamples == [
+            label for label, residuals in enumerate(calls)
+            if not all(r <= tolerance for r in residuals)
+        ]
+        every = [r for residuals in calls for r in residuals]
+        assert checked.passed == all(r <= tolerance for r in every)
+        if any(math.isnan(r) for r in every):
+            assert math.isnan(checked.worst_residual)
+        else:
+            assert checked.worst_residual == max([0.0, *every])
 
 
 class TestBranchCommand:

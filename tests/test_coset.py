@@ -191,21 +191,20 @@ class TestOrbits:
     @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 3))
     def test_matches_brute_force(self, n, m1, m2):
         spec = CosetSpec(n, m1, m2)
-        orbits, faithful, fixed = identification_orbits(spec)
+        orbits, fixed = identification_orbits(spec)
         want_orbits, want_fixed = reference_orbits(spec)
         assert [set(o.members) for o in orbits] == sorted(
             map(set, want_orbits), key=lambda o: min(s.sort_key() for s in o)
         )
         assert fixed == want_fixed
-        assert faithful == (not want_fixed)
         for o in orbits:
             # members in power order from the smallest
             assert list(o.members) == [sector_sigma(o.representative, t) for t in range(o.size)]
             assert o.representative == min(o.members, key=CosetSector.sort_key)
 
     def test_ising_pairing(self):
-        orbits, faithful, fixed = identification_orbits(ISING)
-        assert faithful and not fixed
+        orbits, fixed = identification_orbits(ISING)
+        assert not fixed
         got = {
             frozenset(
                 (m.num1.labels[0], m.num2.labels[0], m.den.labels[0])
@@ -221,25 +220,23 @@ class TestOrbits:
 
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_orbit_sizes_divide_group_order(self, spec):
-        orbits, _, _ = identification_orbits(spec)
+        orbits, _ = identification_orbits(spec)
         for o in orbits:
             assert spec.n % o.size == 0
 
     def test_fixed_point_when_both_levels_even_pattern(self):
         # all three labels sitting at the self-paired midpoint
-        orbits, faithful, fixed = identification_orbits(CosetSpec(2, 2, 2))
-        assert not faithful
+        _, fixed = identification_orbits(CosetSpec(2, 2, 2))
         assert (sector(CosetSpec(2, 2, 2), (1,), (1,), (2,)), 1) in fixed
 
     def test_fixed_point_at_higher_even_level(self):
-        _, faithful, fixed = identification_orbits(CosetSpec(2, 4, 2))
-        assert not faithful
+        _, fixed = identification_orbits(CosetSpec(2, 4, 2))
         assert (sector(CosetSpec(2, 4, 2), (2,), (1,), (3,)), 1) in fixed
 
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_desk_cosets_faithful(self, spec):
-        _, faithful, fixed = identification_orbits(spec)
-        assert faithful and not fixed
+        _, fixed = identification_orbits(spec)
+        assert not fixed
 
 
 class TestCosetRing:
@@ -321,8 +318,8 @@ class TestCosetRing:
         # ceil(sectors / n) orbits at least, and exactly when none is fixed
         asked = []
         monkeypatch.setattr(coset, "require_budget", lambda *a, **_: asked.append(a[:2]))
-        orbits, faithful, _ = identification_orbits(spec)
-        if faithful:
+        orbits, fixed = identification_orbits(spec)
+        if not fixed:
             coset_ring(spec)
         else:
             with pytest.raises(NotFaithful):
@@ -330,7 +327,7 @@ class TestCosetRing:
         least = -(-len(exp_set(spec)) // spec.n)
         # exp_set's sector counts go through the same helper
         assert [n for n, budget in asked if budget == coset.DENSE_BUDGET] == [least**3]
-        assert least == len(orbits) or not faithful
+        assert least == len(orbits) or fixed
 
     @pytest.mark.parametrize("spec", DESK_COSETS, ids=str)
     def test_representative_independence(self, spec):

@@ -28,7 +28,7 @@ EXPORTED = {
         "quantum_dimension", "s_matrix",
     ],
     "fusion": [
-        "BasedRing", "FusionRing", "SimpleCurrentReport",
+        "BasedRing", "FusionRing",
         "SparseTensor", "dimension_homomorphism_residual", "fuse", "fusion_ring",
         "product_ring", "ring_axiom_failures", "simple_current_check", "verlinde_tensor",
     ],
@@ -118,7 +118,7 @@ def test_exported_name_is_the_module_attribute(module, name):
 
 
 def test_export_count_and_star_import():
-    assert sum(map(len, EXPORTED.values())) == 66
+    assert sum(map(len, EXPORTED.values())) == 65
     namespace = {}
     exec("from cosetcft import *", namespace)
     assert {n for names in EXPORTED.values() for n in names} <= set(namespace)
@@ -235,6 +235,39 @@ def test_every_size_refusal_goes_through_one_helper():
         for owner in budget_refusals(ast.parse(path.read_text()))
     ]
     assert refusals == ["weights.require_budget"]
+
+
+def tolerance_comparisons(tree) -> list[str]:
+    """The innermost class or function path, such as "Class.method", around
+    each order comparison (<, >, <=, >=) under tree whose text mentions a
+    tolerance, by a config field's name or any other."""
+    found = []
+
+    def visit(node, path):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            path = (*path, node.name)
+        if (
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Lt, ast.Gt, ast.LtE, ast.GtE)) for op in node.ops)
+            and "tolerance" in ast.unparse(node)
+        ):
+            found.append(".".join(path) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(tree, ())
+    return found
+
+
+def test_every_residual_is_judged_by_one_rule():
+    # the reports and suites judge a residual against a configured tolerance
+    # only through VerificationReport.judge, so a NaN fails everywhere alike
+    judged = [
+        f"{name}.{owner}"
+        for name in ("report", "verify")
+        for owner in tolerance_comparisons(ast.parse((SRC / "cosetcft" / f"{name}.py").read_text()))
+    ]
+    assert judged == ["report.VerificationReport.judge"]
 
 
 # the run layout of a SparseTensor, whose attributes only fusion reads
