@@ -18,6 +18,7 @@ import sys
 _EXPORTS = {
     "weights": (
         "AlgebraSpec",
+        "SelfCheckFailed",
         "Weight",
         "color",
         "conformal_weight",
@@ -74,7 +75,6 @@ _EXPORTS = {
     "characters": (
         "BranchingFunction",
         "InconclusiveCutoff",
-        "NegativeResidual",
         "WeightTable",
         "coset_energy_offset",
         "diagonal_branching",
@@ -89,7 +89,6 @@ _EXPORTS = {
         "vacuum_membership",
     ),
     "maverick": (
-        "InconsistentRelations",
         "MaverickBranchingReport",
         "build_maverick_ring",
         "maverick_branching",

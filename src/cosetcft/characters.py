@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import TYPE_CHECKING
 
-from .report import Config
+from .report import Config, SelfCheckFailed
 from .report import InconclusiveCutoff  # re-exported: raised here
 
 # weyl_dimension is re-exported: perfbench/trace_runner.py traces it here
@@ -46,11 +46,6 @@ if TYPE_CHECKING:  # coset loads numpy, which no character computation needs
     from .coset import CosetSector, CosetSpec
 
 Poly = dict[Labels, int]
-
-
-class NegativeResidual(ArithmeticError):
-    """A branching coefficient came out negative, or a table is not a
-    nonnegative combination of integrable characters (bug or wrong projection)."""
 
 
 # --- graded characters ------------------------------------------------------
@@ -183,16 +178,29 @@ def straighten_products(series, terms, cutoff: int) -> list[dict[Labels, int]]:
     series S times the sum of q^grade A(u) over terms: A(u) S_d is the sum of
     S_d(nu) A(u + nu), at grade grade + d, and ``straighten`` makes each
     A(u + nu) zero or a signed A(mu + rho).  ``series`` holds one sequence
-    of (v-coordinates, multiplicity) pairs per grade."""
+    of (v-coordinates, multiplicity) pairs per grade.  It is regrouped by
+    weight into flat runs [d, S_d(nu), d', ...] of increasing grade, so each
+    u + nu is straightened once per term, not once per grade."""
+    runs: dict[Labels, list[int]] = {}
+    for d, sl in enumerate(series[: cutoff + 1]):
+        for nu, mult in sl:
+            runs.setdefault(nu, []).extend((d, mult))
     irreps: list[dict[Labels, int]] = [dict() for _ in range(cutoff + 1)]
     for grade, u in terms:
-        for g, sl in enumerate(series[: cutoff + 1 - grade], start=grade):
-            dst = irreps[g]
-            for nu, mult in sl:
-                hit = straighten(tuple(map(add, u, nu)))
-                if hit is not None:
-                    sign, mu = hit
-                    dst[mu] = dst.get(mu, 0) + sign * mult
+        room = cutoff - grade
+        for nu, run in runs.items():
+            if run[0] > room:
+                continue
+            hit = straighten(tuple(map(add, u, nu)))
+            if hit is None:
+                continue
+            sign, mu = hit
+            steps = iter(run)
+            for d, mult in zip(steps, steps):
+                if d > room:
+                    break
+                dst = irreps[grade + d]
+                dst[mu] = dst.get(mu, 0) + sign * mult
     return irreps
 
 
@@ -215,14 +223,14 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> WeightTable:
         for mu in sorted(coeffs, key=v_vector, reverse=True):
             coeff = coeffs[mu]
             if coeff < 0:
-                raise ArithmeticError(f"negative character multiplicity at grade {g}")
+                raise SelfCheckFailed(f"negative character multiplicity at grade {g}")
             if coeff:
                 for wlab, m in finite_weight_multiplicities(mu).items():
                     out[wlab] = out.get(wlab, 0) + coeff * m
         slices.append(out)
 
     if slices[0] != finite_weight_multiplicities(lam):
-        raise ArithmeticError("grade-0 slice disagrees with the finite irrep")
+        raise SelfCheckFailed("grade-0 slice disagrees with the finite irrep")
     return WeightTable(n, cutoff, tuple(slices))
 
 
@@ -312,7 +320,8 @@ def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> WeightTa
                     if m:
                         num += m * k * mpart * (n - 1)
             value, rest = divmod(2 * n * num, den)
-            assert rest == 0 and value >= 0
+            if rest or value < 0:
+                raise SelfCheckFailed(f"Freudenthal multiplicity {2 * n * num}/{den} of {mu}")
             if value:
                 dom_mult[(mu, g)] = value
 
@@ -392,7 +401,7 @@ def _read_branching(table: WeightTable, terms, target: AlgebraSpec, depth: int):
     for wt in integrable_weights(target):
         out[wt] = tuple(sl.get(wt.labels, 0) for sl in irreps)
         if min(out[wt]) < 0:
-            raise NegativeResidual(f"negative branching coefficient for {wt}: {out[wt]}")
+            raise SelfCheckFailed(f"negative branching coefficient for {wt}: {out[wt]}")
     return out
 
 
@@ -402,7 +411,7 @@ def peel_branching(table: WeightTable, target: AlgebraSpec) -> dict[Weight, "Bra
     The table times the target's affine denominator (the alternant of rho
     at level 0, shifted level N) is read as in ``diagonal_branching``.  The
     certificate: the coefficients must ``reconstitute`` the table exactly,
-    else it is no nonnegative sum of target characters (NegativeResidual).
+    else it is no nonnegative sum of target characters (SelfCheckFailed).
     Returns one coefficient sequence per integrable target weight,
     including identically zero ones.
     """
@@ -414,7 +423,7 @@ def peel_branching(table: WeightTable, target: AlgebraSpec) -> dict[Weight, "Bra
     read = _read_branching(table, terms, target, depth)
     out = {t: BranchingFunction(str(t), Fraction(0), cs) for t, cs in read.items()}
     if reconstitute(out, target, depth).slices != table.slices[: depth + 1]:
-        raise NegativeResidual(
+        raise SelfCheckFailed(
             f"table is not a sum of {target} characters up to grade {depth}"
         )
     return out

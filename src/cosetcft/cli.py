@@ -4,7 +4,9 @@ Commands emit a single JSON document {"command", "config", "result",
 "reports"} by default (CSV and plain tables are available where they make
 sense).  Real numbers are serialized as decimal strings with 12 significant
 digits so repeated runs are byte-identical; exit status is 0 when every
-requested check passed, 1 on a check failure, 2 on usage errors.
+requested check passed, 1 on a check failure, 2 on usage errors.  A failed
+report is a check failure; so is a NotFaithful coset or a SelfCheckFailed
+in the library, which end the command with an error document instead.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .report import (
     Config,
     InconclusiveCutoff,
     NotFaithful,
+    SelfCheckFailed,
     VerificationReport,
     coset_ring_reports,
     format_real,
@@ -477,12 +480,10 @@ def main(argv=None) -> int:
         code = 0 if all(r.passed for r in reports) else 1
     # report defines the errors matched here: an error path runs no module
     # that the command did not
-    except NotFaithful as err:
-        result = {
-            "error": "NotFaithful",
-            "message": str(err),
-            "fixed_points": [str(s) for s, _ in err.fixed_points],
-        }
+    except (NotFaithful, SelfCheckFailed) as err:
+        result = {"error": type(err).__name__, "message": str(err)}
+        if isinstance(err, NotFaithful):
+            result["fixed_points"] = [str(s) for s, _ in err.fixed_points]
         reports, code = [], 1
     except (ValueError, KeyError, InconclusiveCutoff) as err:
         parser.error(str(err))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import fusion, modular
-from .report import NotFaithful  # re-exported: raised here
+from .report import NotFaithful, SelfCheckFailed  # NotFaithful re-exported: raised here
 from .weights import (
     DENSE_BUDGET,
     WEIGHT_BUDGET,
@@ -172,7 +172,7 @@ def identification_orbits(
         image = sector_sigma(s, 1)
         while image != s:
             if image not in sector_set:
-                raise AssertionError("cyclic action left the sector set")
+                raise SelfCheckFailed("cyclic action left the sector set")
             members.append(image)
             image = sector_sigma(image, 1)
         d = len(members)

@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .modular import PHASE_BATCH, SMatrix, quantum_dimension, s_matrix
+from .report import SelfCheckFailed
 from .weights import (
     DENSE_BUDGET,
     AlgebraSpec,
@@ -281,7 +282,7 @@ def verlinde_constants(basis: tuple, conj) -> SparseTensor:
     and no divisor maps to 0: the alternants' denominators multiply
     zeta^-t_a - zeta^-t_b, 2 - zeta^c - zeta^-c = -zeta^-c (1 - zeta^c)^2
     with 0 < c < h, and p divides no N h^(N-1).  0 <= N_ij^k <= max d^2 < p,
-    as sum_k N_ij^k d_k = d_i d_j with d_k >= 1 (ArithmeticError otherwise),
+    as sum_k N_ij^k d_k = d_i d_j with d_k >= 1 (SelfCheckFailed otherwise),
     and m <= 256, p < 2^21 keep every float64 partial sum below 2^53.  The
     m^3 sums and m^2 N^2 phases (PHASE_BATCH a batch) are held to budget."""
     spec, m = basis[0].spec, len(basis)
@@ -295,8 +296,8 @@ def verlinde_constants(basis: tuple, conj) -> SparseTensor:
     for factor in 2 - powers[n * c % (n * h)] - powers[-n * c % (n * h)]:
         w = w * factor % p
     row = vacuum_row(spec)
-    if (max(row) / row[0]) ** 2 >= p or not w.all():
-        raise ArithmeticError(f"the Verlinde sums of {spec.name} are not exact mod {p}")
+    if not (all((d / row[0]) ** 2 < p for d in row) and w.all()):  # a NaN fails
+        raise SelfCheckFailed(f"the Verlinde sums of {spec.name} are not exact mod {p}")
     s, step = t.sum(axis=1), max(1, PHASE_BATCH // (m * n * n))
     num, den = np.empty((2, m, m), dtype=np.int64)
     for start in range(0, m, step):

@@ -25,6 +25,7 @@ from .characters import (
     peel_branching,
     restrict_character,
 )
+from .report import SelfCheckFailed
 from .weights import AlgebraSpec, Weight, conformal_weight
 
 if TYPE_CHECKING:  # fusion loads numpy; only the ring needs it, not branching
@@ -54,14 +55,10 @@ _WORDS = {"1": (0, 0), "x": (1, 0), "y": (1, 1), "ybar": (1, 2), "z": (0, 1), "z
 BASIS_NAMES = tuple(_WORDS)
 
 
-class InconsistentRelations(ArithmeticError):
-    """The relations failed to give a consistent 6-element ring."""
-
-
 def build_maverick_ring() -> BasedRing:
     """The product of the Fibonacci ring on (1, x) and the group ring of Z3
-    on the powers 0, 1, 2 of z, with word x^a z^b the pair (a, b), and
-    every independently quoted property of the result verified."""
+    on the powers 0, 1, 2 of z, with word x^a z^b the pair (a, b), and every
+    independently quoted property of the result verified (SelfCheckFailed)."""
     import numpy as np
 
     from .fusion import BasedRing, SparseTensor, orbit_ring
@@ -96,13 +93,13 @@ def _verify(ring: BasedRing) -> None:
             for k, c in ring.table[(ring.index(a), ring.index(b))].items()
         }
         if got != want:
-            raise InconsistentRelations(f"{a}*{b} = {got}, expected {want}")
+            raise SelfCheckFailed(f"{a}*{b} = {got}, expected {want}")
     failures = ring.axiom_failures()
     if failures:
-        raise InconsistentRelations("; ".join(failures))
+        raise SelfCheckFailed("; ".join(failures))
     residual = dimension_homomorphism_residual(ring)
-    if residual > 1e-6:
-        raise InconsistentRelations(f"dimensions fail by {residual:.3e}")
+    if not residual <= 1e-6:  # a NaN fails
+        raise SelfCheckFailed(f"dimensions fail by {residual:.3e}")
 
 
 def maverick_dims() -> dict[str, float]:

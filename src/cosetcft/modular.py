@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .report import SelfCheckFailed
 from .weights import (
     AlgebraSpec,
     Weight,
@@ -94,13 +95,14 @@ def s_matrix(spec: AlgebraSpec) -> SMatrix:
     dets *= s0
     entries = dets
 
-    if unitarity_residual(entries) > UNITARY_TOL:
-        raise ArithmeticError(f"S-matrix for su({n})_{k} failed unitarity")
-    if np.abs(entries - entries.T).max() > SYMMETRY_TOL:
-        raise ArithmeticError(f"S-matrix for su({n})_{k} failed symmetry")
+    # each guard holds only when its comparison is true, so a NaN fails it
+    if not unitarity_residual(entries) <= UNITARY_TOL:
+        raise SelfCheckFailed(f"S-matrix for su({n})_{k} failed unitarity")
+    if not np.abs(entries - entries.T).max() <= SYMMETRY_TOL:
+        raise SelfCheckFailed(f"S-matrix for su({n})_{k} failed symmetry")
     row0 = entries[0]
-    if np.abs(row0.imag).max() > VACUUM_ROW_TOL or (row0.real < VACUUM_ROW_TOL).any():
-        raise ArithmeticError(f"S-matrix for su({n})_{k} vacuum row not positive")
+    if not (np.abs(row0.imag).max() <= VACUUM_ROW_TOL and (row0.real >= VACUUM_ROW_TOL).all()):
+        raise SelfCheckFailed(f"S-matrix for su({n})_{k} vacuum row not positive")
     return SMatrix(spec, basis, entries)
 
 

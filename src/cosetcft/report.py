@@ -34,6 +34,12 @@ class InconclusiveCutoff(RuntimeError):
     """Branching vanished up to the cutoff; no energy can be reported."""
 
 
+class SelfCheckFailed(ArithmeticError):
+    """A check that the library runs on its own result failed: a residual
+    above its bound, or NaN, a negative multiplicity or a quoted relation
+    that does not hold.  A bug or a corrupted input, never a usage error."""
+
+
 # the keys of verify.SUITES, in its order: the CLI's suite choices
 SUITE_NAMES = (
     "unitarity", "fusion", "simple-current", "kw", "formula31", "ising",

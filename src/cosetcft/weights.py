@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 
+from .report import SelfCheckFailed  # re-exported: raised here
+
 # size budget for one weight basis, checked before enumerating it
 WEIGHT_BUDGET = 100_000
 # budget for m^3-sized work or dense arrays (256 MiB as complex128)
@@ -379,7 +381,8 @@ def _dimension_within(lam: Labels, cap: int | None) -> int | None:
             if cap is not None and num > cap * den:
                 return None
     dim, rest = divmod(num, den)
-    assert rest == 0
+    if rest:
+        raise SelfCheckFailed(f"the Weyl dimension of {lam} is not an integer")
     return None if cap is not None and dim > cap else dim
 
 

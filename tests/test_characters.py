@@ -14,7 +14,7 @@ from cosetcft import (
     CosetSector,
     CosetSpec,
     InconclusiveCutoff,
-    NegativeResidual,
+    SelfCheckFailed,
     Weight,
     WeightTable,
     coset_energy_offset,
@@ -39,9 +39,10 @@ from cosetcft.characters import (
     denominator_series,
     finite_weight_multiplicities,
     require_alternant_budget,
+    straighten_products,
     weyl_dimension,
 )
-from cosetcft.weights import all_roots, labels_from_v, v_vector, weyl_orbit
+from cosetcft.weights import all_roots, labels_from_v, straighten, v_vector, weyl_orbit
 
 ISING = CosetSpec(2, 1, 1)
 
@@ -314,6 +315,53 @@ class TestPackedKeys:
             assert pack.encode(v) + pack.shift(w) == pack.encode(total)
 
 
+def straighten_each_product(series, terms, cutoff):
+    """The reference loop of ``straighten_products``: one ``straighten`` per
+    term, grade and series entry."""
+    irreps = [dict() for _ in range(cutoff + 1)]
+    for grade, u in terms:
+        for g, sl in enumerate(series[: cutoff + 1 - grade], start=grade):
+            dst = irreps[g]
+            for nu, mult in sl:
+                hit = straighten(tuple(map(add, u, nu)))
+                if hit is not None:
+                    sign, mu = hit
+                    dst[mu] = dst.get(mu, 0) + sign * mult
+    return irreps
+
+
+@st.composite
+def series_and_terms(draw):
+    """A small series in v-coordinates, which may run past the cutoff, and
+    terms with grades up to it; a weight may repeat within a grade."""
+    n = draw(st.integers(2, 4))
+    cutoff = draw(st.integers(0, 5))
+    coords = st.tuples(*[st.integers(-3, 3)] * n)
+    entries = st.lists(st.tuples(coords, st.integers(-3, 3)), max_size=6)
+    series = draw(st.lists(entries, max_size=cutoff + 2))
+    terms = draw(st.lists(st.tuples(st.integers(0, cutoff), coords), max_size=5))
+    return series, terms, cutoff
+
+
+class TestStraightenProducts:
+    @settings(max_examples=200, deadline=None)
+    @given(series_and_terms())
+    def test_each_weight_once_matches_each_product(self, case):
+        series, terms, cutoff = case
+        assert straighten_products(series, terms, cutoff) == straighten_each_product(
+            series, terms, cutoff
+        )
+
+    @pytest.mark.parametrize("n,k,cutoff", [(2, 3, 10), (3, 2, 6), (4, 1, 4)])
+    def test_characters_match_each_product(self, n, k, cutoff):
+        series = denominator_series(n, cutoff)
+        for w in integrable_weights(AlgebraSpec.su(n, k)):
+            terms = alternant_terms(w.labels, n, n + k, cutoff)
+            assert straighten_products(series, terms, cutoff) == straighten_each_product(
+                series, terms, cutoff
+            )
+
+
 class TestTensorAndRestrict:
     def test_tensor_with_point_character(self):
         g = graded_character(su2(1), w2(1, 1), 4)
@@ -431,12 +479,12 @@ class TestPeeling:
         # a bare vacuum point with empty higher grades cannot be a sum of
         # integrable characters
         table = WeightTable(2, 2, ({(0,): 1}, {}, {}))
-        with pytest.raises(NegativeResidual):
+        with pytest.raises(SelfCheckFailed):
             peel_branching(table, su2(2))
 
     def test_overlevel_residual_rejected(self):
         table = WeightTable(2, 1, ({(4,): 1, (2,): 1, (0,): 1, (-2,): 1, (-4,): 1}, {}))
-        with pytest.raises(NegativeResidual):
+        with pytest.raises(SelfCheckFailed):
             peel_branching(table, su2(2))
 
 

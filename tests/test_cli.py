@@ -684,6 +684,9 @@ class TestOneResidualRule:
     @pytest.mark.parametrize("argv", NAN_RESIDUALS)
     def test_a_nan_residual_fails(self, capsys, monkeypatch, argv):
         module, name, check = NAN_RESIDUALS[argv]
+        # a cached S-matrix, so the report sees the NaN, not the guard in
+        # s_matrix (TestSelfCheckFailed covers the cold cache)
+        cosetcft.modular.s_matrix(weights.AlgebraSpec.su(2, 1))
         monkeypatch.setattr(getattr(cosetcft, module), name, lambda *_: math.nan)
         code, out = run(capsys, *argv.split())
         assert code == 1
@@ -711,6 +714,57 @@ class TestOneResidualRule:
             assert math.isnan(checked.worst_residual)
         else:
             assert checked.worst_residual == max([0.0, *every])
+
+
+class TestSelfCheckFailed:
+    """A check that the library runs on its own result, forced to fail, ends
+    the command with exit 1 and one error document, never a traceback."""
+
+    @staticmethod
+    def assert_error_document(capsys, argv, message):
+        code, out, err = run_with_err(capsys, *argv.split())
+        assert code == 1
+        assert "Traceback" not in err
+        doc = json.loads(out)
+        assert doc["command"] == argv.split()[0] and doc["reports"] == []
+        result = doc["result"]
+        assert sorted(result) == ["error", "message"] and result["error"] == "SelfCheckFailed"
+        assert message in result["message"]
+
+    def test_unitarity_guard_on_a_cold_cache(self, capsys, monkeypatch):
+        modular = cosetcft.modular
+        monkeypatch.setattr(modular, "s_matrix", modular.s_matrix.__wrapped__)
+        monkeypatch.setattr(modular, "unitarity_residual", lambda entries: math.nan)
+        self.assert_error_document(
+            capsys, "smatrix --algebra su2 --level 1", "su(2)_1 failed unitarity"
+        )
+
+    def test_maverick_dimension_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(fusion, "dimension_homomorphism_residual", lambda ring: math.nan)
+        self.assert_error_document(capsys, "verify maverick", "dimensions fail by nan")
+
+    def test_verlinde_exactness_guard(self, capsys, monkeypatch):
+        # each factor ring built anew, its exactness read off a NaN vacuum row
+        monkeypatch.setattr(fusion, "fusion_ring", fusion.fusion_ring.__wrapped__)
+        monkeypatch.setattr(
+            fusion, "vacuum_row", lambda spec: [math.nan] * len(weights.vacuum_row(spec))
+        )
+        self.assert_error_document(capsys, "coset-ring 2 1 1", "are not exact mod")
+
+    def test_negative_branching_coefficient(self, capsys, monkeypatch):
+        # the restricted table negated is no nonnegative sum of characters
+        maverick = cosetcft.maverick
+        restrict = maverick.restrict_character
+
+        def negated(table, projection):
+            t = restrict(table, projection)
+            slices = tuple({w: -m for w, m in sl.items()} for sl in t.slices)
+            return type(t)(t.rank_param, t.cutoff, slices)
+
+        monkeypatch.setattr(maverick, "restrict_character", negated)
+        self.assert_error_document(
+            capsys, "branch --maverick --sector 1,1;4 --cutoff 4", "negative branching coefficient"
+        )
 
 
 class TestBranchCommand:

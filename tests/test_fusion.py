@@ -13,6 +13,7 @@ from cosetcft import (
     AlgebraSpec,
     CosetSpec,
     SMatrix,
+    SelfCheckFailed,
     SparseTensor,
     Weight,
     conjugate_weight,
@@ -229,7 +230,7 @@ class TestExactField:
         powers = np.array([pow(6, e, 41) for e in range(40)])
         monkeypatch.setattr(fusion, "_prime_field", lambda order: (41, powers))
         sm = s_matrix(spec)
-        with pytest.raises(ArithmeticError, match="not exact mod 41"):
+        with pytest.raises(SelfCheckFailed, match="not exact mod 41"):
             fusion.verlinde_constants(sm.basis, fusion_ring(spec).conj)
 
     def test_determinants_match_the_leibniz_sum(self):

@@ -2,6 +2,7 @@
 on first access, and each CLI command runs only the modules on its path."""
 
 import ast
+import builtins
 import json
 import os
 import runpy
@@ -20,7 +21,7 @@ TRACE_RUNNER = SRC.parent / "perfbench" / "trace_runner.py"
 # every name the package exported before its modules were loaded lazily
 EXPORTED = {
     "weights": [
-        "AlgebraSpec", "Weight", "color", "conformal_weight", "conjugate_weight",
+        "AlgebraSpec", "SelfCheckFailed", "Weight", "color", "conformal_weight", "conjugate_weight",
         "integrable_weights", "kac_walton", "sigma_apply",
     ],
     "modular": [
@@ -43,14 +44,13 @@ EXPORTED = {
         "torus_kw_residual", "torus_ring",
     ],
     "characters": [
-        "BranchingFunction", "InconclusiveCutoff", "NegativeResidual",
-        "WeightTable", "coset_energy_offset",
+        "BranchingFunction", "InconclusiveCutoff", "WeightTable", "coset_energy_offset",
         "diagonal_branching", "freudenthal_character", "graded_character",
         "kw_numeric_ratio", "peel_branching", "reconstitute", "restrict_character",
         "sector_branching", "tensor_characters", "vacuum_membership",
     ],
     "maverick": [
-        "InconsistentRelations", "MaverickBranchingReport", "build_maverick_ring",
+        "MaverickBranchingReport", "build_maverick_ring",
         "maverick_branching", "maverick_branching_check", "maverick_dims",
     ],
 }
@@ -118,7 +118,7 @@ def test_exported_name_is_the_module_attribute(module, name):
 
 
 def test_export_count_and_star_import():
-    assert sum(map(len, EXPORTED.values())) == 65
+    assert sum(map(len, EXPORTED.values())) == 64
     namespace = {}
     exec("from cosetcft import *", namespace)
     assert {n for names in EXPORTED.values() for n in names} <= set(namespace)
@@ -268,6 +268,52 @@ def test_every_residual_is_judged_by_one_rule():
         for owner in tolerance_comparisons(ast.parse((SRC / "cosetcft" / f"{name}.py").read_text()))
     ]
     assert judged == ["report.VerificationReport.judge"]
+
+
+def self_check_errors(trees) -> set[str]:
+    """The names of ArithmeticError, AssertionError and their subclasses:
+    the builtin ones and the classes that the trees define on any of them."""
+    family = {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, (ArithmeticError, AssertionError))
+    }
+    bases = {
+        node.name: {ast.unparse(b) for b in node.bases}
+        for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    }
+    while grown := {name for name, on in bases.items() if name not in family and on & family}:
+        family |= grown
+    return family
+
+
+def test_every_self_check_raises_self_check_failed():
+    # a check of the library's own result raises SelfCheckFailed, which the
+    # CLI ends with an error document; no assert, which python -O strips
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "cosetcft").glob("*.py"))]
+    family = self_check_errors(trees)
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    assert [node.lineno for node in nodes if isinstance(node, ast.Assert)] == []
+    raised = {
+        ast.unparse(getattr(node.exc, "func", node.exc)).rpartition(".")[2]
+        for node in nodes
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    assert raised & family == {"SelfCheckFailed"}
+    defined = {node.name for node in nodes if isinstance(node, ast.ClassDef)}
+    assert defined & family == {"SelfCheckFailed"}
+
+
+def test_self_check_failed_imports_no_numpy():
+    # the class is exported through weights, which loads no numpy
+    statement = (
+        "import sys; from cosetcft import SelfCheckFailed; "
+        "assert issubclass(SelfCheckFailed, ArithmeticError); "
+        "print('numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", statement], capture_output=True, text=True, env=cli_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 # the run layout of a SparseTensor, whose attributes only fusion reads

@@ -11,7 +11,8 @@ from cosetcft import (
     maverick_branching_check,
     maverick_dims,
 )
-from cosetcft.maverick import InconsistentRelations, _verify
+from cosetcft import SelfCheckFailed, fusion
+from cosetcft.maverick import _verify
 
 
 # the whole ring, recorded from the reduction of every product of two words by
@@ -99,7 +100,7 @@ class TestRingStructure:
     def test_inconsistency_guard(self, ring):
         broken_dims = dict(ring.dims, x=2.0)
         broken = dataclasses.replace(ring, dims=broken_dims)
-        with pytest.raises(InconsistentRelations):
+        with pytest.raises(SelfCheckFailed):
             _verify(broken)
 
     def test_table_corruption_detected(self, ring):
@@ -108,13 +109,19 @@ class TestRingStructure:
         dense[z, z] = 0
         dense[z, z, z] = 1  # z * z = z in place of zbar
         constants = SparseTensor.from_blocks(len(ring.basis), [dense])
-        with pytest.raises(InconsistentRelations):
+        with pytest.raises(SelfCheckFailed):
             _verify(dataclasses.replace(ring, constants=constants))
 
     def test_wrong_conjugation_detected(self, ring):
         # every quoted product holds; only the axiom check sees conj
-        with pytest.raises(InconsistentRelations, match="conjugation"):
+        with pytest.raises(SelfCheckFailed, match="conjugation"):
             _verify(dataclasses.replace(ring, conj=tuple(range(6))))
+
+    def test_a_nan_dimension_residual_fails(self, monkeypatch):
+        # the guard holds only where residual <= 1e-6 is true
+        monkeypatch.setattr(fusion, "dimension_homomorphism_residual", lambda ring: math.nan)
+        with pytest.raises(SelfCheckFailed, match="dimensions fail by nan"):
+            build_maverick_ring()
 
 
 class TestDims:

@@ -7,6 +7,7 @@ import pytest
 
 from cosetcft import (
     AlgebraSpec,
+    SelfCheckFailed,
     Weight,
     asymptotic_dimension,
     conjugate_weight,
@@ -16,6 +17,7 @@ from cosetcft import (
     s_matrix,
     sigma_apply,
 )
+from cosetcft import modular
 from cosetcft.report import format_real
 from cosetcft.weights import quantum_dimensions, shifted_v, vacuum_row
 
@@ -214,3 +216,27 @@ def test_sine_product_dimensions_keep_the_s_matrix_budget(monkeypatch):
     monkeypatch.setattr(math, "sin", refuse)
     with pytest.raises(ValueError, match="budget"):
         quantum_dimensions(AlgebraSpec.su(4, 30))  # m = 5456, as s_matrix refuses
+
+
+class TestGuards:
+    """``s_matrix`` checks the matrix it builds, and each check holds only
+    where its comparison is true, so a NaN fails it.  The uncached function
+    is called, so no cached matrix is served in its place."""
+
+    SPEC = AlgebraSpec.su(2, 1)
+
+    def test_a_nan_unitarity_residual_fails(self, monkeypatch):
+        monkeypatch.setattr(modular, "unitarity_residual", lambda entries: math.nan)
+        with pytest.raises(SelfCheckFailed, match="failed unitarity"):
+            s_matrix.__wrapped__(self.SPEC)
+
+    @pytest.mark.parametrize("check", ["unitarity", "symmetry"])
+    def test_a_nan_entry_fails(self, monkeypatch, check):
+        # a NaN in the vacuum row fills one column of S; with the unitarity
+        # residual read as 0, the symmetry check is the one that sees it
+        row = vacuum_row(self.SPEC)
+        monkeypatch.setattr(modular, "vacuum_row", lambda spec: [row[0], math.nan])
+        if check == "symmetry":
+            monkeypatch.setattr(modular, "unitarity_residual", lambda entries: 0.0)
+        with pytest.raises(SelfCheckFailed, match=f"failed {check}"):
+            s_matrix.__wrapped__(self.SPEC)
