@@ -3,12 +3,12 @@ branching functions read from them.
 
 One loop serves both: ``alternant_terms`` lists an affine Weyl alternant's
 translation terms, and ``straighten_products`` multiplies a Weyl-invariant
-series by them and straightens each product (Racah-Speiser) into
-finite-irrep coefficients.  Over the cached denominator series P that gives
-a graded character; over a character or a restricted table, branching
-functions (Kac-Peterson).  The Freudenthal recursion and
-``tensor_characters`` with ``reconstitute`` are the oracles that the tests
-and ``verify`` compare them with, exactly.
+series, held as weight runs, by them and straightens each product
+(Racah-Speiser) into finite-irrep coefficients.  Over the denominator series
+P, cached as runs, that gives a graded character; over a character or a
+restricted table, branching functions (Kac-Peterson).  The Freudenthal
+recursion and ``tensor_characters`` with ``reconstitute`` are the oracles
+that the tests and ``verify`` compare them with, exactly.
 """
 
 from __future__ import annotations
@@ -96,11 +96,13 @@ class Packing:
 
 
 @lru_cache(maxsize=None)
-def denominator_series(n: int, cutoff: int) -> tuple[tuple[tuple[Labels, int], ...], ...]:
+def denominator_series(n: int, cutoff: int) -> dict[Labels, tuple[int, ...]]:
     """Grades 0..cutoff of P = prod_{j>=1} (1 - q^j)^-(n-1) prod_alpha
-    (1 - q^j e^alpha)^-1 over the roots alpha of su(n), as (v-coordinates,
-    multiplicity) pairs per grade.  P is Weyl-invariant and shared by every
-    level and module; a smaller cutoff gives a prefix of the series.
+    (1 - q^j e^alpha)^-1 over the roots alpha of su(n), as weight runs: each
+    weight's v-coordinates map to its flat run (d, P_d, d', P_d', ...) of
+    increasing grade, the weights in order of first appearance, grade 0
+    first.  P is Weyl-invariant and shared by every level and module; a
+    smaller cutoff's runs are these cut at its grade.
 
     The entries are keyed by one packed integer while the series is divided
     out: an entry of grade g is a sum of at most g roots, whose v-coordinates
@@ -119,11 +121,13 @@ def denominator_series(n: int, cutoff: int) -> tuple[tuple[tuple[Labels, int], .
                 for key, mult in series[g - j].items():
                     key += step
                     dst[key] = get(key, 0) + mult
-    # each grade's packed dict is dropped once decoded
-    return tuple(
-        tuple((pack.decode(key), mult) for key, mult in series.pop(0).items())
-        for _ in range(cutoff + 1)
-    )
+    # each grade's packed dict is dropped once its entries join the runs
+    runs: dict[int, tuple[int, ...]] = {}
+    get = runs.get
+    for d in range(cutoff + 1):
+        for key, mult in series.pop(0).items():
+            runs[key] = get(key, ()) + (d, mult)
+    return {pack.decode(key): run for key, run in runs.items()}
 
 
 def _require_cutoff(cutoff: int) -> None:
@@ -173,18 +177,14 @@ def alternant_terms(lam: Labels, n: int, h: int, cutoff: int) -> list[tuple[int,
     return terms
 
 
-def straighten_products(series, terms, cutoff: int) -> list[dict[Labels, int]]:
+def straighten_products(runs, terms, cutoff: int) -> list[dict[Labels, int]]:
     """Finite-irrep coefficients, per grade up to cutoff, of a Weyl-invariant
     series S times the sum of q^grade A(u) over terms: A(u) S_d is the sum of
     S_d(nu) A(u + nu), at grade grade + d, and ``straighten`` makes each
-    A(u + nu) zero or a signed A(mu + rho).  ``series`` holds one sequence
-    of (v-coordinates, multiplicity) pairs per grade.  It is regrouped by
-    weight into flat runs [d, S_d(nu), d', ...] of increasing grade, so each
-    u + nu is straightened once per term, not once per grade."""
-    runs: dict[Labels, list[int]] = {}
-    for d, sl in enumerate(series[: cutoff + 1]):
-        for nu, mult in sl:
-            runs.setdefault(nu, []).extend((d, mult))
+    A(u + nu) zero or a signed A(mu + rho).  ``runs`` maps each weight nu of
+    S, in v-coordinates, to its flat run (d, S_d(nu), d', ...) of increasing
+    grade, as ``denominator_series`` gives P, so each u + nu is straightened
+    once per term, not once per grade; grades past the cutoff are skipped."""
     irreps: list[dict[Labels, int]] = [dict() for _ in range(cutoff + 1)]
     for grade, u in terms:
         room = cutoff - grade
@@ -395,8 +395,11 @@ def _read_branching(table: WeightTable, terms, target: AlgebraSpec, depth: int):
     Where that product is a sum of b_mu times target alternants
     (Kac-Peterson), only the identity term of each lies in the open alcove,
     so the coefficient of A(mu + rho) is b_mu exactly."""
-    series = [[(v_vector(lab), m) for lab, m in sl.items()] for sl in table.slices[: depth + 1]]
-    irreps = straighten_products(series, terms, depth)
+    runs: dict[Labels, list[int]] = {}
+    for d, sl in enumerate(table.slices[: depth + 1]):
+        for lab, m in sl.items():
+            runs.setdefault(lab, []).extend((d, m))
+    irreps = straighten_products({v_vector(lab): run for lab, run in runs.items()}, terms, depth)
     out = {}
     for wt in integrable_weights(target):
         out[wt] = tuple(sl.get(wt.labels, 0) for sl in irreps)
@@ -453,20 +456,26 @@ class BranchingFunction:
     def is_zero(self) -> bool:
         return self.n_min is None
 
+    def _first_grade(self) -> int:
+        """n_min; InconclusiveCutoff where every coefficient is zero."""
+        if self.is_zero:
+            raise InconclusiveCutoff(
+                f"branching for {self.sector} vanishes up to grade {self.cutoff}"
+            )
+        return self.n_min
+
     def energy(self) -> Fraction:
         """Lowest coset energy: offset plus the first nonzero grade."""
-        if self.is_zero:
-            raise InconclusiveCutoff(
-                f"branching for {self.sector} vanishes up to grade {self.cutoff}"
-            )
-        return self.offset + self.n_min
+        return self.offset + self._first_grade()
 
     def multiplicity_at_min(self) -> int:
-        if self.is_zero:
-            raise InconclusiveCutoff(
-                f"branching for {self.sector} vanishes up to grade {self.cutoff}"
-            )
-        return self.coeffs[self.n_min]
+        return self.coeffs[self._first_grade()]
+
+    def trace(self, beta: float) -> float:
+        """Truncated trace sum(c_g e^{-beta (offset + g)}) up to the cutoff."""
+        return sum(
+            c * math.exp(-beta * (float(self.offset) + g)) for g, c in enumerate(self.coeffs)
+        )
 
 
 def reconstitute(
@@ -553,7 +562,8 @@ def kw_numeric_ratio(
     beta: float,
     beta_floor: float = DEFAULT_BETA_FLOOR,
 ) -> float:
-    """Ratio of truncated traces sum(c_n e^{-beta (offset+n)}).
+    """Ratio of the truncated traces (``BranchingFunction.trace``); a
+    denominator that vanishes up to its cutoff raises InconclusiveCutoff.
 
     A truncation estimate only: it approaches the sector dimension from
     below as beta shrinks, and is meaningless below the trust floor.
@@ -562,12 +572,5 @@ def kw_numeric_ratio(
         raise ValueError(f"beta {beta} below trust floor {beta_floor}")
     if b_num.cutoff != b_den.cutoff:
         raise ValueError("numerator and denominator cutoffs differ")
-    num = sum(
-        c * math.exp(-beta * (float(b_num.offset) + g))
-        for g, c in enumerate(b_num.coeffs)
-    )
-    den = sum(
-        c * math.exp(-beta * (float(b_den.offset) + g))
-        for g, c in enumerate(b_den.coeffs)
-    )
-    return num / den
+    b_den._first_grade()  # a zero denominator is inconclusive at this cutoff
+    return b_num.trace(beta) / b_den.trace(beta)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from operator import add
 
@@ -209,17 +210,38 @@ def eta_power_coefficients(power, limit):
     return p
 
 
+def runs_of(series):
+    """Per-grade sequences of (v-coordinates, multiplicity) pairs regrouped
+    into flat weight runs (d, mult, d', ...), in order of first appearance;
+    a weight repeated within a grade repeats its grade in the run."""
+    runs = {}
+    for d, sl in enumerate(series):
+        for nu, mult in sl:
+            runs.setdefault(nu, []).extend((d, mult))
+    return {nu: tuple(run) for nu, run in runs.items()}
+
+
+def grades_of(runs, cutoff):
+    """The inverse of ``runs_of``: one list of (v, mult) pairs per grade."""
+    series = [[] for _ in range(cutoff + 1)]
+    for nu, run in runs.items():
+        steps = iter(run)
+        for d, mult in zip(steps, steps):
+            series[d].append((nu, mult))
+    return series
+
+
 class TestDenominatorSeries:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_total_is_eta_power(self, n):
         # setting e^alpha = 1 leaves prod_j (1 - q^j)^-(N^2 - 1)
-        series = denominator_series(n, 6)
+        series = grades_of(denominator_series(n, 6), 6)
         want = eta_power_coefficients(n * n - 1, 6)
         assert [sum(m for _, m in sl) for sl in series] == want
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_slices_are_weyl_invariant(self, n):
-        for sl in denominator_series(n, 6):
+        for sl in grades_of(denominator_series(n, 6), 6):
             table = {labels_from_v(v): m for v, m in sl}
             assert len(table) == len(sl)
             for lab, m in table.items():
@@ -227,7 +249,27 @@ class TestDenominatorSeries:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_smaller_cutoff_is_a_prefix(self, n):
-        assert denominator_series(n, 6)[:5] == denominator_series(n, 4)
+        # each run cut at grade 4, weights first seen above it dropped, in order
+        cut = {}
+        for nu, run in denominator_series(n, 6).items():
+            steps = iter(run)
+            kept = tuple(x for d, mult in zip(steps, steps) if d <= 4 for x in (d, mult))
+            if kept:
+                cut[nu] = kept
+        assert list(cut.items()) == list(denominator_series(n, 4).items())
+
+    def test_held_in_under_100_bytes_an_entry(self):
+        # the runs hold P once: su(3) to grade 20 has 9,261 (weight, grade)
+        # entries, which a per-grade tuple of pairs held at about 166 bytes each
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            runs = denominator_series.__wrapped__(3, 20)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / 9261 < 100
+        assert sum(len(run) // 2 for run in runs.values()) == 9261
 
     def test_computed_once_per_rank_and_cutoff(self):
         spec = AlgebraSpec.su(3, 4)
@@ -284,7 +326,8 @@ class TestPackedKeys:
 
     @pytest.mark.parametrize("n,cutoff", [(2, 12), (3, 8), (4, 5), (5, 3)])
     def test_denominator_series_matches_the_tuple_form(self, n, cutoff):
-        assert denominator_series.__wrapped__(n, cutoff) == tuple_series(n, cutoff)
+        got = denominator_series.__wrapped__(n, cutoff)
+        assert list(got.items()) == list(runs_of(tuple_series(n, cutoff)).items())
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 3), st.data())
@@ -332,8 +375,9 @@ def straighten_each_product(series, terms, cutoff):
 
 @st.composite
 def series_and_terms(draw):
-    """A small series in v-coordinates, which may run past the cutoff, and
-    terms with grades up to it; a weight may repeat within a grade."""
+    """A small series in v-coordinates, one list of (v, mult) pairs per
+    grade, which may run past the cutoff, and terms with grades up to it; a
+    weight may repeat within a grade."""
     n = draw(st.integers(2, 4))
     cutoff = draw(st.integers(0, 5))
     coords = st.tuples(*[st.integers(-3, 3)] * n)
@@ -348,16 +392,17 @@ class TestStraightenProducts:
     @given(series_and_terms())
     def test_each_weight_once_matches_each_product(self, case):
         series, terms, cutoff = case
-        assert straighten_products(series, terms, cutoff) == straighten_each_product(
+        assert straighten_products(runs_of(series), terms, cutoff) == straighten_each_product(
             series, terms, cutoff
         )
 
     @pytest.mark.parametrize("n,k,cutoff", [(2, 3, 10), (3, 2, 6), (4, 1, 4)])
     def test_characters_match_each_product(self, n, k, cutoff):
-        series = denominator_series(n, cutoff)
+        runs = denominator_series(n, cutoff)
+        series = grades_of(runs, cutoff)
         for w in integrable_weights(AlgebraSpec.su(n, k)):
             terms = alternant_terms(w.labels, n, n + k, cutoff)
-            assert straighten_products(series, terms, cutoff) == straighten_each_product(
+            assert straighten_products(runs, terms, cutoff) == straighten_each_product(
                 series, terms, cutoff
             )
 
@@ -632,6 +677,28 @@ class TestEnergiesAndRatios:
         bf = sector_branching(ISING, ISING.vacuum_sector(), 6)
         with pytest.raises(ValueError):
             kw_numeric_ratio(bf, bf, 0.1)
+
+    def test_zero_denominator_is_inconclusive(self):
+        # ((0),(0);(1)) lies outside the coset: its branching vanishes
+        s1, s2, sh = ISING.factor_specs()
+        outside = CosetSector(s1.vacuum(), s2.vacuum(), Weight(sh, (1,)))
+        outside = sector_branching(ISING, outside, 6)
+        vac = sector_branching(ISING, ISING.vacuum_sector(), 6)
+        with pytest.raises(InconclusiveCutoff, match="vanishes up to grade 6"):
+            kw_numeric_ratio(vac, outside, 0.5)
+        assert kw_numeric_ratio(outside, vac, 0.5) == 0.0
+
+    def test_ratio_is_the_ratio_of_traces(self):
+        s1, s2, sh = ISING.factor_specs()
+        sig = CosetSector(s1.vacuum(), Weight(s2, (1,)), Weight(sh, (1,)))
+        sig = sector_branching(ISING, sig, 8)
+        vac = sector_branching(ISING, ISING.vacuum_sector(), 8)
+        for beta in (0.4, 0.5, 1.5):
+            want = sum(
+                c * math.exp(-beta * (float(sig.offset) + g)) for g, c in enumerate(sig.coeffs)
+            )
+            assert sig.trace(beta) == want
+            assert kw_numeric_ratio(sig, vac, beta) == sig.trace(beta) / vac.trace(beta)
 
     def test_cutoff_mismatch_rejected(self):
         a = sector_branching(ISING, ISING.vacuum_sector(), 6)
