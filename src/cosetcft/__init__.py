@@ -89,7 +89,6 @@ _EXPORTS = {
         "vacuum_membership",
     ),
     "maverick": (
-        "MaverickBranchingReport",
         "build_maverick_ring",
         "maverick_branching",
         "maverick_branching_check",

@@ -42,7 +42,7 @@ from .weights import (
     weyl_orbit,
 )
 
-if TYPE_CHECKING:  # coset loads numpy, which no character computation needs
+if TYPE_CHECKING:  # type-only: `branch --maverick` runs no coset
     from .coset import CosetSector, CosetSpec
 
 Poly = dict[Labels, int]
@@ -208,11 +208,13 @@ def straighten_products(runs, terms, cutoff: int) -> list[dict[Labels, int]]:
 def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> WeightTable:
     """Production engine: the Weyl-Kac numerator's terms times the
     Weyl-invariant series P, straightened into per-grade irrep
-    coefficients, which expand into weight slices."""
+    coefficients, which expand into weight slices.  The alternant is held
+    to ALTERNANT_BUDGET before any term or P is built."""
     n, k = spec.n, spec.k
     if w.spec != spec:
         raise ValueError("weight bound to a different spec")
     lam = w.labels
+    require_alternant_budget(lam, n, k + n, cutoff)
     terms = alternant_terms(lam, n, k + n, cutoff)
     irreps = straighten_products(denominator_series(n, cutoff), terms, cutoff)
 
@@ -234,7 +236,6 @@ def graded_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> WeightTable:
     return WeightTable(n, cutoff, tuple(slices))
 
 
-@lru_cache(maxsize=None)
 def freudenthal_character(spec: AlgebraSpec, w: Weight, cutoff: int) -> WeightTable:
     """Oracle engine: Freudenthal recursion on the extended algebra, in
     integers.  A weight x is held by its v-coordinates, its pairing with the
@@ -471,6 +472,11 @@ class BranchingFunction:
     def multiplicity_at_min(self) -> int:
         return self.coeffs[self._first_grade()]
 
+    def is_vacuum_like(self) -> bool:
+        """Lowest energy 0 with multiplicity 1, the test by which a sector
+        joins the vacuum; InconclusiveCutoff where every coefficient is zero."""
+        return self.energy() == 0 and self.multiplicity_at_min() == 1
+
     def trace(self, beta: float) -> float:
         """Truncated trace sum(c_g e^{-beta (offset + g)}) up to the cutoff."""
         return sum(
@@ -548,7 +554,7 @@ def vacuum_membership(spec: CosetSpec, sector: CosetSector, cutoff: int) -> bool
         raise InconclusiveCutoff(
             f"sector {sector} has zero branching up to grade {cutoff}"
         )
-    return bf.energy() == 0 and bf.multiplicity_at_min() == 1
+    return bf.is_vacuum_like()
 
 
 # --- truncated trace ratio ---------------------------------------------------

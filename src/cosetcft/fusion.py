@@ -424,12 +424,15 @@ def orbit_ring(factors: list[BasedRing], orbits, basis: tuple, dims: dict) -> Ba
     summed in ``_value_dtype(-top, top)``, the narrowest width that holds
     every product and sum (int8 on the benchmark's cosets); a top past
     int64 is refused with ValueError before any factor is gathered, where
-    the products would wrap.
+    the products would wrap.  So are m^3 orbit products past DENSE_BUDGET:
+    every ring built here has m <= 256.
     """
     if not orbits:
         raise ValueError("need at least one orbit: every ring keeps its unit at index 0")
+    m = len(orbits)
+    require_budget(m**3, DENSE_BUDGET, f"the number of orbit products of a ring of {m} orbits")
     slabs = _orbit_slabs(factors, np.array(orbits, dtype=np.int64))
-    constants = SparseTensor.from_blocks(len(orbits), slabs)
+    constants = SparseTensor.from_blocks(m, slabs)
     orbit_of = {s: o for o, orbit in enumerate(orbits) for s in orbit}
     conj = tuple(
         orbit_of[tuple(ring.conj[x] for ring, x in zip(factors, orbit[0]))]

@@ -138,8 +138,8 @@ def check_maverick(config: Config) -> VerificationReport:
     report = VerificationReport("maverick-ring")
     resid = fusion.dimension_homomorphism_residual(maverick.build_maverick_ring())
     report.judge(f"dimension residual {resid}", config.tolerance_integrality, resid)
-    if not maverick.maverick_branching_check(max(4, config.grade_cutoff // 2)).passed:
-        report.counterexamples.append("branching identification check failed")
+    cutoff = max(4, config.grade_cutoff // 2)
+    report.counterexamples.extend(maverick.maverick_branching_check(cutoff))
     return report
 
 
@@ -181,9 +181,7 @@ def check_branching(config: Config, quick: bool = False) -> VerificationReport:
                     if bf.is_zero:
                         continue
                     sector = coset.CosetSector(w1, w2, wh)
-                    via_branching = bf.energy() == 0 and bf.multiplicity_at_min() == 1
-                    via_orbit = coset.vacuum_orbit_membership(spec, sector)
-                    if via_branching != via_orbit:
+                    if bf.is_vacuum_like() != coset.vacuum_orbit_membership(spec, sector):
                         bad.append(f"vacuum criterion mismatch {sector}")
     return VerificationReport("branching-functions", 0.0, bad)
 

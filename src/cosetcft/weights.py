@@ -238,7 +238,6 @@ def root(n: int, a: int, b: int) -> Labels:
     return labels_from_v(tuple(int(j == a) - int(j == b) for j in range(n)))
 
 
-@lru_cache(maxsize=None)
 def positive_roots(n: int) -> tuple[Labels, ...]:
     """Label vectors of the positive roots e_a - e_b (a < b) of su(n)."""
     return tuple(root(n, a, b) for a in range(n) for b in range(a + 1, n))

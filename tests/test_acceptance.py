@@ -30,11 +30,13 @@ from cosetcft import (
     integrable_weights,
     kw_identity_check,
     kw_numeric_ratio,
+    maverick_branching,
     maverick_branching_check,
     quantum_dimension,
     reconstitute,
     s_matrix,
     sector_branching,
+    sigma_apply,
     simple_current_check,
     tensor_characters,
     torus_classes,
@@ -174,11 +176,14 @@ def test_criterion_08_maverick():
     ring = build_maverick_ring()
     golden = (math.sqrt(5) + 1) / 2
     assert abs(ring.dims["x"] - golden) < 1e-9
-    report = maverick_branching_check(4)
-    for s in (((0, 0), 0), ((0, 0), 8), ((1, 1), 4)):
-        assert report.energies[s] == 0
-        assert report.multiplicities[s] == 1
-    assert report.violates_orbit_rule
+    for pq, l in (((0, 0), 0), ((0, 0), 8), ((1, 1), 4)):
+        bf = maverick_branching(pq, 4)[l]
+        assert bf.energy() == 0
+        assert bf.multiplicity_at_min() == 1
+    assert maverick_branching_check(4) == []
+    # the cyclic orbit of the vacuum holds su(2)_8 labels 0 and 8 only
+    su2_vacuum = AlgebraSpec.su(2, 8).vacuum()
+    assert {sigma_apply(t, su2_vacuum).labels for t in range(2)} == {(0,), (8,)}
     announce(8, "6-element ring closed, d(x)=golden, triple vacuum identification")
 
 

@@ -165,7 +165,6 @@ class TestGradedCharacterEngine:
         spec = AlgebraSpec.su(n, k)
         x = data.draw(st.sampled_from(integrable_weights(spec)))
         want = graded_character(spec, x, cutoff)
-        freudenthal_character.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Fraction, "__new__", no_fraction)
             got = freudenthal_character(spec, x, cutoff)
@@ -601,6 +600,16 @@ class TestAlternantBranching:
         with pytest.raises(ValueError, match="over the budget"):
             diagonal_branching(spec, vac, vac, 8)
         assert denominator_series.cache_info().currsize == 0
+
+    def test_graded_character_is_refused_before_p_is_built(self, monkeypatch):
+        # su(6)_1's vacuum at cutoff 30: about 4.4e14, past ALTERNANT_BUDGET
+        def forbidden(*args):
+            raise AssertionError("P was built before the budget check")
+
+        monkeypatch.setattr(characters, "denominator_series", forbidden)
+        spec = AlgebraSpec.su(6, 1)
+        with pytest.raises(ValueError, match=r"the su\(6\) alternant's .* over the budget"):
+            graded_character(spec, spec.vacuum(), 30)
 
     def test_budget_admits_the_recorded_rows(self):
         # branch --coset 3,4,4 at cutoff 30 and 5,2,2 at cutoff 9, vacuum

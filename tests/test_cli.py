@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -965,6 +966,40 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["result"]["passed"] is True
         assert len(doc["reports"]) == 11
+
+    def test_desk_scale_all_under_python_O(self):
+        # -O strips assert statements; no library check may be one
+        (op,) = [
+            op
+            for workload in json.loads(BENCH_SPEC.read_text())["workloads"].values()
+            for op in workload["ops"]
+            if op["cmd"] == "verify all --desk-scale"
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "cosetcft.cli", *op["cmd"].split()],
+            capture_output=True, env=cli_env(), timeout=300,
+        )
+        assert proc.returncode == op["exit"], proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == op["sha256"]
+
+    def test_maverick_branching_failure_names_the_sector(self, capsys, monkeypatch):
+        # sector (11,4) made to open one grade late, at coset energy 1
+        maverick = cosetcft.maverick
+        real = maverick.maverick_branching
+
+        def late(pq, cutoff):
+            table = real(pq, cutoff)
+            if pq == (1, 1):
+                bf = table[4]
+                table = {**table, 4: dataclasses.replace(bf, coeffs=(0, *bf.coeffs[:-1]))}
+            return table
+
+        monkeypatch.setattr(maverick, "maverick_branching", late)
+        code, out = run(capsys, "verify", "maverick")
+        assert code == 1
+        (rep,) = json.loads(out)["reports"]
+        assert rep["passed"] is False
+        assert rep["counterexamples"] == ["(11,4): lowest energy 1, multiplicity 1"]
 
     def test_maverick_echoes_relations(self, capsys):
         code, out = run(capsys, "verify", "maverick")

@@ -791,6 +791,13 @@ class TestProducts:
         with pytest.raises(ValueError, match=f"values from {-(2**80)} to {2**80}: they pass int64"):
             product_ring([ring, ring])
 
+    def test_product_past_the_dense_budget_is_refused_before_any_gather(self, monkeypatch):
+        # su(2)_20 squared has 441 elements: 441^3 orbit products pass 2^24
+        ring = fusion_ring(AlgebraSpec.su(2, 20))
+        forbid_gathers(monkeypatch)
+        with pytest.raises(ValueError, match="ring of 441 orbits is 85766121, over the budget"):
+            product_ring([ring, ring])
+
     def test_product_below_int64_is_exact(self):
         ring = two_element_ring(2**20)
         prod = product_ring([ring, ring])

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from cosetcft import (
+    AlgebraSpec,
     SparseTensor,
     build_maverick_ring,
     maverick_branching,
     maverick_branching_check,
     maverick_dims,
+    sigma_apply,
 )
 from cosetcft import SelfCheckFailed, fusion
-from cosetcft.maverick import _verify
+from cosetcft.maverick import VACUUM_LINE, _verify
 
 
 # the whole ring, recorded from the reduction of every product of two words by
@@ -139,17 +141,20 @@ class TestDims:
 
 class TestBranchingCheck:
     def test_identification_line(self):
-        report = maverick_branching_check(4)
-        assert report.passed
-        for s in (((0, 0), 0), ((0, 0), 8), ((1, 1), 4)):
-            assert report.energies[s] == 0
-            assert report.multiplicities[s] == 1
+        for pq, l in VACUUM_LINE:
+            bf = maverick_branching(pq, 4)[l]
+            assert bf.energy() == 0
+            assert bf.multiplicity_at_min() == 1
+        assert maverick_branching_check(4) == []
 
     def test_orbit_rule_violated(self):
-        report = maverick_branching_check(4)
-        assert report.orbit_predicted == (((0, 0), 0), ((0, 0), 8))
-        assert ((1, 1), 4) in report.vacuum_energy_sectors
-        assert report.violates_orbit_rule
+        # the cyclic rule identifies the vacuum only with its sigma-images,
+        # the su(2)_8 labels 0 and 8 beside the trivial su(3) label
+        vacuum = AlgebraSpec.su(2, 8).vacuum()
+        predicted = {((0, 0), sigma_apply(t, vacuum).labels[0]) for t in range(2)}
+        assert predicted == {((0, 0), 0), ((0, 0), 8)}
+        assert maverick_branching((1, 1), 4)[4].is_vacuum_like()
+        assert ((1, 1), 4) not in predicted
 
     def test_cutoff_floor(self):
         with pytest.raises(ValueError):
